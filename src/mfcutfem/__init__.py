@@ -13,7 +13,6 @@ from .tensor1d import (
     gauss_lobatto_nodes,
     gauss_rule,
     ghost_matrix_1d,
-    ghost_penalty_1d,
     jump_vector,
     mass_matrix_1d,
     patch_nodes,
@@ -30,21 +29,13 @@ from .geometry import (
     Label,
     SphereLevelSet,
     build_dofmap,
-    cell_weight,
     classify_cells,
-    gather_face_patch,
     generate_balls,
     ghost_faces,
     load_balls,
     save_balls,
-    scatter_add_face_patch,
 )
-from .cutquad import (
-    CutCellQuadrature,
-    cut_cell_quadrature,
-    interior_quadrature,
-    surface_quadrature,
-)
+from .cutquad import CutCellQuadrature, cut_cell_quadrature
 from .operators import (
     OperatorContext,
     Parameters,
@@ -73,7 +64,6 @@ __all__ = [
     "gauss_lobatto_nodes",
     "gauss_rule",
     "ghost_matrix_1d",
-    "ghost_penalty_1d",
     "jump_vector",
     "mass_matrix_1d",
     "patch_nodes",
@@ -91,18 +81,13 @@ __all__ = [
     "SphereLevelSet",
     "box_mesh",
     "build_dofmap",
-    "cell_weight",
     "classify_cells",
-    "gather_face_patch",
     "generate_balls",
     "ghost_faces",
     "load_balls",
     "save_balls",
-    "scatter_add_face_patch",
     "CutCellQuadrature",
     "cut_cell_quadrature",
-    "interior_quadrature",
-    "surface_quadrature",
     "OperatorContext",
     "Parameters",
     "apply_ghost_penalty",

@@ -338,18 +338,6 @@ def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8) -> CutCellQuadr
     return CutCellQuadrature(ipts, iwts, spts, swts, snrm, counter[0])
 
 
-def interior_quadrature(lo, hi, phi, q: int, max_depth: int = 8):
-    """Points and weights for int_{K n {phi>0}}; plain Gauss when uncut."""
-    rule = cut_cell_quadrature(lo, hi, phi, q, max_depth)
-    return rule.interior_points, rule.interior_weights
-
-
-def surface_quadrature(lo, hi, phi, q: int, max_depth: int = 8):
-    """Points, weights and outward normals for int_{K n {phi=0}}."""
-    rule = cut_cell_quadrature(lo, hi, phi, q, max_depth)
-    return rule.surface_points, rule.surface_weights, rule.surface_normals
-
-
 def dump_quadrature_csv(path, rules: dict) -> None:
     """Debug dump: cell_index, kind (I volume / S surface), coords, weight,
     and for surface rows the normal components."""

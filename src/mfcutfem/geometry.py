@@ -19,7 +19,6 @@ from math import prod
 
 import numpy as np
 
-from .sumfac import TensorField
 from .tensor1d import gauss_lobatto_nodes
 
 
@@ -199,7 +198,8 @@ def classify_cells(mesh: CartesianMesh, phi, samples_per_axis: int) -> CellClass
     The grid has samples_per_axis points per direction including the cell
     corners.  Zero values count as inside, so: all samples >= 0 -> INSIDE,
     all < 0 -> OUTSIDE, otherwise CUT.  Callers should sample at least at
-    k+2 points per axis for a degree-k discretization.
+    k+2 points per axis for a degree-k discretization.  A NaN or infinite
+    sample raises ValueError naming the point, since no sign can be read.
     """
     if samples_per_axis < 2:
         raise ValueError(f"need at least 2 samples per axis, got {samples_per_axis}")
@@ -215,6 +215,10 @@ def classify_cells(mesh: CartesianMesh, phi, samples_per_axis: int) -> CellClass
     # grid shaped (n_d*s, ..., n_1*s) so the flattened cell order is lexicographic
     mesh_pts = np.stack(np.meshgrid(*axes[::-1], indexing="ij")[::-1], axis=-1)
     vals = phi.value(mesh_pts)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        point = tuple(float(x) for x in mesh_pts[bad][0])
+        raise ValueError(f"level set value is not finite at sample point {point}")
     # split each numpy axis into (cell, sample) and pull samples to the back
     vals = vals.reshape(tuple(t for a in reversed(range(d)) for t in (mesh.cells_per_axis[a], s)))
     vals = vals.transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
@@ -267,15 +271,6 @@ def ghost_faces(classification: CellClassification) -> list[GhostFace]:
         for c in lower[keep]:
             faces.append(GhostFace(tuple(int(v) for v in mesh.cell_multi(c)), axis))
     return faces
-
-
-def cell_weight(label: Label, k: int, d: int) -> int:
-    """Relative work estimate of one cell: 0 outside, 1 inside, k^(d-1) cut."""
-    if label == Label.OUTSIDE:
-        return 0
-    if label == Label.INSIDE:
-        return 1
-    return k ** (d - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +375,6 @@ def build_dofmap(mesh: CartesianMesh, k: int, classification: CellClassification
     dm.n_active = int(np.count_nonzero(dm.active))
     dm.compact[dm.active] = np.arange(dm.n_active, dtype=np.int64)
     return dm
-
-
-def gather_face_patch(u: np.ndarray, face: GhostFace, dofmap: DofMap) -> TensorField:
-    """Extract the 2-cell patch values of a compact DoF vector as a TensorField."""
-    idx = dofmap.compact_face_patch_dofs(face)
-    if np.any(idx < 0):
-        raise ValueError(f"face {face} touches inactive DoFs")
-    return TensorField(dofmap.patch_extents(face.axis), u[idx])
-
-
-def scatter_add_face_patch(w_patch: TensorField, face: GhostFace, dofmap: DofMap, w: np.ndarray) -> None:
-    """Add patch-local values into a compact DoF vector in place."""
-    idx = dofmap.compact_face_patch_dofs(face)
-    if np.any(idx < 0):
-        raise ValueError(f"face {face} touches inactive DoFs")
-    np.add.at(w, idx, w_patch.data)
 
 
 # ---------------------------------------------------------------------------

@@ -42,17 +42,17 @@ from .geometry import (
 )
 from .operators import (
     Parameters,
-    _interior_apply,
-    _kron_batch,
-    _point_contract,
-    _point_outer,
+    PointBlock,
     assemble_rhs,
     breakdown_report,
     build_context,
+    cut_volume_apply,
     reset_timers,
+    tabulate,
     vmult,
 )
 from .solver import cg_solve, l2_error, manufactured_problem, radial_cosine_problem
+from .sumfac import cell_laplacian_batch, kron_batch
 from .tensor1d import build_reference_element, ghost_matrix_1d, mass_matrix_1d
 
 BOX_HALF_WIDTH = 1.26  # the unit ball never touches the box boundary
@@ -98,7 +98,6 @@ class RunConfig:
     error_quad_order: int | None = None
     max_quad_depth: int | None = None
     out_dir: str = "results"
-    workers: int = 1
     repeats: int = 50
     strict: bool = False
     interpolate_only: bool = False
@@ -151,7 +150,6 @@ _CONVERTERS = {
     "error_quad_order": _parse_int,
     "max_quad_depth": _parse_int,
     "out_dir": str,
-    "workers": _parse_int,
     "repeats": _parse_int,
     "strict": _parse_bool,
     "interpolate_only": _parse_bool,
@@ -208,8 +206,6 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{name} must be >= 1")
     if cfg.max_quad_depth is not None and cfg.max_quad_depth < 0:
         raise ConfigError("max_quad_depth must be >= 0")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be >= 1")
 
@@ -435,21 +431,16 @@ def run_convergence(cfg: RunConfig) -> int:
 
 def _bench_point_cell(elem, spacing, u3, pts_ref, weights):
     """Weak Laplacian of a cell batch via per-point evaluation at arbitrary
-    reference points, including the on-the-fly 1D basis tabulation."""
+    reference points, including the on-the-fly 1D basis tabulation; the
+    reference points stand in for the physical ones, which it never reads."""
     n_cells, n_pts, d = pts_ref.shape
-    vals, grads = [], []
-    for a in range(d):
-        xi = pts_ref[:, :, a].reshape(-1)
-        vals.append(elem.evaluate(xi))
-        grads.append(elem.evaluate(xi, deriv=1))
-    up = u3[np.repeat(np.arange(n_cells), n_pts)]
-    acc = None
-    for a in range(d):
-        tabs = [grads[b] if b == a else vals[b] for b in range(d)]
-        z = _point_contract(up, tabs) * weights / spacing[a] ** 2
-        t = _point_outer(z, tabs)
-        acc = t if acc is None else acc + t
-    return acc.reshape(n_cells, n_pts, -1).sum(axis=1)
+    xi = pts_ref.reshape(-1, d)
+    vals, grads = tabulate(elem, xi)
+    cell = np.repeat(np.arange(n_cells), n_pts)
+    blk = PointBlock(xi, weights, cell, np.arange(0, n_cells * n_pts + 1, n_pts), vals, grads)
+    out = np.zeros((n_cells, u3[0].size))
+    cut_volume_apply(blk, spacing, u3, out)
+    return out
 
 
 def run_kernelbench(cfg: RunConfig) -> int:
@@ -476,12 +467,12 @@ def run_kernelbench(cfg: RunConfig) -> int:
             scaled_mass = spacing[0] * mass_matrix_1d(elem)
             mats = [ghost] + [scaled_mass] * (d - 1)
             ext = (2 * k + 1,) + (n,) * (d - 1)
-            u_patch = rng.standard_normal((batch, prod(ext)))
+            u_patch = rng.standard_normal((batch, prod(ext))).reshape((batch,) + ext[::-1])
 
             kernels = [
-                ("sumfac_cell", lambda: _interior_apply(elem, spacing, u_cells)),
+                ("sumfac_cell", lambda: cell_laplacian_batch(elem, spacing, u_cells)),
                 ("point_cell", lambda: _bench_point_cell(elem, spacing, u3, pts_ref, weights)),
-                ("ghost_face", lambda: _kron_batch(mats, ext, u_patch)),
+                ("ghost_face", lambda: kron_batch(mats, u_patch)),
             ]
             for name, fn in kernels:
                 seconds = _median_batch_seconds(fn, loops)
@@ -615,8 +606,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     allowed = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(command=args.command, **{k: v for k, v in values.items() if k in allowed})
     validate_config(cfg)
-    if cfg.workers != 1:
-        _log(f"note: requested workers={cfg.workers}; drivers run serially for reproducibility")
     return cfg
 
 

@@ -3,16 +3,22 @@
 ``vmult`` applies  A = A_volume + A_nitsche + gamma_A * A_ghost  to a compact
 vector of active DoFs without assembling anything:
 
-* interior (uncut) cells use the sum-factorized cell Laplacian,
+* interior (uncut) cells use the sum-factorized cell Laplacian
+  (``sumfac.cell_laplacian_batch``),
 * cut cells integrate the same weak form over their precomputed volume rule
   and add the symmetric Nitsche boundary terms
-  -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface,
+  -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface; both
+  run on the point pair ``point_evaluate`` / ``point_integrate`` over chunks
+  of at most _POINT_CHUNK points (``point_chunks``),
 * ghost-penalty faces apply gamma_A * (hM1 x ... x G1(h) x ... x hM1), the
   Kronecker product of 1D factors with G1 on the face-normal axis.
 
-Cells, cut-cell quadrature points and faces are processed in fixed-order
-batches; all reductions are single-threaded with a fixed summation order, so
-repeated applications are bitwise reproducible.
+The per-cell forms of the paper (``cut_cell_apply`` and its volume and
+surface parts) run the batched cut kernels on one cell's points; the per-face
+form ``ghost_face_apply`` is ``sumfac.kron_apply`` on one patch.  Cells,
+cut-cell quadrature points and faces are processed in fixed-order batches;
+all reductions are single-threaded with a fixed summation order, so repeated
+applications are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import cutquad, geometry, sumfac, tensor1d
 from .geometry import CartesianMesh, GhostFace, Label
-from .sumfac import TensorField, contract_axis
+from .sumfac import TensorField, cell_laplacian_batch, kron_batch
 
 _CELL_CHUNK = 4096
 _POINT_CHUNK = 1 << 15
@@ -60,7 +66,7 @@ class Parameters:
 
 
 @dataclass
-class _PointBlock:
+class PointBlock:
     """Concatenated per-point data of all cut cells, grouped cell by cell."""
 
     points: np.ndarray   # (N, d) physical coordinates
@@ -83,7 +89,6 @@ class OperatorContext:
     classification: geometry.CellClassification
     dofmap: geometry.DofMap
     faces: list[GhostFace]
-    mass_1d: np.ndarray
     scaled_mass: list[np.ndarray]   # h_a * M1 per axis
     ghost_1d: list[np.ndarray]      # G1(h_a) per axis
     inside_cells: np.ndarray
@@ -92,12 +97,12 @@ class OperatorContext:
     cut_dofs: np.ndarray            # (n_cut, nloc)
     inside_lower: np.ndarray        # (n_inside, d) cell corners
     face_dofs: dict[int, np.ndarray]  # axis -> (n_faces, patch size)
-    volume: _PointBlock
-    surface: _PointBlock
+    volume: PointBlock
+    surface: PointBlock
     cut_rules: dict[int, cutquad.CutCellQuadrature]
     fallback_count: int
     timers: dict[str, float] = field(default_factory=dict)
-    _error_blocks: dict[int, _PointBlock] = field(default_factory=dict)
+    _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
 
     @property
     def n_dofs(self) -> int:
@@ -107,8 +112,9 @@ class OperatorContext:
     def h_min(self) -> float:
         return min(self.mesh.spacing)
 
-    def local_extents(self) -> tuple[int, ...]:
-        return (self.elem.degree + 1,) * self.mesh.dim
+    @property
+    def nitsche_penalty(self) -> float:
+        return self.params.gamma_dirichlet / self.h_min
 
 
 def reset_timers(ctx: OperatorContext) -> None:
@@ -122,21 +128,18 @@ def reset_timers(ctx: OperatorContext) -> None:
     }
 
 
-def _tabulate(elem, mesh, points, cells_flat) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis 1D basis values/derivatives at arbitrary physical points."""
-    n = elem.degree + 1
-    d = mesh.dim
-    vals = np.empty((len(points), d, n))
-    grads = np.empty((len(points), d, n))
-    multi = mesh.cell_multi(cells_flat)
-    for a in range(d):
-        xi = (points[:, a] - (mesh.origin[a] + multi[:, a] * mesh.spacing[a])) / mesh.spacing[a]
-        vals[:, a] = elem.evaluate(xi)
-        grads[:, a] = elem.evaluate(xi, deriv=1)
+def tabulate(elem, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1D basis values and derivatives per axis at reference coordinates
+    xi (P, d): the (P, d, k+1) tables the point kernels read."""
+    vals = np.empty(xi.shape + (elem.degree + 1,))
+    grads = np.empty_like(vals)
+    for a in range(xi.shape[1]):
+        vals[:, a] = elem.evaluate(xi[:, a])
+        grads[:, a] = elem.evaluate(xi[:, a], deriv=1)
     return vals, grads
 
 
-def _build_point_block(mesh, elem, cut_cells, rules, surface: bool) -> _PointBlock:
+def _build_point_block(mesh, elem, cut_cells, rules, surface: bool) -> PointBlock:
     pts, wts, cell_of, normals = [], [], [], []
     for j, c in enumerate(cut_cells):
         r = rules[int(c)]
@@ -154,9 +157,25 @@ def _build_point_block(mesh, elem, cut_cells, rules, surface: bool) -> _PointBlo
     ptr = np.zeros(len(cut_cells) + 1, dtype=np.int64)
     np.add.at(ptr, cell_of + 1, 1)
     ptr = np.cumsum(ptr)
-    vals, grads = _tabulate(elem, mesh, pts, cut_cells[cell_of] if len(cell_of) else cell_of)
+    lower = np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell_of]) * np.asarray(mesh.spacing)
+    vals, grads = tabulate(elem, (pts - lower) / np.asarray(mesh.spacing))
     nrm = (np.concatenate(normals) if normals else np.empty((0, d))) if surface else None
-    return _PointBlock(pts, wts, cell_of, ptr, vals, grads, nrm)
+    return PointBlock(pts, wts, cell_of, ptr, vals, grads, nrm)
+
+
+def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> dict[int, cutquad.CutCellQuadrature]:
+    """Cut-cell rules of the given order, keyed by flat cell index.
+
+    Calls cutquad.cut_cell_quadrature through the module so that a caller
+    swapping the attribute (a tracer) sees every call."""
+    rules = {}
+    for c in cells:
+        lo, hi = mesh.cell_box(mesh.cell_multi(int(c)))
+        try:
+            rules[int(c)] = cutquad.cut_cell_quadrature(lo, hi, levelset, order, max_depth)
+        except cutquad.QuadratureError as exc:
+            raise cutquad.QuadratureError(f"cell {int(c)}: {exc}") from exc
+    return rules
 
 
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
@@ -183,17 +202,7 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         if axis_faces:
             face_dofs[axis] = np.stack([dofmap.compact_face_patch_dofs(f) for f in axis_faces])
 
-    rules: dict[int, cutquad.CutCellQuadrature] = {}
-    fallbacks = 0
-    for c in cut_cells:
-        lo, hi = mesh.cell_box(mesh.cell_multi(int(c)))
-        try:
-            rule = cutquad.cut_cell_quadrature(lo, hi, levelset, params.cut_quad_order, params.max_quad_depth)
-        except cutquad.QuadratureError as exc:
-            raise cutquad.QuadratureError(f"cell {int(c)}: {exc}") from exc
-        rules[int(c)] = rule
-        fallbacks += rule.fallback_count
-
+    rules = _cut_rules(mesh, levelset, cut_cells, params.cut_quad_order, params.max_quad_depth)
     ctx = OperatorContext(
         mesh=mesh,
         levelset=levelset,
@@ -202,7 +211,6 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         classification=classification,
         dofmap=dofmap,
         faces=faces,
-        mass_1d=mass,
         scaled_mass=scaled_mass,
         ghost_1d=ghost_1d,
         inside_cells=inside_cells,
@@ -214,49 +222,25 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         volume=_build_point_block(mesh, elem, cut_cells, rules, surface=False),
         surface=_build_point_block(mesh, elem, cut_cells, rules, surface=True),
         cut_rules=rules,
-        fallback_count=fallbacks,
+        fallback_count=sum(r.fallback_count for r in rules.values()),
     )
     reset_timers(ctx)
     return ctx
 
 
 # ---------------------------------------------------------------------------
-# batched kernels
+# point kernels: evaluate / integrate on per-point 1D tables
 
 
-def _grid_shape(n: int, d: int) -> tuple[int, ...]:
-    return (n,) * d
+def _tables(vals: np.ndarray, grads: np.ndarray, deriv_axis: int | None) -> list[np.ndarray]:
+    return [(grads if a == deriv_axis else vals)[:, a, :] for a in range(vals.shape[1])]
 
 
-def _interior_apply(elem: tensor1d.ReferenceElement1D, spacing, u_cells: np.ndarray) -> np.ndarray:
-    """Sum-factorized weak Laplacian on a batch of uncut cells, (C, nloc)."""
-    d = len(spacing)
-    n = elem.degree + 1
-    q = len(elem.quad_points)
-    sv = elem.shape_values.T  # (q, n)
-    sg = elem.shape_grads.T
-    h = spacing
-    jac = prod(h)
-    wgrid = sumfac.reference_weight_grid(elem.quad_weights, d).reshape(_grid_shape(q, d))
-
-    c = u_cells.shape[0]
-    grid = u_cells.reshape((c,) + _grid_shape(n, d))
-    out = np.zeros_like(grid)
-    for a in range(d):
-        t = grid
-        for b in range(d):
-            t = contract_axis(sg if b == a else sv, t, t.ndim - 1 - b)
-        t = t * wgrid * (jac / h[a] ** 2)
-        for b in range(d):
-            t = contract_axis((sg if b == a else sv).T, t, t.ndim - 1 - b)
-        out += t
-    return out.reshape(c, -1)
-
-
-def _point_contract(up: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
-    """Per-point tensor contraction: up (P, n^d grid), tabs d arrays (P, n)."""
-    d = len(tabs)
-    if d == 2:
+def point_evaluate(up: np.ndarray, vals: np.ndarray, grads: np.ndarray, deriv_axis: int | None = None) -> np.ndarray:
+    """Value (deriv_axis None) or reference derivative along deriv_axis at
+    each point of the cell coefficients up (P, n, ..., n) gathered per point."""
+    tabs = _tables(vals, grads, deriv_axis)
+    if len(tabs) == 2:
         t = np.einsum("pji,pi->pj", up, tabs[0])
         return np.einsum("pj,pj->p", t, tabs[1])
     t = np.einsum("pkji,pi->pkj", up, tabs[0])
@@ -264,91 +248,89 @@ def _point_contract(up: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
     return np.einsum("pk,pk->p", t, tabs[2])
 
 
-def _point_outer(coef: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
-    """Rank-1 test-function contributions, flattened to (P, nloc)."""
-    d = len(tabs)
-    if d == 2:
+def _outer(coef: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
+    if len(tabs) == 2:
         out = np.einsum("p,pi,pj->pji", coef, tabs[0], tabs[1])
     else:
         out = np.einsum("p,pi,pj,pk->pkji", coef, tabs[0], tabs[1], tabs[2])
     return out.reshape(coef.shape[0], -1)
 
 
-def _select_tabs(block: _PointBlock, sl: slice, deriv_axis: int | None) -> list[np.ndarray]:
-    d = block.vals.shape[1]
-    return [
-        (block.grads if a == deriv_axis else block.vals)[sl, a, :]
-        for a in range(d)
-    ]
+def point_integrate(vals: np.ndarray, grads: np.ndarray, value_coef=None, grad_coefs=()) -> np.ndarray:
+    """Test-function contributions (P, nloc) at each point: value_coef times
+    phi_i plus grad_coefs[a] times the reference derivative of phi_i along a."""
+    acc = None if value_coef is None else _outer(value_coef, _tables(vals, grads, None))
+    for a, coef in enumerate(grad_coefs):
+        contrib = _outer(coef, _tables(vals, grads, a))
+        acc = contrib if acc is None else acc + contrib
+    return acc
 
 
-def _cut_volume_apply(ctx: OperatorContext, u3: np.ndarray, out: np.ndarray) -> None:
-    """grad-grad term over all cut-cell volume points, accumulated into out."""
-    blk = ctx.volume
-    h = ctx.mesh.spacing
-    d = ctx.mesh.dim
+def point_chunks(blk: PointBlock, u3: np.ndarray | None = None):
+    """Yield (slice, u3[cell] of those points) over blk in chunks of at most
+    _POINT_CHUNK points, gathering the cell coefficients once per chunk
+    (None when u3 is None)."""
+    n = len(blk.weights)
+    for start in range(0, n, _POINT_CHUNK):
+        sl = slice(start, min(start + _POINT_CHUNK, n))
+        yield sl, None if u3 is None else u3[blk.cell[sl]]
+
+
+def _scatter_cells(out: np.ndarray, cells: np.ndarray, contrib: np.ndarray) -> None:
+    """Add per-point contributions (P, nloc) into out (n_cells, nloc) by cell."""
     nloc = out.shape[1]
-    for start in range(0, len(blk.weights), _POINT_CHUNK):
-        sl = slice(start, min(start + _POINT_CHUNK, len(blk.weights)))
-        cells = blk.cell[sl]
-        up = u3[cells]
-        acc = None
-        for a in range(d):
-            tabs = _select_tabs(blk, sl, a)
-            z = _point_contract(up, tabs) * blk.weights[sl] / h[a] ** 2
-            contrib = _point_outer(z, tabs)
-            acc = contrib if acc is None else acc + contrib
-        flat = (cells[:, None] * nloc + np.arange(nloc, dtype=np.int64)).ravel()
-        out.ravel()[:] += np.bincount(flat, weights=acc.ravel(), minlength=out.size)
+    flat = (cells[:, None] * nloc + np.arange(nloc, dtype=np.int64)).ravel()
+    out += np.bincount(flat, weights=contrib.ravel(), minlength=out.size).reshape(out.shape)
 
 
-def _cut_surface_apply(ctx: OperatorContext, u3: np.ndarray, out: np.ndarray) -> None:
-    """Symmetric Nitsche terms over all embedded-surface points."""
-    blk = ctx.surface
-    if blk.weights.size == 0:
-        return
-    h = ctx.mesh.spacing
-    d = ctx.mesh.dim
-    nloc = out.shape[1]
-    penalty = ctx.params.gamma_dirichlet / ctx.h_min
-    for start in range(0, len(blk.weights), _POINT_CHUNK):
-        sl = slice(start, min(start + _POINT_CHUNK, len(blk.weights)))
-        cells = blk.cell[sl]
-        up = u3[cells]
+def cut_volume_apply(blk: PointBlock, spacing, u3: np.ndarray, out: np.ndarray) -> None:
+    """grad-grad term over the points of blk, accumulated into out (n_cells, nloc)."""
+    for sl, up in point_chunks(blk, u3):
+        vals, grads = blk.vals[sl], blk.grads[sl]
+        z = [point_evaluate(up, vals, grads, a) * blk.weights[sl] / h ** 2 for a, h in enumerate(spacing)]
+        _scatter_cells(out, blk.cell[sl], point_integrate(vals, grads, grad_coefs=z))
+
+
+def nitsche_apply(blk: PointBlock, spacing, penalty: float, u3: np.ndarray, out: np.ndarray) -> None:
+    """Symmetric Nitsche terms over the surface points of blk, into out."""
+    for sl, up in point_chunks(blk, u3):
+        vals, grads = blk.vals[sl], blk.grads[sl]
         w = blk.weights[sl]
         nrm = blk.normals[sl]
-        val_tabs = _select_tabs(blk, sl, None)
-        u_val = _point_contract(up, val_tabs)
+        u_val = point_evaluate(up, vals, grads)
         g_n = np.zeros_like(u_val)
-        grad_ref = []
-        for a in range(d):
-            g_a = _point_contract(up, _select_tabs(blk, sl, a))
-            grad_ref.append(g_a)
-            g_n += nrm[:, a] * g_a / h[a]
-        acc = _point_outer((-g_n + penalty * u_val) * w, val_tabs)
-        for a in range(d):
-            beta = -u_val * w * nrm[:, a] / h[a]
-            acc += _point_outer(beta, _select_tabs(blk, sl, a))
-        flat = (cells[:, None] * nloc + np.arange(nloc, dtype=np.int64)).ravel()
-        out.ravel()[:] += np.bincount(flat, weights=acc.ravel(), minlength=out.size)
+        for a, h in enumerate(spacing):
+            g_n += nrm[:, a] * point_evaluate(up, vals, grads, a) / h
+        beta = [-u_val * w * nrm[:, a] / h for a, h in enumerate(spacing)]
+        _scatter_cells(out, blk.cell[sl], point_integrate(vals, grads, (-g_n + penalty * u_val) * w, beta))
 
 
-def _kron_batch(mats: list[np.ndarray], ext: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-    """Apply one 1D matrix per tensor axis to a batch of flat fields (B, prod ext)."""
-    grid = u.reshape((u.shape[0],) + tuple(ext[::-1]))
-    for b, a_mat in enumerate(mats):
-        grid = contract_axis(a_mat, grid, grid.ndim - 1 - b)
-    return grid.reshape(u.shape[0], -1)
+# ---------------------------------------------------------------------------
+# ghost penalty
 
 
-def _ghost_apply_batch(ctx: OperatorContext, axis: int, u_patch: np.ndarray) -> np.ndarray:
-    """gamma_A * (hM1 x ... x G1 x ... x hM1) on a batch of face patches."""
-    mats = [
-        ctx.ghost_1d[axis] if b == axis else ctx.scaled_mass[b]
-        for b in range(ctx.mesh.dim)
-    ]
-    out = _kron_batch(mats, ctx.dofmap.patch_extents(axis), u_patch)
-    return ctx.params.gamma_ghost * out
+def _ghost_mats(ctx: OperatorContext, axis: int) -> list[np.ndarray]:
+    """hM1 on the tangential axes and G1 on the face-normal axis."""
+    return [ctx.ghost_1d[axis] if b == axis else ctx.scaled_mass[b] for b in range(ctx.mesh.dim)]
+
+
+def _ghost_jobs(ctx: OperatorContext, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(face DoFs, gamma_A * face-operator values) per axis, in axis order."""
+    if ctx.params.gamma_ghost == 0.0:
+        return []
+    jobs = []
+    for axis in sorted(ctx.face_dofs):
+        idx = ctx.face_dofs[axis]
+        grid = u[idx].reshape((len(idx),) + ctx.dofmap.patch_extents(axis)[::-1])
+        jobs.append((idx, ctx.params.gamma_ghost * kron_batch(_ghost_mats(ctx, axis), grid)))
+    return jobs
+
+
+def _scatter_jobs(jobs, n: int) -> np.ndarray:
+    w = np.zeros(n)
+    for idx, val in jobs:
+        w += np.bincount(idx.ravel(), weights=val.ravel(), minlength=n)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +347,23 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
 
     t0 = time.perf_counter()
     if len(ctx.inside_cells):
-        jobs.append((ctx.inside_dofs, _interior_apply(ctx.elem, ctx.mesh.spacing, u[ctx.inside_dofs])))
+        jobs.append((ctx.inside_dofs, cell_laplacian_batch(ctx.elem, ctx.mesh.spacing, u[ctx.inside_dofs])))
     ctx.timers["interior"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if len(ctx.cut_cells):
-        u3 = u[ctx.cut_dofs].reshape((len(ctx.cut_cells),) + _grid_shape(ctx.elem.degree + 1, ctx.mesh.dim))
-        w_cut = np.zeros((len(ctx.cut_cells), u3[0].size))
-        _cut_volume_apply(ctx, u3, w_cut)
-        _cut_surface_apply(ctx, u3, w_cut)
+        u3 = u[ctx.cut_dofs].reshape((len(ctx.cut_cells),) + (ctx.elem.degree + 1,) * ctx.mesh.dim)
+        w_cut = np.zeros(ctx.cut_dofs.shape)
+        cut_volume_apply(ctx.volume, ctx.mesh.spacing, u3, w_cut)
+        nitsche_apply(ctx.surface, ctx.mesh.spacing, ctx.nitsche_penalty, u3, w_cut)
         jobs.append((ctx.cut_dofs, w_cut))
     ctx.timers["intersected"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if ctx.params.gamma_ghost != 0.0:
-        for axis in sorted(ctx.face_dofs):
-            idx = ctx.face_dofs[axis]
-            jobs.append((idx, _ghost_apply_batch(ctx, axis, u[idx])))
+    jobs += _ghost_jobs(ctx, u)
     ctx.timers["ghost_penalty"] += time.perf_counter() - t0
 
-    w = np.zeros_like(u)
-    for idx, val in jobs:
-        w += np.bincount(idx.ravel(), weights=val.ravel(), minlength=ctx.n_dofs)
+    w = _scatter_jobs(jobs, ctx.n_dofs)
 
     total = time.perf_counter() - t_start
     ctx.timers["total"] += total
@@ -399,89 +376,71 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
 
 def apply_ghost_penalty(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """Only the ghost-penalty part gamma_A * A_ghost (zero when gamma_A = 0)."""
-    u = np.asarray(u, dtype=float)
-    w = np.zeros_like(u)
-    if ctx.params.gamma_ghost == 0.0:
-        return w
-    for axis in sorted(ctx.face_dofs):
-        idx = ctx.face_dofs[axis]
-        w += np.bincount(idx.ravel(), weights=_ghost_apply_batch(ctx, axis, u[idx]).ravel(), minlength=ctx.n_dofs)
-    return w
+    return _scatter_jobs(_ghost_jobs(ctx, np.asarray(u, dtype=float)), ctx.n_dofs)
 
 
 def ghost_face_apply(ctx: OperatorContext, face: GhostFace, u_patch: TensorField) -> TensorField:
     """One face: gamma_A times tangential scaled masses and G1 on the normal."""
-    mats = [
-        ctx.ghost_1d[face.axis] if b == face.axis else ctx.scaled_mass[b]
-        for b in range(ctx.mesh.dim)
-    ]
-    out = sumfac.kron_apply(mats, u_patch)
+    out = sumfac.kron_apply(_ghost_mats(ctx, face.axis), u_patch)
     return TensorField(out.extents, ctx.params.gamma_ghost * out.data)
 
 
-def _cut_index(ctx: OperatorContext, cell_flat: int) -> int:
+def _cell_block(blk: PointBlock, j: int) -> PointBlock:
+    """The points of the j-th cut cell of blk as a block of one cell."""
+    sl = slice(int(blk.ptr[j]), int(blk.ptr[j + 1]))
+    n = sl.stop - sl.start
+    normals = None if blk.normals is None else blk.normals[sl]
+    return PointBlock(blk.points[sl], blk.weights[sl], np.zeros(n, dtype=np.int64),
+                      np.array([0, n]), blk.vals[sl], blk.grads[sl], normals)
+
+
+def _cut_cell_forms(ctx: OperatorContext, cell_flat: int, u_local: TensorField,
+                    volume: bool, surface: bool) -> TensorField:
+    """The batched cut kernels on the points of one cut cell."""
     j = int(np.searchsorted(ctx.cut_cells, cell_flat))
     if j >= len(ctx.cut_cells) or ctx.cut_cells[j] != cell_flat:
         raise ValueError(f"cell {cell_flat} is not a cut cell")
-    return j
+    u3 = u_local.as_grid()[None]
+    out = np.zeros((1, u_local.data.size))
+    if volume:
+        cut_volume_apply(_cell_block(ctx.volume, j), ctx.mesh.spacing, u3, out)
+    if surface:
+        nitsche_apply(_cell_block(ctx.surface, j), ctx.mesh.spacing, ctx.nitsche_penalty, u3, out)
+    return TensorField(u_local.extents, out[0])
 
 
 def cut_cell_volume_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -> TensorField:
     """grad-grad part of one cut cell (no boundary terms)."""
-    j = _cut_index(ctx, cell_flat)
-    blk = ctx.volume
-    sl = slice(int(blk.ptr[j]), int(blk.ptr[j + 1]))
-    d = ctx.mesh.dim
-    h = ctx.mesh.spacing
-    n_pts = sl.stop - sl.start
-    up = np.broadcast_to(u_local.as_grid(), (n_pts,) + u_local.as_grid().shape)
-    w = np.zeros(u_local.data.size)
-    for a in range(d):
-        tabs = _select_tabs(blk, sl, a)
-        z = _point_contract(up, tabs) * blk.weights[sl] / h[a] ** 2
-        w += _point_outer(z, tabs).sum(axis=0)
-    return TensorField(u_local.extents, w)
+    return _cut_cell_forms(ctx, cell_flat, u_local, volume=True, surface=False)
 
 
 def cut_cell_surface_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -> TensorField:
     """Nitsche boundary terms of one cut cell."""
-    j = _cut_index(ctx, cell_flat)
-    blk = ctx.surface
-    sl = slice(int(blk.ptr[j]), int(blk.ptr[j + 1]))
-    d = ctx.mesh.dim
-    h = ctx.mesh.spacing
-    w = np.zeros(u_local.data.size)
-    n_pts = sl.stop - sl.start
-    if n_pts == 0:
-        return TensorField(u_local.extents, w)
-    up = np.broadcast_to(u_local.as_grid(), (n_pts,) + u_local.as_grid().shape)
-    wq = blk.weights[sl]
-    nrm = blk.normals[sl]
-    penalty = ctx.params.gamma_dirichlet / ctx.h_min
-    val_tabs = _select_tabs(blk, sl, None)
-    u_val = _point_contract(up, val_tabs)
-    g_n = np.zeros_like(u_val)
-    for a in range(d):
-        g_n += nrm[:, a] * _point_contract(up, _select_tabs(blk, sl, a)) / h[a]
-    w += _point_outer((-g_n + penalty * u_val) * wq, val_tabs).sum(axis=0)
-    for a in range(d):
-        w += _point_outer(-u_val * wq * nrm[:, a] / h[a], _select_tabs(blk, sl, a)).sum(axis=0)
-    return TensorField(u_local.extents, w)
+    return _cut_cell_forms(ctx, cell_flat, u_local, volume=False, surface=True)
 
 
 def cut_cell_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -> TensorField:
     """Volume plus Nitsche contribution of one cut cell."""
-    vol = cut_cell_volume_apply(ctx, cell_flat, u_local)
-    surf = cut_cell_surface_apply(ctx, cell_flat, u_local)
-    return TensorField(vol.extents, vol.data + surf.data)
+    return _cut_cell_forms(ctx, cell_flat, u_local, volume=True, surface=True)
 
 
-def _interior_quad_points(ctx: OperatorContext, lowers: np.ndarray, gx: np.ndarray) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# right-hand side and elevated-order rules
+
+
+def inside_chunks(ctx: OperatorContext):
+    """Slices of at most _CELL_CHUNK uncut cells."""
+    n = len(ctx.inside_cells)
+    for start in range(0, n, _CELL_CHUNK):
+        yield slice(start, min(start + _CELL_CHUNK, n))
+
+
+def interior_quad_points(ctx: OperatorContext, lowers: np.ndarray, gx: np.ndarray) -> np.ndarray:
     """Physical tensor quadrature grid per cell: (C, q, ..., q, d)."""
     d = ctx.mesh.dim
     q = len(gx)
     c = lowers.shape[0]
-    pts = np.empty((c,) + _grid_shape(q, d) + (d,))
+    pts = np.empty((c,) + (q,) * d + (d,))
     for a in range(d):
         shape = [1] * d
         shape[d - 1 - a] = q
@@ -493,40 +452,29 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     """Right-hand side b_i = int_{Omega} f phi_i over interior and cut cells."""
     d = ctx.mesh.dim
     q = len(ctx.elem.quad_points)
-    sv = ctx.elem.shape_values.T
     jac = prod(ctx.mesh.spacing)
-    wgrid = sumfac.reference_weight_grid(ctx.elem.quad_weights, d).reshape(_grid_shape(q, d)) * jac
+    wgrid = sumfac.reference_weight_grid(ctx.elem.quad_weights, d).reshape((q,) * d) * jac
     b = np.zeros(ctx.n_dofs)
 
-    for start in range(0, len(ctx.inside_cells), _CELL_CHUNK):
-        sl = slice(start, min(start + _CELL_CHUNK, len(ctx.inside_cells)))
-        pts = _interior_quad_points(ctx, ctx.inside_lower[sl], ctx.elem.quad_points)
-        t = np.asarray(f(pts), dtype=float) * wgrid
-        for a in range(d):
-            t = contract_axis(sv.T, t, t.ndim - 1 - a)
+    for sl in inside_chunks(ctx):
+        pts = interior_quad_points(ctx, ctx.inside_lower[sl], ctx.elem.quad_points)
+        t = kron_batch([ctx.elem.shape_values] * d, np.asarray(f(pts), dtype=float) * wgrid)
         b += np.bincount(ctx.inside_dofs[sl].ravel(), weights=t.reshape(t.shape[0], -1).ravel(), minlength=ctx.n_dofs)
 
     blk = ctx.volume
     if blk.weights.size:
-        nloc = (ctx.elem.degree + 1) ** d
-        acc = np.zeros(len(ctx.cut_cells) * nloc)
-        for start in range(0, len(blk.weights), _POINT_CHUNK):
-            sl = slice(start, min(start + _POINT_CHUNK, len(blk.weights)))
+        acc = np.zeros(ctx.cut_dofs.shape)
+        for sl, _ in point_chunks(blk):
             fw = np.asarray(f(blk.points[sl]), dtype=float) * blk.weights[sl]
-            contrib = _point_outer(fw, _select_tabs(blk, sl, None))
-            flat = (blk.cell[sl][:, None] * nloc + np.arange(nloc, dtype=np.int64)).ravel()
-            acc += np.bincount(flat, weights=contrib.ravel(), minlength=acc.size)
-        b += np.bincount(ctx.cut_dofs.ravel(), weights=acc, minlength=ctx.n_dofs)
+            _scatter_cells(acc, blk.cell[sl], point_integrate(blk.vals[sl], blk.grads[sl], fw))
+        b += np.bincount(ctx.cut_dofs.ravel(), weights=acc.ravel(), minlength=ctx.n_dofs)
     return b
 
 
-def error_point_block(ctx: OperatorContext, order: int) -> _PointBlock:
+def error_point_block(ctx: OperatorContext, order: int) -> PointBlock:
     """Cut-cell volume rules at an elevated order (cached per order)."""
     if order not in ctx._error_blocks:
-        rules = {}
-        for c in ctx.cut_cells:
-            lo, hi = ctx.mesh.cell_box(ctx.mesh.cell_multi(int(c)))
-            rules[int(c)] = cutquad.cut_cell_quadrature(lo, hi, ctx.levelset, order, ctx.params.max_quad_depth)
+        rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
         ctx._error_blocks[order] = _build_point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules, surface=False)
     return ctx._error_blocks[order]
 

@@ -18,17 +18,14 @@ import numpy as np
 from . import sumfac
 from .operators import (
     OperatorContext,
-    _grid_shape,
-    _interior_quad_points,
-    _point_contract,
-    _select_tabs,
     error_point_block,
+    inside_chunks,
+    interior_quad_points,
+    point_chunks,
+    point_evaluate,
     vmult,
 )
-from .sumfac import contract_axis
 from .tensor1d import gauss_rule
-
-_CELL_CHUNK = 4096
 
 
 @dataclass
@@ -116,24 +113,22 @@ def l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     gx, gw = gauss_rule(order)
     sv = ctx.elem.evaluate(gx)  # (order, n): coefficients -> point values
     jac = prod(ctx.mesh.spacing)
-    wgrid = sumfac.reference_weight_grid(gw, d).reshape(_grid_shape(order, d)) * jac
+    wgrid = sumfac.reference_weight_grid(gw, d).reshape((order,) * d) * jac
 
     err2 = 0.0
-    for start in range(0, len(ctx.inside_cells), _CELL_CHUNK):
-        sl = slice(start, min(start + _CELL_CHUNK, len(ctx.inside_cells)))
-        grid = u_h[ctx.inside_dofs[sl]].reshape((-1,) + _grid_shape(n, d))
-        t = grid
-        for a in range(d):
-            t = contract_axis(sv, t, t.ndim - 1 - a)
-        pts = _interior_quad_points(ctx, ctx.inside_lower[sl], gx)
+    for sl in inside_chunks(ctx):
+        t = sumfac.kron_batch([sv] * d, u_h[ctx.inside_dofs[sl]].reshape((-1,) + (n,) * d))
+        pts = interior_quad_points(ctx, ctx.inside_lower[sl], gx)
         diff = t - np.asarray(u_exact(pts), dtype=float)
         err2 += float(np.sum(diff * diff * wgrid))
 
     if len(ctx.cut_cells):
         blk = error_point_block(ctx, order)
         if blk.weights.size:
-            u3 = u_h[ctx.cut_dofs].reshape((-1,) + _grid_shape(n, d))
-            vals = _point_contract(u3[blk.cell], _select_tabs(blk, slice(None), None))
+            u3 = u_h[ctx.cut_dofs].reshape((-1,) + (n,) * d)
+            vals = np.concatenate([
+                point_evaluate(up, blk.vals[sl], blk.grads[sl]) for sl, up in point_chunks(blk, u3)
+            ])
             diff = vals - np.asarray(u_exact(blk.points), dtype=float)
             err2 += float(np.sum(diff * diff * blk.weights))
     return float(np.sqrt(err2))

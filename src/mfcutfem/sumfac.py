@@ -6,7 +6,10 @@ multi-index (i1, ..., id) is i1 + i2*n1 + i3*n1*n2, i.e. axis 0 varies
 fastest.  Applying a dense matrix along a single axis (``apply_axis``) costs
 m_out * m_in * prod(other extents) multiply-adds; composing it over all axes
 (``kron_apply``) realizes the action of the Kronecker matrix
-A_d x ... x A_1 without ever forming it.
+A_d x ... x A_1 without ever forming it.  ``kron_batch`` does the same for a
+batch of fields held as numpy grids; the batched kernels of the operator
+(``cell_laplacian_batch``, the ghost-penalty faces, the right-hand side and
+the error integral on uncut cells) are sweeps of it.
 """
 
 from __future__ import annotations
@@ -121,33 +124,51 @@ def reference_weight_grid(weights, d: int) -> np.ndarray:
     return grid.ravel()
 
 
-def cell_laplacian(elem, spacing, u: TensorField) -> TensorField:
-    """Weak Laplacian of one uncut axis-aligned cell, sum-factorized.
+def kron_batch(mats, grid: np.ndarray) -> np.ndarray:
+    """Apply mats[b] along tensor axis b of a batch of grids.
 
-    Computes w_i = int_K grad(u) . grad(phi_i) with the cell mapped from
-    [0,1]^d by per-axis spacings.  Three stages per direction: interpolate
-    the reference-coordinate derivative to the quadrature grid, scale by the
-    quadrature weight times J / h_a^2, and integrate back with the
-    transposed matrices.
+    ``grid`` has numpy shape (B, n_d, ..., n_1), the batched form of
+    ``TensorField.as_grid``; the result keeps that layout with each extent
+    replaced by the row count of its matrix.
     """
-    d = len(u.extents)
+    for b, a in enumerate(mats):
+        grid = contract_axis(a, grid, grid.ndim - 1 - b)
+    return grid
+
+
+def cell_laplacian_batch(elem, spacing, u_cells: np.ndarray) -> np.ndarray:
+    """Weak Laplacian of a batch of uncut axis-aligned cells, (C, nloc).
+
+    Computes w_i = int_K grad(u) . grad(phi_i) with each cell mapped from
+    [0,1]^d by per-axis spacings.  Per direction a: one sweep interpolates
+    the reference derivative along a (values along the other axes) to the
+    quadrature grid, the result is scaled by the quadrature weight times
+    J / h_a^2, and a sweep with the transposed matrices integrates back.
+    """
+    d = len(spacing)
     n = elem.degree + 1
+    q = len(elem.quad_points)
+    sv = elem.shape_values.T  # (q, n), interpolation to quadrature points
+    sg = elem.shape_grads.T
+    jac = prod(spacing)
+    wgrid = reference_weight_grid(elem.quad_weights, d).reshape((q,) * d)
+
+    c = u_cells.shape[0]
+    grid = u_cells.reshape((c,) + (n,) * d)
+    out = np.zeros_like(grid)
+    for a in range(d):
+        fwd = [sg if b == a else sv for b in range(d)]
+        t = kron_batch(fwd, grid) * wgrid * (jac / spacing[a] ** 2)
+        out += kron_batch([m.T for m in fwd], t)
+    return out.reshape(c, -1)
+
+
+def cell_laplacian(elem, spacing, u: TensorField) -> TensorField:
+    """Weak Laplacian of one uncut cell: ``cell_laplacian_batch`` on a batch of one."""
+    d = len(u.extents)
     spacing = np.asarray(spacing, dtype=float)
     if spacing.shape != (d,):
         raise ValueError(f"expected {d} spacings, got {spacing.shape}")
-    if any(ext != n for ext in u.extents):
+    if any(ext != elem.degree + 1 for ext in u.extents):
         raise ValueError(f"extents {u.extents} do not match degree {elem.degree}")
-
-    sv = elem.shape_values.T  # (q, n), interpolation to quadrature points
-    sg = elem.shape_grads.T
-    jac = float(np.prod(spacing))
-    wflat = reference_weight_grid(elem.quad_weights, d) * jac
-
-    acc = np.zeros(n ** d)
-    for a in range(d):
-        fwd = [sg if b == a else sv for b in range(d)]
-        g = kron_apply(fwd, u)
-        t = TensorField(g.extents, g.data * wflat / spacing[a] ** 2)
-        bwd = [m.T for m in fwd]
-        acc += kron_apply(bwd, t).data
-    return TensorField(u.extents, acc)
+    return TensorField(u.extents, cell_laplacian_batch(elem, spacing, u.data[None])[0])

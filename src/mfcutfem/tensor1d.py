@@ -173,20 +173,3 @@ def ghost_matrix_1d(elem: ReferenceElement1D, h: float) -> np.ndarray:
         g += np.outer(j, j) / math.factorial(m) ** 2
     return g / h
 
-
-@dataclass
-class GhostPenalty1D:
-    """Precomputed 1D factors for one mesh axis: G1(h) plus the scaled
-    tangential mass h*M1 used on the remaining axes of a face patch."""
-
-    h: float
-    ghost: np.ndarray        # (2k+1, 2k+1)
-    scaled_mass: np.ndarray  # (k+1, k+1), equals h * M1
-
-
-def ghost_penalty_1d(elem: ReferenceElement1D, h: float) -> GhostPenalty1D:
-    return GhostPenalty1D(
-        h=h,
-        ghost=ghost_matrix_1d(elem, h),
-        scaled_mass=h * mass_matrix_1d(elem),
-    )

@@ -15,8 +15,6 @@ from mfcutfem.cutquad import (
     CutCellQuadrature,
     cut_cell_quadrature,
     dump_quadrature_csv,
-    interior_quadrature,
-    surface_quadrature,
 )
 from mfcutfem.geometry import (
     HalfSpaceLevelSet,
@@ -90,7 +88,8 @@ def domain_measures(dim, cells, q, radius=1.0):
 
 def test_halfspace_interior_weight_is_half():
     phi = HalfSpaceLevelSet([1.0, 0.0], 0.5)  # phi = 0.5 - x, inside x < 0.5
-    pts, wts = interior_quadrature([0.0, 0.0], [1.0, 1.0], phi, 3)
+    rule = cut_cell_quadrature([0.0, 0.0], [1.0, 1.0], phi, 3)
+    pts, wts = rule.interior_points, rule.interior_weights
     assert abs(wts.sum() - 0.5) <= 1e-14
     assert pts[:, 0].max() < 0.5
     assert (wts > 0).all()
@@ -98,7 +97,8 @@ def test_halfspace_interior_weight_is_half():
 
 def test_halfspace_surface_flat_interface():
     phi = HalfSpaceLevelSet([1.0, 0.0], 0.5)
-    pts, wts, normals = surface_quadrature([0.0, 0.0], [1.0, 1.0], phi, 3)
+    rule = cut_cell_quadrature([0.0, 0.0], [1.0, 1.0], phi, 3)
+    pts, wts, normals = rule.surface_points, rule.surface_weights, rule.surface_normals
     assert abs(wts.sum() - 1.0) <= 1e-14
     assert_allclose(pts[:, 0], 0.5, atol=1e-13)
     assert_allclose(normals, np.broadcast_to([1.0, 0.0], normals.shape), atol=1e-14)
@@ -140,7 +140,8 @@ def test_outside_cell_is_empty():
 def test_axis_aligned_cut_exact_per_axis_monomials(q):
     a = 0.537
     phi = HalfSpaceLevelSet([1.0, 0.0], a)
-    pts, wts = interior_quadrature([0.0, 0.0], [1.0, 1.0], phi, q)
+    rule = cut_cell_quadrature([0.0, 0.0], [1.0, 1.0], phi, q)
+    pts, wts = rule.interior_points, rule.interior_weights
     for i in range(2 * q):
         for j in range(2 * q):
             approx = (wts * pts[:, 0] ** i * pts[:, 1] ** j).sum()
@@ -151,7 +152,8 @@ def test_axis_aligned_cut_exact_per_axis_monomials(q):
 def test_axis_aligned_cut_exact_3d():
     a = 0.713
     phi = HalfSpaceLevelSet([0.0, 0.0, 1.0], a)  # inside z < a
-    pts, wts = interior_quadrature([0.0] * 3, [1.0] * 3, phi, 2)
+    rule = cut_cell_quadrature([0.0] * 3, [1.0] * 3, phi, 2)
+    pts, wts = rule.interior_points, rule.interior_weights
     for exps in [(0, 0, 0), (3, 0, 0), (0, 3, 3), (1, 2, 3), (3, 3, 3)]:
         i, j, l = exps
         approx = (wts * pts[:, 0] ** i * pts[:, 1] ** j * pts[:, 2] ** l).sum()
@@ -206,9 +208,9 @@ def test_tilted_plane_simplex_exact_3d():
 def test_circle_segment_cell_area():
     phi = SphereLevelSet([0.0, 0.0], 1.0)
     # cell crossed by the unit circle; closed form from the antiderivative
-    pts, wts = interior_quadrature([0.6, 0.0], [1.2, 0.6], phi, 5)
+    rule = cut_cell_quadrature([0.6, 0.0], [1.2, 0.6], phi, 5)
     exact = circle_box_area(0.6, 1.2, 0.0, 0.6)
-    assert abs(wts.sum() - exact) <= 1e-8
+    assert abs(rule.interior_weights.sum() - exact) <= 1e-8
     # cell entirely inside the disk: plain Gauss, no surface part
     rule = cut_cell_quadrature([0.0, 0.0], [0.6, 0.6], phi, 5)
     assert abs(rule.interior_weights.sum() - circle_box_area(0.0, 0.6, 0.0, 0.6)) <= 1e-14

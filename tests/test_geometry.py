@@ -13,14 +13,11 @@ from mfcutfem.geometry import (
     SphereLevelSet,
     box_mesh,
     build_dofmap,
-    cell_weight,
     classify_cells,
-    gather_face_patch,
     generate_balls,
     ghost_faces,
     load_balls,
     save_balls,
-    scatter_add_face_patch,
 )
 from mfcutfem.sumfac import TensorField
 
@@ -107,6 +104,33 @@ def test_classify_zero_counts_as_inside():
     cls = classify_cells(mesh, HalfSpaceLevelSet([1.0, 0.0], 1.0), 3)
     assert cls.labels[0] == Label.INSIDE
     assert cls.labels[1] == Label.CUT
+
+
+class _NaNAt:
+    """A sphere level set that is NaN at one point (or everywhere)."""
+
+    def __init__(self, point=None):
+        self.sphere = SphereLevelSet([0.0, 0.0], 1.0)
+        self.point = point
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        v = self.sphere.value(x)
+        if self.point is None:
+            return np.full_like(v, np.nan)
+        return np.where(np.all(x == self.point, axis=-1), np.nan, v)
+
+
+def test_classify_rejects_all_nan_level_set():
+    mesh = box_mesh([-1, -1], [1, 1], [4, 4])
+    with pytest.raises(ValueError, match=r"not finite at sample point \(-1.0, -1.0\)"):
+        classify_cells(mesh, _NaNAt(), 3)
+
+
+def test_classify_rejects_single_nan_sample():
+    mesh = box_mesh([-1, -1], [1, 1], [4, 4])
+    with pytest.raises(ValueError, match=r"not finite at sample point \(0.5, 0.0\)"):
+        classify_cells(mesh, _NaNAt([0.5, 0.0]), 3)
 
 
 def test_classify_circle_matches_dense_sampling_oracle():
@@ -200,13 +224,6 @@ def test_ghost_face_count_growth_rate():
         counts.append(len(ghost_faces(classify_cells(mesh, ls, 4))))
     rates = np.log2(np.array(counts[1:]) / np.array(counts[:-1]))
     assert abs(np.mean(rates) - 1.0) < 0.3
-
-
-def test_cell_weight_table():
-    assert cell_weight(Label.INSIDE, 3, 3) == 1
-    assert cell_weight(Label.CUT, 3, 3) == 9
-    assert cell_weight(Label.CUT, 2, 2) == 2
-    assert cell_weight(Label.OUTSIDE, 3, 3) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +337,8 @@ def test_patch_extents_and_grid_shape():
     dm = build_dofmap(mesh, 1, cls)
     face = next(f for f in ghost_faces(cls) if f.axis == 1)
     assert dm.patch_extents(1) == (2, 3)
-    patch = gather_face_patch(np.zeros(dm.n_active), face, dm)
+    patch = TensorField(dm.patch_extents(face.axis), np.zeros(dm.compact_face_patch_dofs(face).size))
     assert patch.as_grid().shape == (3, 2)  # normal axis varies slowest in the view
-
-
-def test_gather_scatter_roundtrip(rng):
-    mesh = box_mesh([-1.26] * 2, [1.26] * 2, [6] * 2)
-    cls = classify_cells(mesh, SphereLevelSet([0.0, 0.0], 1.0), 4)
-    dm = build_dofmap(mesh, 2, cls)
-    face = ghost_faces(cls)[3]
-    u = rng.standard_normal(dm.n_active)
-    patch = gather_face_patch(u, face, dm)
-    w = np.zeros(dm.n_active)
-    scatter_add_face_patch(patch, face, dm, w)
-    idx = dm.compact_face_patch_dofs(face)
-    expect = np.zeros(dm.n_active)
-    np.add.at(expect, idx, u[idx])
-    assert_allclose(w, expect)
-    # identity round trip touches each patch slot exactly once
-    assert_allclose(w[idx], u[idx])
-
-
-def test_gather_scatter_zero_kernel_leaves_vector_unchanged(rng):
-    mesh = box_mesh([-1.26] * 2, [1.26] * 2, [6] * 2)
-    cls = classify_cells(mesh, SphereLevelSet([0.0, 0.0], 1.0), 4)
-    dm = build_dofmap(mesh, 1, cls)
-    face = ghost_faces(cls)[0]
-    w = rng.standard_normal(dm.n_active)
-    before = w.copy()
-    ext = dm.patch_extents(face.axis)
-    zero_patch = TensorField(ext, np.zeros(int(np.prod(ext))))
-    scatter_add_face_patch(zero_patch, face, dm, w)
-    assert_allclose(w, before)
 
 
 def test_face_patch_rejects_outside_cell():

@@ -66,6 +66,9 @@ def test_load_config_rejects_unknown_key(tmp_path):
     cfg_file.write_text("does_not_exist = 5\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config_file(cfg_file)
+    cfg_file.write_text("workers = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config_file(cfg_file)
 
 
 def test_load_config_rejects_bad_syntax(tmp_path):
@@ -105,7 +108,6 @@ def test_validate_config_errors():
         dict(gamma_ghost=-1.0),
         dict(quad_order=0),
         dict(max_quad_depth=-1),
-        dict(workers=0),
         dict(repeats=0),
     ]
     for overrides in bad:

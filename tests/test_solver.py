@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mfcutfem import cutquad
 from mfcutfem.geometry import SphereLevelSet, box_mesh
 from mfcutfem.operators import Parameters, assemble_rhs, build_context, vmult
 from mfcutfem.solver import (
@@ -92,6 +93,20 @@ def test_cg_accepts_operator_context():
 
 # ---------------------------------------------------------------------------
 # L2 error
+
+
+def test_quadrature_failure_names_cell(monkeypatch):
+    ctx = disk_context(2, 4, 1)
+    first = int(ctx.cut_cells[0])
+
+    def fail(*args, **kwargs):
+        raise cutquad.QuadratureError("root finding did not converge")
+
+    monkeypatch.setattr(cutquad, "cut_cell_quadrature", fail)
+    with pytest.raises(cutquad.QuadratureError, match=f"^cell {first}: root finding"):
+        build_context(ctx.mesh, ctx.levelset, ctx.params)
+    with pytest.raises(cutquad.QuadratureError, match=f"^cell {first}: root finding"):
+        l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))
 
 
 def test_l2_error_zero_for_interpolated_polynomial():

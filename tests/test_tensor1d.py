@@ -9,7 +9,6 @@ from mfcutfem.tensor1d import (
     gauss_lobatto_nodes,
     gauss_rule,
     ghost_matrix_1d,
-    ghost_penalty_1d,
     jump_vector,
     mass_matrix_1d,
     patch_nodes,
@@ -172,10 +171,3 @@ def test_ghost_matrix_rejects_bad_spacing():
     with pytest.raises(ValueError):
         ghost_matrix_1d(elem, -1.0)
 
-
-def test_ghost_penalty_bundle():
-    elem = build_reference_element(2)
-    bundle = ghost_penalty_1d(elem, 0.3)
-    assert bundle.h == 0.3
-    assert_allclose(bundle.ghost, ghost_matrix_1d(elem, 0.3), atol=1e-14)
-    assert_allclose(bundle.scaled_mass, 0.3 * mass_matrix_1d(elem), atol=1e-14)
