@@ -68,9 +68,9 @@ print()
 # against an explicitly assembled Kronecker product.
 mesh = box_mesh([-1.26] * 2, [1.26] * 2, [3, 3])
 ctx = build_context(mesh, SphereLevelSet([0.0, 0.0], 1.0), Parameters(degree=k))
-face = ctx.faces[len(ctx.faces) // 2]
+axis = ctx.faces[len(ctx.faces) // 2, 0]   # face rows are (axis, lower cell)
 mats = [
-    ctx.ghost_1d[b] if b == face.axis else ctx.scaled_mass[b]
+    ctx.ghost_1d[b] if b == axis else ctx.scaled_mass[b]
     for b in range(mesh.dim)
 ]
 dense = mats[0]
@@ -78,11 +78,11 @@ for m in mats[1:]:
     dense = np.kron(m, dense)       # axis 0 fastest in the flat ordering
 dense *= ctx.params.gamma_ghost
 
-extents = ctx.dofmap.patch_extents(face.axis)
+extents = ctx.dofmap.patch_extents(axis)
 worst = 0.0
 for _ in range(10):
     u = TensorField(extents, rng.standard_normal(int(np.prod(extents))))
-    got = ghost_face_apply(ctx, face, u).data
+    got = ghost_face_apply(ctx, axis, u).data
     want = dense @ u.data
     worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
 print(f"matrix-free face apply vs dense Kronecker matrix "
@@ -109,7 +109,7 @@ print()
 # apply, the factored form one axis contraction per dimension.
 nloc = int(np.prod(extents))
 reset_madd_count()
-ghost_face_apply(ctx, face, TensorField(extents, rng.standard_normal(nloc)))
+ghost_face_apply(ctx, axis, TensorField(extents, rng.standard_normal(nloc)))
 factored = madd_count()
 print(f"one ghost-face apply (d = {mesh.dim}, k = {k}, patch {extents}): "
       f"dense would need {nloc**2} madds, factored uses {factored} "

@@ -24,7 +24,6 @@ from .geometry import (
     CartesianMesh,
     CellClassification,
     DofMap,
-    GhostFace,
     HalfSpaceLevelSet,
     Label,
     SphereLevelSet,
@@ -75,7 +74,6 @@ __all__ = [
     "CartesianMesh",
     "CellClassification",
     "DofMap",
-    "GhostFace",
     "HalfSpaceLevelSet",
     "Label",
     "SphereLevelSet",

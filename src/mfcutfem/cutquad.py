@@ -191,136 +191,102 @@ def _merge_roots(roots: np.ndarray, span: float) -> np.ndarray:
     return roots[keep]
 
 
-def _box_rule(lo, hi, funcs, q: int, samples: int):
-    """Quadrature covering the WHOLE box, with Gauss pieces split so that no
-    piece straddles a zero of any function in ``funcs``."""
-    m = len(lo)
-    if funcs:
-        pts = _sample_grid(lo, hi, samples)
-        funcs = [f for f in funcs if _has_sign_change(np.atleast_1d(f.value(pts)))]
-    if not funcs:
-        return _tensor_rule(lo, hi, q)
+def _reduce(lo, hi, funcs, q: int, samples: int):
+    """One dimension-reduction step over the box for every function in funcs.
 
-    gx, gw = gauss_rule(q)
-    if m == 1:
-        base = np.zeros((1, 0))
-        axis = 0
-        base_w = np.ones(1)
+    Picks the height axis, builds the base rule over the other axes (split at
+    the zeros of each function on the bottom and top faces) and finds the
+    roots along every base line.  Returns (axis, base points, base weights,
+    sorted merged roots per base line); a 1D box has a single empty base
+    point of weight one.  Raises _NeedSubdivision when no axis qualifies."""
+    if len(lo) == 1:
+        axis, base, base_w = 0, np.zeros((1, 0)), np.ones(1)
     else:
         axis = _pick_height_axis(funcs, lo, hi, samples)
         sub_lo = [v for a, v in enumerate(lo) if a != axis]
         sub_hi = [v for a, v in enumerate(hi) if a != axis]
-        base_funcs = [_Slice(f, axis, lo[axis]) for f in funcs]
-        base_funcs += [_Slice(f, axis, hi[axis]) for f in funcs]
-        base, base_w = _box_rule(sub_lo, sub_hi, base_funcs, q, samples)
-
+        faces = [_Slice(f, axis, c) for c in (lo[axis], hi[axis]) for f in funcs]
+        base, base_w = _box_rule(sub_lo, sub_hi, faces, q, samples)
+    found = [_roots_on_lines(f, base, axis, lo[axis], hi[axis], q) for f in funcs]
+    lines = np.concatenate([li for li, _ in found])
+    roots = np.concatenate([rt for _, rt in found])
     span = hi[axis] - lo[axis]
-    all_lines = []
-    all_roots = []
-    for f in funcs:
-        li, rt = _roots_on_lines(f, base, axis, lo[axis], hi[axis], q)
-        all_lines.append(li)
-        all_roots.append(rt)
-    lines = np.concatenate(all_lines)
-    roots = np.concatenate(all_roots)
-
-    pts_out, wts_out = [], []
-    for b in range(base.shape[0]):
-        bp = _merge_roots(roots[lines == b], span)
-        breaks = np.concatenate([[lo[axis]], bp, [hi[axis]]])
-        for t0, t1 in zip(breaks[:-1], breaks[1:]):
-            seg = t1 - t0
-            t_pts = t0 + gx * seg
-            full = _line_points(base[b : b + 1], axis, t_pts[None, :])[0]
-            pts_out.append(full)
-            wts_out.append(base_w[b] * gw * seg)
-    return np.concatenate(pts_out), np.concatenate(wts_out)
+    return axis, base, base_w, [_merge_roots(roots[lines == b], span) for b in range(base.shape[0])]
 
 
-def _empty(d: int):
-    return (
-        np.empty((0, d)),
-        np.empty(0),
-        np.empty((0, d)),
-        np.empty(0),
-        np.empty((0, d)),
-    )
+def _line_rule(line: np.ndarray, weight: float, axis: int, breaks: np.ndarray, rule, keep=None):
+    """Gauss points and weights of the 1D ``rule`` on the segments between
+    consecutive breaks of one base line (line (1, m-1) with base weight
+    ``weight``); ``keep`` masks the segments to emit."""
+    gx, gw = rule
+    t0, seg = breaks[:-1], np.diff(breaks)
+    if keep is not None:
+        t0, seg = t0[keep], seg[keep]
+    t = t0[:, None] + gx * seg[:, None]
+    return _line_points(line, axis, t.reshape(1, -1))[0], (weight * gw * seg[:, None]).ravel()
 
 
-def _cut_rule(lo, hi, phi, q: int, depth: int, counter: list):
-    """Volume + surface rule of one box; recursive subdivision entry point."""
-    d = len(lo)
-    samples = max(q + 1, 3)
+def _box_rule(lo, hi, funcs, q: int, samples: int):
+    """Quadrature covering the WHOLE box, with Gauss pieces split so that no
+    piece straddles a zero of any function in ``funcs``."""
     pts = _sample_grid(lo, hi, samples)
-    vals = phi.value(pts)
-    if (vals >= 0).all():
-        ipts, iwts = _tensor_rule(lo, hi, q)
-        return ipts, iwts, *_empty(d)[2:]
+    funcs = [f for f in funcs if _has_sign_change(np.atleast_1d(f.value(pts)))]
+    if not funcs:
+        return _tensor_rule(lo, hi, q)
+    axis, base, base_w, roots = _reduce(lo, hi, funcs, q, samples)
+    rule = gauss_rule(q)
+    pieces = [
+        _line_rule(base[b : b + 1], base_w[b], axis, np.concatenate([[lo[axis]], bp, [hi[axis]]]), rule)
+        for b, bp in enumerate(roots)
+    ]
+    return np.concatenate([p for p, _ in pieces]), np.concatenate([w for _, w in pieces])
+
+
+def _append(parts: list, arrays) -> None:
+    for part, a in zip(parts, arrays):
+        part.append(a)
+
+
+def _cut_rule(lo, hi, phi, q: int, depth: int, parts: list, counter: list) -> None:
+    """Append the volume and surface pieces of one box to ``parts`` (lists of
+    interior points, interior weights, surface points, surface weights and
+    normals); recursive subdivision entry point."""
+    samples = max(q + 1, 3)
+    vals = phi.value(_sample_grid(lo, hi, samples))
     if (vals < 0).all():
-        return _empty(d)
+        return
+    if (vals >= 0).all():
+        _append(parts, _tensor_rule(lo, hi, q))
+        return
 
     try:
-        axis = _pick_height_axis([phi], lo, hi, samples)
-        sub_lo = [v for a, v in enumerate(lo) if a != axis]
-        sub_hi = [v for a, v in enumerate(hi) if a != axis]
-        base_funcs = [_Slice(phi, axis, lo[axis]), _Slice(phi, axis, hi[axis])]
-        base, base_w = _box_rule(sub_lo, sub_hi, base_funcs, q, samples)
+        axis, base, base_w, roots = _reduce(lo, hi, [phi], q, samples)
     except _NeedSubdivision:
+        center = 0.5 * (np.asarray(lo) + np.asarray(hi))
         if depth <= 0:
             counter[0] += 1
-            center = 0.5 * (np.asarray(lo) + np.asarray(hi))
             if phi.value(center[None, :])[0] >= 0:
-                ipts, iwts = _tensor_rule(lo, hi, q)
-                return ipts, iwts, *_empty(d)[2:]
-            return _empty(d)
-        mids = 0.5 * (np.asarray(lo) + np.asarray(hi))
-        parts = [_empty(d)]
-        for corner in range(2 ** d):
-            slo, shi = [], []
-            for a in range(d):
-                if corner >> a & 1:
-                    slo.append(mids[a])
-                    shi.append(hi[a])
-                else:
-                    slo.append(lo[a])
-                    shi.append(mids[a])
-            parts.append(_cut_rule(slo, shi, phi, q, depth - 1, counter))
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(5))
+                _append(parts, _tensor_rule(lo, hi, q))
+            return
+        for corner in range(2 ** len(lo)):
+            upper = [corner >> a & 1 for a in range(len(lo))]
+            slo = [center[a] if u else lo[a] for a, u in enumerate(upper)]
+            shi = [hi[a] if u else center[a] for a, u in enumerate(upper)]
+            _cut_rule(slo, shi, phi, q, depth - 1, parts, counter)
+        return
 
-    gx, gw = gauss_rule(q)
-    span = hi[axis] - lo[axis]
-    lines, roots = _roots_on_lines(phi, base, axis, lo[axis], hi[axis], q)
-
-    ipts, iwts = [], []
-    spts, swts, snrm = [], [], []
-    for b in range(base.shape[0]):
-        bp = _merge_roots(roots[lines == b], span)
+    rule = gauss_rule(q)
+    for b, bp in enumerate(roots):
+        line = base[b : b + 1]
         breaks = np.concatenate([[lo[axis]], bp, [hi[axis]]])
         mids = 0.5 * (breaks[:-1] + breaks[1:])
-        mid_vals = phi.value(_line_points(base[b : b + 1], axis, mids[None, :]))[0]
-        for t0, t1, v in zip(breaks[:-1], breaks[1:], mid_vals):
-            if v <= 0:
-                continue
-            seg = t1 - t0
-            ipts.append(_line_points(base[b : b + 1], axis, (t0 + gx * seg)[None, :])[0])
-            iwts.append(base_w[b] * gw * seg)
+        inside = phi.value(_line_points(line, axis, mids[None, :]))[0] > 0
+        _append(parts, _line_rule(line, base_w[b], axis, breaks, rule, inside))
         if bp.size:
-            x = _line_points(base[b : b + 1], axis, bp[None, :])[0]
+            x = _line_points(line, axis, bp[None, :])[0]
             g = np.atleast_2d(phi.gradient(x))
             norm = np.linalg.norm(g, axis=-1)
-            ga = np.abs(g[:, axis])
-            spts.append(x)
-            swts.append(base_w[b] * norm / ga)
-            snrm.append(-g / norm[:, None])
-
-    cat = lambda parts, d_: np.concatenate(parts) if parts else np.empty((0, d_) if d_ else 0)
-    return (
-        cat(ipts, d),
-        cat(iwts, 0),
-        cat(spts, d),
-        cat(swts, 0),
-        cat(snrm, d),
-    )
+            _append(parts[2:], (x, base_w[b] * norm / np.abs(g[:, axis]), -g / norm[:, None]))
 
 
 def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8) -> CutCellQuadrature:
@@ -333,9 +299,11 @@ def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8) -> CutCellQuadr
     hi = [float(v) for v in np.asarray(hi).ravel()]
     if len(lo) != len(hi) or any(l >= h for l, h in zip(lo, hi)):
         raise ValueError("invalid box")
+    d = len(lo)
+    parts = [[np.empty((0, d))], [np.empty(0)], [np.empty((0, d))], [np.empty(0)], [np.empty((0, d))]]
     counter = [0]
-    ipts, iwts, spts, swts, snrm = _cut_rule(lo, hi, phi, q, max_depth, counter)
-    return CutCellQuadrature(ipts, iwts, spts, swts, snrm, counter[0])
+    _cut_rule(lo, hi, phi, q, max_depth, parts, counter)
+    return CutCellQuadrature(*(np.concatenate(p) for p in parts), counter[0])
 
 
 def dump_quadrature_csv(path, rules: dict) -> None:

@@ -238,39 +238,21 @@ def classify_cells(mesh: CartesianMesh, phi, samples_per_axis: int) -> CellClass
 # ghost faces
 
 
-@dataclass(frozen=True)
-class GhostFace:
-    """Interior mesh face between lower_cell and lower_cell + e_axis."""
-
-    lower_cell: tuple[int, ...]
-    axis: int
-
-    def upper_cell(self) -> tuple[int, ...]:
-        up = list(self.lower_cell)
-        up[self.axis] += 1
-        return tuple(up)
-
-
-def ghost_faces(classification: CellClassification) -> list[GhostFace]:
+def ghost_faces(classification: CellClassification) -> np.ndarray:
     """Faces needing ghost stabilization: both neighbors non-OUTSIDE, at
-    least one CUT.  Ordered by axis, then by flat lower-cell index."""
+    least one CUT.  Rows (axis, flat lower cell), shape (n_faces, 2), ordered
+    by axis, then by flat lower-cell index; the upper cell is the lower cell
+    plus ``mesh.cell_strides[axis]``."""
     mesh = classification.mesh
     labels = classification.labels
-    faces: list[GhostFace] = []
-    strides = mesh.cell_strides
-    for axis in range(mesh.dim):
-        n_axis = mesh.cells_per_axis[axis]
-        if n_axis < 2:
-            continue
-        flat = np.arange(mesh.n_cells, dtype=np.int64)
-        coord = (flat // strides[axis]) % n_axis
-        lower = flat[coord < n_axis - 1]
-        upper = lower + strides[axis]
-        ll, lu = labels[lower], labels[upper]
+    flat = np.arange(mesh.n_cells, dtype=np.int64)
+    rows = []
+    for axis, (n_axis, stride) in enumerate(zip(mesh.cells_per_axis, mesh.cell_strides)):
+        lower = flat[(flat // stride) % n_axis < n_axis - 1]
+        ll, lu = labels[lower], labels[lower + stride]
         keep = (ll != Label.OUTSIDE) & (lu != Label.OUTSIDE) & ((ll == Label.CUT) | (lu == Label.CUT))
-        for c in lower[keep]:
-            faces.append(GhostFace(tuple(int(v) for v in mesh.cell_multi(c)), axis))
-    return faces
+        rows.append(np.stack([np.full(np.count_nonzero(keep), axis, dtype=np.int64), lower[keep]], axis=1))
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +264,7 @@ class DofMap:
     """Active tensor-product Lagrange DoFs of degree k over the mesh.
 
     ``compact`` maps the flat DoF-grid index to 0..n_active-1 (or -1 when
-    the DoF has no supporting non-OUTSIDE cell).  Per-cell and per-patch
-    index lists come out in local lexicographic order.
+    the DoF has no supporting non-OUTSIDE cell).
     """
 
     mesh: CartesianMesh
@@ -303,46 +284,38 @@ class DofMap:
             s *= n
         return tuple(out)
 
-    def _local_offsets(self, extent_axis: int = -1) -> np.ndarray:
-        """Flat-grid offsets of one cell's (or patch's) DoFs, lexicographic.
+    def cell_dofs(self, cells, axis: int | None = None) -> np.ndarray:
+        """Flat DoF-grid indices of each cell's DoFs, shape (m, (k+1)^d), in
+        local lexicographic order.
 
-        extent_axis >= 0 turns that axis into the 2k+1 wide patch range."""
-        k = self.degree
-        sizes = [2 * k + 1 if a == extent_axis else k + 1 for a in range(self.mesh.dim)]
-        strides = self.strides
-        off = np.zeros(1, dtype=np.int64)
-        for a, n in enumerate(sizes):
-            # later axes vary slower, keeping axis 0 fastest in the flat order
-            off = (off[None, :] + (np.arange(n, dtype=np.int64) * strides[a])[:, None]).ravel()
-        return off
-
-    def cell_dofs(self, cells) -> np.ndarray:
-        """Flat DoF-grid indices of each cell's DoFs, shape (m, (k+1)^d)."""
+        With ``axis`` the cells are the lower cells of two-cell patches along
+        that axis, and each row holds the patch's DoFs (``patch_extents``).
+        A patch that leaves the mesh or touches an OUTSIDE cell raises
+        ValueError."""
         cells = np.atleast_1d(np.asarray(cells, dtype=np.int64))
         multi = self.mesh.cell_multi(cells)
-        base = (self.degree * multi) @ np.asarray(self.strides, dtype=np.int64)
-        return base[:, None] + self._local_offsets()[None, :]
+        if axis is not None:
+            last = multi[:, axis] == self.mesh.cells_per_axis[axis] - 1
+            if last.any():
+                raise ValueError(f"cell {tuple(multi[last][0])} has no upper neighbor along axis {axis}")
+            labels, upper = self.classification.labels, cells + self.mesh.cell_strides[axis]
+            outside = (labels[cells] == Label.OUTSIDE) | (labels[upper] == Label.OUTSIDE)
+            if outside.any():
+                raise ValueError(f"face patch of lower cell {tuple(multi[outside][0])} touches an OUTSIDE cell")
+        strides = np.asarray(self.strides, dtype=np.int64)
+        off = np.zeros(1, dtype=np.int64)
+        for a, n in enumerate(self.patch_extents(axis)):
+            # later axes vary slower, keeping axis 0 fastest in the flat order
+            off = (off[None, :] + (np.arange(n, dtype=np.int64) * strides[a])[:, None]).ravel()
+        return ((self.degree * multi) @ strides)[:, None] + off[None, :]
 
-    def compact_cell_dofs(self, cells) -> np.ndarray:
-        return self.compact[self.cell_dofs(cells)]
+    def compact_cell_dofs(self, cells, axis: int | None = None) -> np.ndarray:
+        return self.compact[self.cell_dofs(cells, axis)]
 
-    def patch_extents(self, axis: int) -> tuple[int, ...]:
+    def patch_extents(self, axis: int | None) -> tuple[int, ...]:
+        """Local DoF extents of one cell (axis None) or of a two-cell patch."""
         k = self.degree
         return tuple(2 * k + 1 if a == axis else k + 1 for a in range(self.mesh.dim))
-
-    def face_patch_dofs(self, face: GhostFace) -> np.ndarray:
-        """Flat DoF-grid indices of the two-cell patch, patch-lexicographic."""
-        labels = self.classification.labels
-        for cell in (face.lower_cell, face.upper_cell()):
-            if labels[self.mesh.cell_flat(np.asarray(cell))] == Label.OUTSIDE:
-                raise ValueError(f"face patch touches OUTSIDE cell {cell}")
-        base = (self.degree * np.asarray(face.lower_cell, dtype=np.int64)) @ np.asarray(
-            self.strides, dtype=np.int64
-        )
-        return base + self._local_offsets(extent_axis=face.axis)
-
-    def compact_face_patch_dofs(self, face: GhostFace) -> np.ndarray:
-        return self.compact[self.face_patch_dofs(face)]
 
     def dof_coordinates(self) -> np.ndarray:
         """Physical coordinates of the active DoFs, shape (n_active, d)."""

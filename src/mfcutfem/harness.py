@@ -211,19 +211,9 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _params(cfg: RunConfig, k: int) -> Parameters:
-    kwargs: dict = {}
-    if cfg.gamma_ghost is not None:
-        kwargs["gamma_ghost"] = cfg.gamma_ghost
-    if cfg.gamma_dirichlet is not None:
-        kwargs["gamma_dirichlet"] = cfg.gamma_dirichlet
-    if cfg.quad_order is not None:
-        kwargs["cut_quad_order"] = cfg.quad_order
-        kwargs["cell_quad_order"] = max(cfg.quad_order, k + 1)
-    if cfg.error_quad_order is not None:
-        kwargs["error_quad_order"] = cfg.error_quad_order
-    if cfg.max_quad_depth is not None:
-        kwargs["max_quad_depth"] = cfg.max_quad_depth
-    return Parameters(degree=k, **kwargs)
+    """Parameters of degree k; options left unset keep their defaults."""
+    names = ("gamma_ghost", "gamma_dirichlet", "quad_order", "error_quad_order", "max_quad_depth")
+    return Parameters(degree=k, **{n: getattr(cfg, n) for n in names if getattr(cfg, n) is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from math import prod
 import numpy as np
 
 from . import cutquad, geometry, sumfac, tensor1d
-from .geometry import CartesianMesh, GhostFace, Label
+from .geometry import CartesianMesh, Label
 from .sumfac import TensorField, cell_laplacian_batch, kron_batch
 
 _CELL_CHUNK = 4096
@@ -44,8 +44,7 @@ class Parameters:
     degree: int
     gamma_ghost: float = 0.5
     gamma_dirichlet: float | None = None  # default 30 k (k+1)
-    cell_quad_order: int | None = None    # default k+1
-    cut_quad_order: int | None = None     # default k+1
+    quad_order: int | None = None         # default k+1; uncut cells use at least k+1
     error_quad_order: int | None = None   # default k+2
     max_quad_depth: int = 8
 
@@ -57,10 +56,8 @@ class Parameters:
         k = self.degree
         if self.gamma_dirichlet is None:
             self.gamma_dirichlet = 30.0 * k * (k + 1)
-        if self.cell_quad_order is None:
-            self.cell_quad_order = k + 1
-        if self.cut_quad_order is None:
-            self.cut_quad_order = k + 1
+        if self.quad_order is None:
+            self.quad_order = k + 1
         if self.error_quad_order is None:
             self.error_quad_order = k + 2
 
@@ -88,7 +85,7 @@ class OperatorContext:
     elem: tensor1d.ReferenceElement1D
     classification: geometry.CellClassification
     dofmap: geometry.DofMap
-    faces: list[GhostFace]
+    faces: np.ndarray               # (n_faces, 2) rows (axis, flat lower cell)
     scaled_mass: list[np.ndarray]   # h_a * M1 per axis
     ghost_1d: list[np.ndarray]      # G1(h_a) per axis
     inside_cells: np.ndarray
@@ -181,7 +178,7 @@ def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> dict[int, c
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
     """Classify, enumerate DoFs and ghost faces, build and tabulate cut rules."""
     k = params.degree
-    elem = tensor1d.build_reference_element(k, params.cell_quad_order)
+    elem = tensor1d.build_reference_element(k, max(params.quad_order, k + 1))
     classification = geometry.classify_cells(mesh, levelset, k + 2)
     dofmap = geometry.build_dofmap(mesh, k, classification)
     faces = geometry.ghost_faces(classification)
@@ -192,17 +189,13 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
 
     inside_cells = classification.cells_with(Label.INSIDE)
     cut_cells = classification.cells_with(Label.CUT)
-    inside_dofs = dofmap.compact_cell_dofs(inside_cells) if len(inside_cells) else np.empty((0, (k + 1) ** mesh.dim), dtype=np.int64)
-    cut_dofs = dofmap.compact_cell_dofs(cut_cells) if len(cut_cells) else np.empty((0, (k + 1) ** mesh.dim), dtype=np.int64)
-    inside_lower = mesh.cell_box(mesh.cell_multi(inside_cells))[0] if len(inside_cells) else np.empty((0, mesh.dim))
+    face_dofs = {
+        axis: dofmap.compact_cell_dofs(faces[faces[:, 0] == axis, 1], axis)
+        for axis in range(mesh.dim)
+        if (faces[:, 0] == axis).any()
+    }
 
-    face_dofs: dict[int, np.ndarray] = {}
-    for axis in range(mesh.dim):
-        axis_faces = [f for f in faces if f.axis == axis]
-        if axis_faces:
-            face_dofs[axis] = np.stack([dofmap.compact_face_patch_dofs(f) for f in axis_faces])
-
-    rules = _cut_rules(mesh, levelset, cut_cells, params.cut_quad_order, params.max_quad_depth)
+    rules = _cut_rules(mesh, levelset, cut_cells, params.quad_order, params.max_quad_depth)
     ctx = OperatorContext(
         mesh=mesh,
         levelset=levelset,
@@ -215,9 +208,9 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         ghost_1d=ghost_1d,
         inside_cells=inside_cells,
         cut_cells=cut_cells,
-        inside_dofs=inside_dofs,
-        cut_dofs=cut_dofs,
-        inside_lower=inside_lower,
+        inside_dofs=dofmap.compact_cell_dofs(inside_cells),
+        cut_dofs=dofmap.compact_cell_dofs(cut_cells),
+        inside_lower=mesh.cell_box(mesh.cell_multi(inside_cells))[0],
         face_dofs=face_dofs,
         volume=_build_point_block(mesh, elem, cut_cells, rules, surface=False),
         surface=_build_point_block(mesh, elem, cut_cells, rules, surface=True),
@@ -379,9 +372,10 @@ def apply_ghost_penalty(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     return _scatter_jobs(_ghost_jobs(ctx, np.asarray(u, dtype=float)), ctx.n_dofs)
 
 
-def ghost_face_apply(ctx: OperatorContext, face: GhostFace, u_patch: TensorField) -> TensorField:
-    """One face: gamma_A times tangential scaled masses and G1 on the normal."""
-    out = sumfac.kron_apply(_ghost_mats(ctx, face.axis), u_patch)
+def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> TensorField:
+    """One face normal to axis: gamma_A times tangential scaled masses and G1
+    on the normal."""
+    out = sumfac.kron_apply(_ghost_mats(ctx, axis), u_patch)
     return TensorField(out.extents, ctx.params.gamma_ghost * out.data)
 
 

@@ -60,13 +60,6 @@ class TensorField:
         return cls(tuple(grid.shape[::-1]), np.ascontiguousarray(grid).ravel())
 
 
-def _is_identity(a) -> bool:
-    if a is None:
-        return True
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, np.eye(a.shape[0]))
-
-
 def contract_axis(a: np.ndarray, grid: np.ndarray, np_axis: int) -> np.ndarray:
     """Contract matrix a (m_out, m_in) with one numpy axis of an nd array."""
     moved = np.moveaxis(grid, np_axis, -1)
@@ -101,14 +94,14 @@ def apply_axis(a: np.ndarray, u: TensorField, axis: int) -> TensorField:
 def kron_apply(mats, u: TensorField) -> TensorField:
     """Apply one matrix per axis in sequence (the Kronecker-product action).
 
-    ``mats[axis]`` may be None or an identity matrix, in which case that
-    axis is skipped without copying the data.
+    ``mats[axis]`` may be None, in which case that axis is skipped without
+    copying the data.
     """
     if len(mats) != len(u.extents):
         raise ValueError(f"need {len(u.extents)} matrices, got {len(mats)}")
     out = u
     for axis, a in enumerate(mats):
-        if _is_identity(a):
+        if a is None:
             continue
         out = apply_axis(a, out, axis)
     return out

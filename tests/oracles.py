@@ -189,15 +189,15 @@ def dense_operator_matrix(ctx):
         )
         a_full[np.ix_(dofs, dofs)] += local
 
-    for face in ctx.faces:
+    for axis, lower in ctx.faces:
         mats = []
         for b in range(mesh.dim):
-            if b == face.axis:
+            if b == axis:
                 mats.append(ghost_matrix(nodes, mesh.spacing[b]))
             else:
                 mats.append(mesh.spacing[b] * mass_matrix(nodes))
         dense = ctx.params.gamma_ghost * dense_kron(mats)
-        dofs = ctx.dofmap.compact_face_patch_dofs(face)
+        dofs = ctx.dofmap.compact_cell_dofs(lower, axis)[0]
         a_full[np.ix_(dofs, dofs)] += dense
     return a_full
 

@@ -17,6 +17,7 @@ from mfcutfem.cutquad import (
     dump_quadrature_csv,
 )
 from mfcutfem.geometry import (
+    BallUnionLevelSet,
     HalfSpaceLevelSet,
     Label,
     SphereLevelSet,
@@ -244,6 +245,24 @@ def test_circle_measure_convergence_order_q3():
     surf_order = np.polyfit(log_h, np.log(surf_errors), 1)[0]
     assert vol_order >= 4.0
     assert surf_order >= 4.0
+
+
+def test_two_disk_union_area_16x16():
+    # two disks of radius r with centers c apart: the union's area is twice
+    # the disk minus the lens, and the interface has two kinks
+    r, c, q = 0.6, 0.5, 3
+    phi = BallUnionLevelSet([[-c / 2, 0.0], [c / 2, 0.0]], [r, r])
+    mesh = box_mesh([-1.26] * 2, [1.26] * 2, [16, 16])
+    classification = classify_cells(mesh, phi, q + 1)
+    area = classification.count(Label.INSIDE) * math.prod(mesh.spacing)
+    for cell in classification.cells_with(Label.CUT):
+        lo, hi = mesh.cell_box(mesh.cell_multi(int(cell)))
+        rule = cut_cell_quadrature(lo, hi, phi, q)
+        check_rule_invariants(rule, phi, lo, hi)
+        assert rule.fallback_count == 0
+        area += rule.interior_weights.sum()
+    lens = 2 * r**2 * math.acos(c / (2 * r)) - (c / 2) * math.sqrt(4 * r**2 - c**2)
+    assert abs(area - (2 * math.pi * r**2 - lens)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from mfcutfem.geometry import (
     BallUnionLevelSet,
     CartesianMesh,
-    GhostFace,
     HalfSpaceLevelSet,
     Label,
     SphereLevelSet,
@@ -169,10 +168,16 @@ def _classification_from_labels(mesh, labels):
     return CellClassification(mesh, np.asarray(labels, dtype=np.int8))
 
 
+def _face_keys(mesh, faces):
+    """(lower-cell multi-index, axis) of each (axis, flat lower cell) row."""
+    return [(tuple(int(v) for v in mesh.cell_multi(lower)), int(axis)) for axis, lower in faces]
+
+
 def test_ghost_faces_empty_when_all_inside():
     mesh = box_mesh([-1, -1], [1, 1], [3, 3])
     cls = classify_cells(mesh, SphereLevelSet([0.0, 0.0], 10.0), 3)
-    assert ghost_faces(cls) == []
+    faces = ghost_faces(cls)
+    assert faces.shape == (0, 2) and faces.dtype == np.int64
 
 
 def test_ghost_faces_center_cut_cell():
@@ -181,7 +186,7 @@ def test_ghost_faces_center_cut_cell():
     labels[4] = Label.CUT  # center cell (1, 1)
     faces = ghost_faces(_classification_from_labels(mesh, labels))
     assert len(faces) == 4
-    assert set((f.lower_cell, f.axis) for f in faces) == {
+    assert set(_face_keys(mesh, faces)) == {
         ((0, 1), 0),
         ((1, 1), 0),
         ((1, 0), 1),
@@ -194,22 +199,19 @@ def test_ghost_faces_skip_outside_neighbors():
     labels = np.array([Label.CUT, Label.OUTSIDE, Label.INSIDE, Label.OUTSIDE], dtype=np.int8)
     faces = ghost_faces(_classification_from_labels(mesh, labels))
     # cut cell (0,0): right neighbor outside, upper neighbor (0,1) inside
-    assert [(f.lower_cell, f.axis) for f in faces] == [((0, 0), 1)]
+    assert _face_keys(mesh, faces) == [((0, 0), 1)]
 
 
 def test_ghost_faces_ordering_and_uniqueness():
     mesh = box_mesh([-1.26] * 2, [1.26] * 2, [12, 12])
     cls = classify_cells(mesh, SphereLevelSet([0.0, 0.0], 1.0), 4)
     faces = ghost_faces(cls)
-    keys = [(f.axis, np.ravel_multi_index(f.lower_cell, (12, 12), order="F")) for f in faces]
+    keys = [(axis, np.ravel_multi_index(lower, (12, 12), order="F")) for lower, axis in _face_keys(mesh, faces)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     labels = cls.labels
-    for f in faces:
-        pair = (
-            labels[mesh.cell_flat(np.asarray(f.lower_cell))],
-            labels[mesh.cell_flat(np.asarray(f.upper_cell()))],
-        )
+    for axis, lower in faces:
+        pair = (labels[lower], labels[lower + mesh.cell_strides[axis]])
         assert Label.CUT in pair
         assert Label.OUTSIDE not in pair
 
@@ -296,15 +298,15 @@ def test_dofmap_active_monotone_under_outside_flip():
 # face patches
 
 
-def _patch_oracle(dm, face):
+def _patch_oracle(dm, axis, lower_flat):
     """Brute-force global indices of the 2-cell patch via index arithmetic."""
     k = dm.degree
     mesh = dm.mesh
-    lower = np.asarray(face.lower_cell)
+    lower = mesh.cell_multi(lower_flat)
     ranges = []
     for a in range(mesh.dim):
         start = k * lower[a]
-        width = 2 * k + 1 if a == face.axis else k + 1
+        width = 2 * k + 1 if a == axis else k + 1
         ranges.append(range(start, start + width))
     idx = []
     if mesh.dim == 2:
@@ -326,18 +328,23 @@ def test_face_patch_matches_index_oracle(dim, k):
     cls = classify_cells(mesh, SphereLevelSet([0.0] * dim, 1.0), k + 2)
     dm = build_dofmap(mesh, k, cls)
     faces = ghost_faces(cls)
-    assert faces, "expected ghost faces on a cut disk"
-    for face in faces[:: max(1, len(faces) // 6)]:
-        assert_allclose(dm.face_patch_dofs(face), _patch_oracle(dm, face))
+    assert len(faces), "expected ghost faces on a cut disk"
+    for axis, lower in faces[:: max(1, len(faces) // 6)]:
+        assert_allclose(dm.cell_dofs(lower, axis)[0], _patch_oracle(dm, axis, lower))
+    # one gather per axis gives the same rows as the face-by-face calls
+    for axis in range(dim):
+        lowers = faces[faces[:, 0] == axis, 1]
+        assert_allclose(dm.cell_dofs(lowers, axis), [_patch_oracle(dm, axis, c) for c in lowers])
 
 
 def test_patch_extents_and_grid_shape():
     mesh = box_mesh([-1.26] * 2, [1.26] * 2, [4] * 2)
     cls = classify_cells(mesh, SphereLevelSet([0.0, 0.0], 1.0), 3)
     dm = build_dofmap(mesh, 1, cls)
-    face = next(f for f in ghost_faces(cls) if f.axis == 1)
+    faces = ghost_faces(cls)
+    lower = faces[faces[:, 0] == 1, 1][0]
     assert dm.patch_extents(1) == (2, 3)
-    patch = TensorField(dm.patch_extents(face.axis), np.zeros(dm.compact_face_patch_dofs(face).size))
+    patch = TensorField(dm.patch_extents(1), np.zeros(dm.compact_cell_dofs(lower, 1).size))
     assert patch.as_grid().shape == (3, 2)  # normal axis varies slowest in the view
 
 
@@ -347,7 +354,17 @@ def test_face_patch_rejects_outside_cell():
     cls = _classification_from_labels(mesh, labels)
     dm = build_dofmap(mesh, 1, cls)
     with pytest.raises(ValueError):
-        dm.face_patch_dofs(GhostFace((0, 0), 0))
+        dm.cell_dofs([0], axis=0)  # upper cell (1, 0) is OUTSIDE
+
+
+def test_face_patch_rejects_lower_cell_on_last_layer():
+    mesh = box_mesh([0, 0], [2, 2], [2, 2])
+    dm = build_dofmap(mesh, 1, _classification_from_labels(mesh, np.full(4, Label.INSIDE)))
+    assert dm.cell_dofs([0], axis=0).tolist() == [[0, 1, 2, 3, 4, 5]]
+    # cell (1, 0) has no right neighbor; its patch must not wrap to the next row
+    for cell, axis in ((1, 0), (3, 0), (2, 1), (3, 1)):
+        with pytest.raises(ValueError):
+            dm.cell_dofs([cell], axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mfcutfem.geometry import save_balls
+from mfcutfem.geometry import SphereLevelSet, box_mesh, save_balls
+from mfcutfem.operators import build_context
 from mfcutfem.harness import (
     BREAKDOWN_HEADER,
     CONVERGENCE_HEADER,
@@ -123,12 +124,14 @@ def test_main_returns_2_on_config_error(tmp_path, capsys):
 
 
 def test_quad_order_mapping():
+    mesh = box_mesh([-1.26] * 2, [1.26] * 2, [4, 4])
+    phi = SphereLevelSet([0.0, 0.0], 1.0)
     params = _params(RunConfig(command="breakdown", quad_order=2), 3)
-    assert params.cut_quad_order == 2
-    assert params.cell_quad_order == 4  # never below k+1 on uncut cells
+    assert params.quad_order == 2  # cut rules
+    assert len(build_context(mesh, phi, params).elem.quad_points) == 4  # never below k+1 on uncut cells
     params = _params(RunConfig(command="breakdown", quad_order=6), 3)
-    assert params.cut_quad_order == 6
-    assert params.cell_quad_order == 6
+    assert params.quad_order == 6
+    assert len(build_context(mesh, phi, params).elem.quad_points) == 6
 
 
 def test_csv_floats_round_trip(tmp_path):

@@ -48,16 +48,15 @@ def test_parameter_defaults():
     p = Parameters(degree=2)
     assert p.gamma_dirichlet == 30.0 * 2 * 3
     assert p.gamma_ghost == 0.5
-    assert p.cell_quad_order == 3
-    assert p.cut_quad_order == 3
+    assert p.quad_order == 3
     assert p.error_quad_order == 4
 
 
 def test_parameter_overrides_kept():
-    p = Parameters(degree=1, gamma_dirichlet=7.0, cut_quad_order=5)
+    p = Parameters(degree=1, gamma_dirichlet=7.0, quad_order=5)
     assert p.gamma_dirichlet == 7.0
-    assert p.cut_quad_order == 5
-    assert p.cell_quad_order == 2
+    assert p.quad_order == 5
+    assert p.error_quad_order == 3
 
 
 def test_parameter_validation():
@@ -83,10 +82,9 @@ def test_context_structure_disk():
     assert ctx.volume.ptr[-1] == len(ctx.volume.weights)
     # ghost faces only touch active cells
     labels = ctx.classification.labels
-    for face in ctx.faces:
-        a = ctx.mesh.cell_flat(np.asarray(face.lower_cell))
-        b = ctx.mesh.cell_flat(np.asarray(face.upper_cell()))
-        assert labels[a] != Label.OUTSIDE and labels[b] != Label.OUTSIDE
+    axis, lower = ctx.faces.T
+    upper = lower + np.asarray(ctx.mesh.cell_strides)[axis]
+    assert (labels[lower] != Label.OUTSIDE).all() and (labels[upper] != Label.OUTSIDE).all()
 
 
 def test_context_without_cuts():
@@ -99,6 +97,18 @@ def test_context_without_cuts():
     assert w.shape == (ctx.n_dofs,)
 
 
+@pytest.mark.parametrize("cells", [(6, 1), (5, 5, 1)])
+def test_single_cell_layer_has_no_faces_along_it(cells):
+    d = len(cells)
+    mesh = box_mesh([-1.26] * (d - 1) + [-0.2], [1.26] * (d - 1) + [0.2], cells)
+    ctx = build_context(mesh, SphereLevelSet([0.0] * d, 1.0), Parameters(degree=2))
+    assert len(ctx.faces) and (ctx.faces[:, 0] != d - 1).all()
+    assert d - 1 not in ctx.face_dofs
+    a = probe_matrix(lambda v: vmult(ctx, v), ctx.n_dofs)
+    assert np.isfinite(a).all()
+    assert_allclose(a, a.T, rtol=0, atol=1e-12 * np.abs(a).max())
+
+
 # ---------------------------------------------------------------------------
 # ghost penalty: Kronecker face kernel vs dense matrix
 
@@ -107,19 +117,19 @@ def test_context_without_cuts():
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_ghost_face_apply_matches_dense_kron(dim, degree, rng):
     ctx = disk_context(dim, 3, degree)
-    assert ctx.faces, "mesh must produce ghost faces"
-    face = ctx.faces[len(ctx.faces) // 2]
+    assert len(ctx.faces), "mesh must produce ghost faces"
+    axis = ctx.faces[len(ctx.faces) // 2, 0]
     mats = []
     for b in range(dim):
-        if b == face.axis:
+        if b == axis:
             mats.append(ghost_matrix(ctx.elem.nodes, ctx.mesh.spacing[b]))
         else:
             mats.append(ctx.mesh.spacing[b] * mass_matrix(ctx.elem.nodes))
     dense = ctx.params.gamma_ghost * dense_kron(mats)
-    ext = ctx.dofmap.patch_extents(face.axis)
+    ext = ctx.dofmap.patch_extents(axis)
     for _ in range(20):
         u = rng.standard_normal(dense.shape[0])
-        out = ghost_face_apply(ctx, face, TensorField(ext, u.copy()))
+        out = ghost_face_apply(ctx, axis, TensorField(ext, u.copy()))
         expected = dense @ u
         assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
 

@@ -99,8 +99,9 @@ def test_kron_apply_matches_dense(extents, rng):
 
 def test_kron_apply_skips_identities(rng):
     u = TensorField((3, 4), rng.standard_normal(12))
-    same = kron_apply([None, np.eye(4)], u)
-    assert same is u  # nothing applied, no copy made
+    assert kron_apply([None, None], u) is u  # nothing applied, no copy made
+    # an identity matrix is applied like any other factor and leaves the data equal
+    assert_allclose(kron_apply([None, np.eye(4)], u).data, u.data, rtol=0, atol=0)
     a = rng.standard_normal((3, 3))
     out = kron_apply([a, None], u)
     assert_allclose(out.data, oracles.dense_kron([a, np.eye(4)]) @ u.data, atol=1e-12)
