@@ -6,7 +6,7 @@ plots into an output directory:
 
     convergence  -- L2 error and CG iterations across mesh refinements
     kernelbench  -- throughput of the per-cell and per-face kernels
-    multiballs   -- solve timings on random unions of balls
+    multiballs   -- operator-apply (vmult) throughput on random unions of balls
     breakdown    -- where the operator-apply time goes, by component
 
 Each runner takes a RunConfig and returns a process exit code
@@ -79,14 +79,16 @@ print("(percent of vmult wall time per component, plus breakdown.svg):")
 peek(out / "breakdown" / "breakdown.csv", n=6)
 
 # --- multiballs -----------------------------------------------------------
-# The random-geometry stress test is heavier (it solves one system per
-# ball count); invoke it from the shell when wanted:
+# The random-geometry stress test is heavier (it builds one operator
+# context per ball count and times vmults on it; nothing is solved);
+# invoke it from the shell when wanted:
 #
 #   mfcutfem multiballs --ball-counts 1,2,4 --refinements 5 --repeats 10 \
 #       --seed 3 --out-dir demos/output/multiballs
 #
 # It writes multiballs.csv (dofs/s per geometry), the sampled ball
-# centers/radii as balls_<n>.txt (reusable via --ball-file), and a
+# centers/radii as balls_<n>.txt (reusable via --ball-file together
+# with a single --ball-counts value), and a
 # per-geometry time breakdown as breakdown_balls<n>.csv.
 
 print(f"all artifacts are under {out}/")

@@ -79,9 +79,9 @@ def _sample_grid(lo, hi, per_axis: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _tensor_rule(lo, hi, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Plain tensor-product Gauss rule over the whole box."""
-    gx, gw = gauss_rule(q)
+def _tensor_rule(lo, hi, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Plain tensor-product of the 1D Gauss ``rule`` over the whole box."""
+    gx, gw = rule
     pts_1d = [l + gx * (h - l) for l, h in zip(lo, hi)]
     wts_1d = [gw * (h - l) for l, h in zip(lo, hi)]
     grids = np.meshgrid(*pts_1d, indexing="ij")
@@ -191,7 +191,7 @@ def _merge_roots(roots: np.ndarray, span: float) -> np.ndarray:
     return roots[keep]
 
 
-def _reduce(lo, hi, funcs, q: int, samples: int):
+def _reduce(lo, hi, funcs, rule, samples: int):
     """One dimension-reduction step over the box for every function in funcs.
 
     Picks the height axis, builds the base rule over the other axes (split at
@@ -206,8 +206,8 @@ def _reduce(lo, hi, funcs, q: int, samples: int):
         sub_lo = [v for a, v in enumerate(lo) if a != axis]
         sub_hi = [v for a, v in enumerate(hi) if a != axis]
         faces = [_Slice(f, axis, c) for c in (lo[axis], hi[axis]) for f in funcs]
-        base, base_w = _box_rule(sub_lo, sub_hi, faces, q, samples)
-    found = [_roots_on_lines(f, base, axis, lo[axis], hi[axis], q) for f in funcs]
+        base, base_w = _box_rule(sub_lo, sub_hi, faces, rule, samples)
+    found = [_roots_on_lines(f, base, axis, lo[axis], hi[axis], len(rule[0])) for f in funcs]
     lines = np.concatenate([li for li, _ in found])
     roots = np.concatenate([rt for _, rt in found])
     span = hi[axis] - lo[axis]
@@ -226,15 +226,14 @@ def _line_rule(line: np.ndarray, weight: float, axis: int, breaks: np.ndarray, r
     return _line_points(line, axis, t.reshape(1, -1))[0], (weight * gw * seg[:, None]).ravel()
 
 
-def _box_rule(lo, hi, funcs, q: int, samples: int):
+def _box_rule(lo, hi, funcs, rule, samples: int):
     """Quadrature covering the WHOLE box, with Gauss pieces split so that no
     piece straddles a zero of any function in ``funcs``."""
     pts = _sample_grid(lo, hi, samples)
     funcs = [f for f in funcs if _has_sign_change(np.atleast_1d(f.value(pts)))]
     if not funcs:
-        return _tensor_rule(lo, hi, q)
-    axis, base, base_w, roots = _reduce(lo, hi, funcs, q, samples)
-    rule = gauss_rule(q)
+        return _tensor_rule(lo, hi, rule)
+    axis, base, base_w, roots = _reduce(lo, hi, funcs, rule, samples)
     pieces = [
         _line_rule(base[b : b + 1], base_w[b], axis, np.concatenate([[lo[axis]], bp, [hi[axis]]]), rule)
         for b, bp in enumerate(roots)
@@ -247,35 +246,35 @@ def _append(parts: list, arrays) -> None:
         part.append(a)
 
 
-def _cut_rule(lo, hi, phi, q: int, depth: int, parts: list, counter: list) -> None:
+def _cut_rule(lo, hi, phi, rule, depth: int, parts: list, counter: list) -> None:
     """Append the volume and surface pieces of one box to ``parts`` (lists of
     interior points, interior weights, surface points, surface weights and
-    normals); recursive subdivision entry point."""
-    samples = max(q + 1, 3)
+    normals); recursive subdivision entry point.  ``rule`` is the 1D Gauss
+    rule every box and sub-box shares."""
+    samples = max(len(rule[0]) + 1, 3)
     vals = phi.value(_sample_grid(lo, hi, samples))
     if (vals < 0).all():
         return
     if (vals >= 0).all():
-        _append(parts, _tensor_rule(lo, hi, q))
+        _append(parts, _tensor_rule(lo, hi, rule))
         return
 
     try:
-        axis, base, base_w, roots = _reduce(lo, hi, [phi], q, samples)
+        axis, base, base_w, roots = _reduce(lo, hi, [phi], rule, samples)
     except _NeedSubdivision:
         center = 0.5 * (np.asarray(lo) + np.asarray(hi))
         if depth <= 0:
             counter[0] += 1
             if phi.value(center[None, :])[0] >= 0:
-                _append(parts, _tensor_rule(lo, hi, q))
+                _append(parts, _tensor_rule(lo, hi, rule))
             return
         for corner in range(2 ** len(lo)):
             upper = [corner >> a & 1 for a in range(len(lo))]
             slo = [center[a] if u else lo[a] for a, u in enumerate(upper)]
             shi = [hi[a] if u else center[a] for a, u in enumerate(upper)]
-            _cut_rule(slo, shi, phi, q, depth - 1, parts, counter)
+            _cut_rule(slo, shi, phi, rule, depth - 1, parts, counter)
         return
 
-    rule = gauss_rule(q)
     for b, bp in enumerate(roots):
         line = base[b : b + 1]
         breaks = np.concatenate([[lo[axis]], bp, [hi[axis]]])
@@ -291,8 +290,7 @@ def _cut_rule(lo, hi, phi, q: int, depth: int, parts: list, counter: list) -> No
 
 def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8) -> CutCellQuadrature:
     """Build the combined volume/surface rule of one (possibly cut) box."""
-    if q < 1:
-        raise ValueError(f"need at least one quadrature point, got {q}")
+    rule = gauss_rule(q)  # rejects q < 1
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     lo = [float(v) for v in np.asarray(lo).ravel()]
@@ -302,7 +300,7 @@ def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8) -> CutCellQuadr
     d = len(lo)
     parts = [[np.empty((0, d))], [np.empty(0)], [np.empty((0, d))], [np.empty(0)], [np.empty((0, d))]]
     counter = [0]
-    _cut_rule(lo, hi, phi, q, max_depth, parts, counter)
+    _cut_rule(lo, hi, phi, rule, max_depth, parts, counter)
     return CutCellQuadrature(*(np.concatenate(p) for p in parts), counter[0])
 
 

@@ -133,26 +133,17 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"expected a number, got {text!r}") from exc
 
 
+_PARSERS = {
+    "tuple[int, ...]": _parse_int_list,
+    "int": _parse_int,
+    "float": _parse_float,
+    "str": str,
+    "bool": _parse_bool,
+}
+
+# one parser per RunConfig field, chosen by the field's annotation
 _CONVERTERS = {
-    "degrees": _parse_int_list,
-    "refinements": _parse_int,
-    "dim": _parse_int,
-    "domain": str,
-    "problem": str,
-    "seed": _parse_int,
-    "r0": _parse_float,
-    "offset": _parse_float,
-    "ball_counts": _parse_int_list,
-    "ball_file": str,
-    "gamma_ghost": _parse_float,
-    "gamma_dirichlet": _parse_float,
-    "quad_order": _parse_int,
-    "error_quad_order": _parse_int,
-    "max_quad_depth": _parse_int,
-    "out_dir": str,
-    "repeats": _parse_int,
-    "strict": _parse_bool,
-    "interpolate_only": _parse_bool,
+    f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig) if f.name != "command"
 }
 
 
@@ -198,21 +189,20 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("r0 must be positive")
     if not cfg.ball_counts or any(n < 1 for n in cfg.ball_counts):
         raise ConfigError(f"ball_counts must be positive, got {cfg.ball_counts}")
-    if cfg.gamma_ghost is not None and cfg.gamma_ghost < 0:
-        raise ConfigError("gamma_ghost must be >= 0")
-    for name in ("quad_order", "error_quad_order"):
-        val = getattr(cfg, name)
-        if val is not None and val < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    if cfg.max_quad_depth is not None and cfg.max_quad_depth < 0:
-        raise ConfigError("max_quad_depth must be >= 0")
+    if cfg.command == "multiballs" and cfg.ball_file is not None and len(cfg.ball_counts) > 1:
+        raise ConfigError(f"ball_file gives one domain; multiballs needs one ball count, got {cfg.ball_counts}")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    for k in cfg.degrees:
+        try:
+            _params(cfg, k)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _params(cfg: RunConfig, k: int) -> Parameters:
     """Parameters of degree k; options left unset keep their defaults."""
-    names = ("gamma_ghost", "gamma_dirichlet", "quad_order", "error_quad_order", "max_quad_depth")
+    names = [f.name for f in fields(Parameters) if f.name != "degree"]
     return Parameters(degree=k, **{n: getattr(cfg, n) for n in names if getattr(cfg, n) is not None})
 
 
@@ -352,6 +342,22 @@ def _median_batch_seconds(fn, repeats: int, batches: int = 3) -> float:
     return statistics.median(times)
 
 
+def _balls(cfg: RunConfig, n: int, lo, hi):
+    """(centers, radii) from the ball file, or n balls generated from the seed."""
+    if cfg.ball_file is not None:
+        return load_balls(cfg.ball_file)
+    return generate_balls(n, cfg.seed, lo, hi, cfg.r0)
+
+
+def _timed_vmults(ctx, rng, repeats: int) -> float:
+    """Median seconds of a batch of repeats vmults of one random vector, after
+    a warm-up; ctx's timers then hold all the timed applications."""
+    u = rng.standard_normal(ctx.n_dofs)
+    vmult(ctx, u)  # warm-up
+    reset_timers(ctx)
+    return _median_batch_seconds(lambda: vmult(ctx, u), repeats)
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -400,7 +406,7 @@ def run_convergence(cfg: RunConfig) -> int:
                     failures += 1
                     _log(
                         f"warning: CG did not converge (k={k}, refinement={level}, "
-                        f"relative residual {report.relative_residual:.3e})"
+                        f"{report.stop_reason}, relative residual {report.relative_residual:.3e})"
                     )
             err = l2_error(ctx, u, u_exact)
             h = min(mesh.spacing)
@@ -489,10 +495,7 @@ def run_multiballs(cfg: RunConfig) -> int:
 
     rows: list[list] = []
     for n_balls in cfg.ball_counts:
-        if cfg.ball_file is not None and len(cfg.ball_counts) == 1:
-            centers, radii = load_balls(cfg.ball_file)
-        else:
-            centers, radii = generate_balls(n_balls, cfg.seed, lo, hi, cfg.r0)
+        centers, radii = _balls(cfg, n_balls, lo, hi)
         save_balls(out / f"balls_{n_balls}.txt", centers, radii)
         ctx = build_context(mesh, BallUnionLevelSet(centers, radii), _params(cfg, k))
         cut_fraction = ctx.classification.cut_fraction
@@ -500,11 +503,7 @@ def run_multiballs(cfg: RunConfig) -> int:
             rows.append([n_balls, cfg.seed, k, 0, cut_fraction, 0.0])
             _log(f"multiballs n={n_balls}: degenerate domain (no active DoFs), skipped timing")
             continue
-        rng = np.random.default_rng([cfg.seed, n_balls])
-        u = rng.standard_normal(ctx.n_dofs)
-        vmult(ctx, u)  # warm-up
-        reset_timers(ctx)
-        seconds = _median_batch_seconds(lambda: vmult(ctx, u), cfg.repeats)
+        seconds = _timed_vmults(ctx, np.random.default_rng([cfg.seed, n_balls]), cfg.repeats)
         dofs_per_second = ctx.n_dofs * cfg.repeats / seconds
         rows.append([n_balls, cfg.seed, k, ctx.n_dofs, cut_fraction, dofs_per_second])
         write_csv(out / f"breakdown_balls{n_balls}.csv", BREAKDOWN_HEADER, breakdown_report(ctx))
@@ -526,10 +525,7 @@ def _breakdown_domain(cfg: RunConfig):
     lo = [-BOX_HALF_WIDTH] * dim
     hi = [BOX_HALF_WIDTH] * dim
     if cfg.domain == "balls":
-        if cfg.ball_file is not None:
-            centers, radii = load_balls(cfg.ball_file)
-        else:
-            centers, radii = generate_balls(cfg.ball_counts[0], cfg.seed, lo, hi, cfg.r0)
+        centers, radii = _balls(cfg, cfg.ball_counts[0], lo, hi)
         mesh = box_mesh(lo, hi, [2**cfg.refinements] * dim)
         return mesh, BallUnionLevelSet(centers, radii)
     normal = np.zeros(dim)
@@ -548,12 +544,7 @@ def run_breakdown(cfg: RunConfig) -> int:
     if ctx.n_dofs == 0:
         _log("breakdown: degenerate domain (no active DoFs)")
         return 2
-    rng = np.random.default_rng(cfg.seed)
-    u = rng.standard_normal(ctx.n_dofs)
-    vmult(ctx, u)  # warm-up
-    reset_timers(ctx)
-    for _ in range(cfg.repeats):
-        vmult(ctx, u)
+    _timed_vmults(ctx, np.random.default_rng(cfg.seed), cfg.repeats)
     rows = breakdown_report(ctx)
     write_csv(out / "breakdown.csv", BREAKDOWN_HEADER, rows)
     write_stacked_bar_svg(out / "breakdown.svg", rows, f"vmult time breakdown (k={k})")
@@ -593,8 +584,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raw = getattr(args, key)
         if raw is not None:
             values[key] = conv(raw) if isinstance(raw, str) else raw
-    allowed = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(command=args.command, **{k: v for k, v in values.items() if k in allowed})
+    cfg = RunConfig(command=args.command, **values)
     validate_config(cfg)
     return cfg
 

@@ -15,10 +15,10 @@ vector of active DoFs without assembling anything:
 
 The per-cell forms of the paper (``cut_cell_apply`` and its volume and
 surface parts) run the batched cut kernels on one cell's points; the per-face
-form ``ghost_face_apply`` is ``sumfac.kron_apply`` on one patch.  Cells,
-cut-cell quadrature points and faces are processed in fixed-order batches;
-all reductions are single-threaded with a fixed summation order, so repeated
-applications are bitwise reproducible.
+form ``ghost_face_apply`` is ``sumfac.kron_apply`` on one patch.  The domain
+integrals ``assemble_rhs`` and ``squared_l2_error`` share the uncut tensor
+rule and cell walk, and run the point pair on cut cells.  All batches and
+reductions run in a fixed order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .sumfac import TensorField, cell_laplacian_batch, kron_batch
 
 _CELL_CHUNK = 4096
 _POINT_CHUNK = 1 << 15
+_COMPONENTS = ("interior", "intersected", "ghost_penalty", "scatter_other")  # of vmult's time
 
 
 @dataclass
@@ -53,6 +54,8 @@ class Parameters:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         if self.gamma_ghost < 0:
             raise ValueError("gamma_ghost must be >= 0")
+        if self.max_quad_depth < 0:
+            raise ValueError(f"max_quad_depth must be >= 0, got {self.max_quad_depth}")
         k = self.degree
         if self.gamma_dirichlet is None:
             self.gamma_dirichlet = 30.0 * k * (k + 1)
@@ -60,6 +63,9 @@ class Parameters:
             self.quad_order = k + 1
         if self.error_quad_order is None:
             self.error_quad_order = k + 2
+        for name in ("quad_order", "error_quad_order"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -115,14 +121,7 @@ class OperatorContext:
 
 
 def reset_timers(ctx: OperatorContext) -> None:
-    ctx.timers = {
-        "interior": 0.0,
-        "intersected": 0.0,
-        "ghost_penalty": 0.0,
-        "scatter_other": 0.0,
-        "total": 0.0,
-        "applications": 0,
-    }
+    ctx.timers = {**dict.fromkeys(_COMPONENTS + ("total",), 0.0), "applications": 0}
 
 
 def tabulate(elem, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,21 +231,17 @@ def _tables(vals: np.ndarray, grads: np.ndarray, deriv_axis: int | None) -> list
 def point_evaluate(up: np.ndarray, vals: np.ndarray, grads: np.ndarray, deriv_axis: int | None = None) -> np.ndarray:
     """Value (deriv_axis None) or reference derivative along deriv_axis at
     each point of the cell coefficients up (P, n, ..., n) gathered per point."""
-    tabs = _tables(vals, grads, deriv_axis)
-    if len(tabs) == 2:
-        t = np.einsum("pji,pi->pj", up, tabs[0])
-        return np.einsum("pj,pj->p", t, tabs[1])
-    t = np.einsum("pkji,pi->pkj", up, tabs[0])
-    t = np.einsum("pkj,pj->pk", t, tabs[1])
-    return np.einsum("pk,pk->p", t, tabs[2])
+    for tab in _tables(vals, grads, deriv_axis):
+        up = np.einsum("p...i,pi->p...", up, tab)  # last numpy axis = tensor axis 0
+    return up
 
 
 def _outer(coef: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
-    if len(tabs) == 2:
-        out = np.einsum("p,pi,pj->pji", coef, tabs[0], tabs[1])
-    else:
-        out = np.einsum("p,pi,pj,pk->pkji", coef, tabs[0], tabs[1], tabs[2])
-    return out.reshape(coef.shape[0], -1)
+    """coef[p] * tabs[0][p, i] * tabs[1][p, j] * ..., multiplied in that
+    order and laid out as (P, ..., j, i) flattened to (P, nloc)."""
+    for tab in tabs:
+        coef = coef[:, None] * tab.reshape(tab.shape + (1,) * (coef.ndim - 1))
+    return coef.reshape(coef.shape[0], -1)
 
 
 def point_integrate(vals: np.ndarray, grads: np.ndarray, value_coef=None, grad_coefs=()) -> np.ndarray:
@@ -419,65 +414,82 @@ def cut_cell_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -
 
 
 # ---------------------------------------------------------------------------
-# right-hand side and elevated-order rules
+# domain integrals: right-hand side and squared L2 error
 
 
-def inside_chunks(ctx: OperatorContext):
-    """Slices of at most _CELL_CHUNK uncut cells."""
-    n = len(ctx.inside_cells)
-    for start in range(0, n, _CELL_CHUNK):
-        yield slice(start, min(start + _CELL_CHUNK, n))
-
-
-def interior_quad_points(ctx: OperatorContext, lowers: np.ndarray, gx: np.ndarray) -> np.ndarray:
-    """Physical tensor quadrature grid per cell: (C, q, ..., q, d)."""
+def _uncut_rule(ctx: OperatorContext, order: int):
+    """Tensor Gauss rule of the given order on uncut cells: the 1D points,
+    the (order, k+1) basis table and the physical weight grid (order,) * d."""
+    gx, gw = tensor1d.gauss_rule(order)
     d = ctx.mesh.dim
-    q = len(gx)
-    c = lowers.shape[0]
-    pts = np.empty((c,) + (q,) * d + (d,))
-    for a in range(d):
-        shape = [1] * d
-        shape[d - 1 - a] = q
-        pts[..., a] = lowers[:, a].reshape((c,) + (1,) * d) + (gx * ctx.mesh.spacing[a]).reshape(shape)
-    return pts
+    wgrid = sumfac.reference_weight_grid(gw, d).reshape((order,) * d) * prod(ctx.mesh.spacing)
+    return gx, ctx.elem.evaluate(gx), wgrid
+
+
+def _uncut_chunks(ctx: OperatorContext, gx: np.ndarray):
+    """(slice, physical points (C, q, ..., q, d)) over the uncut cells in
+    chunks of at most _CELL_CHUNK cells, for 1D points gx."""
+    d, q, n = ctx.mesh.dim, len(gx), len(ctx.inside_cells)
+    for start in range(0, n, _CELL_CHUNK):
+        sl = slice(start, min(start + _CELL_CHUNK, n))
+        lowers = ctx.inside_lower[sl]
+        pts = np.empty((lowers.shape[0],) + (q,) * d + (d,))
+        for a in range(d):
+            shape = [1] * d
+            shape[d - 1 - a] = q
+            pts[..., a] = lowers[:, a].reshape((-1,) + (1,) * d) + (gx * ctx.mesh.spacing[a]).reshape(shape)
+        yield sl, pts
 
 
 def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     """Right-hand side b_i = int_{Omega} f phi_i over interior and cut cells."""
-    d = ctx.mesh.dim
-    q = len(ctx.elem.quad_points)
-    jac = prod(ctx.mesh.spacing)
-    wgrid = sumfac.reference_weight_grid(ctx.elem.quad_weights, d).reshape((q,) * d) * jac
-    b = np.zeros(ctx.n_dofs)
-
-    for sl in inside_chunks(ctx):
-        pts = interior_quad_points(ctx, ctx.inside_lower[sl], ctx.elem.quad_points)
-        t = kron_batch([ctx.elem.shape_values] * d, np.asarray(f(pts), dtype=float) * wgrid)
-        b += np.bincount(ctx.inside_dofs[sl].ravel(), weights=t.reshape(t.shape[0], -1).ravel(), minlength=ctx.n_dofs)
-
+    gx, tab, wgrid = _uncut_rule(ctx, len(ctx.elem.quad_points))
+    jobs = [(ctx.inside_dofs[sl], kron_batch([tab.T] * ctx.mesh.dim, np.asarray(f(pts), dtype=float) * wgrid))
+            for sl, pts in _uncut_chunks(ctx, gx)]
     blk = ctx.volume
     if blk.weights.size:
         acc = np.zeros(ctx.cut_dofs.shape)
         for sl, _ in point_chunks(blk):
             fw = np.asarray(f(blk.points[sl]), dtype=float) * blk.weights[sl]
             _scatter_cells(acc, blk.cell[sl], point_integrate(blk.vals[sl], blk.grads[sl], fw))
-        b += np.bincount(ctx.cut_dofs.ravel(), weights=acc.ravel(), minlength=ctx.n_dofs)
-    return b
+        jobs.append((ctx.cut_dofs, acc))
+    return _scatter_jobs(jobs, ctx.n_dofs)
 
 
-def error_point_block(ctx: OperatorContext, order: int) -> PointBlock:
-    """Cut-cell volume rules at an elevated order (cached per order)."""
-    if order not in ctx._error_blocks:
-        rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
-        ctx._error_blocks[order] = _build_point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules, surface=False)
-    return ctx._error_blocks[order]
+def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
+    """Integral of (u_h - u_exact)^2 over the physical domain at the error
+    order: the tensor Gauss rule on uncut cells and cut-cell volume rules of
+    that order, built on first use and cached on ctx per order."""
+    order = ctx.params.error_quad_order
+    d = ctx.mesh.dim
+    cell_shape = (-1,) + (ctx.elem.degree + 1,) * d
+    gx, tab, wgrid = _uncut_rule(ctx, order)
+    err2 = 0.0
+    for sl, pts in _uncut_chunks(ctx, gx):
+        t = kron_batch([tab] * d, u_h[ctx.inside_dofs[sl]].reshape(cell_shape))
+        diff = t - np.asarray(u_exact(pts), dtype=float)
+        err2 += float(np.sum(diff * diff * wgrid))
+
+    if len(ctx.cut_cells):
+        if order not in ctx._error_blocks:
+            rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
+            ctx._error_blocks[order] = _build_point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules, surface=False)
+        blk = ctx._error_blocks[order]
+        if blk.weights.size:
+            u3 = u_h[ctx.cut_dofs].reshape(cell_shape)
+            vals = np.concatenate([
+                point_evaluate(up, blk.vals[sl], blk.grads[sl]) for sl, up in point_chunks(blk, u3)
+            ])
+            diff = vals - np.asarray(u_exact(blk.points), dtype=float)
+            err2 += float(np.sum(diff * diff * blk.weights))
+    return err2
 
 
 def breakdown_report(ctx: OperatorContext) -> list[tuple[str, float, float]]:
     """(component, seconds, percent) rows for the accumulated vmult timings."""
     total = ctx.timers["total"]
     rows = []
-    for name in ("interior", "intersected", "ghost_penalty", "scatter_other"):
+    for name in _COMPONENTS:
         seconds = ctx.timers[name]
         rows.append((name, seconds, 100.0 * seconds / total if total > 0 else 0.0))
     return rows

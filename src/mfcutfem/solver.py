@@ -1,40 +1,36 @@
-"""Conjugate-gradient solve over active DoFs and L2 error evaluation.
+"""Conjugate-gradient solve, the L2 error norm and manufactured problems.
 
 The solver is a plain unpreconditioned CG with x0 = 0 stopping at
-||r|| <= tol_rel * ||b||.  All reductions run in a fixed order, so solves are
-bitwise reproducible for a fixed operator.  Errors are integrated with
-elevated-order rules: tensor Gauss on uncut cells and regenerated cut-cell
-rules on intersected cells, so the measurement resolves rates up to k+1.
+||r|| <= tol_rel * ||b||; its report says why it stopped.  All reductions run
+in a fixed order, so solves are bitwise reproducible for a fixed operator.
+``l2_error`` checks its input and takes the square root of
+``operators.squared_l2_error``, which integrates with elevated-order rules
+(tensor Gauss on uncut cells, regenerated cut-cell rules on intersected
+cells) so the measurement resolves rates up to k+1.  The manufactured
+problems give exact solutions and right-hand sides on the unit disk or ball.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-from . import sumfac
-from .operators import (
-    OperatorContext,
-    error_point_block,
-    inside_chunks,
-    interior_quad_points,
-    point_chunks,
-    point_evaluate,
-    vmult,
-)
-from .tensor1d import gauss_rule
+from .operators import OperatorContext, squared_l2_error, vmult
 
 
 @dataclass
 class SolveReport:
-    """Outcome of a CG solve; carries the full residual-norm history."""
+    """Outcome of a CG solve; carries the full residual-norm history.
+
+    ``stop_reason`` is "converged", "max_iter", or "breakdown" when a search
+    direction p gave p . Ap <= 0 (the operator is not positive definite)."""
 
     solution: np.ndarray
     iterations: int
     converged: bool
+    stop_reason: str
     relative_residual: float
     residual_history: np.ndarray
     wall_time: float
@@ -44,8 +40,8 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
     """Unpreconditioned CG from x0 = 0 for a symmetric positive operator.
 
     ``apply`` is either a callable ``v -> A v`` or an OperatorContext.  On
-    non-convergence the report has converged=False and the residual history
-    shows how far the solve got; no exception is raised.
+    non-convergence the report has converged=False, its stop_reason, and the
+    residual history shows how far the solve got; no exception is raised.
     """
     if isinstance(apply, OperatorContext):
         ctx = apply
@@ -63,11 +59,11 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
     norm_b = float(np.linalg.norm(r))
     history = [norm_b]
     if norm_b == 0.0:
-        return SolveReport(x, 0, True, 0.0, np.array(history), time.perf_counter() - t0)
+        return SolveReport(x, 0, True, "converged", 0.0, np.array(history), time.perf_counter() - t0)
 
     p = r.copy()
     rs = float(r @ r)
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
         ap = apply(p)
@@ -75,6 +71,7 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
         if p_ap <= 0.0:
             # loss of positivity in finite precision; report what we have
             iterations -= 1
+            stop_reason = "breakdown"
             break
         alpha = rs / p_ap
         x += alpha * p
@@ -82,7 +79,7 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
         rn = float(np.linalg.norm(r))
         history.append(rn)
         if rn <= tol_rel * norm_b:
-            converged = True
+            stop_reason = "converged"
             break
         rs_new = float(r @ r)
         p = r + (rs_new / rs) * p
@@ -91,7 +88,8 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
     return SolveReport(
         solution=x,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
         relative_residual=history[-1] / norm_b,
         residual_history=np.array(history),
         wall_time=time.perf_counter() - t0,
@@ -107,31 +105,7 @@ def l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     u_h = np.asarray(u_h, dtype=float)
     if u_h.shape != (ctx.n_dofs,):
         raise ValueError(f"expected vector of length {ctx.n_dofs}, got {u_h.shape}")
-    order = ctx.params.error_quad_order
-    d = ctx.mesh.dim
-    n = ctx.elem.degree + 1
-    gx, gw = gauss_rule(order)
-    sv = ctx.elem.evaluate(gx)  # (order, n): coefficients -> point values
-    jac = prod(ctx.mesh.spacing)
-    wgrid = sumfac.reference_weight_grid(gw, d).reshape((order,) * d) * jac
-
-    err2 = 0.0
-    for sl in inside_chunks(ctx):
-        t = sumfac.kron_batch([sv] * d, u_h[ctx.inside_dofs[sl]].reshape((-1,) + (n,) * d))
-        pts = interior_quad_points(ctx, ctx.inside_lower[sl], gx)
-        diff = t - np.asarray(u_exact(pts), dtype=float)
-        err2 += float(np.sum(diff * diff * wgrid))
-
-    if len(ctx.cut_cells):
-        blk = error_point_block(ctx, order)
-        if blk.weights.size:
-            u3 = u_h[ctx.cut_dofs].reshape((-1,) + (n,) * d)
-            vals = np.concatenate([
-                point_evaluate(up, blk.vals[sl], blk.grads[sl]) for sl, up in point_chunks(blk, u3)
-            ])
-            diff = vals - np.asarray(u_exact(blk.points), dtype=float)
-            err2 += float(np.sum(diff * diff * blk.weights))
-    return float(np.sqrt(err2))
+    return float(np.sqrt(squared_l2_error(ctx, u_h, u_exact)))
 
 
 def manufactured_problem(d: int):

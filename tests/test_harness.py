@@ -204,6 +204,7 @@ def test_convergence_strict_flags_nonconvergence(tmp_path, capsys):
     )
     assert code == 3
     assert (tmp_path / "convergence.csv").exists()  # rows still recorded
+    assert "breakdown" in capsys.readouterr().err  # the warning names the stop reason
 
 
 def test_convergence_rerun_bitwise_identical(tmp_path):
@@ -282,6 +283,22 @@ def test_multiballs_degenerate_domain(tmp_path):
     _, rows = read_csv(tmp_path / "multiballs.csv")
     assert rows[0][3] == "0"
     assert float(rows[0][5]) == 0.0
+
+
+def test_ball_file_needs_one_ball_count(tmp_path, capsys):
+    balls = tmp_path / "two.txt"
+    save_balls(balls, np.array([[-0.4, 0.0], [0.4, 0.1]]), np.array([0.6, 0.5]))
+    common = ["--degrees", "1", "--refinements", "3", "--repeats", "1", "--ball-file", str(balls),
+              "--out-dir", str(tmp_path)]
+    # the file gives one domain, so several ball counts cannot all be honoured
+    assert main(["multiballs"] + common) == 2
+    assert "ball count" in capsys.readouterr().err
+    assert main(["multiballs", "--ball-counts", "2"] + common) == 0
+    _, rows = read_csv(tmp_path / "multiballs.csv")
+    assert [r[0] for r in rows] == ["2"]
+    assert (tmp_path / "balls_2.txt").read_bytes() == balls.read_bytes()
+    # breakdown reads the file whatever the (default) ball counts
+    assert main(["breakdown", "--domain", "balls"] + common) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
-"""Module boundaries inside the package: no private names cross modules."""
+"""Module boundaries inside the package: no private names cross modules,
+and every option is declared once."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from mfcutfem.harness import RunConfig, _build_parser, _CONVERTERS
+from mfcutfem.operators import Parameters
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mfcutfem"
 
@@ -15,3 +20,13 @@ def test_no_private_imports_across_modules():
                     if alias.name.startswith("_"):
                         offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert not offenders, "\n".join(offenders)
+
+
+def test_options_are_declared_once():
+    # RunConfig is the list of options: each field is a flag and a config key,
+    # and each numerical Parameters option is one of its fields
+    options = [f.name for f in fields(RunConfig) if f.name != "command"]
+    flags = {a.dest for a in _build_parser()._actions if a.option_strings} - {"help", "config"}
+    assert sorted(flags) == sorted(options)
+    assert list(_CONVERTERS) == options
+    assert {f.name for f in fields(Parameters)} - {"degree"} <= set(options)

@@ -62,8 +62,9 @@ def test_parameter_overrides_kept():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         Parameters(degree=0)
-    with pytest.raises(ValueError):
-        Parameters(degree=2, gamma_ghost=-0.1)
+    for bad in (dict(gamma_ghost=-0.1), dict(quad_order=0), dict(error_quad_order=0), dict(max_quad_depth=-1)):
+        with pytest.raises(ValueError):
+            Parameters(degree=2, **bad)
 
 
 # ---------------------------------------------------------------------------

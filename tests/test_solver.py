@@ -30,6 +30,7 @@ def test_cg_identity_converges_in_one_iteration(rng):
     b = rng.standard_normal(17)
     report = cg_solve(lambda v: v, b)
     assert report.converged
+    assert report.stop_reason == "converged"
     assert report.iterations == 1
     assert_allclose(report.solution, b, rtol=0, atol=1e-14)
 
@@ -54,11 +55,24 @@ def test_cg_non_convergence_reports_history():
     b = np.ones(60)
     report = cg_solve(lambda v: diag * v, b, max_iter=5)
     assert not report.converged
+    assert report.stop_reason == "max_iter"
     assert report.iterations == 5
     assert len(report.residual_history) == report.iterations + 1
     assert report.residual_history[0] == pytest.approx(np.linalg.norm(b))
     assert report.relative_residual > 1e-8
     assert np.isfinite(report.solution).all()
+
+
+def test_cg_breakdown_is_reported_apart_from_max_iter():
+    # a strongly negative Nitsche penalty makes the operator indefinite: the
+    # first search direction already has p . Ap <= 0
+    ctx = disk_context(2, 6, 1, gamma_dirichlet=-5000.0)
+    _, f = manufactured_problem(2)
+    report = cg_solve(ctx, assemble_rhs(ctx, f))
+    assert not report.converged
+    assert report.stop_reason == "breakdown"
+    assert report.iterations == 0
+    assert len(report.residual_history) == 1
 
 
 def test_cg_residual_envelope_decreases(rng):
