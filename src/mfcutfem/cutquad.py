@@ -7,6 +7,13 @@ axes with a recursively built base rule that is split at the zeros of phi
 restricted to the bottom/top faces, and resolve each vertical line by root
 finding (sign scan, bisection, one Newton polish).
 
+Points are always d-dimensional.  A face of a box is a box whose hi equals
+its lo on the pinned axes, and the restrictions of phi to it are the rows of
+a ``pins`` array (F, d) holding the pinned coordinate on the fixed axes and
+NaN on the free ones, so that one level-set call reads them all.  The roots
+on the base lines are (line, root) rows sorted by line and then by root, and
+the Gauss pieces between them are emitted for all lines at once.
+
 When no axis qualifies the box is bisected into 2^d sub-boxes up to
 ``max_depth``; below that a sign-of-center fallback fires and is counted.
 The construction is sampling-based, not certified: interfaces that oscillate
@@ -50,195 +57,165 @@ class CutCellQuadrature:
     fallback_count: int = 0
 
 
-class _Slice:
-    """A level-set-like function with one coordinate pinned."""
+def _eval(phi, x: np.ndarray, gradient: bool = False) -> np.ndarray:
+    """phi's value (or gradient) at the points x (..., d); the one reader of
+    the level set, which must give finite arrays of shape x.shape[:-1]
+    (or x.shape)."""
+    kind, shape = ("gradient", x.shape) if gradient else ("value", x.shape[:-1])
+    out = np.asarray(phi.gradient(x) if gradient else phi.value(x))
+    if out.shape != shape:
+        point = x.reshape(-1, x.shape[-1])[0]
+        raise QuadratureError(f"level set {kind} has shape {out.shape} for points {x.shape}, e.g. {point.tolist()}")
+    bad = ~np.isfinite(out)
+    if bad.any():
+        point = x[tuple(np.argwhere(bad)[0][: x.ndim - 1])]
+        raise QuadratureError(f"level set {kind} is not finite at {point.tolist()}")
+    return out
 
-    def __init__(self, parent, axis: int, coord: float):
-        self.parent = parent
-        self.axis = axis
-        self.coord = coord
 
-    def _lift(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.insert(x, self.axis, self.coord, axis=-1)
-
-    def value(self, x):
-        return self.parent.value(self._lift(x))
-
-    def gradient(self, x):
-        g = self.parent.gradient(self._lift(x))
-        return np.delete(g, self.axis, axis=-1)
+def _pinned(pins: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The points x with each restriction's pinned coordinates put in."""
+    return np.where(np.isnan(pins), x, pins)
 
 
 def _sample_grid(lo, hi, per_axis: int) -> np.ndarray:
-    """Tensor sample grid including the box corners, shape (per_axis^m, m)."""
-    axes = [np.linspace(l, h, per_axis) for l, h in zip(lo, hi)]
-    if len(axes) == 1:
-        return axes[0][:, None]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    """Tensor sample grid including the box corners, shape (n, d); an axis
+    with hi == lo gets one sample."""
+    axes = [np.linspace(l, h, per_axis) if h > l else np.array([l]) for l, h in zip(lo, hi)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def _tensor_rule(lo, hi, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Plain tensor-product of the 1D Gauss ``rule`` over the whole box."""
+    """Plain tensor-product of the 1D Gauss ``rule`` over the whole box; an
+    axis with hi == lo gets one point of weight one."""
     gx, gw = rule
-    pts_1d = [l + gx * (h - l) for l, h in zip(lo, hi)]
-    wts_1d = [gw * (h - l) for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts_1d = [l + gx * (h - l) if h > l else np.array([l]) for l, h in zip(lo, hi)]
+    wts_1d = [gw * (h - l) if h > l else np.ones(1) for l, h in zip(lo, hi)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*pts_1d, indexing="ij")], axis=-1)
     wts = np.ones(1)
     for w in wts_1d:
         wts = np.multiply.outer(wts, w).ravel()
     return pts, wts
 
 
-def _has_sign_change(vals: np.ndarray) -> bool:
-    return bool((vals > 0).any() and (vals < 0).any()) or bool((vals == 0.0).any())
-
-
-def _pick_height_axis(funcs, lo, hi, samples: int) -> int:
-    """Axis with sign-uniform, everywhere-dominant partial derivative for
-    every function in ``funcs``; raises _NeedSubdivision when none exists."""
-    m = len(lo)
-    pts = _sample_grid(lo, hi, samples)
-    grads = [np.atleast_2d(f.gradient(pts)) for f in funcs]
-    best_axis, best_score = -1, 0.0
-    for a in range(m):
-        ok = True
-        score = np.inf
-        for g in grads:
-            ga = g[:, a]
-            mag = np.abs(g).max(axis=1)
-            if not ((ga > 0).all() or (ga < 0).all()):
-                ok = False
-                break
-            if (np.abs(ga) < DERIVATIVE_DOMINANCE * mag).any():
-                ok = False
-                break
-            score = min(score, np.abs(ga).min())
-        if ok and score > best_score:
-            best_axis, best_score = a, score
-    if best_axis < 0:
+def _pick_height_axis(phi, pins, lo, hi, free: np.ndarray, samples: int) -> int:
+    """Free axis with sign-uniform, everywhere-dominant partial derivative
+    for every restriction; raises _NeedSubdivision when none exists."""
+    g = _eval(phi, _pinned(pins[:, None], _sample_grid(lo, hi, samples)), True)[..., free]
+    dominant = np.abs(g) >= DERIVATIVE_DOMINANCE * np.abs(g).max(axis=-1, keepdims=True)
+    ok = ((g > 0).all(axis=(0, 1)) | (g < 0).all(axis=(0, 1))) & dominant.all(axis=(0, 1))
+    score = np.where(ok, np.abs(g).min(axis=(0, 1)), 0.0)
+    if not score.max() > 0:
         raise _NeedSubdivision
-    return best_axis
+    return int(free[np.argmax(score)])
 
 
-def _line_points(base_pts: np.ndarray, axis: int, t: np.ndarray) -> np.ndarray:
-    """Combine base points (B, m-1) with height coordinates (B, T) -> (B, T, m)."""
-    b, t_count = t.shape
-    out = np.empty((b, t_count, base_pts.shape[1] + 1))
-    out[..., axis] = t
-    rest = [a for a in range(base_pts.shape[1] + 1) if a != axis]
-    out[..., rest] = base_pts[:, None, :]
-    return out
+def _line_points(base: np.ndarray, axis: int, t: np.ndarray) -> np.ndarray:
+    """Points (B, T, d) on the lines through base (B, d) along ``axis`` at the
+    heights t (B, T)."""
+    x = np.repeat(base[:, None, :], t.shape[-1], axis=1)
+    x[..., axis] = t
+    return x
 
 
-def _roots_on_lines(f, base_pts: np.ndarray, axis: int, lo_a: float, hi_a: float, q: int):
-    """All roots of t -> f(..., t, ...) on [lo_a, hi_a] for every base point.
+def _roots_on_lines(phi, pins, base: np.ndarray, axis: int, lo_a: float, hi_a: float, q: int):
+    """All roots of every restriction on [lo_a, hi_a] along every base line.
 
     Scans q+3 equal sub-intervals for sign changes, bisects each bracket a
     fixed number of steps, then applies one Newton polish clipped to the
-    bracket.  Returns (line_index, root) arrays, unsorted across lines but
-    ascending within each line's scan order.
+    bracket.  Returns unsorted (line_index, root) arrays.
     """
-    n_lines = base_pts.shape[0]
     ts = np.linspace(lo_a, hi_a, q + 4)
-    vals = f.value(_line_points(base_pts, axis, np.broadcast_to(ts, (n_lines, ts.size))))
-
+    vals = _eval(phi, _pinned(pins[:, None, None], _line_points(base, axis, ts[None, :])))
     exact = np.argwhere(vals == 0.0)
-    exact_lines = exact[:, 0]
-    exact_roots = ts[exact[:, 1]]
+    row, line, seg = np.nonzero(vals[..., :-1] * vals[..., 1:] < 0.0)
+    root = np.empty(0)
+    if line.size:
+        t_lo, t_hi, f_lo = ts[seg], ts[seg + 1], vals[row, line, seg]
 
-    sign_change = vals[:, :-1] * vals[:, 1:] < 0.0
-    line_idx, seg_idx = np.nonzero(sign_change)
-    t_lo = ts[seg_idx].astype(float)
-    t_hi = ts[seg_idx + 1].astype(float)
-    f_lo = vals[line_idx, seg_idx]
-    if line_idx.size:
+        def at(t):  # (K, 1, d): a level set built on matmul rounds each point alone
+            return _pinned(pins[row, None], _line_points(base[line], axis, t[:, None]))
+
         for _ in range(BISECTION_STEPS):
             mid = 0.5 * (t_lo + t_hi)
-            fm = f.value(_line_points(base_pts[line_idx], axis, mid[:, None]))[:, 0]
+            fm = _eval(phi, at(mid))[:, 0]
             left = (fm > 0) == (f_lo > 0)
             t_lo = np.where(left, mid, t_lo)
             f_lo = np.where(left, fm, f_lo)
             t_hi = np.where(left, t_hi, mid)
         root = 0.5 * (t_lo + t_hi)
         # one Newton step with the height-direction derivative
-        x = _line_points(base_pts[line_idx], axis, root[:, None])
-        fr = f.value(x)[:, 0]
-        dr = f.gradient(x)[:, 0, axis]
+        x = at(root)
+        fr, dr = _eval(phi, x)[:, 0], _eval(phi, x, True)[:, 0, axis]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(np.abs(dr) > 0, fr / dr, 0.0)
         root = np.clip(root - step, t_lo, t_hi)
-        scale = np.abs(vals).max() if vals.size else 1.0
-        res = np.abs(f.value(_line_points(base_pts[line_idx], axis, root[:, None]))[:, 0])
-        if scale > 0 and (res > 1e-6 * scale).any():
+        scale = np.abs(vals).max(axis=(1, 2))[row]  # one scale per restriction
+        if ((scale > 0) & (np.abs(_eval(phi, at(root))[:, 0]) > 1e-6 * scale)).any():
             raise QuadratureError("root finding did not converge")
+    return np.concatenate([exact[:, 1], line]), np.concatenate([ts[exact[:, 2]], root])
+
+
+def _reduce(lo, hi, phi, pins, rule, samples: int):
+    """One dimension-reduction step over the box for every restriction (row
+    of ``pins``).
+
+    Picks the height axis among the free axes, builds the base rule on the
+    bottom face (split at the zeros of every restriction pinned to the bottom
+    and top faces) and finds the roots along every base line.  Returns (axis,
+    base points, base weights, line, root) with the (line, root) rows sorted
+    by line and then by root, and roots closer than 1e-12 of the span on one
+    line merged; a box with one free axis has its lower corner as the single
+    base point of weight one.  Raises _NeedSubdivision when no axis
+    qualifies."""
+    free = np.flatnonzero(np.asarray(hi) > np.asarray(lo))
+    if free.size == 1:
+        axis, base, base_w = int(free[0]), np.array([lo]), np.ones(1)
     else:
-        root = np.empty(0)
-
-    lines = np.concatenate([exact_lines, line_idx])
-    roots = np.concatenate([exact_roots, root])
-    return lines.astype(np.int64), roots
-
-
-def _merge_roots(roots: np.ndarray, span: float) -> np.ndarray:
-    """Sort and deduplicate roots that coincide to within the bisection width."""
-    if roots.size == 0:
-        return roots
-    roots = np.sort(roots)
-    keep = np.concatenate([[True], np.diff(roots) > 1e-12 * span])
-    return roots[keep]
+        axis = _pick_height_axis(phi, pins, lo, hi, free, samples)
+        faces = np.concatenate([pins, pins])
+        faces[: len(pins), axis], faces[len(pins) :, axis] = lo[axis], hi[axis]
+        bottom = [lo[a] if a == axis else h for a, h in enumerate(hi)]
+        base, base_w = _box_rule(lo, bottom, phi, faces, rule, samples)
+    line, root = _roots_on_lines(phi, pins, base, axis, lo[axis], hi[axis], len(rule[0]))
+    order = np.lexsort((root, line))
+    line, root = line[order], root[order]
+    keep = np.ones(line.size, dtype=bool)
+    keep[1:] = (line[1:] != line[:-1]) | (np.diff(root) > 1e-12 * (hi[axis] - lo[axis]))
+    return axis, base, base_w, line[keep], root[keep]
 
 
-def _reduce(lo, hi, funcs, rule, samples: int):
-    """One dimension-reduction step over the box for every function in funcs.
-
-    Picks the height axis, builds the base rule over the other axes (split at
-    the zeros of each function on the bottom and top faces) and finds the
-    roots along every base line.  Returns (axis, base points, base weights,
-    sorted merged roots per base line); a 1D box has a single empty base
-    point of weight one.  Raises _NeedSubdivision when no axis qualifies."""
-    if len(lo) == 1:
-        axis, base, base_w = 0, np.zeros((1, 0)), np.ones(1)
-    else:
-        axis = _pick_height_axis(funcs, lo, hi, samples)
-        sub_lo = [v for a, v in enumerate(lo) if a != axis]
-        sub_hi = [v for a, v in enumerate(hi) if a != axis]
-        faces = [_Slice(f, axis, c) for c in (lo[axis], hi[axis]) for f in funcs]
-        base, base_w = _box_rule(sub_lo, sub_hi, faces, rule, samples)
-    found = [_roots_on_lines(f, base, axis, lo[axis], hi[axis], len(rule[0])) for f in funcs]
-    lines = np.concatenate([li for li, _ in found])
-    roots = np.concatenate([rt for _, rt in found])
-    span = hi[axis] - lo[axis]
-    return axis, base, base_w, [_merge_roots(roots[lines == b], span) for b in range(base.shape[0])]
+def _pieces(n_lines: int, line: np.ndarray, root: np.ndarray, lo_a: float, hi_a: float):
+    """(line, start, end) of the pieces between consecutive breaks (the box
+    ends and the sorted roots) of every line, line by line."""
+    ends = np.arange(n_lines)
+    lines = np.concatenate([ends, line, ends])
+    breaks = np.concatenate([np.full(n_lines, lo_a), root, np.full(n_lines, hi_a)])
+    order = np.lexsort((np.repeat([0, 1, 2], [n_lines, line.size, n_lines]), lines))
+    lines, breaks = lines[order], breaks[order]
+    same = lines[1:] == lines[:-1]
+    return lines[1:][same], breaks[:-1][same], breaks[1:][same]
 
 
-def _line_rule(line: np.ndarray, weight: float, axis: int, breaks: np.ndarray, rule, keep=None):
-    """Gauss points and weights of the 1D ``rule`` on the segments between
-    consecutive breaks of one base line (line (1, m-1) with base weight
-    ``weight``); ``keep`` masks the segments to emit."""
+def _line_rule(base, base_w, axis: int, line, t0, t1, rule):
+    """Gauss points and weights of the 1D ``rule`` on the pieces [t0, t1] of
+    the base lines ``line``, piece by piece."""
     gx, gw = rule
-    t0, seg = breaks[:-1], np.diff(breaks)
-    if keep is not None:
-        t0, seg = t0[keep], seg[keep]
+    seg = t1 - t0
     t = t0[:, None] + gx * seg[:, None]
-    return _line_points(line, axis, t.reshape(1, -1))[0], (weight * gw * seg[:, None]).ravel()
+    pts = _line_points(base[line], axis, t).reshape(-1, base.shape[1])
+    return pts, (base_w[line][:, None] * gw * seg[:, None]).ravel()
 
 
-def _box_rule(lo, hi, funcs, rule, samples: int):
+def _box_rule(lo, hi, phi, pins, rule, samples: int):
     """Quadrature covering the WHOLE box, with Gauss pieces split so that no
-    piece straddles a zero of any function in ``funcs``."""
-    pts = _sample_grid(lo, hi, samples)
-    funcs = [f for f in funcs if _has_sign_change(np.atleast_1d(f.value(pts)))]
-    if not funcs:
+    piece straddles a zero of any restriction."""
+    vals = _eval(phi, _pinned(pins[:, None], _sample_grid(lo, hi, samples)))
+    pins = pins[((vals > 0).any(axis=1) & (vals < 0).any(axis=1)) | (vals == 0.0).any(axis=1)]
+    if not len(pins):
         return _tensor_rule(lo, hi, rule)
-    axis, base, base_w, roots = _reduce(lo, hi, funcs, rule, samples)
-    pieces = [
-        _line_rule(base[b : b + 1], base_w[b], axis, np.concatenate([[lo[axis]], bp, [hi[axis]]]), rule)
-        for b, bp in enumerate(roots)
-    ]
-    return np.concatenate([p for p, _ in pieces]), np.concatenate([w for _, w in pieces])
+    axis, base, base_w, line, root = _reduce(lo, hi, phi, pins, rule, samples)
+    return _line_rule(base, base_w, axis, *_pieces(len(base), line, root, lo[axis], hi[axis]), rule)
 
 
 def _append(parts: list, arrays) -> None:
@@ -252,7 +229,7 @@ def _cut_rule(lo, hi, phi, rule, depth: int, parts: list, counter: list) -> None
     normals); recursive subdivision entry point.  ``rule`` is the 1D Gauss
     rule every box and sub-box shares."""
     samples = max(len(rule[0]) + 1, 3)
-    vals = phi.value(_sample_grid(lo, hi, samples))
+    vals = _eval(phi, _sample_grid(lo, hi, samples))
     if (vals < 0).all():
         return
     if (vals >= 0).all():
@@ -260,12 +237,12 @@ def _cut_rule(lo, hi, phi, rule, depth: int, parts: list, counter: list) -> None
         return
 
     try:
-        axis, base, base_w, roots = _reduce(lo, hi, [phi], rule, samples)
+        axis, base, base_w, line, root = _reduce(lo, hi, phi, np.full((1, len(lo)), np.nan), rule, samples)
     except _NeedSubdivision:
         center = 0.5 * (np.asarray(lo) + np.asarray(hi))
         if depth <= 0:
             counter[0] += 1
-            if phi.value(center[None, :])[0] >= 0:
+            if _eval(phi, center[None, :])[0] >= 0:
                 _append(parts, _tensor_rule(lo, hi, rule))
             return
         for corner in range(2 ** len(lo)):
@@ -275,17 +252,14 @@ def _cut_rule(lo, hi, phi, rule, depth: int, parts: list, counter: list) -> None
             _cut_rule(slo, shi, phi, rule, depth - 1, parts, counter)
         return
 
-    for b, bp in enumerate(roots):
-        line = base[b : b + 1]
-        breaks = np.concatenate([[lo[axis]], bp, [hi[axis]]])
-        mids = 0.5 * (breaks[:-1] + breaks[1:])
-        inside = phi.value(_line_points(line, axis, mids[None, :]))[0] > 0
-        _append(parts, _line_rule(line, base_w[b], axis, breaks, rule, inside))
-        if bp.size:
-            x = _line_points(line, axis, bp[None, :])[0]
-            g = np.atleast_2d(phi.gradient(x))
-            norm = np.linalg.norm(g, axis=-1)
-            _append(parts[2:], (x, base_w[b] * norm / np.abs(g[:, axis]), -g / norm[:, None]))
+    piece, t0, t1 = _pieces(len(base), line, root, lo[axis], hi[axis])
+    inside = _eval(phi, _line_points(base[piece], axis, 0.5 * (t0 + t1)[:, None]))[:, 0] > 0
+    _append(parts, _line_rule(base, base_w, axis, piece[inside], t0[inside], t1[inside], rule))
+    if root.size:
+        x = _line_points(base[line], axis, root[:, None])[:, 0]
+        g = _eval(phi, x, True)
+        norm = np.linalg.norm(g, axis=-1)
+        _append(parts[2:], (x, base_w[line] * norm / np.abs(g[:, axis]), -g / norm[:, None]))
 
 
 def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8) -> CutCellQuadrature:

@@ -191,6 +191,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"ball_counts must be positive, got {cfg.ball_counts}")
     if cfg.command == "multiballs" and cfg.ball_file is not None and len(cfg.ball_counts) > 1:
         raise ConfigError(f"ball_file gives one domain; multiballs needs one ball count, got {cfg.ball_counts}")
+    reads_balls = cfg.command == "multiballs" or (cfg.command, cfg.domain) == ("breakdown", "balls")
+    if cfg.ball_file is not None and reads_balls:
+        try:
+            centers, _ = load_balls(cfg.ball_file)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read ball file {cfg.ball_file}: {exc}") from exc
+        if centers.ndim != 2 or centers.shape[1] != cfg.dim:
+            raise ConfigError(f"ball file {cfg.ball_file} must give centres of dim {cfg.dim}, got {centers.shape}")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be >= 1")
     for k in cfg.degrees:

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from mfcutfem.cutquad import (
     CutCellQuadrature,
+    QuadratureError,
     cut_cell_quadrature,
     dump_quadrature_csv,
 )
@@ -39,6 +40,33 @@ class SaddleLevelSet:
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
         return np.stack([x[..., 1], x[..., 0]], axis=-1)
+
+
+class HoledCircleLevelSet:
+    """The unit circle's level set, NaN on a small disk."""
+
+    def __init__(self, center, radius):
+        self.center, self.radius = np.asarray(center, dtype=float), radius
+        self.circle = SphereLevelSet([0.0, 0.0], 1.0)
+
+    def _hole(self, x):
+        return np.linalg.norm(np.asarray(x, dtype=float) - self.center, axis=-1) < self.radius
+
+    def value(self, x):
+        return np.where(self._hole(x), np.nan, self.circle.value(x))
+
+    def gradient(self, x):
+        return np.where(self._hole(x)[..., None], np.nan, self.circle.gradient(x))
+
+
+class ScalarLevelSet:
+    """Returns one number whatever the points: breaks the level-set contract."""
+
+    def value(self, x):
+        return np.float64(0.3)
+
+    def gradient(self, x):
+        return np.ones(np.shape(x))
 
 
 def check_rule_invariants(rule: CutCellQuadrature, phi, lo, hi):
@@ -202,6 +230,37 @@ def test_tilted_plane_simplex_exact_3d():
     assert abs(rule.surface_weights.sum() - c * c * math.sqrt(3) / 2) <= 1e-12
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_plane_through_cube_two_restrictions_exact(q):
+    # x + y + z = 1.5 crosses the bottom and the top face of the unit cube
+    # for every height axis, so each reduction level carries two restrictions
+    # with roots; the volume below is a half cube cut by a hexagon
+    phi = HalfSpaceLevelSet([1.0, 1.0, 1.0], 1.5)
+    rule = cut_cell_quadrature([0.0] * 3, [1.0] * 3, phi, q)
+    assert rule.fallback_count == 0
+    assert abs(rule.interior_weights.sum() - 0.5) <= 1e-13
+    assert abs(rule.surface_weights.sum() - 3 * math.sqrt(3) / 4) <= 1e-13
+    moments = rule.interior_weights @ rule.interior_points
+    assert_allclose(moments, 35 / 192, rtol=0, atol=1e-13)
+    check_rule_invariants(rule, phi, [0.0] * 3, [1.0] * 3)
+    # both faces have a root at the same place on some lines: merged once
+    assert (rule.interior_weights > 0).all() and (rule.surface_weights > 0).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_face_roots_on_one_line_are_sorted(q):
+    # on the flat box [0, 1] x [0, 0.1] the plane x + 2y = 0.5 meets the
+    # bottom face at x = 0.5 and the top face at x = 0.3: one base line
+    # carries both roots, and only pieces split between them in order are
+    # exact for the kinked height function
+    phi = HalfSpaceLevelSet([1.0, 2.0], 0.5)
+    rule = cut_cell_quadrature([0.0, 0.0], [1.0, 0.1], phi, q)
+    assert abs(rule.interior_weights.sum() - 0.04) <= 1e-14
+    assert abs(rule.surface_weights.sum() - math.sqrt(0.05)) <= 1e-14
+    assert_allclose(rule.interior_weights @ rule.interior_points, [49 / 6000, 11 / 6000], rtol=0, atol=1e-14)
+    check_rule_invariants(rule, phi, [0.0, 0.0], [1.0, 0.1])
+
+
 # ---------------------------------------------------------------------------
 # curved interfaces: circle and sphere
 
@@ -280,6 +339,24 @@ def test_smooth_cut_has_no_fallback():
     phi = SphereLevelSet([0.0, 0.0], 1.0)
     rule = cut_cell_quadrature([0.6, 0.0], [1.2, 0.6], phi, 3)
     assert rule.fallback_count == 0
+
+
+@pytest.mark.parametrize(
+    "center, radius, q",
+    [
+        ((0.7, 0.7), 0.03, 3),  # between the samples: the rule lost half its area
+        ((0.6, 0.6), 0.05, 2),  # on a corner: thousands of fallbacks
+    ],
+)
+def test_non_finite_level_set_raises(center, radius, q):
+    with pytest.raises(QuadratureError, match="not finite at"):
+        cut_cell_quadrature([0.6, 0.6], [0.8, 0.8], HoledCircleLevelSet(center, radius), q)
+
+
+def test_level_set_of_wrong_shape_raises():
+    # a scalar value used to read as a box fully inside
+    with pytest.raises(QuadratureError, match=r"value has shape \(\)"):
+        cut_cell_quadrature([0.6, 0.6], [0.8, 0.8], ScalarLevelSet(), 3)
 
 
 def test_validation_errors():

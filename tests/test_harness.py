@@ -301,6 +301,25 @@ def test_ball_file_needs_one_ball_count(tmp_path, capsys):
     assert main(["breakdown", "--domain", "balls"] + common) == 0
 
 
+def test_ball_file_is_checked_at_configuration_time(tmp_path, capsys):
+    flat = tmp_path / "flat.txt"
+    save_balls(flat, np.array([[-0.4, 0.0], [0.4, 0.1]]), np.array([0.6, 0.5]))
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("-0.4 0.0 0.6\n0.4 0.1 0.2 0.5\n", encoding="utf-8")
+    common = ["--degrees", "1", "--refinements", "2", "--repeats", "1", "--ball-counts", "1",
+              "--out-dir", str(tmp_path)]
+    for argv in (
+        ["multiballs", "--dim", "3", "--ball-file", str(flat)],  # 2D centres in 3D
+        ["multiballs", "--ball-file", str(mixed)],
+        ["breakdown", "--domain", "balls", "--ball-file", str(mixed)],
+        ["multiballs", "--ball-file", str(tmp_path / "missing.txt")],
+    ):
+        assert main(argv + common) == 2, argv
+        assert "configuration error" in capsys.readouterr().err
+    # a file the run does not read is not opened
+    validate_config(RunConfig(command="breakdown", domain="disk", ball_file=str(tmp_path / "missing.txt")))
+
+
 # ---------------------------------------------------------------------------
 # breakdown driver
 
