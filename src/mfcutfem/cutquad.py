@@ -5,7 +5,7 @@ K n {phi > 0} and the surface K n {phi = 0} by dimension reduction: pick a
 height axis along which d(phi)/dx_a has uniform sign, integrate the other
 axes with a recursively built base rule that is split at the zeros of phi
 restricted to the bottom/top faces, and resolve each vertical line by root
-finding (sign scan, bisection, one Newton polish).
+finding (a sign scan repeated on every bracket with a sign change).
 
 Points are always d-dimensional.  A face of a box is a box whose hi equals
 its lo on the pinned axes, and the restrictions of phi to it are the rows of
@@ -22,6 +22,7 @@ below the sample resolution can be missed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .tensor1d import gauss_rule
 # an axis qualifies as height direction when |d(phi)/dx_a| is at least this
 # fraction of the largest component at every sample point, with uniform sign
 DERIVATIVE_DOMINANCE = 1e-3
-BISECTION_STEPS = 48  # fixed count, resolves to ~4e-15 of the segment length
+ROOT_BITS = 48  # root brackets end no wider than 2^-48 (~4e-15) of the line
 
 
 class QuadratureError(RuntimeError):
@@ -121,39 +122,37 @@ def _line_points(base: np.ndarray, axis: int, t: np.ndarray) -> np.ndarray:
 def _roots_on_lines(phi, pins, base: np.ndarray, axis: int, lo_a: float, hi_a: float, q: int):
     """All roots of every restriction on [lo_a, hi_a] along every base line.
 
-    Scans q+3 equal sub-intervals for sign changes, bisects each bracket a
-    fixed number of steps, then applies one Newton polish clipped to the
-    bracket.  Returns unsorted (line_index, root) arrays.
+    A bracket is a (restriction, line, t_lo, t_hi) row; the first ones are
+    the whole lines.  Each scan splits every bracket at q+4 equally spaced
+    heights: an exact zero is a root, and every sub-piece with a strict sign
+    change is a bracket of the next scan, which keeps its end values and
+    reads phi only inside it, so no sign is decided on a value read twice.
+    After 1 + ceil(ROOT_BITS / log2(q+3)) scans a bracket is at most
+    2^-ROOT_BITS of the line wide and its midpoint is the root.  Returns
+    unsorted (line_index, root) arrays.
     """
-    ts = np.linspace(lo_a, hi_a, q + 4)
-    vals = _eval(phi, _pinned(pins[:, None, None], _line_points(base, axis, ts[None, :])))
-    exact = np.argwhere(vals == 0.0)
-    row, line, seg = np.nonzero(vals[..., :-1] * vals[..., 1:] < 0.0)
-    root = np.empty(0)
+    row, line = (i.ravel() for i in np.indices((len(pins), len(base))))
+    ts = np.linspace(np.full(row.size, lo_a), hi_a, q + 4, axis=-1)
+    vals = _eval(phi, _pinned(pins[row, None], _line_points(base[line], axis, ts)))
+    scale = np.abs(vals).reshape(len(pins), -1).max(axis=1)  # one per restriction
+    lines, roots = [], []
+    scans = 1 + math.ceil(ROOT_BITS / math.log2(q + 3))
+    for scan in range(1, scans + 1):
+        k, j = np.nonzero(vals == 0.0)
+        _append([lines, roots], (line[k], ts[k, j]))
+        k, j = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+        row, line, f_lo, f_hi = row[k], line[k], vals[k, j], vals[k, j + 1]
+        ts = np.linspace(ts[k, j], ts[k, j + 1], q + 4, axis=-1)
+        if scan == scans or not line.size:
+            break
+        inner = _eval(phi, _pinned(pins[row, None], _line_points(base[line], axis, ts[:, 1:-1])))
+        vals = np.column_stack([f_lo, inner, f_hi])
+    root = 0.5 * (ts[:, 0] + ts[:, -1])
     if line.size:
-        t_lo, t_hi, f_lo = ts[seg], ts[seg + 1], vals[row, line, seg]
-
-        def at(t):  # (K, 1, d): a level set built on matmul rounds each point alone
-            return _pinned(pins[row, None], _line_points(base[line], axis, t[:, None]))
-
-        for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (t_lo + t_hi)
-            fm = _eval(phi, at(mid))[:, 0]
-            left = (fm > 0) == (f_lo > 0)
-            t_lo = np.where(left, mid, t_lo)
-            f_lo = np.where(left, fm, f_lo)
-            t_hi = np.where(left, t_hi, mid)
-        root = 0.5 * (t_lo + t_hi)
-        # one Newton step with the height-direction derivative
-        x = at(root)
-        fr, dr = _eval(phi, x)[:, 0], _eval(phi, x, True)[:, 0, axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(np.abs(dr) > 0, fr / dr, 0.0)
-        root = np.clip(root - step, t_lo, t_hi)
-        scale = np.abs(vals).max(axis=(1, 2))[row]  # one scale per restriction
-        if ((scale > 0) & (np.abs(_eval(phi, at(root))[:, 0]) > 1e-6 * scale)).any():
+        fr = _eval(phi, _pinned(pins[row, None], _line_points(base[line], axis, root[:, None])))[:, 0]
+        if ((scale[row] > 0) & (np.abs(fr) > 1e-6 * scale[row])).any():
             raise QuadratureError("root finding did not converge")
-    return np.concatenate([exact[:, 1], line]), np.concatenate([ts[exact[:, 2]], root])
+    return np.concatenate([*lines, line]), np.concatenate([*roots, root])
 
 
 def _reduce(lo, hi, phi, pins, rule, samples: int):

@@ -104,8 +104,8 @@ class SphereLevelSet:
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(self.center).all() and 0 < self.radius < np.inf):
+            raise ValueError("radius must be positive, and center and radius finite")
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -126,8 +126,8 @@ class BallUnionLevelSet:
         self.radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if self.centers.shape[0] != self.radii.shape[0]:
             raise ValueError("need one radius per center")
-        if np.any(self.radii <= 0):
-            raise ValueError("radii must be positive")
+        if not (np.isfinite(self.centers).all() and ((0 < self.radii) & (self.radii < np.inf)).all()):
+            raise ValueError("radii must be positive, and centers and radii finite")
 
     def _best(self, x) -> tuple[np.ndarray, np.ndarray]:
         # loop over balls to keep memory at one scalar field per point
@@ -163,7 +163,7 @@ class HalfSpaceLevelSet:
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self.offset - x @ self.normal
+        return self.offset - (x * self.normal).sum(axis=-1)  # per point: no matmul blocking
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -194,9 +194,10 @@ def validate_config(cfg: RunConfig) -> None:
     reads_balls = cfg.command == "multiballs" or (cfg.command, cfg.domain) == ("breakdown", "balls")
     if cfg.ball_file is not None and reads_balls:
         try:
-            centers, _ = load_balls(cfg.ball_file)
+            centers, radii = load_balls(cfg.ball_file)
+            BallUnionLevelSet(centers, radii)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read ball file {cfg.ball_file}: {exc}") from exc
+            raise ConfigError(f"bad ball file {cfg.ball_file}: {exc}") from exc
         if centers.ndim != 2 or centers.shape[1] != cfg.dim:
             raise ConfigError(f"ball file {cfg.ball_file} must give centres of dim {cfg.dim}, got {centers.shape}")
     if cfg.repeats < 1:

@@ -42,6 +42,38 @@ class SaddleLevelSet:
         return np.stack([x[..., 1], x[..., 0]], axis=-1)
 
 
+class CubicGraphLevelSet:
+    """phi(x, y) = y - c(x) for a cubic c with three roots on y = 0."""
+
+    def __init__(self, roots):
+        self.c = np.polynomial.Polynomial.fromroots(roots)
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 1] - self.c(x[..., 0])
+
+    def gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([-self.c.deriv()(x[..., 0]), np.ones(x.shape[:-1])], axis=-1)
+
+
+class BlockRoundingLevelSet:
+    """phi(x, y) = x - c, plus or minus 1e-13 by each point's place along the
+    second-to-last axis of the block read, the way blocked arithmetic can
+    round one point differently in blocks of different shapes."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] - self.c + 1e-13 * (-1.0) ** np.arange(x.shape[-2])
+
+    def gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.ones(x.shape[:-1]), np.zeros(x.shape[:-1])], axis=-1)
+
+
 class HoledCircleLevelSet:
     """The unit circle's level set, NaN on a small disk."""
 
@@ -261,6 +293,36 @@ def test_face_roots_on_one_line_are_sorted(q):
     check_rule_invariants(rule, phi, [0.0, 0.0], [1.0, 0.1])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_three_face_roots_in_one_scan_piece_are_all_found(q):
+    # the bottom face of the unit square carries three roots of phi inside
+    # one of the q+3 pieces of the first sign scan, one in each of three
+    # pieces of the next scan; a bracket that kept one root of the three put
+    # Gauss pieces across two kinks of the height function max(c, 0)
+    w = 1.0 / (q + 3)
+    roots = w + (np.arange(3) + 0.5) * w / (q + 3)
+    phi = CubicGraphLevelSet(roots)
+    rule = cut_cell_quadrature([0.0, 0.0], [1.0, 1.0], phi, q)
+    C = phi.c.integ()
+    exact = 1.0 - (C(roots[1]) - C(roots[0])) - (C(1.0) - C(roots[2]))
+    assert abs(rule.interior_weights.sum() - exact) <= 1e-14
+    # q base lines in each of the two pieces where the interface is a graph over the face
+    assert rule.surface_weights.shape == (2 * q,)
+    check_rule_invariants(rule, phi, [0.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [0.3, 0.4142135, 0.777])
+def test_no_root_is_lost_when_a_reread_rounds_differently(q, c):
+    # near the root a bracket end reads with the opposite sign at another
+    # place in a block; deciding its sign on a second read dropped the
+    # bracket, and with it every root of the line
+    rule = cut_cell_quadrature([0.0, 0.0], [1.0, 1.0], BlockRoundingLevelSet(c), q)
+    assert rule.surface_weights.shape == (q,)
+    assert abs(rule.surface_weights.sum() - 1.0) <= 1e-14
+    assert abs(rule.interior_weights.sum() - (1.0 - c)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # curved interfaces: circle and sphere
 
@@ -304,6 +366,22 @@ def test_circle_measure_convergence_order_q3():
     surf_order = np.polyfit(log_h, np.log(surf_errors), 1)[0]
     assert vol_order >= 4.0
     assert surf_order >= 4.0
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 24), (3, 8)])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_surface_points_are_roots_to_rounding(dim, cells, q):
+    # the root brackets shrink to 2^-48 of a line at every rule order; 22
+    # scans, 2^-44 at q = 1, leave |phi| near 3e-14 h
+    mesh = box_mesh([-1.26] * dim, [1.26] * dim, [cells] * dim)
+    phi = SphereLevelSet([0.0123, -0.0311, 0.0207][:dim], 1.0)  # off the grid lines
+    worst = 0.0
+    for cell in classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT):
+        lo, hi = mesh.cell_box(mesh.cell_multi(int(cell)))
+        rule = cut_cell_quadrature(lo, hi, phi, q)
+        if rule.surface_points.size:
+            worst = max(worst, np.abs(phi.value(rule.surface_points)).max())
+    assert worst <= 1e-14 * mesh.spacing[0]
 
 
 def test_two_disk_union_area_16x16():

@@ -80,6 +80,33 @@ def test_half_space_level_set():
     assert_allclose(ls.gradient(np.array([[0.5, 0.5]])), [[-1.0, 0.0]])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_level_set_values_do_not_depend_on_the_batch(rng, dim):
+    # cut quadrature reads one point in blocks of different shapes, and its
+    # cut test and root scan should see one sign there
+    level_sets = [
+        HalfSpaceLevelSet(rng.standard_normal(dim), 0.3),
+        SphereLevelSet(rng.uniform(-0.5, 0.5, dim), 0.8),
+        BallUnionLevelSet(rng.uniform(-0.5, 0.5, (3, dim)), [0.4, 0.5, 0.6]),
+    ]
+    for _ in range(20):
+        x = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 40)), dim))
+        for ls in level_sets:
+            one_by_one = np.array([ls.value(p[None])[0] for p in x])
+            assert np.array_equal(ls.value(x), one_by_one), type(ls).__name__
+            assert np.array_equal(ls.value(x[:, None]), one_by_one[:, None]), type(ls).__name__
+
+
+def test_ball_level_sets_reject_non_finite_balls():
+    for center, radius in (([0.0, np.nan], 0.5), ([0.0, 0.0], np.nan), ([0.0, 0.0], np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SphereLevelSet(center, radius)
+        with pytest.raises(ValueError, match="finite"):
+            BallUnionLevelSet([center, [0.5, 0.5]], [radius, 0.5])
+    with pytest.raises(ValueError, match="positive"):
+        BallUnionLevelSet([[0.0, 0.0]], [-0.5])
+
+
 # ---------------------------------------------------------------------------
 # classification
 

@@ -306,6 +306,10 @@ def test_ball_file_is_checked_at_configuration_time(tmp_path, capsys):
     save_balls(flat, np.array([[-0.4, 0.0], [0.4, 0.1]]), np.array([0.6, 0.5]))
     mixed = tmp_path / "mixed.txt"
     mixed.write_text("-0.4 0.0 0.6\n0.4 0.1 0.2 0.5\n", encoding="utf-8")
+    negative = tmp_path / "negative.txt"
+    negative.write_text("-0.4 0.0 0.6\n0.4 0.1 -0.5\n", encoding="utf-8")
+    not_a_number = tmp_path / "nan.txt"
+    not_a_number.write_text("-0.4 nan 0.6\n0.4 0.1 0.5\n", encoding="utf-8")
     common = ["--degrees", "1", "--refinements", "2", "--repeats", "1", "--ball-counts", "1",
               "--out-dir", str(tmp_path)]
     for argv in (
@@ -313,6 +317,8 @@ def test_ball_file_is_checked_at_configuration_time(tmp_path, capsys):
         ["multiballs", "--ball-file", str(mixed)],
         ["breakdown", "--domain", "balls", "--ball-file", str(mixed)],
         ["multiballs", "--ball-file", str(tmp_path / "missing.txt")],
+        ["multiballs", "--ball-file", str(negative)],
+        ["breakdown", "--domain", "balls", "--ball-file", str(not_a_number)],
     ):
         assert main(argv + common) == 2, argv
         assert "configuration error" in capsys.readouterr().err

@@ -30,3 +30,16 @@ def test_options_are_declared_once():
     assert sorted(flags) == sorted(options)
     assert list(_CONVERTERS) == options
     assert {f.name for f in fields(Parameters)} - {"degree"} <= set(options)
+
+
+def test_cut_quadrature_reads_the_level_set_only_through_eval():
+    # _eval checks the shape and finiteness of every value and gradient read
+    tree = ast.parse((PACKAGE / "cutquad.py").read_text(encoding="utf-8"))
+    (reader,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_eval"]
+    inside = {id(n) for n in ast.walk(reader)}
+    reads = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("value", "gradient")
+    ]
+    assert reads
+    assert all(id(n) in inside for n in reads), [n.lineno for n in reads if id(n) not in inside]
