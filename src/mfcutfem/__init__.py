@@ -17,7 +17,7 @@ from .tensor1d import (
     mass_matrix_1d,
     patch_nodes,
 )
-from .sumfac import TensorField, apply_axis, cell_laplacian, kron_apply
+from .sumfac import TensorField, apply_axis, cell_laplacian
 from .geometry import (
     box_mesh,
     BallUnionLevelSet,
@@ -69,7 +69,6 @@ __all__ = [
     "TensorField",
     "apply_axis",
     "cell_laplacian",
-    "kron_apply",
     "BallUnionLevelSet",
     "CartesianMesh",
     "CellClassification",

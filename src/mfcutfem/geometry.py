@@ -158,8 +158,8 @@ class HalfSpaceLevelSet:
     def __init__(self, normal, offset: float):
         self.normal = np.asarray(normal, dtype=float)
         self.offset = float(offset)
-        if np.linalg.norm(self.normal) == 0:
-            raise ValueError("normal must be nonzero")
+        if not (np.isfinite(self.normal).all() and np.isfinite(self.offset)) or not self.normal.any():
+            raise ValueError("normal must be nonzero, and normal and offset finite")
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -185,8 +185,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"problem must be one of {_PROBLEMS}, got {cfg.problem!r}")
     if cfg.command == "convergence" and cfg.domain not in ("disk", "sphere"):
         raise ConfigError("convergence supports only the disk and sphere domains")
-    if cfg.r0 <= 0:
-        raise ConfigError("r0 must be positive")
+    if not 0 < cfg.r0 < np.inf or not np.isfinite(cfg.offset):
+        raise ConfigError(f"r0 must be positive and finite, and offset finite; got r0={cfg.r0}, offset={cfg.offset}")
     if not cfg.ball_counts or any(n < 1 for n in cfg.ball_counts):
         raise ConfigError(f"ball_counts must be positive, got {cfg.ball_counts}")
     if cfg.command == "multiballs" and cfg.ball_file is not None and len(cfg.ball_counts) > 1:
@@ -442,7 +442,7 @@ def _bench_point_cell(elem, spacing, u3, pts_ref, weights):
     xi = pts_ref.reshape(-1, d)
     vals, grads = tabulate(elem, xi)
     cell = np.repeat(np.arange(n_cells), n_pts)
-    blk = PointBlock(xi, weights, cell, np.arange(0, n_cells * n_pts + 1, n_pts), vals, grads)
+    blk = PointBlock(xi, weights, cell, vals, grads)
     out = np.zeros((n_cells, u3[0].size))
     cut_volume_apply(blk, spacing, u3, out)
     return out

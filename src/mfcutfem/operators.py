@@ -1,30 +1,37 @@
 """Matrix-free application of the stabilized cut Poisson operator.
 
 ``vmult`` applies  A = A_volume + A_nitsche + gamma_A * A_ghost  to a compact
-vector of active DoFs without assembling anything:
+vector of active DoFs without assembling anything.  The operator is a list
+of pieces (component, DoF table, batched local kernel); ``vmult`` gathers
+each piece's local values (B, m), runs its kernel to local contributions
+(B, m) and scatters them, in this order:
 
-* interior (uncut) cells use the sum-factorized cell Laplacian
+* "interior": uncut cells, the sum-factorized cell Laplacian
   (``sumfac.cell_laplacian_batch``),
-* cut cells integrate the same weak form over their precomputed volume rule
-  and add the symmetric Nitsche boundary terms
+* "intersected": cut cells integrate the same weak form over their
+  precomputed volume rule and add the symmetric Nitsche boundary terms
   -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface; both
   run on the point pair ``point_evaluate`` / ``point_integrate`` over chunks
   of at most _POINT_CHUNK points (``point_chunks``),
-* ghost-penalty faces apply gamma_A * (hM1 x ... x G1(h) x ... x hM1), the
-  Kronecker product of 1D factors with G1 on the face-normal axis.
+* "ghost_penalty", one piece per axis: the faces normal to it apply
+  gamma_A * (hM1 x ... x G1(h) x ... x hM1), the Kronecker product of 1D
+  factors with G1 on the face-normal axis (``sumfac.kron_batch``).
 
-The per-cell forms of the paper (``cut_cell_apply`` and its volume and
-surface parts) run the batched cut kernels on one cell's points; the per-face
-form ``ghost_face_apply`` is ``sumfac.kron_apply`` on one patch.  The domain
-integrals ``assemble_rhs`` and ``squared_l2_error`` share the uncut tensor
-rule and cell walk, and run the point pair on cut cells.  All batches and
-reductions run in a fixed order, so results are bitwise reproducible.
+Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
+The per-face form ``ghost_face_apply`` runs its axis's ghost kernel on a
+batch of one; the per-cell forms (``cut_cell_apply`` and its volume and
+surface parts) run the cut kernel on a batch that is zero except in the
+cell's row.  The domain integrals ``assemble_rhs`` and ``squared_l2_error``
+share the uncut tensor rule and cell walk, and run the point pair on cut
+cells.  All batches and reductions run in a fixed order, so results are
+bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import prod
 
 import numpy as np
@@ -52,13 +59,15 @@ class Parameters:
     def __post_init__(self):
         if not 1 <= self.degree:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if self.gamma_ghost < 0:
-            raise ValueError("gamma_ghost must be >= 0")
+        if not 0 <= self.gamma_ghost < np.inf:
+            raise ValueError(f"gamma_ghost must be finite and >= 0, got {self.gamma_ghost}")
         if self.max_quad_depth < 0:
             raise ValueError(f"max_quad_depth must be >= 0, got {self.max_quad_depth}")
         k = self.degree
         if self.gamma_dirichlet is None:
             self.gamma_dirichlet = 30.0 * k * (k + 1)
+        if not np.isfinite(self.gamma_dirichlet):
+            raise ValueError(f"gamma_dirichlet must be finite, got {self.gamma_dirichlet}")
         if self.quad_order is None:
             self.quad_order = k + 1
         if self.error_quad_order is None:
@@ -74,8 +83,7 @@ class PointBlock:
 
     points: np.ndarray   # (N, d) physical coordinates
     weights: np.ndarray  # (N,)
-    cell: np.ndarray     # (N,) position in the cut-cell list
-    ptr: np.ndarray      # (n_cut + 1,) CSR offsets
+    cell: np.ndarray     # (N,) position in the cut-cell list, nondecreasing
     vals: np.ndarray     # (N, d, k+1) 1D basis values at the reference coords
     grads: np.ndarray    # (N, d, k+1) 1D basis derivatives (reference)
     normals: np.ndarray | None = None  # (N, d) for surface blocks
@@ -150,13 +158,10 @@ def _build_point_block(mesh, elem, cut_cells, rules, surface: bool) -> PointBloc
     pts = np.concatenate(pts) if pts else np.empty((0, d))
     wts = np.concatenate(wts) if wts else np.empty(0)
     cell_of = np.concatenate(cell_of) if cell_of else np.empty(0, dtype=np.int64)
-    ptr = np.zeros(len(cut_cells) + 1, dtype=np.int64)
-    np.add.at(ptr, cell_of + 1, 1)
-    ptr = np.cumsum(ptr)
     lower = np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell_of]) * np.asarray(mesh.spacing)
     vals, grads = tabulate(elem, (pts - lower) / np.asarray(mesh.spacing))
     nrm = (np.concatenate(normals) if normals else np.empty((0, d))) if surface else None
-    return PointBlock(pts, wts, cell_of, ptr, vals, grads, nrm)
+    return PointBlock(pts, wts, cell_of, vals, grads, nrm)
 
 
 def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> dict[int, cutquad.CutCellQuadrature]:
@@ -294,24 +299,38 @@ def nitsche_apply(blk: PointBlock, spacing, penalty: float, u3: np.ndarray, out:
 
 
 # ---------------------------------------------------------------------------
-# ghost penalty
+# operator pieces: (component, DoF table, batched local kernel)
 
 
-def _ghost_mats(ctx: OperatorContext, axis: int) -> list[np.ndarray]:
-    """hM1 on the tangential axes and G1 on the face-normal axis."""
-    return [ctx.ghost_1d[axis] if b == axis else ctx.scaled_mass[b] for b in range(ctx.mesh.dim)]
+def _ghost_kernel(ctx: OperatorContext, axis: int):
+    """gamma_A times the face operator of axis on face patches (B, m): hM1 on
+    the tangential axes and G1 on the face-normal axis."""
+    mats = [ctx.ghost_1d[axis] if b == axis else ctx.scaled_mass[b] for b in range(ctx.mesh.dim)]
+    shape = ctx.dofmap.patch_extents(axis)[::-1]
+    return lambda u: (ctx.params.gamma_ghost * kron_batch(mats, u.reshape((len(u),) + shape))).reshape(len(u), -1)
 
 
-def _ghost_jobs(ctx: OperatorContext, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(face DoFs, gamma_A * face-operator values) per axis, in axis order."""
-    if ctx.params.gamma_ghost == 0.0:
-        return []
-    jobs = []
-    for axis in sorted(ctx.face_dofs):
-        idx = ctx.face_dofs[axis]
-        grid = u[idx].reshape((len(idx),) + ctx.dofmap.patch_extents(axis)[::-1])
-        jobs.append((idx, ctx.params.gamma_ghost * kron_batch(_ghost_mats(ctx, axis), grid)))
-    return jobs
+def _cut_kernel(ctx: OperatorContext, u_cells: np.ndarray, volume: bool = True, surface: bool = True) -> np.ndarray:
+    """Volume and Nitsche terms of all cut cells, (n_cut, nloc) in and out."""
+    u3 = u_cells.reshape((len(u_cells),) + (ctx.elem.degree + 1,) * ctx.mesh.dim)
+    out = np.zeros(u_cells.shape)
+    if volume:
+        cut_volume_apply(ctx.volume, ctx.mesh.spacing, u3, out)
+    if surface:
+        nitsche_apply(ctx.surface, ctx.mesh.spacing, ctx.nitsche_penalty, u3, out)
+    return out
+
+
+def _pieces(ctx: OperatorContext) -> list[tuple]:
+    """(component, DoF table, kernel) of every non-empty piece, in scatter order."""
+    pieces = []
+    if len(ctx.inside_cells):
+        pieces.append(("interior", ctx.inside_dofs, partial(cell_laplacian_batch, ctx.elem, ctx.mesh.spacing)))
+    if len(ctx.cut_cells):
+        pieces.append(("intersected", ctx.cut_dofs, partial(_cut_kernel, ctx)))
+    if ctx.params.gamma_ghost != 0.0:
+        pieces += [("ghost_penalty", ctx.face_dofs[a], _ghost_kernel(ctx, a)) for a in sorted(ctx.face_dofs)]
+    return pieces
 
 
 def _scatter_jobs(jobs, n: int) -> np.ndarray:
@@ -332,70 +351,45 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected vector of length {ctx.n_dofs}, got {u.shape}")
     t_start = time.perf_counter()
     jobs = []
-
-    t0 = time.perf_counter()
-    if len(ctx.inside_cells):
-        jobs.append((ctx.inside_dofs, cell_laplacian_batch(ctx.elem, ctx.mesh.spacing, u[ctx.inside_dofs])))
-    ctx.timers["interior"] += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if len(ctx.cut_cells):
-        u3 = u[ctx.cut_dofs].reshape((len(ctx.cut_cells),) + (ctx.elem.degree + 1,) * ctx.mesh.dim)
-        w_cut = np.zeros(ctx.cut_dofs.shape)
-        cut_volume_apply(ctx.volume, ctx.mesh.spacing, u3, w_cut)
-        nitsche_apply(ctx.surface, ctx.mesh.spacing, ctx.nitsche_penalty, u3, w_cut)
-        jobs.append((ctx.cut_dofs, w_cut))
-    ctx.timers["intersected"] += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    jobs += _ghost_jobs(ctx, u)
-    ctx.timers["ghost_penalty"] += time.perf_counter() - t0
-
+    for component, idx, kernel in _pieces(ctx):
+        t0 = time.perf_counter()
+        jobs.append((idx, kernel(u[idx])))
+        ctx.timers[component] += time.perf_counter() - t0
     w = _scatter_jobs(jobs, ctx.n_dofs)
 
-    total = time.perf_counter() - t_start
-    ctx.timers["total"] += total
-    ctx.timers["scatter_other"] = ctx.timers["total"] - (
-        ctx.timers["interior"] + ctx.timers["intersected"] + ctx.timers["ghost_penalty"]
-    )
+    ctx.timers["total"] += time.perf_counter() - t_start
+    ctx.timers["scatter_other"] = ctx.timers["total"] - sum(ctx.timers[c] for c in _COMPONENTS[:-1])
     ctx.timers["applications"] += 1
     return w
 
 
 def apply_ghost_penalty(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """Only the ghost-penalty part gamma_A * A_ghost (zero when gamma_A = 0)."""
-    return _scatter_jobs(_ghost_jobs(ctx, np.asarray(u, dtype=float)), ctx.n_dofs)
+    u = np.asarray(u, dtype=float)
+    return _scatter_jobs([(idx, kernel(u[idx])) for name, idx, kernel in _pieces(ctx) if name == "ghost_penalty"],
+                         ctx.n_dofs)
 
 
 def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> TensorField:
-    """One face normal to axis: gamma_A times tangential scaled masses and G1
-    on the normal."""
-    out = sumfac.kron_apply(_ghost_mats(ctx, axis), u_patch)
-    return TensorField(out.extents, ctx.params.gamma_ghost * out.data)
-
-
-def _cell_block(blk: PointBlock, j: int) -> PointBlock:
-    """The points of the j-th cut cell of blk as a block of one cell."""
-    sl = slice(int(blk.ptr[j]), int(blk.ptr[j + 1]))
-    n = sl.stop - sl.start
-    normals = None if blk.normals is None else blk.normals[sl]
-    return PointBlock(blk.points[sl], blk.weights[sl], np.zeros(n, dtype=np.int64),
-                      np.array([0, n]), blk.vals[sl], blk.grads[sl], normals)
+    """One face normal to axis: its ghost-penalty kernel on a batch of one."""
+    ext = ctx.dofmap.patch_extents(axis)
+    if not 0 <= axis < ctx.mesh.dim or u_patch.extents != ext:
+        raise ValueError(f"expected a patch of extents {ext} normal to axis {axis}, got {u_patch.extents}")
+    return TensorField(ext, _ghost_kernel(ctx, axis)(u_patch.data[None])[0])
 
 
 def _cut_cell_forms(ctx: OperatorContext, cell_flat: int, u_local: TensorField,
                     volume: bool, surface: bool) -> TensorField:
-    """The batched cut kernels on the points of one cut cell."""
+    """The cut kernel on a batch that is zero except in the cell's row."""
     j = int(np.searchsorted(ctx.cut_cells, cell_flat))
     if j >= len(ctx.cut_cells) or ctx.cut_cells[j] != cell_flat:
         raise ValueError(f"cell {cell_flat} is not a cut cell")
-    u3 = u_local.as_grid()[None]
-    out = np.zeros((1, u_local.data.size))
-    if volume:
-        cut_volume_apply(_cell_block(ctx.volume, j), ctx.mesh.spacing, u3, out)
-    if surface:
-        nitsche_apply(_cell_block(ctx.surface, j), ctx.mesh.spacing, ctx.nitsche_penalty, u3, out)
-    return TensorField(u_local.extents, out[0])
+    ext = ctx.dofmap.patch_extents(None)
+    if u_local.extents != ext:
+        raise ValueError(f"expected a cell field of extents {ext}, got {u_local.extents}")
+    u_cells = np.zeros(ctx.cut_dofs.shape)
+    u_cells[j] = u_local.data
+    return TensorField(ext, _cut_kernel(ctx, u_cells, volume, surface)[j])
 
 
 def cut_cell_volume_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -> TensorField:

@@ -25,7 +25,8 @@ class SolveReport:
     """Outcome of a CG solve; carries the full residual-norm history.
 
     ``stop_reason`` is "converged", "max_iter", or "breakdown" when a search
-    direction p gave p . Ap <= 0 (the operator is not positive definite)."""
+    direction p gave p . Ap <= 0 (the operator is not positive definite) or
+    a non-finite p . Ap (the operator returned NaN or infinity)."""
 
     solution: np.ndarray
     iterations: int
@@ -68,8 +69,8 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
     for iterations in range(1, max_iter + 1):
         ap = apply(p)
         p_ap = float(p @ ap)
-        if p_ap <= 0.0:
-            # loss of positivity in finite precision; report what we have
+        if not 0.0 < p_ap < np.inf:
+            # loss of positivity in finite precision, or a non-finite operator
             iterations -= 1
             stop_reason = "breakdown"
             break

@@ -3,13 +3,14 @@
 A ``TensorField`` stores cell- or patch-local coefficients as a flat vector
 in lexicographic order: for extents (n1, ..., nd) the flat index of the
 multi-index (i1, ..., id) is i1 + i2*n1 + i3*n1*n2, i.e. axis 0 varies
-fastest.  Applying a dense matrix along a single axis (``apply_axis``) costs
-m_out * m_in * prod(other extents) multiply-adds; composing it over all axes
-(``kron_apply``) realizes the action of the Kronecker matrix
-A_d x ... x A_1 without ever forming it.  ``kron_batch`` does the same for a
-batch of fields held as numpy grids; the batched kernels of the operator
-(``cell_laplacian_batch``, the ghost-penalty faces, the right-hand side and
-the error integral on uncut cells) are sweeps of it.
+fastest.  ``contract_axis`` applies a dense matrix along one axis of a grid
+at a cost of m_out * m_in * prod(other extents) multiply-adds, which it
+counts; it is the one sweep every kernel runs.  ``apply_axis`` is that
+sweep on one field with its shapes checked.  ``kron_batch`` composes it over
+all axes of a batch of fields held as numpy grids, realizing the action of
+the Kronecker matrix A_d x ... x A_1 without ever forming it; the batched
+kernels of the operator (``cell_laplacian_batch``, the ghost-penalty faces,
+the right-hand side and the error integral on uncut cells) are sweeps of it.
 """
 
 from __future__ import annotations
@@ -55,13 +56,11 @@ class TensorField:
         """View with numpy shape (nd, ..., n1); the last numpy axis is axis 0."""
         return self.data.reshape(self.extents[::-1])
 
-    @classmethod
-    def from_grid(cls, grid: np.ndarray) -> "TensorField":
-        return cls(tuple(grid.shape[::-1]), np.ascontiguousarray(grid).ravel())
-
 
 def contract_axis(a: np.ndarray, grid: np.ndarray, np_axis: int) -> np.ndarray:
     """Contract matrix a (m_out, m_in) with one numpy axis of an nd array."""
+    global _madds
+    _madds += a.shape[0] * grid.size
     moved = np.moveaxis(grid, np_axis, -1)
     out = moved @ a.T
     return np.moveaxis(out, -1, np_axis)
@@ -84,27 +83,9 @@ def apply_axis(a: np.ndarray, u: TensorField, axis: int) -> TensorField:
             f"extent {u.extents[axis]} along axis {axis} does not match matrix width {m_in}"
         )
     out = contract_axis(a, u.as_grid(), d - 1 - axis)
-    global _madds
-    _madds += m_out * m_in * prod(n for ax, n in enumerate(u.extents) if ax != axis)
     extents = list(u.extents)
     extents[axis] = m_out
     return TensorField(tuple(extents), np.ascontiguousarray(out).ravel())
-
-
-def kron_apply(mats, u: TensorField) -> TensorField:
-    """Apply one matrix per axis in sequence (the Kronecker-product action).
-
-    ``mats[axis]`` may be None, in which case that axis is skipped without
-    copying the data.
-    """
-    if len(mats) != len(u.extents):
-        raise ValueError(f"need {len(u.extents)} matrices, got {len(mats)}")
-    out = u
-    for axis, a in enumerate(mats):
-        if a is None:
-            continue
-        out = apply_axis(a, out, axis)
-    return out
 
 
 def reference_weight_grid(weights, d: int) -> np.ndarray:

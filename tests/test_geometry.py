@@ -78,6 +78,10 @@ def test_half_space_level_set():
     assert ls.value(np.array([0.0, 9.0])) > 0
     assert ls.value(np.array([1.0, 0.0])) < 0
     assert_allclose(ls.gradient(np.array([[0.5, 0.5]])), [[-1.0, 0.0]])
+    for normal, offset in (([0.0, 0.0], 0.3), ([np.nan, 1.0], 0.3), ([np.inf, 0.0], 0.3),
+                           ([1.0, 0.0], np.nan), ([1.0, 0.0], -np.inf)):
+        with pytest.raises(ValueError):
+            HalfSpaceLevelSet(normal, offset)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -105,8 +105,15 @@ def test_validate_config_errors():
         dict(domain="torus"),
         dict(problem="mystery"),
         dict(r0=0.0),
+        dict(r0=float("nan")),
+        dict(r0=float("inf")),
+        dict(offset=float("nan")),
+        dict(offset=float("-inf")),
         dict(ball_counts=(0,)),
         dict(gamma_ghost=-1.0),
+        dict(gamma_ghost=float("nan")),
+        dict(gamma_ghost=float("inf")),
+        dict(gamma_dirichlet=float("nan")),
         dict(quad_order=0),
         dict(max_quad_depth=-1),
         dict(repeats=0),
@@ -121,6 +128,16 @@ def test_validate_config_errors():
 def test_main_returns_2_on_config_error(tmp_path, capsys):
     assert main(["convergence", "--degrees", "9", "--out-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    for argv in (
+        ["breakdown", "--domain", "halfspace", "--offset", "nan"],
+        ["multiballs", "--r0", "nan"],
+        ["multiballs", "--r0", "inf"],
+        ["convergence", "--gamma-ghost", "nan"],
+        ["convergence", "--gamma-ghost", "inf"],
+        ["convergence", "--gamma-dirichlet", "nan"],
+    ):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_quad_order_mapping():

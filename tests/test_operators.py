@@ -19,7 +19,7 @@ from mfcutfem.operators import (
     reset_timers,
     vmult,
 )
-from mfcutfem.sumfac import TensorField
+from mfcutfem.sumfac import TensorField, madd_count, reset_madd_count
 
 from oracles import (
     dense_cut_nitsche,
@@ -62,7 +62,9 @@ def test_parameter_overrides_kept():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         Parameters(degree=0)
-    for bad in (dict(gamma_ghost=-0.1), dict(quad_order=0), dict(error_quad_order=0), dict(max_quad_depth=-1)):
+    for bad in (dict(gamma_ghost=-0.1), dict(quad_order=0), dict(error_quad_order=0), dict(max_quad_depth=-1),
+                dict(gamma_ghost=np.nan), dict(gamma_ghost=np.inf), dict(gamma_dirichlet=np.nan),
+                dict(gamma_dirichlet=-np.inf)):
         with pytest.raises(ValueError):
             Parameters(degree=2, **bad)
 
@@ -77,10 +79,10 @@ def test_context_structure_disk():
     assert ctx.h_min == pytest.approx(2.52 / 4)
     assert len(ctx.cut_cells) > 0
     assert ctx.fallback_count == 0
-    # every cut cell owns a volume rule range and the ranges tile the block
-    assert len(ctx.volume.ptr) == len(ctx.cut_cells) + 1
-    assert (np.diff(ctx.volume.ptr) > 0).all()
-    assert ctx.volume.ptr[-1] == len(ctx.volume.weights)
+    # every cut cell owns one run of volume points, in cut-cell order
+    assert (np.diff(ctx.volume.cell) >= 0).all()
+    assert np.array_equal(np.unique(ctx.volume.cell), np.arange(len(ctx.cut_cells)))
+    assert len(ctx.volume.cell) == len(ctx.volume.weights)
     # ghost faces only touch active cells
     labels = ctx.classification.labels
     axis, lower = ctx.faces.T
@@ -88,14 +90,21 @@ def test_context_structure_disk():
     assert (labels[lower] != Label.OUTSIDE).all() and (labels[upper] != Label.OUTSIDE).all()
 
 
-def test_context_without_cuts():
-    # ball strictly inside one cell layer away from every face: tiny ball
-    mesh = box_mesh([-1.26] * 2, [1.26] * 2, [4] * 2)
-    phi = SphereLevelSet([0.0, 0.0], 0.5)
-    ctx = build_context(mesh, phi, Parameters(degree=1))
-    assert len(ctx.cut_cells) > 0 or len(ctx.inside_cells) > 0
-    w = vmult(ctx, np.ones(ctx.n_dofs))
-    assert w.shape == (ctx.n_dofs,)
+@pytest.mark.parametrize("dim, cells, half, radius, empty", [
+    (2, 4, 0.5, 5.0, "cut"),       # all inside: no cut cells, no faces
+    (2, 2, 1.0, 1.0, "inside"),    # all cut: no inside cells
+    (3, 2, 1.0, 1.0, "inside"),
+], ids=["all_inside", "all_cut_2d", "all_cut_3d"])
+def test_vmult_with_an_empty_piece_matches_dense_matrix(dim, cells, half, radius, empty):
+    mesh = box_mesh([-half] * dim, [half] * dim, [cells] * dim)
+    ctx = build_context(mesh, SphereLevelSet([0.0] * dim, radius), Parameters(degree=2))
+    if empty == "cut":
+        assert len(ctx.cut_cells) == 0 and len(ctx.faces) == 0 and len(ctx.inside_cells) == cells**dim
+    else:
+        assert len(ctx.inside_cells) == 0 and len(ctx.cut_cells) == cells**dim
+    a_probe = probe_matrix(lambda v: vmult(ctx, v), ctx.n_dofs)
+    a_dense = dense_operator_matrix(ctx)
+    assert np.abs(a_probe - a_dense).max() <= 1e-12 * np.abs(a_dense).max()
 
 
 @pytest.mark.parametrize("cells", [(6, 1), (5, 5, 1)])
@@ -133,6 +142,15 @@ def test_ghost_face_apply_matches_dense_kron(dim, degree, rng):
         out = ghost_face_apply(ctx, axis, TensorField(ext, u.copy()))
         expected = dense @ u
         assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("axis, ext", [(0, (4, 7)), (1, (7, 4)), (0, (4, 4)), (2, (4, 4))])
+def test_ghost_face_apply_rejects_a_mismatched_patch(axis, ext):
+    # transposed patches, a cell field, and an axis the mesh does not have
+    ctx = disk_context(2, 3, 3)
+    assert ctx.dofmap.patch_extents(0) == (7, 4)
+    with pytest.raises(ValueError):
+        ghost_face_apply(ctx, axis, TensorField(ext, np.zeros(int(np.prod(ext)))))
 
 
 def test_ghost_penalty_positive_semidefinite(rng):
@@ -195,6 +213,13 @@ def test_vmult_linear_and_deterministic(rng):
     assert np.array_equal(vmult(ctx, u), vmult(ctx, u))
 
 
+def test_vmult_counts_its_sweeps():
+    ctx = disk_context(2, 5, 2)
+    reset_madd_count()
+    vmult(ctx, np.ones(ctx.n_dofs))
+    assert madd_count() > 0
+
+
 # ---------------------------------------------------------------------------
 # single cut-cell kernels
 
@@ -230,6 +255,13 @@ def test_cut_cell_apply_rejects_uncut_cell():
     ext = (2, 2)
     with pytest.raises(ValueError):
         cut_cell_apply(ctx, inside, TensorField(ext, np.zeros(4)))
+
+
+@pytest.mark.parametrize("ext", [(2, 3), (3, 2), (2, 2, 2)])
+def test_cut_cell_apply_rejects_mismatched_extents(ext):
+    ctx = disk_context(2, 4, 1)
+    with pytest.raises(ValueError):
+        cut_cell_apply(ctx, int(ctx.cut_cells[0]), TensorField(ext, np.zeros(int(np.prod(ext)))))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ def test_cg_breakdown_is_reported_apart_from_max_iter():
     assert len(report.residual_history) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cg_stops_on_a_non_finite_operator(bad):
+    # a NaN or infinite p . Ap stops the solve instead of running to max_iter
+    report = cg_solve(lambda v: np.full_like(v, bad), np.ones(5), max_iter=50)
+    assert report.stop_reason == "breakdown"
+    assert report.iterations == 0
+    assert np.array_equal(report.solution, np.zeros(5))
+
+
 def test_cg_residual_envelope_decreases(rng):
     m = rng.standard_normal((40, 40))
     a_mat = m @ m.T + 40 * np.eye(40)

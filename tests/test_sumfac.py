@@ -1,4 +1,5 @@
-"""Tensor fields, axis contractions, Kronecker application, cell Laplacian."""
+"""Tensor fields, axis contractions, Kronecker application, cell Laplacian,
+and the multiply-add counter."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from mfcutfem.sumfac import (
     TensorField,
     apply_axis,
     cell_laplacian,
-    kron_apply,
+    cell_laplacian_batch,
+    kron_batch,
     madd_count,
     reference_weight_grid,
     reset_madd_count,
@@ -37,7 +39,6 @@ def test_flat_layout_axis0_fastest():
     for i2 in range(3):
         for i1 in range(2):
             assert grid[i2, i1] == i1 + 2 * i2
-    assert_allclose(TensorField.from_grid(grid).data, u.data)
 
 
 def test_flat_layout_3d():
@@ -91,20 +92,34 @@ def test_madd_count_accumulates(rng):
 
 
 @pytest.mark.parametrize("extents", [(3, 4), (2, 3, 4)])
-def test_kron_apply_matches_dense(extents, rng):
-    u = TensorField(extents, rng.standard_normal(int(np.prod(extents))))
-    mats = [rng.standard_normal((n, n)) for n in extents]
-    assert_allclose(kron_apply(mats, u).data, oracles.dense_kron(mats) @ u.data, atol=1e-12)
+def test_kron_batch_matches_dense(extents, rng):
+    # rectangular factors, and each field of the batch on its own
+    mats = [rng.standard_normal((n + 1, n)) for n in extents]
+    dense = oracles.dense_kron(mats)
+    u = rng.standard_normal((5, int(np.prod(extents))))
+    out = kron_batch(mats, u.reshape((5,) + extents[::-1]))
+    assert out.shape == (5,) + tuple(n + 1 for n in extents[::-1])
+    assert_allclose(out.reshape(5, -1), u @ dense.T, atol=1e-12)
 
 
-def test_kron_apply_skips_identities(rng):
-    u = TensorField((3, 4), rng.standard_normal(12))
-    assert kron_apply([None, None], u) is u  # nothing applied, no copy made
-    # an identity matrix is applied like any other factor and leaves the data equal
-    assert_allclose(kron_apply([None, np.eye(4)], u).data, u.data, rtol=0, atol=0)
-    a = rng.standard_normal((3, 3))
-    out = kron_apply([a, None], u)
-    assert_allclose(out.data, oracles.dense_kron([a, np.eye(4)]) @ u.data, atol=1e-12)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_cell_laplacian_batch_counts_every_sweep(d, k, rng):
+    # 2d sweeps per direction, each m_out * m_in * (other extents) per cell
+    elem = build_reference_element(k)
+    n, q = k + 1, len(elem.quad_points)
+    single, ext = 0, [n] * d
+    for b in range(d):  # interpolation to the quadrature grid
+        single += q * n * int(np.prod(ext)) // n
+        ext[b] = q
+    for b in range(d):  # integration back
+        single += n * q * int(np.prod(ext)) // q
+        ext[b] = n
+    single *= d
+    cells = 7
+    reset_madd_count()
+    cell_laplacian_batch(elem, (0.3, 0.7, 0.45)[:d], rng.standard_normal((cells, n**d)))
+    assert madd_count() == cells * single
 
 
 def test_reference_weight_grid_layout():
