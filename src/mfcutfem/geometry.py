@@ -66,8 +66,11 @@ class CartesianMesh:
         return tuple(out)
 
     def cell_multi(self, flat) -> np.ndarray:
-        """Multi-indices (..., d) of flat cell indices."""
+        """Multi-indices (..., d) of flat cell indices in 0..n_cells-1."""
         flat = np.asarray(flat)
+        bad = flat[(flat < 0) | (flat >= self.n_cells)]
+        if bad.size:
+            raise ValueError(f"cell index {bad.flat[0]} outside 0..{self.n_cells - 1}")
         out = np.empty(flat.shape + (self.dim,), dtype=np.int64)
         for a, (n, s) in enumerate(zip(self.cells_per_axis, self.cell_strides)):
             out[..., a] = (flat // s) % n

@@ -6,8 +6,9 @@ of pieces (component, DoF table, batched local kernel); ``vmult`` gathers
 each piece's local values (B, m), runs its kernel to local contributions
 (B, m) and scatters them, in this order:
 
-* "interior": uncut cells, the sum-factorized cell Laplacian
-  (``sumfac.cell_laplacian_batch``),
+* "interior": uncut cells, the Kronecker sum of the 1D stiffness and mass
+  matrices, K1 / h_a along one axis and h_b M1 along the others, summed
+  over the axes (``sumfac.cell_laplacian_batch``),
 * "intersected": cut cells integrate the same weak form over their
   precomputed volume rule and add the symmetric Nitsche boundary terms
   -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface; both
@@ -52,7 +53,7 @@ class Parameters:
     degree: int
     gamma_ghost: float = 0.5
     gamma_dirichlet: float | None = None  # default 30 k (k+1)
-    quad_order: int | None = None         # default k+1; uncut cells use at least k+1
+    quad_order: int | None = None         # default k+1; on uncut cells only the RHS rule, at least k+1
     error_quad_order: int | None = None   # default k+2
     max_quad_depth: int = 8
 
@@ -135,12 +136,10 @@ def reset_timers(ctx: OperatorContext) -> None:
 def tabulate(elem, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1D basis values and derivatives per axis at reference coordinates
     xi (P, d): the (P, d, k+1) tables the point kernels read."""
-    vals = np.empty(xi.shape + (elem.degree + 1,))
-    grads = np.empty_like(vals)
-    for a in range(xi.shape[1]):
-        vals[:, a] = elem.evaluate(xi[:, a])
-        grads[:, a] = elem.evaluate(xi[:, a], deriv=1)
-    return vals, grads
+    tabs = np.empty((2,) + xi.shape + (elem.degree + 1,))  # derivative order 0, 1
+    for m, a in np.ndindex(2, xi.shape[1]):
+        tabs[m, :, a] = elem.evaluate(xi[:, a], deriv=m)
+    return tabs[0], tabs[1]
 
 
 def _build_point_block(mesh, elem, cut_cells, rules, surface: bool) -> PointBlock:
@@ -344,11 +343,17 @@ def _scatter_jobs(jobs, n: int) -> np.ndarray:
 # public operator actions
 
 
-def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
-    """Apply the full operator; per-component timings accumulate on ctx."""
+def _dof_vector(ctx: OperatorContext, u) -> np.ndarray:
+    """u as a float vector of ctx's DoFs; any other shape is a ValueError."""
     u = np.asarray(u, dtype=float)
     if u.shape != (ctx.n_dofs,):
         raise ValueError(f"expected vector of length {ctx.n_dofs}, got {u.shape}")
+    return u
+
+
+def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
+    """Apply the full operator; per-component timings accumulate on ctx."""
+    u = _dof_vector(ctx, u)
     t_start = time.perf_counter()
     jobs = []
     for component, idx, kernel in _pieces(ctx):
@@ -365,7 +370,7 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
 
 def apply_ghost_penalty(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """Only the ghost-penalty part gamma_A * A_ghost (zero when gamma_A = 0)."""
-    u = np.asarray(u, dtype=float)
+    u = _dof_vector(ctx, u)
     return _scatter_jobs([(idx, kernel(u[idx])) for name, idx, kernel in _pieces(ctx) if name == "ghost_penalty"],
                          ctx.n_dofs)
 
@@ -454,6 +459,7 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     """Integral of (u_h - u_exact)^2 over the physical domain at the error
     order: the tensor Gauss rule on uncut cells and cut-cell volume rules of
     that order, built on first use and cached on ctx per order."""
+    u_h = _dof_vector(ctx, u_h)
     order = ctx.params.error_quad_order
     d = ctx.mesh.dim
     cell_shape = (-1,) + (ctx.elem.degree + 1,) * d

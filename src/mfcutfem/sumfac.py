@@ -11,6 +11,8 @@ all axes of a batch of fields held as numpy grids, realizing the action of
 the Kronecker matrix A_d x ... x A_1 without ever forming it; the batched
 kernels of the operator (``cell_laplacian_batch``, the ghost-penalty faces,
 the right-hand side and the error integral on uncut cells) are sweeps of it.
+``cell_laplacian_batch`` is the Kronecker sum of the 1D stiffness and mass
+matrices K1 and M1: exact on axis-aligned cells, with no quadrature grid.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
+
+from .tensor1d import mass_matrix_1d, stiffness_matrix_1d
 
 # running multiply-add counter for the sum-factorization complexity checks
 _madds = 0
@@ -114,26 +118,16 @@ def cell_laplacian_batch(elem, spacing, u_cells: np.ndarray) -> np.ndarray:
     """Weak Laplacian of a batch of uncut axis-aligned cells, (C, nloc).
 
     Computes w_i = int_K grad(u) . grad(phi_i) with each cell mapped from
-    [0,1]^d by per-axis spacings.  Per direction a: one sweep interpolates
-    the reference derivative along a (values along the other axes) to the
-    quadrature grid, the result is scaled by the quadrature weight times
-    J / h_a^2, and a sweep with the transposed matrices integrates back.
+    [0,1]^d by per-axis spacings, as the Kronecker sum of the 1D matrices:
+    for each direction a, K1 / h_a along a and h_b * M1 along every other
+    axis b, d sweeps of (k+1) x (k+1) matrices per direction.
     """
-    d = len(spacing)
-    n = elem.degree + 1
-    q = len(elem.quad_points)
-    sv = elem.shape_values.T  # (q, n), interpolation to quadrature points
-    sg = elem.shape_grads.T
-    jac = prod(spacing)
-    wgrid = reference_weight_grid(elem.quad_weights, d).reshape((q,) * d)
-
-    c = u_cells.shape[0]
+    stiff, mass = stiffness_matrix_1d(elem), mass_matrix_1d(elem)
+    d, n, c = len(spacing), elem.degree + 1, u_cells.shape[0]
     grid = u_cells.reshape((c,) + (n,) * d)
     out = np.zeros_like(grid)
     for a in range(d):
-        fwd = [sg if b == a else sv for b in range(d)]
-        t = kron_batch(fwd, grid) * wgrid * (jac / spacing[a] ** 2)
-        out += kron_batch([m.T for m in fwd], t)
+        out += kron_batch([stiff / h if b == a else h * mass for b, h in enumerate(spacing)], grid)
     return out.reshape(c, -1)
 
 

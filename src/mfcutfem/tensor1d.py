@@ -6,6 +6,8 @@ higher-dimensional operators are assembled purely as tensor (Kronecker)
 products of the small dense matrices produced here:
 
 * ``mass_matrix_1d``  -- the (k+1) x (k+1) cell mass matrix M1,
+* ``stiffness_matrix_1d`` -- the (k+1) x (k+1) cell stiffness matrix K1; an
+  uncut cell's Laplacian is the Kronecker sum of K1 and M1,
 * ``jump_vector``     -- the jump of the m-th normal derivative across the
   shared patch point x = 1, expressed in the 2k+1 patch basis functions,
 * ``ghost_matrix_1d`` -- G1(h) = h^-1 sum_m (1/m!)^2 j_m j_m^T, the 1D
@@ -29,9 +31,8 @@ def gauss_lobatto_nodes(k: int) -> np.ndarray:
     """Return the k+1 Gauss-Lobatto points on [0, 1], endpoints included."""
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    if k == 1:
-        return np.array([0.0, 1.0])
     # interior points are the roots of P_k', with P_k the Legendre polynomial
+    # (none for k = 1)
     coeffs = np.zeros(k + 1)
     coeffs[k] = 1.0
     interior = legendre.legroots(legendre.legder(coeffs))
@@ -51,19 +52,15 @@ def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
 class ReferenceElement1D:
     """Nodal Lagrange basis of degree k on [0, 1] with a Gauss quadrature.
 
-    ``shape_values[i, q]`` and ``shape_grads[i, q]`` tabulate basis function i
-    at quadrature point q.  ``endpoint_derivs[m, i, side]`` holds the m-th
-    derivative of basis i at the endpoint ``side`` (0 -> x=0, 1 -> x=1) for
-    m = 0..k.  Arbitrary-point evaluation goes through ``evaluate``.
+    Values and derivatives of the basis at any points go through
+    ``evaluate``: ``mass_matrix_1d`` and ``stiffness_matrix_1d`` read it at
+    the quadrature points and ``jump_vector`` at the cell endpoints.
     """
 
     degree: int
     nodes: np.ndarray
     quad_points: np.ndarray
     quad_weights: np.ndarray
-    shape_values: np.ndarray = field(repr=False)
-    shape_grads: np.ndarray = field(repr=False)
-    endpoint_derivs: np.ndarray = field(repr=False)
     # monomial coefficients of every basis function and its derivatives;
     # _deriv_coeffs[m][j, i] is the x^j coefficient of phi_i^(m)
     _deriv_coeffs: list[np.ndarray] = field(repr=False)
@@ -87,14 +84,11 @@ def build_reference_element(k: int, q: int | None = None) -> ReferenceElement1D:
     exactly; q < k+1 is rejected because every consumer here relies on the
     mass matrix being exact.
     """
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
+    nodes = gauss_lobatto_nodes(k)  # rejects k < 1
     if q is None:
         q = k + 1
     if q < k + 1:
         raise ValueError(f"quadrature order {q} too low for degree {k}")
-
-    nodes = gauss_lobatto_nodes(k)
     qx, qw = gauss_rule(q)
 
     # Lagrange basis in monomial form via the inverse Vandermonde matrix:
@@ -106,29 +100,19 @@ def build_reference_element(k: int, q: int | None = None) -> ReferenceElement1D:
     for _ in range(k):
         deriv_coeffs.append(npoly.polyder(deriv_coeffs[-1]))
 
-    elem = ReferenceElement1D(
-        degree=k,
-        nodes=nodes,
-        quad_points=qx,
-        quad_weights=qw,
-        shape_values=np.empty(0),
-        shape_grads=np.empty(0),
-        endpoint_derivs=np.empty(0),
-        _deriv_coeffs=deriv_coeffs,
-    )
-    elem.shape_values = elem.evaluate(qx).T  # (k+1, q)
-    elem.shape_grads = elem.evaluate(qx, deriv=1).T
-    ends = np.array([0.0, 1.0])
-    elem.endpoint_derivs = np.stack(
-        [elem.evaluate(ends, deriv=m).T for m in range(k + 1)]
-    )  # (k+1, k+1, 2)
-    return elem
+    return ReferenceElement1D(k, nodes, qx, qw, deriv_coeffs)
 
 
 def mass_matrix_1d(elem: ReferenceElement1D) -> np.ndarray:
     """Reference cell mass matrix M1[i, j] = int_0^1 phi_i phi_j dx."""
-    sv = elem.shape_values  # (k+1, q)
+    sv = elem.evaluate(elem.quad_points).T  # (k+1, q)
     return (sv * elem.quad_weights) @ sv.T
+
+
+def stiffness_matrix_1d(elem: ReferenceElement1D) -> np.ndarray:
+    """Reference cell stiffness matrix K1[i, j] = int_0^1 phi_i' phi_j' dx."""
+    sg = elem.evaluate(elem.quad_points, deriv=1).T  # (k+1, q)
+    return (sg * elem.quad_weights) @ sg.T
 
 
 def patch_nodes(elem: ReferenceElement1D) -> np.ndarray:
@@ -145,14 +129,9 @@ def jump_vector(elem: ReferenceElement1D, m: int) -> np.ndarray:
     right cell; the shared node at x=1 appears once, at index k.
     """
     k = elem.degree
-    if not 0 <= m <= k:
-        raise ValueError(f"jump order {m} outside 0..{k}")
-    e = elem.endpoint_derivs  # (m, i, side)
-    j = np.zeros(2 * k + 1)
-    j[:k] = -e[m, :k, 1]                 # supported on the left cell only
-    j[k] = e[m, 0, 0] - e[m, k, 1]       # shared node: phi_0 right, phi_k left
-    j[k + 1:] = e[m, 1:, 0]              # supported on the right cell only
-    return j
+    left, right = elem.evaluate(1.0, deriv=m), elem.evaluate(0.0, deriv=m)
+    # left cell only, the shared node (phi_k left, phi_0 right), right cell only
+    return np.concatenate((-left[:k], [right[0] - left[k]], right[1:]))
 
 
 def ghost_matrix_1d(elem: ReferenceElement1D, h: float) -> np.ndarray:

@@ -43,6 +43,16 @@ def test_mesh_flat_index_axis0_fastest():
     assert_allclose(mesh.cell_multi(flat), multi)
 
 
+def test_flat_cell_index_out_of_range_is_rejected():
+    mesh = box_mesh([0, 0], [1, 1], [3, 3])
+    for bad, first in (([9, -1], 9), ([4, -1, 10], -1)):
+        with pytest.raises(ValueError, match=f"cell index {first} "):
+            mesh.cell_multi(bad)
+    dm = build_dofmap(mesh, 1, classify_cells(mesh, SphereLevelSet([0.0, 0.0], 10.0), 3))
+    with pytest.raises(ValueError):
+        dm.cell_dofs([9])
+
+
 def test_mesh_validation():
     with pytest.raises(ValueError):
         CartesianMesh((0.0,), (4,), (0.1,))  # 1D unsupported

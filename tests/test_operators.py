@@ -17,6 +17,7 @@ from mfcutfem.operators import (
     cut_cell_volume_apply,
     ghost_face_apply,
     reset_timers,
+    squared_l2_error,
     vmult,
 )
 from mfcutfem.sumfac import TensorField, madd_count, reset_madd_count
@@ -211,6 +212,18 @@ def test_vmult_linear_and_deterministic(rng):
     w2 = 2.0 * vmult(ctx, u) - 3.0 * vmult(ctx, v)
     assert np.abs(w1 - w2).max() <= 1e-11 * max(np.abs(w1).max(), 1.0)
     assert np.array_equal(vmult(ctx, u), vmult(ctx, u))
+
+
+@pytest.mark.parametrize("apply", [
+    vmult,
+    apply_ghost_penalty,
+    lambda ctx, u: squared_l2_error(ctx, u, lambda x: np.zeros(x.shape[:-1])),
+], ids=["vmult", "apply_ghost_penalty", "squared_l2_error"])
+def test_dof_vector_of_the_wrong_length_is_rejected(apply):
+    ctx = disk_context(2, 6, 1)
+    assert ctx.n_dofs == 45
+    with pytest.raises(ValueError, match="length 45"):
+        apply(ctx, np.ones(52))
 
 
 def test_vmult_counts_its_sweeps():

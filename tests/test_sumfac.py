@@ -105,21 +105,14 @@ def test_kron_batch_matches_dense(extents, rng):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("k", [1, 2])
 def test_cell_laplacian_batch_counts_every_sweep(d, k, rng):
-    # 2d sweeps per direction, each m_out * m_in * (other extents) per cell
-    elem = build_reference_element(k)
-    n, q = k + 1, len(elem.quad_points)
-    single, ext = 0, [n] * d
-    for b in range(d):  # interpolation to the quadrature grid
-        single += q * n * int(np.prod(ext)) // n
-        ext[b] = q
-    for b in range(d):  # integration back
-        single += n * q * int(np.prod(ext)) // q
-        ext[b] = n
-    single *= d
-    cells = 7
-    reset_madd_count()
-    cell_laplacian_batch(elem, (0.3, 0.7, 0.45)[:d], rng.standard_normal((cells, n**d)))
-    assert madd_count() == cells * single
+    # d sweeps of (k+1) x (k+1) matrices per direction, each (k+1)^(d+1)
+    # multiply-adds per cell, whatever the element's quadrature order
+    n, cells = k + 1, 7
+    u = rng.standard_normal((cells, n**d))
+    for q in (k + 1, k + 3):
+        reset_madd_count()
+        cell_laplacian_batch(build_reference_element(k, q), (0.3, 0.7, 0.45)[:d], u)
+        assert madd_count() == cells * d * d * n ** (d + 1)
 
 
 def test_reference_weight_grid_layout():

