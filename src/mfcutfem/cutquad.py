@@ -1,23 +1,31 @@
 """High-order quadrature on implicitly bounded cell fractions.
 
-Given a box K and a level set phi, builds Gauss-type rules for the volume
-K n {phi > 0} and the surface K n {phi = 0} by dimension reduction: pick a
-height axis along which d(phi)/dx_a has uniform sign, integrate the other
-axes with a recursively built base rule that is split at the zeros of phi
-restricted to the bottom/top faces, and resolve each vertical line by root
-finding (a sign scan repeated on every bracket with a sign change).
+Given boxes K and a level set phi, builds Gauss-type rules for the volume
+K n {phi > 0} and the surface K n {phi = 0} by dimension reduction (Saye,
+SIAM J. Sci. Comput. 2015): pick a height axis along which d(phi)/dx_a has
+uniform sign, integrate the other axes with a recursively built base rule
+that is split at the zeros of phi restricted to the bottom/top faces, and
+resolve each vertical line by root finding (a sign scan repeated on every
+bracket with a sign change).
 
-Points are always d-dimensional.  A face of a box is a box whose hi equals
-its lo on the pinned axes, and the restrictions of phi to it are the rows of
-a ``pins`` array (F, d) holding the pinned coordinate on the fixed axes and
-NaN on the free ones, so that one level-set call reads them all.  The roots
-on the base lines are (line, root) rows sorted by line and then by root, and
-the Gauss pieces between them are emitted for all lines at once.
+One call builds the rules of a whole stack of boxes, one reduction level at
+a time, so each step reads the level set once for all boxes.  Points are
+always d-dimensional.  A face of a box is a box whose hi equals its lo on
+the pinned axes, and a restriction of phi to it is a row of a ``pins`` array
+holding the pinned coordinate on the fixed axes and NaN on the free ones,
+with the box that owns it beside it.  A top-down pass picks the height axis
+of every box at every level from all its rows and keeps the face rows on
+which phi changes sign; a bottom-up pass finds the roots on the base lines
+of all boxes of a level, as (line, root) rows sorted by line and then by
+root, and emits the Gauss pieces between them for all lines at once: first
+the base rules, then the volume pieces and surface points of every box.
 
-When no axis qualifies the box is bisected into 2^d sub-boxes up to
-``max_depth``; below that a sign-of-center fallback fires and is counted.
-The construction is sampling-based, not certified: interfaces that oscillate
-below the sample resolution can be missed.
+A box whose reduction finds no height axis at some level is bisected into
+2^d sub-boxes, which go back on a worklist processed at most _CELL_CHUNK
+boxes at a time, up to ``max_depth``; below that a sign-of-center fallback
+fires and is counted.  Each box's points come out in depth-first order of
+its sub-boxes.  The construction is sampling-based, not certified:
+interfaces that oscillate below the sample resolution can be missed.
 """
 
 from __future__ import annotations
@@ -33,14 +41,16 @@ from .tensor1d import gauss_rule
 # fraction of the largest component at every sample point, with uniform sign
 DERIVATIVE_DOMINANCE = 1e-3
 ROOT_BITS = 48  # root brackets end no wider than 2^-48 (~4e-15) of the line
+_CELL_CHUNK = 4096  # boxes per pass over the worklist
 
 
 class QuadratureError(RuntimeError):
-    pass
+    """Cut quadrature failed; ``box`` is the position of the failing box in
+    the stack the call was given, None when the error names no box."""
 
-
-class _NeedSubdivision(Exception):
-    pass
+    def __init__(self, message: str, box: int | None = None):
+        super().__init__(message)
+        self.box = box
 
 
 @dataclass
@@ -58,19 +68,20 @@ class CutCellQuadrature:
     fallback_count: int = 0
 
 
-def _eval(phi, x: np.ndarray, gradient: bool = False) -> np.ndarray:
-    """phi's value (or gradient) at the points x (..., d); the one reader of
+def _eval(phi, x: np.ndarray, owner: np.ndarray, gradient: bool = False) -> np.ndarray:
+    """phi's value (or gradient) at the points x (R, ..., d); the one reader of
     the level set, which must give finite arrays of shape x.shape[:-1]
-    (or x.shape)."""
+    (or x.shape).  owner[r] is the input box of row r, named by a failure."""
     kind, shape = ("gradient", x.shape) if gradient else ("value", x.shape[:-1])
     out = np.asarray(phi.gradient(x) if gradient else phi.value(x))
     if out.shape != shape:
         point = x.reshape(-1, x.shape[-1])[0]
-        raise QuadratureError(f"level set {kind} has shape {out.shape} for points {x.shape}, e.g. {point.tolist()}")
+        raise QuadratureError(f"level set {kind} has shape {out.shape} for points {x.shape}, e.g. {point.tolist()}",
+                              int(owner[0]))
     bad = ~np.isfinite(out)
     if bad.any():
-        point = x[tuple(np.argwhere(bad)[0][: x.ndim - 1])]
-        raise QuadratureError(f"level set {kind} is not finite at {point.tolist()}")
+        at = tuple(np.argwhere(bad)[0][: x.ndim - 1])
+        raise QuadratureError(f"level set {kind} is not finite at {x[at].tolist()}", int(owner[at[0]]))
     return out
 
 
@@ -79,48 +90,84 @@ def _pinned(pins: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(pins), x, pins)
 
 
-def _sample_grid(lo, hi, per_axis: int) -> np.ndarray:
-    """Tensor sample grid including the box corners, shape (n, d); an axis
-    with hi == lo gets one sample."""
-    axes = [np.linspace(l, h, per_axis) if h > l else np.array([l]) for l, h in zip(lo, hi)]
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+def _starts(box: np.ndarray) -> np.ndarray:
+    """First row of every run of equal entries of the sorted ``box``."""
+    return np.flatnonzero(np.r_[True, box[1:] != box[:-1]])
 
 
-def _tensor_rule(lo, hi, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Plain tensor-product of the 1D Gauss ``rule`` over the whole box; an
-    axis with hi == lo gets one point of weight one."""
+def _free(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Free axes (hi > lo), increasing, of boxes (B, d) that all have the
+    same number f of them: (B, f); f = d when there are no boxes."""
+    if not len(lo):
+        return np.empty(lo.shape, dtype=np.int64)
+    return np.nonzero(hi > lo)[1].reshape(len(lo), -1)
+
+
+def _tensor_grid(lo: np.ndarray, free: np.ndarray, pts_1d: np.ndarray):
+    """Points (B, n^f, d) of the tensor grids of pts_1d (B, f, n) on the free
+    axes of each box, first free axis slowest, with lo on the other axes;
+    and the (n^f, f) multi-index of each grid point."""
+    n_box, f, n = pts_1d.shape
+    idx = np.indices((n,) * f).reshape(f, -1).T
+    x = np.repeat(lo[:, None, :], len(idx), axis=1)
+    for j in range(f):
+        x[np.arange(n_box), :, free[:, j]] = pts_1d[:, j, idx[:, j]]
+    return x, idx
+
+
+def _sample_grid(lo: np.ndarray, hi: np.ndarray, per_axis: int) -> np.ndarray:
+    """Sample grids (B, per_axis^f, d) of the boxes, box corners included;
+    an axis with hi == lo gets one sample."""
+    free = _free(lo, hi)
+    lin = np.linspace(np.take_along_axis(lo, free, 1), np.take_along_axis(hi, free, 1), per_axis, axis=-1)
+    return _tensor_grid(lo, free, lin)[0]
+
+
+def _tensor_rule(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray, rule):
+    """Tensor product of the 1D Gauss ``rule`` over each whole box of
+    ``boxes`` as (points, weights, box) rows, box by box; an axis with
+    hi == lo gets one point of weight one."""
     gx, gw = rule
-    pts_1d = [l + gx * (h - l) if h > l else np.array([l]) for l, h in zip(lo, hi)]
-    wts_1d = [gw * (h - l) if h > l else np.ones(1) for l, h in zip(lo, hi)]
-    pts = np.stack([g.ravel() for g in np.meshgrid(*pts_1d, indexing="ij")], axis=-1)
-    wts = np.ones(1)
-    for w in wts_1d:
-        wts = np.multiply.outer(wts, w).ravel()
-    return pts, wts
+    lo, hi = lo[boxes], hi[boxes]
+    free = _free(lo, hi)
+    l = np.take_along_axis(lo, free, 1)[..., None]
+    span = np.take_along_axis(hi, free, 1)[..., None] - l
+    pts, idx = _tensor_grid(lo, free, l + gx * span)
+    w_1d = gw * span
+    wts = np.ones(pts.shape[:2])
+    for j in range(free.shape[1]):
+        wts = wts * w_1d[:, j, idx[:, j]]
+    return pts.reshape(-1, lo.shape[1]), wts.ravel(), np.repeat(boxes, wts.shape[1])
 
 
-def _pick_height_axis(phi, pins, lo, hi, free: np.ndarray, samples: int) -> int:
-    """Free axis with sign-uniform, everywhere-dominant partial derivative
-    for every restriction; raises _NeedSubdivision when none exists."""
-    g = _eval(phi, _pinned(pins[:, None], _sample_grid(lo, hi, samples)), True)[..., free]
-    dominant = np.abs(g) >= DERIVATIVE_DOMINANCE * np.abs(g).max(axis=-1, keepdims=True)
-    ok = ((g > 0).all(axis=(0, 1)) | (g < 0).all(axis=(0, 1))) & dominant.all(axis=(0, 1))
-    score = np.where(ok, np.abs(g).min(axis=(0, 1)), 0.0)
-    if not score.max() > 0:
-        raise _NeedSubdivision
-    return int(free[np.argmax(score)])
+def _height_axes(phi, pins, box, lo, hi, samples: int, cell) -> tuple[np.ndarray, np.ndarray]:
+    """(boxes, axis): for every box owning rows of ``pins`` (rows grouped by
+    ``box``), the free axis of (lo, hi) with sign-uniform, everywhere-dominant
+    partial derivative for all its restrictions, or -1 where none exists."""
+    starts = _starts(box)
+    g = _eval(phi, _pinned(pins[:, None], _sample_grid(lo[box], hi[box], samples)), cell[box], True)
+    free = _free(lo[box], hi[box])
+    g = np.take_along_axis(g, free[:, None, :], axis=-1)
+    a = np.abs(g)
+    dominant = (a >= DERIVATIVE_DOMINANCE * a.max(axis=-1, keepdims=True)).all(axis=1)
+    pos, neg, dom = (np.logical_and.reduceat(v, starts) for v in ((g > 0).all(axis=1), (g < 0).all(axis=1), dominant))
+    score = np.where((pos | neg) & dom, np.minimum.reduceat(a.min(axis=1), starts), 0.0)
+    axis = np.take_along_axis(free[starts], np.argmax(score, axis=1)[:, None], 1)[:, 0]
+    return box[starts], np.where(score.max(axis=1) > 0, axis, -1)
 
 
-def _line_points(base: np.ndarray, axis: int, t: np.ndarray) -> np.ndarray:
-    """Points (B, T, d) on the lines through base (B, d) along ``axis`` at the
-    heights t (B, T)."""
+def _line_points(base: np.ndarray, axis: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Points (B, T, d) on the lines through base (B, d) along axis (B,) at
+    the heights t (B, T)."""
     x = np.repeat(base[:, None, :], t.shape[-1], axis=1)
-    x[..., axis] = t
+    x[np.arange(len(base)), :, axis] = t
     return x
 
 
-def _roots_on_lines(phi, pins, base: np.ndarray, axis: int, lo_a: float, hi_a: float, q: int):
-    """All roots of every restriction on [lo_a, hi_a] along every base line.
+def _roots_on_lines(phi, pins, box, base, base_box, axis, lo, hi, q: int, cell):
+    """All roots of every restriction (row of ``pins``, owned by ``box``)
+    along every base line of its box (rows of ``base``, grouped by
+    ``base_box``), on [lo, hi] of the box's height axis ``axis[box]``.
 
     A bracket is a (restriction, line, t_lo, t_hi) row; the first ones are
     the whole lines.  Each scan splits every bracket at q+4 equally spaced
@@ -129,152 +176,230 @@ def _roots_on_lines(phi, pins, base: np.ndarray, axis: int, lo_a: float, hi_a: f
     reads phi only inside it, so no sign is decided on a value read twice.
     After 1 + ceil(ROOT_BITS / log2(q+3)) scans a bracket is at most
     2^-ROOT_BITS of the line wide and its midpoint is the root.  Returns
-    unsorted (line_index, root) arrays.
+    (line_index, root) rows sorted by line and then by root, with roots
+    closer than 1e-12 of the span on one line merged.
     """
-    row, line = (i.ravel() for i in np.indices((len(pins), len(base))))
-    ts = np.linspace(np.full(row.size, lo_a), hi_a, q + 4, axis=-1)
-    vals = _eval(phi, _pinned(pins[row, None], _line_points(base[line], axis, ts)))
-    scale = np.abs(vals).reshape(len(pins), -1).max(axis=1)  # one per restriction
+    first = np.searchsorted(base_box, box)
+    count = np.searchsorted(base_box, box, side="right") - first
+    row_start = np.cumsum(count) - count
+    row = np.repeat(np.arange(len(pins)), count)
+    line = np.arange(row.size) + np.repeat(first - row_start, count)
+
+    def read(row, line, t):
+        b = box[row]
+        return _eval(phi, _pinned(pins[row, None], _line_points(base[line], axis[b], t)), cell[b])
+
+    b, a = box[row], axis[box[row]]
+    ts = np.linspace(lo[b, a], hi[b, a], q + 4, axis=-1)
+    vals = read(row, line, ts)
+    scale = np.maximum.reduceat(np.abs(vals).max(axis=1), row_start)  # one per restriction
     lines, roots = [], []
     scans = 1 + math.ceil(ROOT_BITS / math.log2(q + 3))
     for scan in range(1, scans + 1):
         k, j = np.nonzero(vals == 0.0)
-        _append([lines, roots], (line[k], ts[k, j]))
+        lines.append(line[k])
+        roots.append(ts[k, j])
         k, j = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
         row, line, f_lo, f_hi = row[k], line[k], vals[k, j], vals[k, j + 1]
         ts = np.linspace(ts[k, j], ts[k, j + 1], q + 4, axis=-1)
         if scan == scans or not line.size:
             break
-        inner = _eval(phi, _pinned(pins[row, None], _line_points(base[line], axis, ts[:, 1:-1])))
-        vals = np.column_stack([f_lo, inner, f_hi])
+        vals = np.column_stack([f_lo, read(row, line, ts[:, 1:-1]), f_hi])
     root = 0.5 * (ts[:, 0] + ts[:, -1])
     if line.size:
-        fr = _eval(phi, _pinned(pins[row, None], _line_points(base[line], axis, root[:, None])))[:, 0]
-        if ((scale[row] > 0) & (np.abs(fr) > 1e-6 * scale[row])).any():
-            raise QuadratureError("root finding did not converge")
-    return np.concatenate([*lines, line]), np.concatenate([*roots, root])
-
-
-def _reduce(lo, hi, phi, pins, rule, samples: int):
-    """One dimension-reduction step over the box for every restriction (row
-    of ``pins``).
-
-    Picks the height axis among the free axes, builds the base rule on the
-    bottom face (split at the zeros of every restriction pinned to the bottom
-    and top faces) and finds the roots along every base line.  Returns (axis,
-    base points, base weights, line, root) with the (line, root) rows sorted
-    by line and then by root, and roots closer than 1e-12 of the span on one
-    line merged; a box with one free axis has its lower corner as the single
-    base point of weight one.  Raises _NeedSubdivision when no axis
-    qualifies."""
-    free = np.flatnonzero(np.asarray(hi) > np.asarray(lo))
-    if free.size == 1:
-        axis, base, base_w = int(free[0]), np.array([lo]), np.ones(1)
-    else:
-        axis = _pick_height_axis(phi, pins, lo, hi, free, samples)
-        faces = np.concatenate([pins, pins])
-        faces[: len(pins), axis], faces[len(pins) :, axis] = lo[axis], hi[axis]
-        bottom = [lo[a] if a == axis else h for a, h in enumerate(hi)]
-        base, base_w = _box_rule(lo, bottom, phi, faces, rule, samples)
-    line, root = _roots_on_lines(phi, pins, base, axis, lo[axis], hi[axis], len(rule[0]))
+        fr = read(row, line, root[:, None])[:, 0]
+        bad = (scale[row] > 0) & (np.abs(fr) > 1e-6 * scale[row])
+        if bad.any():
+            raise QuadratureError("root finding did not converge", int(cell[box[row[np.argmax(bad)]]]))
+    line, root = np.concatenate([*lines, line]), np.concatenate([*roots, root])
     order = np.lexsort((root, line))
     line, root = line[order], root[order]
+    b = base_box[line[1:]]
+    span = hi[b, axis[b]] - lo[b, axis[b]]
     keep = np.ones(line.size, dtype=bool)
-    keep[1:] = (line[1:] != line[:-1]) | (np.diff(root) > 1e-12 * (hi[axis] - lo[axis]))
-    return axis, base, base_w, line[keep], root[keep]
+    keep[1:] = (line[1:] != line[:-1]) | (np.diff(root) > 1e-12 * span)
+    return line[keep], root[keep]
 
 
-def _pieces(n_lines: int, line: np.ndarray, root: np.ndarray, lo_a: float, hi_a: float):
-    """(line, start, end) of the pieces between consecutive breaks (the box
-    ends and the sorted roots) of every line, line by line."""
+def _pieces(line: np.ndarray, root: np.ndarray, lo_a: np.ndarray, hi_a: np.ndarray):
+    """(line, start, end) of the pieces between consecutive breaks (the line
+    ends lo_a, hi_a and the sorted roots) of every line, line by line."""
+    n_lines = len(lo_a)
     ends = np.arange(n_lines)
     lines = np.concatenate([ends, line, ends])
-    breaks = np.concatenate([np.full(n_lines, lo_a), root, np.full(n_lines, hi_a)])
+    breaks = np.concatenate([lo_a, root, hi_a])
     order = np.lexsort((np.repeat([0, 1, 2], [n_lines, line.size, n_lines]), lines))
     lines, breaks = lines[order], breaks[order]
     same = lines[1:] == lines[:-1]
     return lines[1:][same], breaks[:-1][same], breaks[1:][same]
 
 
-def _line_rule(base, base_w, axis: int, line, t0, t1, rule):
+def _line_rule(base, base_w, axis, line, t0, t1, rule):
     """Gauss points and weights of the 1D ``rule`` on the pieces [t0, t1] of
-    the base lines ``line``, piece by piece."""
+    the base lines ``line`` (along axis[line]), piece by piece."""
     gx, gw = rule
     seg = t1 - t0
     t = t0[:, None] + gx * seg[:, None]
-    pts = _line_points(base[line], axis, t).reshape(-1, base.shape[1])
+    pts = _line_points(base[line], axis[line], t).reshape(-1, base.shape[1])
     return pts, (base_w[line][:, None] * gw * seg[:, None]).ravel()
 
 
-def _box_rule(lo, hi, phi, pins, rule, samples: int):
-    """Quadrature covering the WHOLE box, with Gauss pieces split so that no
-    piece straddles a zero of any restriction."""
-    vals = _eval(phi, _pinned(pins[:, None], _sample_grid(lo, hi, samples)))
-    pins = pins[((vals > 0).any(axis=1) & (vals < 0).any(axis=1)) | (vals == 0.0).any(axis=1)]
-    if not len(pins):
-        return _tensor_rule(lo, hi, rule)
-    axis, base, base_w, line, root = _reduce(lo, hi, phi, pins, rule, samples)
-    return _line_rule(base, base_w, axis, *_pieces(len(base), line, root, lo[axis], hi[axis]), rule)
+def _top_down(lo, hi, phi, cut, samples: int, cell):
+    """Height axes and restrictions of every reduction level of the boxes
+    ``cut``.  Returns the levels as (pins, box, axis), rows grouped by box
+    and axis (B,) per box; ``tops``, where tops[l] holds the upper corners
+    of the level-l face boxes (the height axes of the levels above
+    collapsed to lo); and ``split``, the boxes some level of which found
+    no height axis."""
+    n_box, d = lo.shape
+    split = np.zeros(n_box, dtype=bool)
+    levels, tops = [], [hi]
+    pins, box = np.full((len(cut), d), np.nan), cut
+    for level in range(d):
+        if not len(box):
+            break
+        axis = np.full(n_box, -1)
+        if level == d - 1:
+            axis[box] = _free(lo[box], tops[-1][box])[:, 0]
+            levels.append((pins, box, axis))
+            break
+        boxes, found = _height_axes(phi, pins, box, lo, tops[-1], samples, cell)
+        axis[boxes] = found
+        split[boxes[found < 0]] = True
+        keep = ~split[box]
+        pins, box = pins[keep], box[keep]
+        levels.append((pins, box, axis))
+        # every restriction pinned to the bottom and the top face of its axis
+        faces, face_box = np.concatenate([pins, pins]), np.concatenate([box, box])
+        faces[np.arange(len(faces)), axis[face_box]] = np.concatenate([lo[box, axis[box]], hi[box, axis[box]]])
+        top = tops[-1].copy()
+        top[box, axis[box]] = lo[box, axis[box]]
+        tops.append(top)
+        vals = _eval(phi, _pinned(faces[:, None], _sample_grid(lo[face_box], top[face_box], samples)), cell[face_box])
+        keep = ((vals > 0).any(axis=1) & (vals < 0).any(axis=1)) | (vals == 0.0).any(axis=1)
+        order = np.argsort(face_box[keep], kind="stable")
+        pins, box = faces[keep][order], face_box[keep][order]
+    return levels, tops, split
 
 
-def _append(parts: list, arrays) -> None:
-    for part, a in zip(parts, arrays):
-        part.append(a)
+def _chunk_rules(lo, hi, phi, rule, cell):
+    """Rules of the boxes (lo, hi) (B, d) of one pass.  Returns ``split``
+    (B,), the boxes to subdivide, and the interior (points, weights, box)
+    and surface (points, weights, normals, box) rows of the others, each
+    box's rows in order."""
+    d = lo.shape[1]
+    q = len(rule[0])
+    samples = max(q + 1, 3)
+    vals = _eval(phi, _sample_grid(lo, hi, samples), cell)
+    whole = np.flatnonzero((vals >= 0).all(axis=1))
+    cut = np.flatnonzero(~(vals >= 0).all(axis=1) & (vals >= 0).any(axis=1))
+    interior = [_tensor_rule(lo, hi, whole, rule)]
+    surface = [(np.empty((0, d)), np.empty(0), np.empty((0, d)), np.empty(0, dtype=np.int64))]
+
+    levels, tops, split = _top_down(lo, hi, phi, cut, samples, cell)
+    below = None  # (points, weights, box) of the face rules of the level below
+    for level in reversed(range(len(levels))):
+        pins, box, axis = levels[level]
+        keep = ~split[box]
+        pins, box = pins[keep], box[keep]
+        if not len(box):
+            below = None
+            continue
+        boxes = box[_starts(box)]
+        if level == d - 1:
+            base, base_w, base_box = lo[boxes], np.ones(len(boxes)), boxes
+        else:
+            # whole-face tensor rules where no face restriction changes sign
+            flat = boxes if below is None else boxes[~np.isin(boxes, below[2])]
+            parts = [_tensor_rule(lo, tops[level + 1], flat, rule)] + ([] if below is None else [below])
+            base, base_w, base_box = (np.concatenate(p) for p in zip(*parts))
+            order = np.argsort(base_box, kind="stable")
+            base, base_w, base_box = base[order], base_w[order], base_box[order]
+        line, root = _roots_on_lines(phi, pins, box, base, base_box, axis, lo, hi, q, cell)
+        line_axis = axis[base_box]
+        piece, t0, t1 = _pieces(line, root, lo[base_box, line_axis], hi[base_box, line_axis])
+        if level:
+            below = (*_line_rule(base, base_w, line_axis, piece, t0, t1, rule), np.repeat(base_box[piece], q))
+            continue
+        mid = _line_points(base[piece], line_axis[piece], 0.5 * (t0 + t1)[:, None])
+        inside = _eval(phi, mid, cell[base_box[piece]])[:, 0] > 0
+        piece, t0, t1 = piece[inside], t0[inside], t1[inside]
+        interior.append((*_line_rule(base, base_w, line_axis, piece, t0, t1, rule), np.repeat(base_box[piece], q)))
+        if root.size:
+            x = _line_points(base[line], line_axis[line], root[:, None])[:, 0]
+            g = _eval(phi, x, cell[base_box[line]], True)
+            norm = np.linalg.norm(g, axis=-1)
+            weights = base_w[line] * norm / np.abs(g[np.arange(line.size), line_axis[line]])
+            surface.append((x, weights, -g / norm[:, None], base_box[line]))
+    return split, interior, surface
 
 
-def _cut_rule(lo, hi, phi, rule, depth: int, parts: list, counter: list) -> None:
-    """Append the volume and surface pieces of one box to ``parts`` (lists of
-    interior points, interior weights, surface points, surface weights and
-    normals); recursive subdivision entry point.  ``rule`` is the 1D Gauss
-    rule every box and sub-box shares."""
-    samples = max(len(rule[0]) + 1, 3)
-    vals = _eval(phi, _sample_grid(lo, hi, samples))
-    if (vals < 0).all():
-        return
-    if (vals >= 0).all():
-        _append(parts, _tensor_rule(lo, hi, rule))
-        return
+def _stack_rules(lo, hi, phi, rule, max_depth: int) -> list[CutCellQuadrature]:
+    """Rules of the boxes (lo, hi) (C, d): passes over a worklist of boxes,
+    each with its input box, subdivision path (corner digits, zero-padded)
+    and depth; a leaf's points are ordered by (input box, path)."""
+    n, d = lo.shape
+    if not n:
+        return []
+    work = [lo, hi, np.arange(n), np.zeros((n, max_depth), dtype=np.int64), np.zeros(n, dtype=np.int64)]
+    corners = np.arange(2**d)[:, None] >> np.arange(d) & 1  # (2^d, d): upper half per axis
+    leaf_cell, leaf_path, interior, surface = [], [], [], []
+    fallbacks = np.zeros(n, dtype=np.int64)
+    n_leaves = 0
+    while len(work[0]):
+        lo_c, hi_c, cell, path, depth = (a[-_CELL_CHUNK:] for a in work)
+        work = [a[:-_CELL_CHUNK] for a in work]
+        split, vol, surf = _chunk_rules(lo_c, hi_c, phi, rule, cell)
+        fall = np.flatnonzero(split & (depth == max_depth))
+        if fall.size:
+            np.add.at(fallbacks, cell[fall], 1)
+            center = 0.5 * (lo_c[fall] + hi_c[fall])
+            vol.append(_tensor_rule(lo_c, hi_c, fall[_eval(phi, center, cell[fall]) >= 0], rule))
+        sub = split & (depth < max_depth)
+        leaf = np.cumsum(~sub) - 1 + n_leaves
+        n_leaves = leaf[-1] + 1
+        leaf_cell.append(cell[~sub])
+        leaf_path.append(path[~sub])
+        interior += [(*rows[:-1], leaf[rows[-1]]) for rows in vol]
+        surface += [(*rows[:-1], leaf[rows[-1]]) for rows in surf]
+        if sub.any():
+            center = 0.5 * (lo_c[sub] + hi_c[sub])
+            k = len(corners)
+            child_path = np.repeat(path[sub], k, axis=0)
+            child_path[np.arange(len(child_path)), np.repeat(depth[sub], k)] = np.tile(np.arange(k), len(center))
+            children = [
+                np.where(corners, center[:, None], lo_c[sub][:, None]).reshape(-1, d),
+                np.where(corners, hi_c[sub][:, None], center[:, None]).reshape(-1, d),
+                np.repeat(cell[sub], k), child_path, np.repeat(depth[sub] + 1, k),
+            ]
+            work = [np.concatenate([w, c]) for w, c in zip(work, children)]
 
-    try:
-        axis, base, base_w, line, root = _reduce(lo, hi, phi, np.full((1, len(lo)), np.nan), rule, samples)
-    except _NeedSubdivision:
-        center = 0.5 * (np.asarray(lo) + np.asarray(hi))
-        if depth <= 0:
-            counter[0] += 1
-            if _eval(phi, center[None, :])[0] >= 0:
-                _append(parts, _tensor_rule(lo, hi, rule))
-            return
-        for corner in range(2 ** len(lo)):
-            upper = [corner >> a & 1 for a in range(len(lo))]
-            slo = [center[a] if u else lo[a] for a, u in enumerate(upper)]
-            shi = [hi[a] if u else center[a] for a, u in enumerate(upper)]
-            _cut_rule(slo, shi, phi, rule, depth - 1, parts, counter)
-        return
+    leaf_cell, leaf_path = np.concatenate(leaf_cell), np.concatenate(leaf_path)
+    rank = np.empty(n_leaves, dtype=np.int64)
+    rank[np.lexsort((*leaf_path.T[::-1], leaf_cell))] = np.arange(n_leaves)
 
-    piece, t0, t1 = _pieces(len(base), line, root, lo[axis], hi[axis])
-    inside = _eval(phi, _line_points(base[piece], axis, 0.5 * (t0 + t1)[:, None]))[:, 0] > 0
-    _append(parts, _line_rule(base, base_w, axis, piece[inside], t0[inside], t1[inside], rule))
-    if root.size:
-        x = _line_points(base[line], axis, root[:, None])[:, 0]
-        g = _eval(phi, x, True)
-        norm = np.linalg.norm(g, axis=-1)
-        _append(parts[2:], (x, base_w[line] * norm / np.abs(g[:, axis]), -g / norm[:, None]))
+    def per_box(rows):
+        *cols, leaf = (np.concatenate(c) for c in zip(*rows))
+        order = np.argsort(rank[leaf], kind="stable")
+        cuts = np.cumsum(np.bincount(leaf_cell[leaf], minlength=n))[:-1]
+        return [np.split(c[order], cuts) for c in cols]
+
+    vol, surf = per_box(interior), per_box(surface)
+    return [CutCellQuadrature(*(c[i] for c in vol + surf), int(fallbacks[i])) for i in range(n)]
 
 
-def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8) -> CutCellQuadrature:
-    """Build the combined volume/surface rule of one (possibly cut) box."""
+def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8):
+    """Combined volume/surface rule of one (possibly cut) box with corners
+    lo, hi of shape (d,), or the list of the rules of a stack of boxes
+    (C, d), built together."""
     rule = gauss_rule(q)  # rejects q < 1
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    lo = [float(v) for v in np.asarray(lo).ravel()]
-    hi = [float(v) for v in np.asarray(hi).ravel()]
-    if len(lo) != len(hi) or any(l >= h for l, h in zip(lo, hi)):
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if lo.shape != hi.shape or lo.ndim not in (1, 2) or not lo.shape[-1] or not (lo < hi).all():
         raise ValueError("invalid box")
-    d = len(lo)
-    parts = [[np.empty((0, d))], [np.empty(0)], [np.empty((0, d))], [np.empty(0)], [np.empty((0, d))]]
-    counter = [0]
-    _cut_rule(lo, hi, phi, rule, max_depth, parts, counter)
-    return CutCellQuadrature(*(np.concatenate(p) for p in parts), counter[0])
+    rules = _stack_rules(np.atleast_2d(lo), np.atleast_2d(hi), phi, rule, max_depth)
+    return rules[0] if lo.ndim == 1 else rules
 
 
 def dump_quadrature_csv(path, rules: dict) -> None:

@@ -166,15 +166,18 @@ def _build_point_block(mesh, elem, cut_cells, rules, surface: bool) -> PointBloc
 def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> dict[int, cutquad.CutCellQuadrature]:
     """Cut-cell rules of the given order, keyed by flat cell index.
 
-    Calls cutquad.cut_cell_quadrature through the module so that a caller
-    swapping the attribute (a tracer) sees every call."""
+    Calls cutquad.cut_cell_quadrature through the module, once per chunk of
+    at most _CELL_CHUNK cells, so that a caller swapping the attribute (a
+    tracer) sees every call.  A failure names its cell, or the chunk's first
+    cell when it names no box."""
     rules = {}
-    for c in cells:
-        lo, hi = mesh.cell_box(mesh.cell_multi(int(c)))
+    for start in range(0, len(cells), _CELL_CHUNK):
+        chunk = np.asarray(cells[start:start + _CELL_CHUNK])
+        lo, hi = mesh.cell_box(mesh.cell_multi(chunk))
         try:
-            rules[int(c)] = cutquad.cut_cell_quadrature(lo, hi, levelset, order, max_depth)
+            rules.update(zip(chunk.tolist(), cutquad.cut_cell_quadrature(lo, hi, levelset, order, max_depth)))
         except cutquad.QuadratureError as exc:
-            raise cutquad.QuadratureError(f"cell {int(c)}: {exc}") from exc
+            raise cutquad.QuadratureError(f"cell {int(chunk[exc.box or 0])}: {exc}") from exc
     return rules
 
 

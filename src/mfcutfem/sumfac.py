@@ -12,17 +12,19 @@ the Kronecker matrix A_d x ... x A_1 without ever forming it; the batched
 kernels of the operator (``cell_laplacian_batch``, the ghost-penalty faces,
 the right-hand side and the error integral on uncut cells) are sweeps of it.
 ``cell_laplacian_batch`` is the Kronecker sum of the 1D stiffness and mass
-matrices K1 and M1: exact on axis-aligned cells, with no quadrature grid.
+matrices K1 and M1, built once per element: exact on axis-aligned cells,
+with no quadrature grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from .tensor1d import mass_matrix_1d, stiffness_matrix_1d
+from .tensor1d import build_reference_element, mass_matrix_1d, stiffness_matrix_1d
 
 # running multiply-add counter for the sum-factorization complexity checks
 _madds = 0
@@ -114,6 +116,16 @@ def kron_batch(mats, grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=None)
+def _laplacian_matrices_1d(degree: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """K1 and M1 of ``build_reference_element(degree, q)``, built once per
+    element and read-only, since every caller shares them."""
+    elem = build_reference_element(degree, q)
+    stiff, mass = stiffness_matrix_1d(elem), mass_matrix_1d(elem)
+    stiff.flags.writeable = mass.flags.writeable = False
+    return stiff, mass
+
+
 def cell_laplacian_batch(elem, spacing, u_cells: np.ndarray) -> np.ndarray:
     """Weak Laplacian of a batch of uncut axis-aligned cells, (C, nloc).
 
@@ -122,7 +134,7 @@ def cell_laplacian_batch(elem, spacing, u_cells: np.ndarray) -> np.ndarray:
     for each direction a, K1 / h_a along a and h_b * M1 along every other
     axis b, d sweeps of (k+1) x (k+1) matrices per direction.
     """
-    stiff, mass = stiffness_matrix_1d(elem), mass_matrix_1d(elem)
+    stiff, mass = _laplacian_matrices_1d(elem.degree, len(elem.quad_points))
     d, n, c = len(spacing), elem.degree + 1, u_cells.shape[0]
     grid = u_cells.reshape((c,) + (n,) * d)
     out = np.zeros_like(grid)

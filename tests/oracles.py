@@ -3,12 +3,18 @@
 Everything here is built from first principles — explicit Lagrange
 polynomials via poly1d products, dense matrices, brute-force Kronecker
 products — deliberately avoiding the package's own evaluation pipelines, so
-agreement between the two is a meaningful check.
+agreement between the two is a meaningful check.  The exception is the
+cut quadrature at the end: the recursive one-box-at-a-time algorithm that
+the package's batched rules replaced, kept so that they can be compared
+bitwise, box by box.
 """
 
 import math
 
 import numpy as np
+
+from mfcutfem.cutquad import DERIVATIVE_DOMINANCE, ROOT_BITS, CutCellQuadrature, QuadratureError
+from mfcutfem.tensor1d import gauss_rule
 
 
 def lagrange_poly(nodes, i):
@@ -252,3 +258,181 @@ def simplex_monomial_integral(exponents, c):
     for ei in e:
         num *= math.factorial(ei)
     return num / math.factorial(sum(e) + len(e)) * c ** (sum(e) + len(e))
+
+
+# ---------------------------------------------------------------------------
+# cut quadrature one box at a time: the recursive reference of the batched
+# rules, one dimension-reduction step per call and one recursion per sub-box
+
+
+def _cq_eval(phi, x, gradient=False):
+    kind, shape = ("gradient", x.shape) if gradient else ("value", x.shape[:-1])
+    out = np.asarray(phi.gradient(x) if gradient else phi.value(x))
+    if out.shape != shape:
+        raise QuadratureError(f"level set {kind} has shape {out.shape} for points {x.shape}")
+    bad = ~np.isfinite(out)
+    if bad.any():
+        point = x[tuple(np.argwhere(bad)[0][: x.ndim - 1])]
+        raise QuadratureError(f"level set {kind} is not finite at {point.tolist()}")
+    return out
+
+
+class _NeedSubdivision(Exception):
+    pass
+
+
+def _cq_pinned(pins, x):
+    return np.where(np.isnan(pins), x, pins)
+
+
+def _cq_sample_grid(lo, hi, per_axis):
+    axes = [np.linspace(l, h, per_axis) if h > l else np.array([l]) for l, h in zip(lo, hi)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def _cq_tensor_rule(lo, hi, rule):
+    gx, gw = rule
+    pts_1d = [l + gx * (h - l) if h > l else np.array([l]) for l, h in zip(lo, hi)]
+    wts_1d = [gw * (h - l) if h > l else np.ones(1) for l, h in zip(lo, hi)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*pts_1d, indexing="ij")], axis=-1)
+    wts = np.ones(1)
+    for w in wts_1d:
+        wts = np.multiply.outer(wts, w).ravel()
+    return pts, wts
+
+
+def _cq_pick_height_axis(phi, pins, lo, hi, free, samples):
+    g = _cq_eval(phi, _cq_pinned(pins[:, None], _cq_sample_grid(lo, hi, samples)), True)[..., free]
+    dominant = np.abs(g) >= DERIVATIVE_DOMINANCE * np.abs(g).max(axis=-1, keepdims=True)
+    ok = ((g > 0).all(axis=(0, 1)) | (g < 0).all(axis=(0, 1))) & dominant.all(axis=(0, 1))
+    score = np.where(ok, np.abs(g).min(axis=(0, 1)), 0.0)
+    if not score.max() > 0:
+        raise _NeedSubdivision
+    return int(free[np.argmax(score)])
+
+
+def _cq_line_points(base, axis, t):
+    x = np.repeat(base[:, None, :], t.shape[-1], axis=1)
+    x[..., axis] = t
+    return x
+
+
+def _cq_roots_on_lines(phi, pins, base, axis, lo_a, hi_a, q):
+    row, line = (i.ravel() for i in np.indices((len(pins), len(base))))
+    ts = np.linspace(np.full(row.size, lo_a), hi_a, q + 4, axis=-1)
+    vals = _cq_eval(phi, _cq_pinned(pins[row, None], _cq_line_points(base[line], axis, ts)))
+    scale = np.abs(vals).reshape(len(pins), -1).max(axis=1)
+    lines, roots = [], []
+    scans = 1 + math.ceil(ROOT_BITS / math.log2(q + 3))
+    for scan in range(1, scans + 1):
+        k, j = np.nonzero(vals == 0.0)
+        lines.append(line[k])
+        roots.append(ts[k, j])
+        k, j = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+        row, line, f_lo, f_hi = row[k], line[k], vals[k, j], vals[k, j + 1]
+        ts = np.linspace(ts[k, j], ts[k, j + 1], q + 4, axis=-1)
+        if scan == scans or not line.size:
+            break
+        inner = _cq_eval(phi, _cq_pinned(pins[row, None], _cq_line_points(base[line], axis, ts[:, 1:-1])))
+        vals = np.column_stack([f_lo, inner, f_hi])
+    root = 0.5 * (ts[:, 0] + ts[:, -1])
+    if line.size:
+        fr = _cq_eval(phi, _cq_pinned(pins[row, None], _cq_line_points(base[line], axis, root[:, None])))[:, 0]
+        if ((scale[row] > 0) & (np.abs(fr) > 1e-6 * scale[row])).any():
+            raise QuadratureError("root finding did not converge")
+    return np.concatenate([*lines, line]), np.concatenate([*roots, root])
+
+
+def _cq_reduce(lo, hi, phi, pins, rule, samples):
+    free = np.flatnonzero(np.asarray(hi) > np.asarray(lo))
+    if free.size == 1:
+        axis, base, base_w = int(free[0]), np.array([lo]), np.ones(1)
+    else:
+        axis = _cq_pick_height_axis(phi, pins, lo, hi, free, samples)
+        faces = np.concatenate([pins, pins])
+        faces[: len(pins), axis], faces[len(pins):, axis] = lo[axis], hi[axis]
+        bottom = [lo[a] if a == axis else h for a, h in enumerate(hi)]
+        base, base_w = _cq_box_rule(lo, bottom, phi, faces, rule, samples)
+    line, root = _cq_roots_on_lines(phi, pins, base, axis, lo[axis], hi[axis], len(rule[0]))
+    order = np.lexsort((root, line))
+    line, root = line[order], root[order]
+    keep = np.ones(line.size, dtype=bool)
+    keep[1:] = (line[1:] != line[:-1]) | (np.diff(root) > 1e-12 * (hi[axis] - lo[axis]))
+    return axis, base, base_w, line[keep], root[keep]
+
+
+def _cq_pieces(n_lines, line, root, lo_a, hi_a):
+    ends = np.arange(n_lines)
+    lines = np.concatenate([ends, line, ends])
+    breaks = np.concatenate([np.full(n_lines, lo_a), root, np.full(n_lines, hi_a)])
+    order = np.lexsort((np.repeat([0, 1, 2], [n_lines, line.size, n_lines]), lines))
+    lines, breaks = lines[order], breaks[order]
+    same = lines[1:] == lines[:-1]
+    return lines[1:][same], breaks[:-1][same], breaks[1:][same]
+
+
+def _cq_line_rule(base, base_w, axis, line, t0, t1, rule):
+    gx, gw = rule
+    seg = t1 - t0
+    t = t0[:, None] + gx * seg[:, None]
+    pts = _cq_line_points(base[line], axis, t).reshape(-1, base.shape[1])
+    return pts, (base_w[line][:, None] * gw * seg[:, None]).ravel()
+
+
+def _cq_box_rule(lo, hi, phi, pins, rule, samples):
+    vals = _cq_eval(phi, _cq_pinned(pins[:, None], _cq_sample_grid(lo, hi, samples)))
+    pins = pins[((vals > 0).any(axis=1) & (vals < 0).any(axis=1)) | (vals == 0.0).any(axis=1)]
+    if not len(pins):
+        return _cq_tensor_rule(lo, hi, rule)
+    axis, base, base_w, line, root = _cq_reduce(lo, hi, phi, pins, rule, samples)
+    return _cq_line_rule(base, base_w, axis, *_cq_pieces(len(base), line, root, lo[axis], hi[axis]), rule)
+
+
+def _cq_cut_rule(lo, hi, phi, rule, depth, parts, counter):
+    samples = max(len(rule[0]) + 1, 3)
+    vals = _cq_eval(phi, _cq_sample_grid(lo, hi, samples))
+    if (vals < 0).all():
+        return
+    if (vals >= 0).all():
+        for part, a in zip(parts, _cq_tensor_rule(lo, hi, rule)):
+            part.append(a)
+        return
+    try:
+        axis, base, base_w, line, root = _cq_reduce(lo, hi, phi, np.full((1, len(lo)), np.nan), rule, samples)
+    except _NeedSubdivision:
+        center = 0.5 * (np.asarray(lo) + np.asarray(hi))
+        if depth <= 0:
+            counter[0] += 1
+            if _cq_eval(phi, center[None, :])[0] >= 0:
+                for part, a in zip(parts, _cq_tensor_rule(lo, hi, rule)):
+                    part.append(a)
+            return
+        for corner in range(2 ** len(lo)):
+            upper = [corner >> a & 1 for a in range(len(lo))]
+            slo = [center[a] if u else lo[a] for a, u in enumerate(upper)]
+            shi = [hi[a] if u else center[a] for a, u in enumerate(upper)]
+            _cq_cut_rule(slo, shi, phi, rule, depth - 1, parts, counter)
+        return
+    piece, t0, t1 = _cq_pieces(len(base), line, root, lo[axis], hi[axis])
+    inside = _cq_eval(phi, _cq_line_points(base[piece], axis, 0.5 * (t0 + t1)[:, None]))[:, 0] > 0
+    for part, a in zip(parts, _cq_line_rule(base, base_w, axis, piece[inside], t0[inside], t1[inside], rule)):
+        part.append(a)
+    if root.size:
+        x = _cq_line_points(base[line], axis, root[:, None])[:, 0]
+        g = _cq_eval(phi, x, True)
+        norm = np.linalg.norm(g, axis=-1)
+        for part, a in zip(parts[2:], (x, base_w[line] * norm / np.abs(g[:, axis]), -g / norm[:, None])):
+            part.append(a)
+
+
+def per_cell_cut_quadrature(lo, hi, phi, q, max_depth=8):
+    """The cut rule of one box by recursive dimension reduction and
+    depth-first subdivision, sub-box by sub-box in corner order."""
+    rule = gauss_rule(q)
+    lo = [float(v) for v in np.asarray(lo).ravel()]
+    hi = [float(v) for v in np.asarray(hi).ravel()]
+    d = len(lo)
+    parts = [[np.empty((0, d))], [np.empty(0)], [np.empty((0, d))], [np.empty(0)], [np.empty((0, d))]]
+    counter = [0]
+    _cq_cut_rule(lo, hi, phi, rule, max_depth, parts, counter)
+    return CutCellQuadrature(*(np.concatenate(p) for p in parts), counter[0])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mfcutfem import cutquad
 from mfcutfem.cutquad import (
     CutCellQuadrature,
     QuadratureError,
@@ -24,10 +25,11 @@ from mfcutfem.geometry import (
     SphereLevelSet,
     box_mesh,
     classify_cells,
+    generate_balls,
 )
 from mfcutfem.tensor1d import gauss_rule
 
-from oracles import circle_box_area, simplex_monomial_integral
+from oracles import circle_box_area, per_cell_cut_quadrature, simplex_monomial_integral
 
 
 class SaddleLevelSet:
@@ -447,6 +449,100 @@ def test_validation_errors():
         cut_cell_quadrature([0.0, 0.0], [0.0, 1.0], phi, 3)
     with pytest.raises(ValueError):
         cut_cell_quadrature([0.0, 0.0, 0.0], [1.0, 1.0], phi, 3)
+
+
+# ---------------------------------------------------------------------------
+# a stack of boxes in one call against the per-cell recursion
+
+
+RULE_FIELDS = ("interior_points", "interior_weights", "surface_points", "surface_weights", "surface_normals")
+
+
+def assert_same_rule(got: CutCellQuadrature, ref: CutCellQuadrature, where=""):
+    for name in RULE_FIELDS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and np.array_equal(a, b), f"{where} {name}"
+    assert got.fallback_count == ref.fallback_count, where
+
+
+def oracle_fixture(name):
+    """(mesh, level set) of the batched-rule fixtures."""
+    box = lambda d, n: box_mesh([-1.26] * d, [1.26] * d, [n] * d)  # noqa: E731
+    if name == "disk48":
+        return box(2, 48), SphereLevelSet([0.0123, -0.0311], 1.0)
+    if name == "sphere12":
+        return box(3, 12), SphereLevelSet([0.0123, -0.0311, 0.0207], 1.0)
+    if name == "fourball24":
+        return box(2, 24), BallUnionLevelSet(*generate_balls(4, 1, [-1.26] * 2, [1.26] * 2, r0=2.0))
+    if name == "multiball6":
+        # the multiball3d benchmark geometry: three balls shifted off the mesh lines
+        mesh = box(3, 6)
+        centers, radii = generate_balls(3, 0, [-1.26] * 3, [1.26] * 3, r0=2.0)
+        shift = np.random.default_rng([0, 3, 3]).uniform(-0.5, 0.5, size=3) * np.asarray(mesh.spacing)
+        return mesh, BallUnionLevelSet(centers + shift, radii)
+    return box(3, 8), HalfSpaceLevelSet([0.3, -0.5, 0.8], 0.1)  # tilted8
+
+
+ORACLE_CASES = (
+    [(name, q, 2) for name in ("disk48", "sphere12", "tilted8") for q in (1, 2, 3, 4)]
+    + [(name, q, depth) for name in ("fourball24", "multiball6") for q in (1, 2, 3, 4) for depth in (0, 2)]
+    + [(name, q, 4) for name in ("fourball24", "multiball6") for q in (1, 4)]
+)
+
+
+@pytest.mark.parametrize("name, q, max_depth", ORACLE_CASES)
+def test_batched_rules_equal_the_per_cell_recursion(name, q, max_depth):
+    # smooth interfaces never subdivide, so only the unions vary the depth
+    mesh, phi = oracle_fixture(name)
+    cells = classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT)
+    lo, hi = mesh.cell_box(mesh.cell_multi(cells))
+    rules = cut_cell_quadrature(lo, hi, phi, q, max_depth)
+    assert isinstance(rules, list) and len(rules) == len(cells)
+    for i, rule in enumerate(rules):
+        assert_same_rule(rule, per_cell_cut_quadrature(lo[i], hi[i], phi, q, max_depth), f"box {i}")
+
+
+def test_batch_of_one_box_equals_the_single_box_call():
+    phi = SphereLevelSet([0.0, 0.0], 1.0)
+    lo, hi = np.array([0.6, 0.0]), np.array([1.2, 0.6])
+    (rule,) = cut_cell_quadrature(lo[None], hi[None], phi, 3)
+    assert_same_rule(rule, cut_cell_quadrature(lo, hi, phi, 3))
+    assert_same_rule(rule, per_cell_cut_quadrature(lo, hi, phi, 3))
+
+
+def test_one_batch_mixes_whole_reduced_subdivided_and_fallback_boxes():
+    # multiball6 cells in an unsorted order: a kink cell that falls back at
+    # depth 1, an inside cell, a kink cell that one subdivision resolves, an
+    # outside cell and a smooth cut cell
+    mesh, phi = oracle_fixture("multiball6")
+    cells = np.array([85, 50, 14, 0, 2])
+    lo, hi = mesh.cell_box(mesh.cell_multi(cells))
+    rules = cut_cell_quadrature(lo, hi, phi, 3, max_depth=1)
+    for i, rule in enumerate(rules):
+        assert_same_rule(rule, per_cell_cut_quadrature(lo[i], hi[i], phi, 3, max_depth=1), f"box {i}")
+    fallback, whole, subdivided, empty, reduced = rules
+    assert fallback.fallback_count > 0
+    assert whole.surface_weights.size == 0 and abs(whole.interior_weights.sum() - np.prod(mesh.spacing)) <= 1e-15
+    assert subdivided.fallback_count == 0 and cut_cell_quadrature(lo[2], hi[2], phi, 3, max_depth=0).fallback_count
+    assert all(getattr(empty, name).size == 0 for name in RULE_FIELDS)
+    assert reduced.fallback_count == 0 and reduced.surface_weights.size > 0
+
+
+def test_level_set_reads_do_not_grow_with_the_number_of_boxes(monkeypatch):
+    # translates of one unit cube along a direction in the plane x + y + z =
+    # 1.5 cut alike: two restrictions with roots at every reduction level
+    reads = []
+    read = cutquad._eval
+    monkeypatch.setattr(cutquad, "_eval", lambda *args, **kwargs: reads.append(1) or read(*args, **kwargs))
+    phi = HalfSpaceLevelSet([1.0, 1.0, 1.0], 1.5)
+    counts = []
+    for n in (4, 40):
+        lo = np.arange(n)[:, None] * np.array([1.0, -1.0, 0.0])
+        reads.clear()
+        rules = cut_cell_quadrature(lo, lo + 1.0, phi, 3)
+        assert all(abs(r.interior_weights.sum() - 0.5) <= 1e-13 for r in rules)
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

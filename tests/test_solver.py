@@ -132,6 +132,36 @@ def test_quadrature_failure_names_cell(monkeypatch):
         l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))
 
 
+class GradientHoleLevelSet:
+    """The unit circle's level set, with a NaN gradient strictly inside one
+    box: the values, which classification reads, stay finite."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+        self.circle = SphereLevelSet([0.0, 0.0], 1.0)
+
+    def value(self, x):
+        return self.circle.value(x)
+
+    def gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        hole = ((x > self.lo) & (x < self.hi)).all(axis=-1)
+        return np.where(hole[..., None], np.nan, self.circle.gradient(x))
+
+
+def test_non_finite_level_set_names_its_cell_from_a_batch():
+    ctx = disk_context(2, 8, 1)
+    cell = int(ctx.cut_cells[len(ctx.cut_cells) // 2])
+    lo, hi = ctx.mesh.cell_box(ctx.mesh.cell_multi(cell))
+    margin = 1e-6 * np.asarray(ctx.mesh.spacing)  # neighbours' corners are off by rounding
+    holed = GradientHoleLevelSet(lo + margin, hi - margin)
+    with pytest.raises(cutquad.QuadratureError, match=f"^cell {cell}: level set gradient is not finite"):
+        build_context(ctx.mesh, holed, ctx.params)
+    ctx.levelset = holed  # the error-order rules are built on first use
+    with pytest.raises(cutquad.QuadratureError, match=f"^cell {cell}: level set gradient is not finite"):
+        l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))
+
+
 def test_l2_error_zero_for_interpolated_polynomial():
     ctx = disk_context(2, 6, 2)
     u_exact = lambda x: 0.3 + x[..., 0] - 0.5 * x[..., 1] + 0.2 * x[..., 0] * x[..., 1] + x[..., 1] ** 2

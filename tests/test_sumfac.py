@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mfcutfem import sumfac
 from mfcutfem.sumfac import (
     TensorField,
     apply_axis,
@@ -113,6 +114,18 @@ def test_cell_laplacian_batch_counts_every_sweep(d, k, rng):
         reset_madd_count()
         cell_laplacian_batch(build_reference_element(k, q), (0.3, 0.7, 0.45)[:d], u)
         assert madd_count() == cells * d * d * n ** (d + 1)
+
+
+def test_cell_laplacian_batch_reuses_its_1d_matrices(monkeypatch, rng):
+    # K1 and M1 are built once per element, not once per application
+    elem = build_reference_element(2, 4)
+    u = rng.standard_normal((3, 9))
+    first = cell_laplacian_batch(elem, (0.3, 0.7), u)
+    builds = []
+    build = sumfac.stiffness_matrix_1d
+    monkeypatch.setattr(sumfac, "stiffness_matrix_1d", lambda e: builds.append(e) or build(e))
+    assert np.array_equal(cell_laplacian_batch(elem, (0.3, 0.7), u), first)
+    assert not builds
 
 
 def test_reference_weight_grid_layout():
