@@ -23,8 +23,8 @@ the base rules, then the volume pieces and surface points of every box.
 A box whose reduction finds no height axis at some level is bisected into
 2^d sub-boxes, which go back on a worklist processed at most _CELL_CHUNK
 boxes at a time, up to ``max_depth``; below that a sign-of-center fallback
-fires and is counted.  Each box's points come out in depth-first order of
-its sub-boxes.  The construction is sampling-based, not certified:
+fires and is counted per box.  The rules are rows, box by box, each with its
+box, and depth-first over sub-boxes.  Signs come from samples, not bounds:
 interfaces that oscillate below the sample resolution can be missed.
 """
 
@@ -55,17 +55,29 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class CutCellQuadrature:
-    """Volume and surface rules of one cut cell (physical points/weights).
+    """Volume and surface rules of a stack of boxes as rows, box by box, with
+    each row's box (nondecreasing); normals point out of {phi > 0}, and
+    ``fallbacks`` counts the sign-of-center fallbacks of each box."""
 
-    Surface normals point out of {phi > 0}; ``fallback_count`` counts
-    sign-of-center fallbacks that fired during construction."""
+    interior_points: np.ndarray   # (N, d)
+    interior_weights: np.ndarray  # (N,)
+    interior_box: np.ndarray      # (N,)
+    surface_points: np.ndarray    # (S, d)
+    surface_weights: np.ndarray   # (S,)
+    surface_normals: np.ndarray   # (S, d)
+    surface_box: np.ndarray       # (S,)
+    fallbacks: np.ndarray         # (C,)
 
-    interior_points: np.ndarray
-    interior_weights: np.ndarray
-    surface_points: np.ndarray
-    surface_weights: np.ndarray
-    surface_normals: np.ndarray
-    fallback_count: int = 0
+    @property
+    def fallback_count(self) -> int:
+        return int(self.fallbacks.sum())
+
+    def box(self, i: int) -> CutCellQuadrature:
+        """The rows of box i, as the rule of a stack of one."""
+        v, s = (slice(*np.searchsorted(b, [i, i + 1])) for b in (self.interior_box, self.surface_box))
+        return CutCellQuadrature(self.interior_points[v], self.interior_weights[v], self.interior_box[v] - i,
+                                 self.surface_points[s], self.surface_weights[s], self.surface_normals[s],
+                                 self.surface_box[s] - i, self.fallbacks[i:i + 1])
 
 
 def _eval(phi, x: np.ndarray, owner: np.ndarray, gradient: bool = False) -> np.ndarray:
@@ -293,8 +305,7 @@ def _chunk_rules(lo, hi, phi, rule, cell):
     vals = _eval(phi, _sample_grid(lo, hi, samples), cell)
     whole = np.flatnonzero((vals >= 0).all(axis=1))
     cut = np.flatnonzero(~(vals >= 0).all(axis=1) & (vals >= 0).any(axis=1))
-    interior = [_tensor_rule(lo, hi, whole, rule)]
-    surface = [(np.empty((0, d)), np.empty(0), np.empty((0, d)), np.empty(0, dtype=np.int64))]
+    interior, surface = [_tensor_rule(lo, hi, whole, rule)], []
 
     levels, tops, split = _top_down(lo, hi, phi, cut, samples, cell)
     below = None  # (points, weights, box) of the face rules of the level below
@@ -334,16 +345,15 @@ def _chunk_rules(lo, hi, phi, rule, cell):
     return split, interior, surface
 
 
-def _stack_rules(lo, hi, phi, rule, max_depth: int) -> list[CutCellQuadrature]:
+def _stack_rules(lo, hi, phi, rule, max_depth: int) -> CutCellQuadrature:
     """Rules of the boxes (lo, hi) (C, d): passes over a worklist of boxes,
     each with its input box, subdivision path (corner digits, zero-padded)
     and depth; a leaf's points are ordered by (input box, path)."""
     n, d = lo.shape
-    if not n:
-        return []
     work = [lo, hi, np.arange(n), np.zeros((n, max_depth), dtype=np.int64), np.zeros(n, dtype=np.int64)]
     corners = np.arange(2**d)[:, None] >> np.arange(d) & 1  # (2^d, d): upper half per axis
-    leaf_cell, leaf_path, interior, surface = [], [], [], []
+    leaf_cell, leaf_path = [work[2][:0]], [work[3][:0]]
+    interior, surface = [(lo[:0], lo[:0, 0], work[2][:0])], [(lo[:0], lo[:0, 0], lo[:0], work[2][:0])]
     fallbacks = np.zeros(n, dtype=np.int64)
     n_leaves = 0
     while len(work[0]):
@@ -378,43 +388,36 @@ def _stack_rules(lo, hi, phi, rule, max_depth: int) -> list[CutCellQuadrature]:
     rank = np.empty(n_leaves, dtype=np.int64)
     rank[np.lexsort((*leaf_path.T[::-1], leaf_cell))] = np.arange(n_leaves)
 
-    def per_box(rows):
-        *cols, leaf = (np.concatenate(c) for c in zip(*rows))
+    def rows(parts):
+        """The columns of parts in (input box, path) order, then the input box."""
+        *cols, leaf = (np.concatenate(c) for c in zip(*parts))
         order = np.argsort(rank[leaf], kind="stable")
-        cuts = np.cumsum(np.bincount(leaf_cell[leaf], minlength=n))[:-1]
-        return [np.split(c[order], cuts) for c in cols]
+        return [c[order] for c in cols] + [leaf_cell[leaf[order]]]
 
-    vol, surf = per_box(interior), per_box(surface)
-    return [CutCellQuadrature(*(c[i] for c in vol + surf), int(fallbacks[i])) for i in range(n)]
+    return CutCellQuadrature(*rows(interior), *rows(surface), fallbacks)
 
 
-def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8):
-    """Combined volume/surface rule of one (possibly cut) box with corners
-    lo, hi of shape (d,), or the list of the rules of a stack of boxes
-    (C, d), built together."""
+def cut_cell_quadrature(lo, hi, phi, q: int, max_depth: int = 8) -> CutCellQuadrature:
+    """Volume/surface rule of the boxes with corners lo, hi (C, d), built
+    together; one box (d,) is a stack of one."""
     rule = gauss_rule(q)  # rejects q < 1
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     if lo.shape != hi.shape or lo.ndim not in (1, 2) or not lo.shape[-1] or not (lo < hi).all():
         raise ValueError("invalid box")
-    rules = _stack_rules(np.atleast_2d(lo), np.atleast_2d(hi), phi, rule, max_depth)
-    return rules[0] if lo.ndim == 1 else rules
+    return _stack_rules(np.atleast_2d(lo), np.atleast_2d(hi), phi, rule, max_depth)
 
 
 def dump_quadrature_csv(path, rules: dict) -> None:
     """Debug dump: cell_index, kind (I volume / S surface), coords, weight,
     and for surface rows the normal components."""
-    first = next(iter(rules.values()), None)
-    d = first.interior_points.shape[1] if first is not None else 3
-    coord_names = ["x", "y", "z"][:d]
-    norm_names = ["nx", "ny", "nz"][:d]
+    d = next(iter(rules.values())).interior_points.shape[1] if rules else 3
+    axes = "xyz"[:d]
+    fmt = lambda values: [repr(float(v)) for v in values]  # noqa: E731
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(["cell_index", "kind", *coord_names, "w", *norm_names]) + "\n")
-        for cell, rule in rules.items():
-            for p, w in zip(rule.interior_points, rule.interior_weights):
-                row = [str(cell), "I", *(repr(float(v)) for v in p), repr(float(w))]
-                f.write(",".join(row + [""] * d) + "\n")
-            for p, w, n in zip(rule.surface_points, rule.surface_weights, rule.surface_normals):
-                row = [str(cell), "S", *(repr(float(v)) for v in p), repr(float(w))]
-                f.write(",".join(row + [repr(float(v)) for v in n]) + "\n")
+        f.write(",".join(["cell_index", "kind", *axes, "w", *("n" + a for a in axes)]) + "\n")
+        for cell, r in rules.items():
+            rows = [("I", p, w, [""] * d) for p, w in zip(r.interior_points, r.interior_weights)]
+            rows += [("S", p, w, fmt(n)) for p, w, n in zip(r.surface_points, r.surface_weights, r.surface_normals)]
+            f.writelines(",".join([str(cell), kind, *fmt(p), *fmt([w]), *n]) + "\n" for kind, p, w, n in rows)

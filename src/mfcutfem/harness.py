@@ -15,7 +15,8 @@ column bitwise.
 
 Configuration comes from ``key = value`` lines (``--config FILE``) with
 command-line flags taking precedence.  Exit codes: 0 success, 2 configuration
-error, 3 when ``--strict`` is set and any solve failed to converge.
+error, 3 when ``--strict`` is set and any solve failed to converge or any
+context needed sign-of-center quadrature fallbacks (both logged as warnings).
 """
 
 from __future__ import annotations
@@ -367,6 +368,13 @@ def _timed_vmults(ctx, rng, repeats: int) -> float:
     return _median_batch_seconds(lambda: vmult(ctx, u), repeats)
 
 
+def _fallbacks(ctx, where: str) -> bool:
+    """Whether ctx's cut rules needed sign-of-center fallbacks, logged as a warning."""
+    if ctx.fallback_count:
+        _log(f"warning: {ctx.fallback_count} sign-of-center quadrature fallbacks ({where})")
+    return ctx.fallback_count > 0
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -403,6 +411,7 @@ def run_convergence(cfg: RunConfig) -> int:
         for level in range(cfg.refinements):
             mesh = _convergence_mesh(dim, level)
             ctx = build_context(mesh, levelset, _params(cfg, k))
+            failures += _fallbacks(ctx, f"k={k}, refinement={level}")
             if cfg.interpolate_only:
                 u = np.asarray(u_exact(ctx.dofmap.dof_coordinates()), dtype=float)
                 iterations = 0
@@ -503,10 +512,12 @@ def run_multiballs(cfg: RunConfig) -> int:
     mesh = box_mesh(lo, hi, [cells] * dim)
 
     rows: list[list] = []
+    failures = 0
     for n_balls in cfg.ball_counts:
         centers, radii = _balls(cfg, n_balls, lo, hi)
         save_balls(out / f"balls_{n_balls}.txt", centers, radii)
         ctx = build_context(mesh, BallUnionLevelSet(centers, radii), _params(cfg, k))
+        failures += _fallbacks(ctx, f"n_balls={n_balls}")
         cut_fraction = ctx.classification.cut_fraction
         if ctx.n_dofs == 0:
             rows.append([n_balls, cfg.seed, k, 0, cut_fraction, 0.0])
@@ -522,7 +533,7 @@ def run_multiballs(cfg: RunConfig) -> int:
         )
     write_csv(out / "multiballs.csv", THROUGHPUT_HEADER, rows)
     _log(f"wrote {out / 'multiballs.csv'}")
-    return 0
+    return 3 if (cfg.strict and failures) else 0
 
 
 def _breakdown_domain(cfg: RunConfig):
@@ -560,7 +571,7 @@ def run_breakdown(cfg: RunConfig) -> int:
     for component, seconds, percent in rows:
         _log(f"breakdown {component}: {seconds:.4f} s ({percent:.1f}%)")
     _log(f"wrote {out / 'breakdown.csv'} and {out / 'breakdown.svg'}")
-    return 0
+    return 3 if (_fallbacks(ctx, f"breakdown k={k}") and cfg.strict) else 0
 
 
 # ---------------------------------------------------------------------------

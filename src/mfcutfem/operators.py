@@ -13,7 +13,8 @@ each piece's local values (B, m), runs its kernel to local contributions
   precomputed volume rule and add the symmetric Nitsche boundary terms
   -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface; both
   run on the point pair ``point_evaluate`` / ``point_integrate`` over chunks
-  of at most _POINT_CHUNK points (``point_chunks``),
+  of at most _POINT_CHUNK points (``point_chunks``) of the point blocks: the
+  rows of one cut-quadrature call for all cut cells, as they come,
 * "ghost_penalty", one piece per axis: the faces normal to it apply
   gamma_A * (hM1 x ... x G1(h) x ... x hM1), the Kronecker product of 1D
   factors with G1 on the face-normal axis (``sumfac.kron_batch``).
@@ -111,8 +112,7 @@ class OperatorContext:
     face_dofs: dict[int, np.ndarray]  # axis -> (n_faces, patch size)
     volume: PointBlock
     surface: PointBlock
-    cut_rules: dict[int, cutquad.CutCellQuadrature]
-    fallback_count: int
+    fallback_count: int             # sign-of-center fallbacks of the cut rules
     timers: dict[str, float] = field(default_factory=dict)
     _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
 
@@ -128,6 +128,15 @@ class OperatorContext:
     def nitsche_penalty(self) -> float:
         return self.params.gamma_dirichlet / self.h_min
 
+    @property
+    def cut_rules(self) -> dict[int, cutquad.CutCellQuadrature]:
+        """Each cut cell's rows of ``volume`` and ``surface`` keyed by flat cell
+        index, built on access; per-cell fallback counts are not kept (NaN)."""
+        v, s, n = self.volume, self.surface, len(self.cut_cells)
+        rules = cutquad.CutCellQuadrature(v.points, v.weights, v.cell, s.points, s.weights, s.normals, s.cell,
+                                          np.full(n, np.nan))
+        return dict(zip(self.cut_cells.tolist(), map(rules.box, range(n))))
+
 
 def reset_timers(ctx: OperatorContext) -> None:
     ctx.timers = {**dict.fromkeys(_COMPONENTS + ("total",), 0.0), "applications": 0}
@@ -142,43 +151,24 @@ def tabulate(elem, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tabs[0], tabs[1]
 
 
-def _build_point_block(mesh, elem, cut_cells, rules, surface: bool) -> PointBlock:
-    pts, wts, cell_of, normals = [], [], [], []
-    for j, c in enumerate(cut_cells):
-        r = rules[int(c)]
-        p = r.surface_points if surface else r.interior_points
-        w = r.surface_weights if surface else r.interior_weights
-        pts.append(p)
-        wts.append(w)
-        cell_of.append(np.full(len(w), j, dtype=np.int64))
-        if surface:
-            normals.append(r.surface_normals)
-    d = mesh.dim
-    pts = np.concatenate(pts) if pts else np.empty((0, d))
-    wts = np.concatenate(wts) if wts else np.empty(0)
-    cell_of = np.concatenate(cell_of) if cell_of else np.empty(0, dtype=np.int64)
-    lower = np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell_of]) * np.asarray(mesh.spacing)
+def _point_block(mesh, elem, cut_cells, rules, surface: bool = False) -> PointBlock:
+    """The volume or surface rows of the cut cells' rules with their 1D tables."""
+    pts, wts, cell, nrm = ((rules.surface_points, rules.surface_weights, rules.surface_box, rules.surface_normals)
+                           if surface else (rules.interior_points, rules.interior_weights, rules.interior_box, None))
+    lower = np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell]) * np.asarray(mesh.spacing)
     vals, grads = tabulate(elem, (pts - lower) / np.asarray(mesh.spacing))
-    nrm = (np.concatenate(normals) if normals else np.empty((0, d))) if surface else None
-    return PointBlock(pts, wts, cell_of, vals, grads, nrm)
+    return PointBlock(pts, wts, cell, vals, grads, nrm)
 
 
-def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> dict[int, cutquad.CutCellQuadrature]:
-    """Cut-cell rules of the given order, keyed by flat cell index.
-
-    Calls cutquad.cut_cell_quadrature through the module, once per chunk of
-    at most _CELL_CHUNK cells, so that a caller swapping the attribute (a
-    tracer) sees every call.  A failure names its cell, or the chunk's first
-    cell when it names no box."""
-    rules = {}
-    for start in range(0, len(cells), _CELL_CHUNK):
-        chunk = np.asarray(cells[start:start + _CELL_CHUNK])
-        lo, hi = mesh.cell_box(mesh.cell_multi(chunk))
-        try:
-            rules.update(zip(chunk.tolist(), cutquad.cut_cell_quadrature(lo, hi, levelset, order, max_depth)))
-        except cutquad.QuadratureError as exc:
-            raise cutquad.QuadratureError(f"cell {int(chunk[exc.box or 0])}: {exc}") from exc
-    return rules
+def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.CutCellQuadrature:
+    """The rules of the given order of all the cells, by one call through the
+    module, so that a caller swapping the attribute (a tracer) sees it.  A
+    failure names its cell, or the first cell when it names no box."""
+    lo, hi = mesh.cell_box(mesh.cell_multi(cells))
+    try:
+        return cutquad.cut_cell_quadrature(lo, hi, levelset, order, max_depth)
+    except cutquad.QuadratureError as exc:
+        raise cutquad.QuadratureError(f"cell {int(cells[exc.box or 0])}: {exc}") from exc
 
 
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
@@ -218,10 +208,9 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         cut_dofs=dofmap.compact_cell_dofs(cut_cells),
         inside_lower=mesh.cell_box(mesh.cell_multi(inside_cells))[0],
         face_dofs=face_dofs,
-        volume=_build_point_block(mesh, elem, cut_cells, rules, surface=False),
-        surface=_build_point_block(mesh, elem, cut_cells, rules, surface=True),
-        cut_rules=rules,
-        fallback_count=sum(r.fallback_count for r in rules.values()),
+        volume=_point_block(mesh, elem, cut_cells, rules),
+        surface=_point_block(mesh, elem, cut_cells, rules, surface=True),
+        fallback_count=rules.fallback_count,
     )
     reset_timers(ctx)
     return ctx
@@ -448,14 +437,11 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     gx, tab, wgrid = _uncut_rule(ctx, len(ctx.elem.quad_points))
     jobs = [(ctx.inside_dofs[sl], kron_batch([tab.T] * ctx.mesh.dim, np.asarray(f(pts), dtype=float) * wgrid))
             for sl, pts in _uncut_chunks(ctx, gx)]
-    blk = ctx.volume
-    if blk.weights.size:
-        acc = np.zeros(ctx.cut_dofs.shape)
-        for sl, _ in point_chunks(blk):
-            fw = np.asarray(f(blk.points[sl]), dtype=float) * blk.weights[sl]
-            _scatter_cells(acc, blk.cell[sl], point_integrate(blk.vals[sl], blk.grads[sl], fw))
-        jobs.append((ctx.cut_dofs, acc))
-    return _scatter_jobs(jobs, ctx.n_dofs)
+    blk, acc = ctx.volume, np.zeros(ctx.cut_dofs.shape)
+    for sl, _ in point_chunks(blk):
+        fw = np.asarray(f(blk.points[sl]), dtype=float) * blk.weights[sl]
+        _scatter_cells(acc, blk.cell[sl], point_integrate(blk.vals[sl], blk.grads[sl], fw))
+    return _scatter_jobs(jobs + [(ctx.cut_dofs, acc)], ctx.n_dofs)
 
 
 def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
@@ -473,19 +459,15 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
         diff = t - np.asarray(u_exact(pts), dtype=float)
         err2 += float(np.sum(diff * diff * wgrid))
 
-    if len(ctx.cut_cells):
-        if order not in ctx._error_blocks:
-            rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
-            ctx._error_blocks[order] = _build_point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules, surface=False)
-        blk = ctx._error_blocks[order]
-        if blk.weights.size:
-            u3 = u_h[ctx.cut_dofs].reshape(cell_shape)
-            vals = np.concatenate([
-                point_evaluate(up, blk.vals[sl], blk.grads[sl]) for sl, up in point_chunks(blk, u3)
-            ])
-            diff = vals - np.asarray(u_exact(blk.points), dtype=float)
-            err2 += float(np.sum(diff * diff * blk.weights))
-    return err2
+    if order not in ctx._error_blocks:
+        rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
+        ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules)
+    blk = ctx._error_blocks[order]
+    vals = np.empty(blk.weights.size)
+    for sl, up in point_chunks(blk, u_h[ctx.cut_dofs].reshape(cell_shape)):
+        vals[sl] = point_evaluate(up, blk.vals[sl], blk.grads[sl])
+    diff = vals - np.asarray(u_exact(blk.points), dtype=float)
+    return err2 + float(np.sum(diff * diff * blk.weights))
 
 
 def breakdown_report(ctx: OperatorContext) -> list[tuple[str, float, float]]:

@@ -42,10 +42,13 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
 
     ``apply`` is either a callable ``v -> A v`` or an OperatorContext.  On
     non-convergence the report has converged=False, its stop_reason, and the
-    residual history shows how far the solve got; no exception is raised.
+    residual history shows how far the solve got; no exception is raised,
+    except a ValueError for a context with active DoFs and no cut cell.
     """
     if isinstance(apply, OperatorContext):
         ctx = apply
+        if ctx.n_dofs and not len(ctx.cut_cells):
+            raise ValueError("no cut cell: Nitsche then imposes no boundary condition, so the operator is singular")
         apply = lambda v: vmult(ctx, v)
     b = np.asarray(b, dtype=float)
     if not np.isfinite(b).all():

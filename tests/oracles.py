@@ -426,8 +426,9 @@ def _cq_cut_rule(lo, hi, phi, rule, depth, parts, counter):
 
 
 def per_cell_cut_quadrature(lo, hi, phi, q, max_depth=8):
-    """The cut rule of one box by recursive dimension reduction and
-    depth-first subdivision, sub-box by sub-box in corner order."""
+    """The cut rule of one box, as a stack of one, by recursive dimension
+    reduction and depth-first subdivision, sub-box by sub-box in corner
+    order."""
     rule = gauss_rule(q)
     lo = [float(v) for v in np.asarray(lo).ravel()]
     hi = [float(v) for v in np.asarray(hi).ravel()]
@@ -435,4 +436,7 @@ def per_cell_cut_quadrature(lo, hi, phi, q, max_depth=8):
     parts = [[np.empty((0, d))], [np.empty(0)], [np.empty((0, d))], [np.empty(0)], [np.empty((0, d))]]
     counter = [0]
     _cq_cut_rule(lo, hi, phi, rule, max_depth, parts, counter)
-    return CutCellQuadrature(*(np.concatenate(p) for p in parts), counter[0])
+    points, weights, s_points, s_weights, normals = (np.concatenate(p) for p in parts)
+    box = lambda w: np.zeros(len(w), dtype=np.int64)  # noqa: E731
+    return CutCellQuadrature(points, weights, box(weights), s_points, s_weights, normals, box(s_weights),
+                             np.array([counter[0]]))

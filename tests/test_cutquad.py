@@ -5,6 +5,7 @@ Dirichlet integrals on corner simplices for tilted ones, circle/sphere
 measures, and the antiderivative-based circle/box intersection area.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from mfcutfem.geometry import (
     classify_cells,
     generate_balls,
 )
+from mfcutfem.operators import Parameters, build_context, squared_l2_error
 from mfcutfem.tensor1d import gauss_rule
 
 from oracles import circle_box_area, per_cell_cut_quadrature, simplex_monomial_integral
@@ -325,6 +327,32 @@ def test_no_root_is_lost_when_a_reread_rounds_differently(q, c):
     assert abs(rule.interior_weights.sum() - (1.0 - c)) <= 1e-12
 
 
+# Sign decisions rest on samples, so these cases lose area today with no
+# error and no fallback; range bounds of the level set would certify them.
+
+
+@pytest.mark.xfail(strict=True, reason="two of three close face roots fall in one scan piece and are lost")
+def test_three_close_roots_of_a_cubic_face_are_all_found():
+    # phi = y - (x - 0.5)(x - 0.51)(x - 0.52): q = 2 misses 2.5e-9 of the area
+    roots = [0.5, 0.51, 0.52]
+    phi = CubicGraphLevelSet(roots)
+    rule = cut_cell_quadrature([0.0, 0.0], [1.0, 1.0], phi, 2)
+    C = phi.c.integ()
+    exact = 1.0 - (C(roots[1]) - C(roots[0])) - (C(1.0) - C(roots[2]))
+    assert abs(rule.interior_weights.sum() - exact) <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason="every sample misses the cap, so its area is lost")
+def test_a_shallow_cap_keeps_its_area():
+    # the disk of radius 0.1 about (0.4, -0.09) reaches 0.01 into the unit
+    # square: a circular segment of area 5.873e-4, which q = 2 makes 0; two
+    # Gauss points on the segment's exact chord are 0.7 % off
+    r, h = 0.1, 0.01
+    exact = r * r * math.acos((r - h) / r) - (r - h) * math.sqrt(2 * r * h - h * h)
+    rule = cut_cell_quadrature([0.0, 0.0], [1.0, 1.0], SphereLevelSet([0.4, -0.09], r), 2)
+    assert abs(rule.interior_weights.sum() - exact) <= 2e-2 * exact
+
+
 # ---------------------------------------------------------------------------
 # curved interfaces: circle and sphere
 
@@ -456,10 +484,11 @@ def test_validation_errors():
 
 
 RULE_FIELDS = ("interior_points", "interior_weights", "surface_points", "surface_weights", "surface_normals")
+BOX_FIELDS = ("fallbacks", "interior_box", "surface_box")
 
 
 def assert_same_rule(got: CutCellQuadrature, ref: CutCellQuadrature, where=""):
-    for name in RULE_FIELDS:
+    for name in RULE_FIELDS + BOX_FIELDS:
         a, b = getattr(got, name), getattr(ref, name)
         assert a.shape == b.shape and np.array_equal(a, b), f"{where} {name}"
     assert got.fallback_count == ref.fallback_count, where
@@ -497,17 +526,19 @@ def test_batched_rules_equal_the_per_cell_recursion(name, q, max_depth):
     cells = classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT)
     lo, hi = mesh.cell_box(mesh.cell_multi(cells))
     rules = cut_cell_quadrature(lo, hi, phi, q, max_depth)
-    assert isinstance(rules, list) and len(rules) == len(cells)
-    for i, rule in enumerate(rules):
-        assert_same_rule(rule, per_cell_cut_quadrature(lo[i], hi[i], phi, q, max_depth), f"box {i}")
+    assert isinstance(rules, CutCellQuadrature) and len(rules.fallbacks) == len(cells)
+    assert (np.diff(rules.interior_box) >= 0).all() and (np.diff(rules.surface_box) >= 0).all()
+    for i in range(len(cells)):
+        assert_same_rule(rules.box(i), per_cell_cut_quadrature(lo[i], hi[i], phi, q, max_depth), f"box {i}")
 
 
 def test_batch_of_one_box_equals_the_single_box_call():
     phi = SphereLevelSet([0.0, 0.0], 1.0)
     lo, hi = np.array([0.6, 0.0]), np.array([1.2, 0.6])
-    (rule,) = cut_cell_quadrature(lo[None], hi[None], phi, 3)
+    rule = cut_cell_quadrature(lo[None], hi[None], phi, 3)
     assert_same_rule(rule, cut_cell_quadrature(lo, hi, phi, 3))
     assert_same_rule(rule, per_cell_cut_quadrature(lo, hi, phi, 3))
+    assert_same_rule(rule.box(0), rule)
 
 
 def test_one_batch_mixes_whole_reduced_subdivided_and_fallback_boxes():
@@ -518,9 +549,10 @@ def test_one_batch_mixes_whole_reduced_subdivided_and_fallback_boxes():
     cells = np.array([85, 50, 14, 0, 2])
     lo, hi = mesh.cell_box(mesh.cell_multi(cells))
     rules = cut_cell_quadrature(lo, hi, phi, 3, max_depth=1)
-    for i, rule in enumerate(rules):
-        assert_same_rule(rule, per_cell_cut_quadrature(lo[i], hi[i], phi, 3, max_depth=1), f"box {i}")
-    fallback, whole, subdivided, empty, reduced = rules
+    for i in range(len(cells)):
+        assert_same_rule(rules.box(i), per_cell_cut_quadrature(lo[i], hi[i], phi, 3, max_depth=1), f"box {i}")
+    fallback, whole, subdivided, empty, reduced = map(rules.box, range(len(cells)))
+    assert rules.fallback_count == fallback.fallback_count
     assert fallback.fallback_count > 0
     assert whole.surface_weights.size == 0 and abs(whole.interior_weights.sum() - np.prod(mesh.spacing)) <= 1e-15
     assert subdivided.fallback_count == 0 and cut_cell_quadrature(lo[2], hi[2], phi, 3, max_depth=0).fallback_count
@@ -540,7 +572,7 @@ def test_level_set_reads_do_not_grow_with_the_number_of_boxes(monkeypatch):
         lo = np.arange(n)[:, None] * np.array([1.0, -1.0, 0.0])
         reads.clear()
         rules = cut_cell_quadrature(lo, lo + 1.0, phi, 3)
-        assert all(abs(r.interior_weights.sum() - 0.5) <= 1e-13 for r in rules)
+        assert all(abs(rules.box(i).interior_weights.sum() - 0.5) <= 1e-13 for i in range(n))
         counts.append(len(reads))
     assert counts[0] == counts[1]
 
@@ -574,3 +606,47 @@ def test_dump_quadrature_csv(tmp_path):
     # weights written with full round-trip precision
     first_interior = lines[1].split(",")
     assert float(first_interior[4]) == rules[5].interior_weights[0]
+
+
+# ---------------------------------------------------------------------------
+# the operator context's point blocks against the per-cell recursion
+
+
+@pytest.mark.parametrize("name, degree, max_depth", [("disk48", 2, 8), ("multiball6", 1, 2)])
+def test_point_blocks_are_the_per_cell_rules_in_cut_cell_order(name, degree, max_depth):
+    # disk2d's and multiball3d's discretizations of the fixtures, at the
+    # quadrature order and at the error order
+    mesh, phi = oracle_fixture(name)
+    ctx = build_context(mesh, phi, Parameters(degree=degree, max_quad_depth=max_depth))
+    order, error_order = ctx.params.quad_order, ctx.params.error_quad_order
+    squared_l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))  # builds the error-order block
+    lo, hi = mesh.cell_box(mesh.cell_multi(ctx.cut_cells))
+    refs = {q: [per_cell_cut_quadrature(lo[j], hi[j], phi, q, max_depth) for j in range(len(lo))]
+            for q in (order, error_order)}
+    blocks = [(order, "interior", ctx.volume), (order, "surface", ctx.surface),
+              (error_order, "interior", ctx._error_blocks[error_order])]
+    for q, kind, blk in blocks:
+        ref = refs[q]
+        expected = {
+            "points": np.concatenate([getattr(r, f"{kind}_points") for r in ref]),
+            "weights": np.concatenate([getattr(r, f"{kind}_weights") for r in ref]),
+            "cell": np.repeat(np.arange(len(ref)), [len(getattr(r, f"{kind}_weights")) for r in ref]),
+        }
+        if kind == "surface":
+            expected["normals"] = np.concatenate([r.surface_normals for r in ref])
+        for key, value in expected.items():
+            got = getattr(blk, key)
+            assert got.shape == value.shape and np.array_equal(got, value), f"q={q} {kind} {key}"
+    assert ctx.fallback_count == sum(r.fallback_count for r in refs[order])
+
+    # the per-cell view serves the same arrays; no field holds per-cell rules
+    views = ctx.cut_rules
+    assert list(views) == ctx.cut_cells.tolist()
+    for j, c in enumerate(ctx.cut_cells.tolist()):
+        for field in RULE_FIELDS:
+            assert np.array_equal(getattr(views[c], field), getattr(refs[order][j], field)), f"cell {c} {field}"
+        assert np.isnan(views[c].fallbacks).all()  # per-cell counts are not kept
+    for f in dataclasses.fields(ctx):
+        value = getattr(ctx, f.name)
+        held = value.values() if isinstance(value, dict) else [value]
+        assert not any(isinstance(v, CutCellQuadrature) for v in held), f.name

@@ -378,3 +378,27 @@ def test_breakdown_degenerate_exit_code(tmp_path):
         ]
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# strict mode: sign-of-center quadrature fallbacks
+
+
+# two balls on an 8x8 mesh: at depth 0 two kink cells fall back at once
+KINKED = ["--dim", "2", "--ball-counts", "2", "--refinements", "3", "--degrees", "1", "--repeats", "1",
+          "--max-quad-depth", "0"]
+
+
+@pytest.mark.parametrize("command", [["multiballs"], ["breakdown", "--domain", "balls"]])
+def test_strict_flags_quadrature_fallbacks(tmp_path, capsys, command):
+    assert main(command + KINKED + ["--out-dir", str(tmp_path / "lax")]) == 0
+    assert "warning: 2 sign-of-center quadrature fallbacks" in capsys.readouterr().err
+    assert main(command + KINKED + ["--strict", "--out-dir", str(tmp_path / "strict")]) == 3
+    assert "warning: 2 sign-of-center quadrature fallbacks" in capsys.readouterr().err
+
+
+def test_strict_passes_a_smooth_disk(tmp_path, capsys):
+    args = ["--degrees", "1", "--refinements", "2", "--strict", "--max-quad-depth", "0"]
+    assert main(["convergence"] + args + ["--out-dir", str(tmp_path)]) == 0
+    assert main(["breakdown", "--domain", "disk", "--repeats", "1"] + args + ["--out-dir", str(tmp_path)]) == 0
+    assert "fallback" not in capsys.readouterr().err

@@ -114,6 +114,19 @@ def test_cg_accepts_operator_context():
     assert report.wall_time >= 0.0
 
 
+def test_cg_rejects_a_context_with_no_cut_cell():
+    # the circle holds the whole mesh: Nitsche has no boundary to act on and
+    # the constants lie in the operator's kernel (CG used to stop as a
+    # breakdown with an L2 error of 1.2e4)
+    mesh = box_mesh([-1.26] * 2, [1.26] * 2, [4] * 2)
+    ctx = build_context(mesh, SphereLevelSet([0.0, 0.0], 10.0), Parameters(degree=2))
+    assert ctx.n_dofs > 0 and len(ctx.cut_cells) == 0
+    b = assemble_rhs(ctx, radial_cosine_problem(2)[1])
+    with pytest.raises(ValueError, match="no cut cell: Nitsche then imposes no boundary condition.*singular"):
+        cg_solve(ctx, b)
+    assert np.isfinite(vmult(ctx, b)).all()  # the context itself stays usable
+
+
 # ---------------------------------------------------------------------------
 # L2 error
 
