@@ -443,17 +443,18 @@ def run_convergence(cfg: RunConfig) -> int:
     return 3 if (cfg.strict and failures) else 0
 
 
-def _bench_point_cell(elem, spacing, u3, pts_ref, weights):
+def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
     """Weak Laplacian of a cell batch via per-point evaluation at arbitrary
-    reference points, including the on-the-fly 1D basis tabulation; the
-    reference points stand in for the physical ones, which it never reads."""
+    reference points, including the on-the-fly point-last 1D basis
+    tabulation; the reference points stand in for the physical ones, which
+    it never reads."""
     n_cells, n_pts, d = pts_ref.shape
     xi = pts_ref.reshape(-1, d)
     vals, grads = tabulate(elem, xi)
     cell = np.repeat(np.arange(n_cells), n_pts)
     blk = PointBlock(xi, weights, cell, vals, grads)
-    out = np.zeros((n_cells, u3[0].size))
-    cut_volume_apply(blk, spacing, u3, out)
+    out = np.zeros(u_cells.shape)
+    cut_volume_apply(blk, spacing, u_cells, out)
     return out
 
 
@@ -474,7 +475,6 @@ def run_kernelbench(cfg: RunConfig) -> int:
             n = k + 1
             nloc = n**d
             u_cells = rng.standard_normal((batch, nloc))
-            u3 = u_cells.reshape((batch,) + (n,) * d)
             pts_ref = rng.random((batch, nloc, d))
             weights = np.full(batch * nloc, prod(spacing) / nloc)
             ghost = ghost_matrix_1d(elem, spacing[0])
@@ -485,7 +485,7 @@ def run_kernelbench(cfg: RunConfig) -> int:
 
             kernels = [
                 ("sumfac_cell", lambda: cell_laplacian_batch(elem, spacing, u_cells)),
-                ("point_cell", lambda: _bench_point_cell(elem, spacing, u3, pts_ref, weights)),
+                ("point_cell", lambda: _bench_point_cell(elem, spacing, u_cells, pts_ref, weights)),
                 ("ghost_face", lambda: kron_batch(mats, u_patch)),
             ]
             for name, fn in kernels:

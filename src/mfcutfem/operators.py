@@ -12,9 +12,13 @@ each piece's local values (B, m), runs its kernel to local contributions
 * "intersected": cut cells integrate the same weak form over their
   precomputed volume rule and add the symmetric Nitsche boundary terms
   -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface; both
-  run on the point pair ``point_evaluate`` / ``point_integrate`` over chunks
-  of at most _POINT_CHUNK points (``point_chunks``) of the point blocks: the
-  rows of one cut-quadrature call for all cut cells, as they come,
+  run on the point pair ``point_evaluate`` / ``point_integrate`` over the
+  point blocks: the rows of one cut-quadrature call for all cut cells, as
+  they come, with their 1D basis tables stored point-last, (d, k+1, N).
+  The pair works on chunks of P points (``point_chunks``), with P (k+1)^d
+  at most _POINT_CHUNK = 2^16, so that each (k+1,)*d + (P,) array of cell
+  coefficients or contributions stays at 512 KiB; every NumPy inner loop
+  runs over the points of a chunk,
 * "ghost_penalty", one piece per axis: the faces normal to it apply
   gamma_A * (hM1 x ... x G1(h) x ... x hM1), the Kronecker product of 1D
   factors with G1 on the face-normal axis (``sumfac.kron_batch``).
@@ -43,7 +47,7 @@ from .geometry import CartesianMesh, Label
 from .sumfac import TensorField, cell_laplacian_batch, kron_batch
 
 _CELL_CHUNK = 4096
-_POINT_CHUNK = 1 << 15
+_POINT_CHUNK = 1 << 16  # values of a (k+1,)*d + (P,) array per point chunk
 _COMPONENTS = ("interior", "intersected", "ghost_penalty", "scatter_other")  # of vmult's time
 
 
@@ -81,13 +85,14 @@ class Parameters:
 
 @dataclass
 class PointBlock:
-    """Concatenated per-point data of all cut cells, grouped cell by cell."""
+    """Concatenated per-point data of all cut cells, grouped cell by cell;
+    the 1D tables are point-last, so the point kernels loop over points."""
 
     points: np.ndarray   # (N, d) physical coordinates
     weights: np.ndarray  # (N,)
     cell: np.ndarray     # (N,) position in the cut-cell list, nondecreasing
-    vals: np.ndarray     # (N, d, k+1) 1D basis values at the reference coords
-    grads: np.ndarray    # (N, d, k+1) 1D basis derivatives (reference)
+    vals: np.ndarray     # (d, k+1, N) 1D basis values at the reference coords, point-last
+    grads: np.ndarray    # (d, k+1, N) 1D basis derivatives (reference), point-last
     normals: np.ndarray | None = None  # (N, d) for surface blocks
 
 
@@ -144,10 +149,10 @@ def reset_timers(ctx: OperatorContext) -> None:
 
 def tabulate(elem, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1D basis values and derivatives per axis at reference coordinates
-    xi (P, d): the (P, d, k+1) tables the point kernels read."""
-    tabs = np.empty((2,) + xi.shape + (elem.degree + 1,))  # derivative order 0, 1
+    xi (P, d): the point-last (d, k+1, P) tables the point kernels read."""
+    tabs = np.empty((2, xi.shape[1], elem.degree + 1, len(xi)))  # derivative order 0, 1
     for m, a in np.ndindex(2, xi.shape[1]):
-        tabs[m, :, a] = elem.evaluate(xi[:, a], deriv=m)
+        tabs[m, a] = elem.evaluate(xi[:, a], deriv=m).T
     return tabs[0], tabs[1]
 
 
@@ -217,74 +222,92 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
 
 
 # ---------------------------------------------------------------------------
-# point kernels: evaluate / integrate on per-point 1D tables
+# point kernels: evaluate / integrate on point-last 1D tables
 
 
-def _tables(vals: np.ndarray, grads: np.ndarray, deriv_axis: int | None) -> list[np.ndarray]:
-    return [(grads if a == deriv_axis else vals)[:, a, :] for a in range(vals.shape[1])]
+def _contract(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
+    """Sum x (..., k+1, P) against a 1D table (k+1, P) over the tensor axis
+    second to last, point by point."""
+    return np.einsum("...ip,ip->...p", x, tab)
 
 
-def point_evaluate(up: np.ndarray, vals: np.ndarray, grads: np.ndarray, deriv_axis: int | None = None) -> np.ndarray:
-    """Value (deriv_axis None) or reference derivative along deriv_axis at
-    each point of the cell coefficients up (P, n, ..., n) gathered per point."""
-    for tab in _tables(vals, grads, deriv_axis):
-        up = np.einsum("p...i,pi->p...", up, tab)  # last numpy axis = tensor axis 0
-    return up
+def _outer(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
+    """x (..., P) times a 1D table (k+1, P) as a new leading tensor axis:
+    (k+1, ..., P)."""
+    return tab.reshape(tab.shape[:1] + (1,) * (x.ndim - 1) + tab.shape[1:]) * x
 
 
-def _outer(coef: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
-    """coef[p] * tabs[0][p, i] * tabs[1][p, j] * ..., multiplied in that
-    order and laid out as (P, ..., j, i) flattened to (P, nloc)."""
-    for tab in tabs:
-        coef = coef[:, None] * tab.reshape(tab.shape + (1,) * (coef.ndim - 1))
-    return coef.reshape(coef.shape[0], -1)
+def point_evaluate(up: np.ndarray, vals: np.ndarray, grads: np.ndarray | None = None):
+    """(value, [reference derivative along each axis]) at each point of the
+    cell coefficients up ((k+1,)*d + (P,), tensor axis 0 second to last),
+    contracting one tensor axis at a time; the value and the derivatives
+    share the contractions of the axes before theirs.  Without grads only
+    the value, and the list is empty."""
+    value, derivs = up, []
+    for a in range(vals.shape[0]):
+        derivs = [_contract(x, vals[a]) for x in derivs]
+        if grads is not None:
+            derivs.append(_contract(value, grads[a]))
+        value = _contract(value, vals[a])
+    return value, derivs
 
 
-def point_integrate(vals: np.ndarray, grads: np.ndarray, value_coef=None, grad_coefs=()) -> np.ndarray:
-    """Test-function contributions (P, nloc) at each point: value_coef times
-    phi_i plus grad_coefs[a] times the reference derivative of phi_i along a."""
-    acc = None if value_coef is None else _outer(value_coef, _tables(vals, grads, None))
-    for a, coef in enumerate(grad_coefs):
-        contrib = _outer(coef, _tables(vals, grads, a))
-        acc = contrib if acc is None else acc + contrib
+def point_integrate(vals: np.ndarray, grads: np.ndarray | None, value_coef=None, grad_coefs=()) -> np.ndarray:
+    """Test-function contributions (k+1,)*d + (P,) at each point: value_coef
+    times phi_i plus grad_coefs[a] times the reference derivative of phi_i
+    along a.  Built one tensor axis at a time: acc sums the terms whose
+    derivative axis is already taken, and grad_coefs[a] joins it at axis a
+    times the product of the 1D values of the axes before a."""
+    acc, before = value_coef, np.ones(vals.shape[-1])
+    for a in range(vals.shape[0]):
+        acc = None if acc is None else _outer(acc, vals[a])
+        if a < len(grad_coefs):
+            term = _outer(before * grad_coefs[a], grads[a])
+            acc = term if acc is None else np.add(acc, term, out=acc)
+            if a + 1 < len(grad_coefs):
+                before = _outer(before, vals[a])
     return acc
 
 
-def point_chunks(blk: PointBlock, u3: np.ndarray | None = None):
-    """Yield (slice, u3[cell] of those points) over blk in chunks of at most
-    _POINT_CHUNK points, gathering the cell coefficients once per chunk
-    (None when u3 is None)."""
-    n = len(blk.weights)
-    for start in range(0, n, _POINT_CHUNK):
-        sl = slice(start, min(start + _POINT_CHUNK, n))
-        yield sl, None if u3 is None else u3[blk.cell[sl]]
+def point_chunks(blk: PointBlock, u_cells: np.ndarray | None = None):
+    """Yield (slice, cell coefficients of those points) over blk in chunks of
+    P points, P (k+1)^d at most _POINT_CHUNK: the columns u_cells.T[:, cell]
+    gathered once per chunk as (k+1,)*d + (P,) (None when u_cells is None)."""
+    n, shape = len(blk.weights), (blk.vals.shape[1],) * blk.vals.shape[0]
+    step = max(1, _POINT_CHUNK // prod(shape))
+    ut = None if u_cells is None else np.ascontiguousarray(u_cells.T)
+    for start in range(0, n, step):
+        sl = slice(start, min(start + step, n))
+        yield sl, None if ut is None else np.take(ut, blk.cell[sl], axis=1).reshape(shape + (-1,))
 
 
 def _scatter_cells(out: np.ndarray, cells: np.ndarray, contrib: np.ndarray) -> None:
-    """Add per-point contributions (P, nloc) into out (n_cells, nloc) by cell."""
-    nloc = out.shape[1]
-    flat = (cells[:, None] * nloc + np.arange(nloc, dtype=np.int64)).ravel()
-    out += np.bincount(flat, weights=contrib.ravel(), minlength=out.size).reshape(out.shape)
+    """Add per-point contributions (..., P) into out (n_cells, nloc) by cell:
+    cells is nondecreasing, so each cell's points are one segment."""
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    out[cells[starts]] += np.add.reduceat(contrib.reshape(out.shape[1], -1), starts, axis=1).T
 
 
-def cut_volume_apply(blk: PointBlock, spacing, u3: np.ndarray, out: np.ndarray) -> None:
-    """grad-grad term over the points of blk, accumulated into out (n_cells, nloc)."""
-    for sl, up in point_chunks(blk, u3):
-        vals, grads = blk.vals[sl], blk.grads[sl]
-        z = [point_evaluate(up, vals, grads, a) * blk.weights[sl] / h ** 2 for a, h in enumerate(spacing)]
+def cut_volume_apply(blk: PointBlock, spacing, u_cells: np.ndarray, out: np.ndarray) -> None:
+    """grad-grad term over the points of blk for the cell coefficients
+    u_cells (n_cells, nloc), accumulated into out (n_cells, nloc)."""
+    for sl, up in point_chunks(blk, u_cells):
+        vals, grads = blk.vals[..., sl], blk.grads[..., sl]
+        _, derivs = point_evaluate(up, vals, grads)
+        z = [g * blk.weights[sl] / h ** 2 for g, h in zip(derivs, spacing)]
         _scatter_cells(out, blk.cell[sl], point_integrate(vals, grads, grad_coefs=z))
 
 
-def nitsche_apply(blk: PointBlock, spacing, penalty: float, u3: np.ndarray, out: np.ndarray) -> None:
+def nitsche_apply(blk: PointBlock, spacing, penalty: float, u_cells: np.ndarray, out: np.ndarray) -> None:
     """Symmetric Nitsche terms over the surface points of blk, into out."""
-    for sl, up in point_chunks(blk, u3):
-        vals, grads = blk.vals[sl], blk.grads[sl]
+    for sl, up in point_chunks(blk, u_cells):
+        vals, grads = blk.vals[..., sl], blk.grads[..., sl]
         w = blk.weights[sl]
         nrm = blk.normals[sl]
-        u_val = point_evaluate(up, vals, grads)
+        u_val, derivs = point_evaluate(up, vals, grads)
         g_n = np.zeros_like(u_val)
-        for a, h in enumerate(spacing):
-            g_n += nrm[:, a] * point_evaluate(up, vals, grads, a) / h
+        for a, (g, h) in enumerate(zip(derivs, spacing)):
+            g_n += nrm[:, a] * g / h
         beta = [-u_val * w * nrm[:, a] / h for a, h in enumerate(spacing)]
         _scatter_cells(out, blk.cell[sl], point_integrate(vals, grads, (-g_n + penalty * u_val) * w, beta))
 
@@ -303,12 +326,11 @@ def _ghost_kernel(ctx: OperatorContext, axis: int):
 
 def _cut_kernel(ctx: OperatorContext, u_cells: np.ndarray, volume: bool = True, surface: bool = True) -> np.ndarray:
     """Volume and Nitsche terms of all cut cells, (n_cut, nloc) in and out."""
-    u3 = u_cells.reshape((len(u_cells),) + (ctx.elem.degree + 1,) * ctx.mesh.dim)
     out = np.zeros(u_cells.shape)
     if volume:
-        cut_volume_apply(ctx.volume, ctx.mesh.spacing, u3, out)
+        cut_volume_apply(ctx.volume, ctx.mesh.spacing, u_cells, out)
     if surface:
-        nitsche_apply(ctx.surface, ctx.mesh.spacing, ctx.nitsche_penalty, u3, out)
+        nitsche_apply(ctx.surface, ctx.mesh.spacing, ctx.nitsche_penalty, u_cells, out)
     return out
 
 
@@ -440,7 +462,7 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     blk, acc = ctx.volume, np.zeros(ctx.cut_dofs.shape)
     for sl, _ in point_chunks(blk):
         fw = np.asarray(f(blk.points[sl]), dtype=float) * blk.weights[sl]
-        _scatter_cells(acc, blk.cell[sl], point_integrate(blk.vals[sl], blk.grads[sl], fw))
+        _scatter_cells(acc, blk.cell[sl], point_integrate(blk.vals[..., sl], None, fw))
     return _scatter_jobs(jobs + [(ctx.cut_dofs, acc)], ctx.n_dofs)
 
 
@@ -464,8 +486,8 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
         ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules)
     blk = ctx._error_blocks[order]
     vals = np.empty(blk.weights.size)
-    for sl, up in point_chunks(blk, u_h[ctx.cut_dofs].reshape(cell_shape)):
-        vals[sl] = point_evaluate(up, blk.vals[sl], blk.grads[sl])
+    for sl, up in point_chunks(blk, u_h[ctx.cut_dofs]):
+        vals[sl] = point_evaluate(up, blk.vals[..., sl])[0]
     diff = vals - np.asarray(u_exact(blk.points), dtype=float)
     return err2 + float(np.sum(diff * diff * blk.weights))
 

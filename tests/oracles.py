@@ -3,10 +3,12 @@
 Everything here is built from first principles — explicit Lagrange
 polynomials via poly1d products, dense matrices, brute-force Kronecker
 products — deliberately avoiding the package's own evaluation pipelines, so
-agreement between the two is a meaningful check.  The exception is the
-cut quadrature at the end: the recursive one-box-at-a-time algorithm that
-the package's batched rules replaced, kept so that they can be compared
-bitwise, box by box.
+agreement between the two is a meaningful check.  There are two
+exceptions, former package code kept so that the code that replaced it can
+be compared against it: the point pair on point-first tables, the einsum
+kernels that the point-last ones replaced, and at the end the cut
+quadrature's recursive one-box-at-a-time algorithm, compared bitwise, box
+by box.
 """
 
 import math
@@ -184,8 +186,9 @@ def dense_operator_matrix(ctx):
         a_full[np.ix_(dofs, dofs)] += cell_stiff
 
     penalty = ctx.params.gamma_dirichlet / min(mesh.spacing)
+    rules = ctx.cut_rules  # built on each access
     for c in ctx.cut_cells:
-        rule = ctx.cut_rules[int(c)]
+        rule = rules[int(c)]
         lo, _ = mesh.cell_box(mesh.cell_multi(int(c)))
         dofs = ctx.dofmap.compact_cell_dofs(np.array([c]))[0]
         local = dense_cut_volume(nodes, mesh.spacing, lo, rule.interior_points, rule.interior_weights)
@@ -258,6 +261,81 @@ def simplex_monomial_integral(exponents, c):
     for ei in e:
         num *= math.factorial(ei)
     return num / math.factorial(sum(e) + len(e)) * c ** (sum(e) + len(e))
+
+
+# ---------------------------------------------------------------------------
+# the point pair on point-first tables: per-point 1D tables (P, d, k+1) and
+# einsum contractions over k+1, all points at once
+
+
+def point_first_tables(elem, xi):
+    """1D basis values and derivatives per axis at reference coordinates
+    xi (P, d), as (P, d, k+1) tables."""
+    tabs = np.empty((2,) + xi.shape + (elem.degree + 1,))  # derivative order 0, 1
+    for m, a in np.ndindex(2, xi.shape[1]):
+        tabs[m, :, a] = elem.evaluate(xi[:, a], deriv=m)
+    return tabs[0], tabs[1]
+
+
+def point_first_block_tables(ctx, blk):
+    """point_first_tables at the points of a cut-cell point block of ctx."""
+    mesh = ctx.mesh
+    lower = np.asarray(mesh.origin) + mesh.cell_multi(ctx.cut_cells[blk.cell]) * np.asarray(mesh.spacing)
+    return point_first_tables(ctx.elem, (blk.points - lower) / np.asarray(mesh.spacing))
+
+
+def _point_first_axes(vals, grads, deriv_axis):
+    return [(grads if a == deriv_axis else vals)[:, a, :] for a in range(vals.shape[1])]
+
+
+def point_first_evaluate(up, vals, grads, deriv_axis=None):
+    """Value (deriv_axis None) or reference derivative along deriv_axis at
+    each point of the cell coefficients up (P, k+1, ..., k+1) gathered per
+    point, tensor axis 0 last."""
+    for tab in _point_first_axes(vals, grads, deriv_axis):
+        up = np.einsum("p...i,pi->p...", up, tab)
+    return up
+
+
+def _point_first_outer(coef, tabs):
+    for tab in tabs:
+        coef = coef[:, None] * tab.reshape(tab.shape + (1,) * (coef.ndim - 1))
+    return coef.reshape(coef.shape[0], -1)
+
+
+def point_first_integrate(vals, grads, value_coef=None, grad_coefs=()):
+    """Test-function contributions (P, nloc) at each point: value_coef times
+    phi_i plus grad_coefs[a] times the reference derivative of phi_i along a."""
+    acc = None if value_coef is None else _point_first_outer(value_coef, _point_first_axes(vals, grads, None))
+    for a, coef in enumerate(grad_coefs):
+        contrib = _point_first_outer(coef, _point_first_axes(vals, grads, a))
+        acc = contrib if acc is None else acc + contrib
+    return acc
+
+
+def _point_first_by_cell(cell, contrib, n_cells):
+    out = np.zeros((n_cells, contrib.shape[1]))
+    np.add.at(out, cell, contrib)
+    return out
+
+
+def point_first_volume(vals, grads, weights, cell, spacing, u_cells):
+    """grad-grad term of the points, (n_cells, nloc) for u_cells (n_cells, nloc)."""
+    d, n = vals.shape[1], vals.shape[2]
+    up = u_cells.reshape((-1,) + (n,) * d)[cell]
+    z = [point_first_evaluate(up, vals, grads, a) * weights / h**2 for a, h in enumerate(spacing)]
+    return _point_first_by_cell(cell, point_first_integrate(vals, grads, grad_coefs=z), len(u_cells))
+
+
+def point_first_nitsche(vals, grads, weights, normals, cell, spacing, penalty, u_cells):
+    """Symmetric Nitsche terms of the surface points, (n_cells, nloc)."""
+    d, n = vals.shape[1], vals.shape[2]
+    up = u_cells.reshape((-1,) + (n,) * d)[cell]
+    u_val = point_first_evaluate(up, vals, grads)
+    g_n = sum(normals[:, a] * point_first_evaluate(up, vals, grads, a) / h for a, h in enumerate(spacing))
+    beta = [-u_val * weights * normals[:, a] / h for a, h in enumerate(spacing)]
+    contrib = point_first_integrate(vals, grads, (-g_n + penalty * u_val) * weights, beta)
+    return _point_first_by_cell(cell, contrib, len(u_cells))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Matrix-free operator application against independently assembled matrices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mfcutfem import operators
 from mfcutfem.geometry import Label, SphereLevelSet, box_mesh
 from mfcutfem.operators import (
     OperatorContext,
     Parameters,
+    PointBlock,
     apply_ghost_penalty,
     assemble_rhs,
     breakdown_report,
@@ -15,12 +19,16 @@ from mfcutfem.operators import (
     cut_cell_apply,
     cut_cell_surface_apply,
     cut_cell_volume_apply,
+    cut_volume_apply,
     ghost_face_apply,
+    nitsche_apply,
     reset_timers,
     squared_l2_error,
+    tabulate,
     vmult,
 )
 from mfcutfem.sumfac import TensorField, madd_count, reset_madd_count
+from mfcutfem.tensor1d import build_reference_element
 
 from oracles import (
     dense_cut_nitsche,
@@ -30,6 +38,12 @@ from oracles import (
     ghost_matrix,
     mass_matrix,
     monomials_up_to,
+    point_first_block_tables,
+    point_first_evaluate,
+    point_first_integrate,
+    point_first_nitsche,
+    point_first_tables,
+    point_first_volume,
     probe_matrix,
     tensor_basis_eval,
 )
@@ -278,6 +292,83 @@ def test_cut_cell_apply_rejects_mismatched_extents(ext):
 
 
 # ---------------------------------------------------------------------------
+# point-last kernels against the point-first einsum pair
+
+
+def _max_rel(got, ref):
+    return np.abs(np.asarray(got) - ref).max() / np.abs(ref).max()
+
+
+def _without_cut_points(ctx):
+    """ctx with zero weights on its cut-cell volume points (quadrature and
+    error order), so its domain integrals keep only the uncut cells."""
+    zero = lambda blk: dataclasses.replace(blk, weights=np.zeros_like(blk.weights))  # noqa: E731
+    return dataclasses.replace(ctx, volume=zero(ctx.volume),
+                               _error_blocks={q: zero(b) for q, b in ctx._error_blocks.items()})
+
+
+@pytest.mark.parametrize("dim, cells, degree", [(2, 6, 3), (3, 5, 2)])
+def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, rng, monkeypatch):
+    ctx = disk_context(dim, cells, degree)
+    nloc = (degree + 1) ** dim
+    monkeypatch.setattr(operators, "_POINT_CHUNK", 37 * nloc)  # 37-point chunks
+    cell, starts = ctx.volume.cell, np.arange(37, len(ctx.volume.cell), 37)
+    assert (cell[starts - 1] == cell[starts]).any()  # some cell's points span two chunks
+
+    u_cells = rng.standard_normal(ctx.cut_dofs.shape)
+    vol, surf, h = ctx.volume, ctx.surface, ctx.mesh.spacing
+    ref = point_first_volume(*point_first_block_tables(ctx, vol), vol.weights, vol.cell, h, u_cells)
+    ref += point_first_nitsche(*point_first_block_tables(ctx, surf), surf.weights, surf.normals, surf.cell, h,
+                               ctx.nitsche_penalty, u_cells)
+    assert _max_rel(operators._cut_kernel(ctx, u_cells), ref) <= 1e-14
+
+    f = lambda x: 1.0 + x[..., 0] + 2.0 * x[..., 1] ** 2  # noqa: E731
+    cut = np.zeros(ctx.cut_dofs.shape)
+    np.add.at(cut, vol.cell, point_first_integrate(*point_first_block_tables(ctx, vol), f(vol.points) * vol.weights))
+    b_ref = assemble_rhs(_without_cut_points(ctx), f) + np.bincount(
+        ctx.cut_dofs.ravel(), weights=cut.ravel(), minlength=ctx.n_dofs)
+    assert _max_rel(assemble_rhs(ctx, f), b_ref) <= 1e-14
+
+    u_h = rng.standard_normal(ctx.n_dofs)
+    u_exact = lambda x: np.cos(x[..., 0]) * x[..., -1]  # noqa: E731
+    err2 = squared_l2_error(ctx, u_h, u_exact)
+    blk = ctx._error_blocks[ctx.params.error_quad_order]
+    up = u_h[ctx.cut_dofs].reshape((-1,) + (degree + 1,) * dim)[blk.cell]
+    diff = point_first_evaluate(up, *point_first_block_tables(ctx, blk)) - u_exact(blk.points)
+    err2_ref = squared_l2_error(_without_cut_points(ctx), u_h, u_exact) + np.sum(diff * diff * blk.weights)
+    assert abs(err2 - err2_ref) <= 1e-14 * err2_ref
+
+
+@pytest.mark.parametrize("chunk_points", [None, 3])
+def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch):
+    # cut cells 1 (in the middle) and 4 (the last) have no points
+    dim, degree = 2, 2
+    nloc = (degree + 1) ** dim
+    if chunk_points is not None:
+        monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * nloc)
+    cell = np.repeat([0, 2, 3], [4, 3, 5])
+    xi = rng.random((len(cell), dim))
+    weights = rng.random(len(cell))
+    normals = rng.standard_normal((len(cell), dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    elem = build_reference_element(degree)
+    blk = PointBlock(xi, weights, cell, *tabulate(elem, xi), normals)
+    u_cells = rng.standard_normal((5, nloc))
+    spacing, penalty = (0.25, 0.5), 7.0
+
+    out = np.zeros(u_cells.shape)
+    cut_volume_apply(blk, spacing, u_cells, out)
+    assert not out[[1, 4]].any()
+    assert _max_rel(out, point_first_volume(*point_first_tables(elem, xi), weights, cell, spacing, u_cells)) <= 1e-14
+
+    out = np.zeros(u_cells.shape)
+    nitsche_apply(blk, spacing, penalty, u_cells, out)
+    assert not out[[1, 4]].any()
+    ref = point_first_nitsche(*point_first_tables(elem, xi), weights, normals, cell, spacing, penalty, u_cells)
+    assert _max_rel(out, ref) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # right-hand side
 
 
@@ -295,8 +386,9 @@ def test_assemble_rhs_matches_direct_sum():
         pts = np.stack([px.ravel(), py.ravel()], axis=-1)
         basis = tensor_basis_eval(ctx.elem.nodes, (pts - lo) / h, (0, 0))
         b_oracle[row] += basis.T @ (f(pts) * (wx * wy).ravel())
+    rules = ctx.cut_rules  # built on each access
     for j, cell in enumerate(ctx.cut_cells):
-        rule = ctx.cut_rules[int(cell)]
+        rule = rules[int(cell)]
         lo, _ = ctx.mesh.cell_box(ctx.mesh.cell_multi(int(cell)))
         basis = tensor_basis_eval(ctx.elem.nodes, (rule.interior_points - lo) / h, (0, 0))
         b_oracle[ctx.cut_dofs[j]] += basis.T @ (f(rule.interior_points) * rule.interior_weights)
