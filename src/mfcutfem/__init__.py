@@ -3,8 +3,9 @@
 The package solves -lap(u) = f on implicitly defined domains {phi > 0}
 embedded in an axis-aligned background mesh.  Dirichlet conditions are
 imposed weakly (Nitsche), cut-induced ill-conditioning is cured by a
-ghost-penalty term whose face operator is applied as a Kronecker product
-of precomputed 1D matrices, and all operator actions are matrix-free.
+ghost-penalty term whose face operator is a Kronecker product of
+precomputed 1D matrices, and all operator actions are matrix-free: no
+global matrix is assembled.
 """
 
 from .tensor1d import (

@@ -459,7 +459,9 @@ def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
 
 
 def run_kernelbench(cfg: RunConfig) -> int:
-    """Per-application microseconds for the three hot kernels, measured over
+    """Per-application microseconds for the three per-cell/per-face kernels
+    (the factored cell and ghost-face kernels that vmult's cached matrices
+    are probed from, and the per-point cut-cell kernel), measured over
     vectorized cell batches; `relative` normalizes by the sum-factorized cell
     kernel at the smallest degree of the sweep (within each dimension)."""
     out = _out_dir(cfg)

@@ -1,10 +1,10 @@
 """Matrix-free application of the stabilized cut Poisson operator.
 
 ``vmult`` applies  A = A_volume + A_nitsche + gamma_A * A_ghost  to a compact
-vector of active DoFs without assembling anything.  The operator is a list
-of pieces (component, DoF table, batched local kernel); ``vmult`` gathers
-each piece's local values (B, m), runs its kernel to local contributions
-(B, m) and scatters them, in this order:
+vector of active DoFs without assembling a global matrix.  The operator is a
+list of pieces (component, DoF table, batched local kernel); ``vmult``
+gathers each piece's local values (B, m), runs its kernel to local
+contributions (B, m) and scatters them, in this order:
 
 * "interior": uncut cells, the Kronecker sum of the 1D stiffness and mass
   matrices, K1 / h_a along one axis and h_b M1 along the others, summed
@@ -22,6 +22,16 @@ each piece's local values (B, m), runs its kernel to local contributions
 * "ghost_penalty", one piece per axis: the faces normal to it apply
   gamma_A * (hM1 x ... x G1(h) x ... x hM1), the Kronecker product of 1D
   factors with G1 on the face-normal axis (``sumfac.kron_batch``).
+
+On a uniform Cartesian mesh every uncut cell has the same local matrix, and
+so do all ghost faces of one axis.  ``build_context`` therefore probes the
+interior kernel and each ghost axis's kernel once with an identity batch and
+keeps the (m, m) results, ``interior_matrix`` and ``ghost_matrices``;
+``vmult`` applies each of those pieces as one matrix product over its whole
+batch.  The factored kernels stay the one implementation the matrices cache,
+and the per-cell and per-face forms (``sumfac.cell_laplacian``,
+``ghost_face_apply``) run them directly.  The cut piece has no shared matrix
+and runs the point pair on every call.
 
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
 The per-face form ``ghost_face_apply`` runs its axis's ghost kernel on a
@@ -118,6 +128,8 @@ class OperatorContext:
     volume: PointBlock
     surface: PointBlock
     fallback_count: int             # sign-of-center fallbacks of the cut rules
+    interior_matrix: np.ndarray     # (nloc, nloc) local matrix of every uncut cell
+    ghost_matrices: dict[int, np.ndarray]  # axis -> (patch size,)*2, gamma_A included; empty if gamma_A = 0
     timers: dict[str, float] = field(default_factory=dict)
     _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
 
@@ -177,7 +189,8 @@ def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.Cut
 
 
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
-    """Classify, enumerate DoFs and ghost faces, build and tabulate cut rules."""
+    """Classify, enumerate DoFs and ghost faces, build and tabulate cut rules,
+    and probe the local matrices of the interior and ghost pieces."""
     k = params.degree
     elem = tensor1d.build_reference_element(k, max(params.quad_order, k + 1))
     classification = geometry.classify_cells(mesh, levelset, k + 2)
@@ -216,7 +229,11 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         volume=_point_block(mesh, elem, cut_cells, rules),
         surface=_point_block(mesh, elem, cut_cells, rules, surface=True),
         fallback_count=rules.fallback_count,
+        interior_matrix=_probe(partial(cell_laplacian_batch, elem, mesh.spacing), (k + 1) ** mesh.dim),
+        ghost_matrices={},
     )
+    if params.gamma_ghost != 0.0:
+        ctx.ghost_matrices.update((a, _probe(_ghost_kernel(ctx, a), idx.shape[1])) for a, idx in face_dofs.items())
     reset_timers(ctx)
     return ctx
 
@@ -324,6 +341,17 @@ def _ghost_kernel(ctx: OperatorContext, axis: int):
     return lambda u: (ctx.params.gamma_ghost * kron_batch(mats, u.reshape((len(u),) + shape))).reshape(len(u), -1)
 
 
+def _probe(kernel, m: int) -> np.ndarray:
+    """The (m, m) matrix of a linear batched kernel: row i of kernel(I) is its
+    image of the i-th unit vector, so the matrix is that batch transposed."""
+    return kernel(np.eye(m)).T
+
+
+def _matrix_kernel(mat: np.ndarray):
+    """A batch (B, m) times the local matrix mat: one GEMM, counted like a sweep."""
+    return lambda u: sumfac.contract_axis(mat, u, 1)
+
+
 def _cut_kernel(ctx: OperatorContext, u_cells: np.ndarray, volume: bool = True, surface: bool = True) -> np.ndarray:
     """Volume and Nitsche terms of all cut cells, (n_cut, nloc) in and out."""
     out = np.zeros(u_cells.shape)
@@ -335,14 +363,15 @@ def _cut_kernel(ctx: OperatorContext, u_cells: np.ndarray, volume: bool = True, 
 
 
 def _pieces(ctx: OperatorContext) -> list[tuple]:
-    """(component, DoF table, kernel) of every non-empty piece, in scatter order."""
+    """(component, DoF table, kernel) of every non-empty piece, in scatter
+    order; the uniform pieces apply their cached local matrices."""
     pieces = []
     if len(ctx.inside_cells):
-        pieces.append(("interior", ctx.inside_dofs, partial(cell_laplacian_batch, ctx.elem, ctx.mesh.spacing)))
+        pieces.append(("interior", ctx.inside_dofs, _matrix_kernel(ctx.interior_matrix)))
     if len(ctx.cut_cells):
         pieces.append(("intersected", ctx.cut_dofs, partial(_cut_kernel, ctx)))
-    if ctx.params.gamma_ghost != 0.0:
-        pieces += [("ghost_penalty", ctx.face_dofs[a], _ghost_kernel(ctx, a)) for a in sorted(ctx.face_dofs)]
+    pieces += [("ghost_penalty", ctx.face_dofs[a], _matrix_kernel(ctx.ghost_matrices[a]))
+               for a in sorted(ctx.ghost_matrices)]
     return pieces
 
 

@@ -43,7 +43,9 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
     ``apply`` is either a callable ``v -> A v`` or an OperatorContext.  On
     non-convergence the report has converged=False, its stop_reason, and the
     residual history shows how far the solve got; no exception is raised,
-    except a ValueError for a context with active DoFs and no cut cell.
+    except a ValueError for a context with active DoFs and no cut cell, a
+    non-finite right-hand side, a tol_rel that is not finite and >= 0, or a
+    negative max_iter.
     """
     if isinstance(apply, OperatorContext):
         ctx = apply
@@ -53,9 +55,13 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
     b = np.asarray(b, dtype=float)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side contains non-finite entries")
+    if not 0.0 <= tol_rel < np.inf:
+        raise ValueError(f"tol_rel must be finite and >= 0, got {tol_rel}")
     n = b.size
     if max_iter is None:
         max_iter = int(20 * np.sqrt(n)) + 1000
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 
     t0 = time.perf_counter()
     x = np.zeros_like(b)

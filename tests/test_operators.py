@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfcutfem import operators
-from mfcutfem.geometry import Label, SphereLevelSet, box_mesh
+from mfcutfem import operators, sumfac
+from mfcutfem.geometry import BallUnionLevelSet, Label, SphereLevelSet, box_mesh, generate_balls
 from mfcutfem.operators import (
     OperatorContext,
     Parameters,
@@ -27,7 +27,7 @@ from mfcutfem.operators import (
     tabulate,
     vmult,
 )
-from mfcutfem.sumfac import TensorField, madd_count, reset_madd_count
+from mfcutfem.sumfac import TensorField, cell_laplacian_batch, madd_count, reset_madd_count
 from mfcutfem.tensor1d import build_reference_element
 
 from oracles import (
@@ -241,10 +241,101 @@ def test_dof_vector_of_the_wrong_length_is_rejected(apply):
 
 
 def test_vmult_counts_its_sweeps():
+    # one GEMM per uniform piece: m^2 per uncut cell, p(a)^2 per face of axis
+    # a; the cut cells' point kernels are not counted
     ctx = disk_context(2, 5, 2)
+    assert len(ctx.inside_cells) and len(ctx.cut_cells) and sorted(ctx.face_dofs) == [0, 1]
     reset_madd_count()
     vmult(ctx, np.ones(ctx.n_dofs))
-    assert madd_count() > 0
+    expected = sum(idx.shape[0] * idx.shape[1] ** 2 for idx in [ctx.inside_dofs, *ctx.face_dofs.values()])
+    assert madd_count() == expected
+
+
+# ---------------------------------------------------------------------------
+# cached local matrices of the uniform pieces against their factored kernels
+
+
+def _max_rel(got, ref):
+    return np.abs(np.asarray(got) - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("cells, degree", [
+    ((6, 6), 1), ((6, 6), 2), ((6, 6), 3), ((5, 8), 2), ((4, 4, 4), 1), ((4, 4, 4), 2), ((3, 4, 5), 2),
+], ids=["2d_k1", "2d_k2", "2d_k3", "2d_aniso_k2", "3d_k1", "3d_k2", "3d_aniso_k2"])
+def test_cached_matrices_equal_their_factored_kernels(cells, degree, rng):
+    d = len(cells)
+    mesh = box_mesh([-1.26] * d, [1.26] * d, cells)
+    ctx = build_context(mesh, SphereLevelSet([0.0] * d, 1.0), Parameters(degree=degree))
+    assert len(set(ctx.mesh.spacing)) == len(set(cells))  # anisotropic meshes differ in h per axis
+    u = rng.standard_normal((50, (degree + 1) ** d))
+    got = operators._matrix_kernel(ctx.interior_matrix)(u)
+    assert _max_rel(got, cell_laplacian_batch(ctx.elem, ctx.mesh.spacing, u)) <= 1e-14
+    assert sorted(ctx.ghost_matrices) == sorted(ctx.face_dofs) == list(range(d))
+    for axis, mat in ctx.ghost_matrices.items():
+        u = rng.standard_normal((50, ctx.face_dofs[axis].shape[1]))
+        assert _max_rel(operators._matrix_kernel(mat)(u), operators._ghost_kernel(ctx, axis)(u)) <= 1e-14
+
+
+def test_no_ghost_matrices_without_ghost_penalty():
+    ctx = disk_context(2, 8, 2, gamma_ghost=0.0)
+    assert len(ctx.face_dofs) and ctx.ghost_matrices == {}
+    assert [name for name, _, _ in operators._pieces(ctx)] == ["interior", "intersected"]
+
+
+def test_vmult_runs_no_factored_kernel(rng, monkeypatch):
+    ctx = disk_context(2, 6, 2)
+    u = rng.standard_normal(ctx.n_dofs)
+    expected = vmult(ctx, u)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("vmult ran a factored kernel")
+
+    for module in (operators, sumfac):
+        monkeypatch.setattr(module, "cell_laplacian_batch", forbidden)
+        monkeypatch.setattr(module, "kron_batch", forbidden)
+    assert np.array_equal(vmult(ctx, u), expected)
+
+
+# ---------------------------------------------------------------------------
+# properties of a 3D multi-ball operator too large for the dense oracle
+
+
+@pytest.fixture(scope="module")
+def multiball_3d():
+    centers, radii = generate_balls(3, 0, [-1.26] * 3, [1.26] * 3, r0=2.0)
+    mesh = box_mesh([-1.26] * 3, [1.26] * 3, [16] * 3)
+    ctx = build_context(mesh, BallUnionLevelSet(centers, radii), Parameters(degree=2, max_quad_depth=2))
+    assert ctx.n_dofs > 10_000 and len(ctx.inside_cells) and len(ctx.cut_cells) and len(ctx.face_dofs) == 3
+    return ctx
+
+
+def test_multiball_3d_operator_symmetric_and_positive(multiball_3d):
+    ctx = multiball_3d
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        u, v = rng.standard_normal((2, ctx.n_dofs))
+        au, av = vmult(ctx, u), vmult(ctx, v)
+        assert abs(u @ av - v @ au) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(av)
+        assert u @ au > 0 and v @ av > 0
+
+
+def test_multiball_3d_ghost_penalty_annihilates_global_polynomials(multiball_3d):
+    ctx = multiball_3d
+    coords = ctx.dofmap.dof_coordinates()
+    u_rand = np.random.default_rng(6).standard_normal(ctx.n_dofs)
+    scale = np.linalg.norm(apply_ghost_penalty(ctx, u_rand)) / np.linalg.norm(u_rand)
+    for exps in monomials_up_to(ctx.elem.degree, 3):
+        u = (coords ** np.asarray(exps)).prod(axis=1)
+        assert np.linalg.norm(apply_ghost_penalty(ctx, u)) <= 1e-9 * scale * max(np.linalg.norm(u), 1.0)
+
+
+def test_multiball_3d_vmult_bitwise_repeatable(multiball_3d):
+    # BLAS threads are left at their default: the ghost GEMMs are large
+    # enough for a threaded BLAS to split them
+    ctx = multiball_3d
+    u = np.random.default_rng(7).standard_normal(ctx.n_dofs)
+    first = vmult(ctx, u)
+    assert all(np.array_equal(vmult(ctx, u), first) for _ in range(10))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +384,6 @@ def test_cut_cell_apply_rejects_mismatched_extents(ext):
 
 # ---------------------------------------------------------------------------
 # point-last kernels against the point-first einsum pair
-
-
-def _max_rel(got, ref):
-    return np.abs(np.asarray(got) - ref).max() / np.abs(ref).max()
 
 
 def _without_cut_points(ctx):

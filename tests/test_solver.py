@@ -102,6 +102,18 @@ def test_cg_rejects_non_finite_rhs():
         cg_solve(lambda v: v, np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tol_rel": np.nan}, "tol_rel"),
+    ({"tol_rel": np.inf}, "tol_rel"),
+    ({"tol_rel": -1e-8}, "tol_rel"),
+    ({"max_iter": -1}, "max_iter"),
+], ids=["nan_tol", "inf_tol", "negative_tol", "negative_max_iter"])
+def test_cg_rejects_bad_stopping_settings(kwargs, match):
+    # each would otherwise run to max_iter, or return x = 0 as "max_iter"
+    with pytest.raises(ValueError, match=match):
+        cg_solve(lambda v: 2.0 * v, np.ones(4), **kwargs)
+
+
 def test_cg_accepts_operator_context():
     ctx = disk_context(2, 6, 1)
     u_exact, f = manufactured_problem(2)
