@@ -38,6 +38,7 @@ from mfcutfem import (
     build_reference_element,
     ghost_face_apply,
     ghost_matrix_1d,
+    mass_matrix_1d,
     patch_nodes,
 )
 from mfcutfem.sumfac import madd_count, reset_madd_count
@@ -69,9 +70,10 @@ print()
 mesh = box_mesh([-1.26] * 2, [1.26] * 2, [3, 3])
 ctx = build_context(mesh, SphereLevelSet([0.0, 0.0], 1.0), Parameters(degree=k))
 axis = ctx.faces[len(ctx.faces) // 2, 0]   # face rows are (axis, lower cell)
+mass = mass_matrix_1d(ctx.elem)
 mats = [
-    ctx.ghost_1d[b] if b == axis else ctx.scaled_mass[b]
-    for b in range(mesh.dim)
+    ghost_matrix_1d(ctx.elem, hb) if b == axis else hb * mass
+    for b, hb in enumerate(mesh.spacing)
 ]
 dense = mats[0]
 for m in mats[1:]:

@@ -101,44 +101,24 @@ def box_mesh(lo, hi, cells_per_axis) -> CartesianMesh:
 # level sets: phi > 0 inside the domain, vectorized over leading point axes
 
 
-class SphereLevelSet:
-    """phi(x) = r - |x - c|, positive inside the ball."""
-
-    def __init__(self, center, radius: float):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        if not (np.isfinite(self.center).all() and 0 < self.radius < np.inf):
-            raise ValueError("radius must be positive, and center and radius finite")
-
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.radius - np.linalg.norm(x - self.center, axis=-1)
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        diff = x - self.center
-        dist = np.linalg.norm(diff, axis=-1, keepdims=True)
-        return -diff / np.where(dist == 0.0, 1.0, dist)
-
-
 class BallUnionLevelSet:
     """phi(x) = max_i (r_i - |x - c_i|); gradient follows the argmax ball."""
 
     def __init__(self, centers, radii):
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        if self.centers.shape[0] != self.radii.shape[0]:
-            raise ValueError("need one radius per center")
+        if self.centers.shape[0] != self.radii.shape[0] or not self.radii.size:
+            raise ValueError("need at least one ball, and one radius per center")
         if not (np.isfinite(self.centers).all() and ((0 < self.radii) & (self.radii < np.inf)).all()):
             raise ValueError("radii must be positive, and centers and radii finite")
 
     def _best(self, x) -> tuple[np.ndarray, np.ndarray]:
         # loop over balls to keep memory at one scalar field per point
         x = np.asarray(x, dtype=float)
-        best_val = np.full(x.shape[:-1], -np.inf)
+        best_val = self.radii[0] - np.linalg.norm(x - self.centers[0], axis=-1)
         best_idx = np.zeros(x.shape[:-1], dtype=np.int64)
-        for i, (c, r) in enumerate(zip(self.centers, self.radii)):
-            v = r - np.linalg.norm(x - c, axis=-1)
+        for i in range(1, len(self.radii)):
+            v = self.radii[i] - np.linalg.norm(x - self.centers[i], axis=-1)
             better = v > best_val
             best_val = np.where(better, v, best_val)
             best_idx = np.where(better, i, best_idx)
@@ -153,6 +133,13 @@ class BallUnionLevelSet:
         diff = x - self.centers[best]
         dist = np.linalg.norm(diff, axis=-1, keepdims=True)
         return -diff / np.where(dist == 0.0, 1.0, dist)
+
+
+class SphereLevelSet(BallUnionLevelSet):
+    """phi(x) = r - |x - c|, positive inside the ball: the one-ball union."""
+
+    def __init__(self, center, radius: float):
+        super().__init__([center], [radius])
 
 
 class HalfSpaceLevelSet:

@@ -48,13 +48,14 @@ from .operators import (
     breakdown_report,
     build_context,
     cut_volume_apply,
+    ghost_face_kernel,
     reset_timers,
     tabulate,
     vmult,
 )
 from .solver import cg_solve, l2_error, manufactured_problem, radial_cosine_problem
-from .sumfac import cell_laplacian_batch, kron_batch
-from .tensor1d import build_reference_element, ghost_matrix_1d, mass_matrix_1d
+from .sumfac import cell_laplacian_batch
+from .tensor1d import build_reference_element
 
 BOX_HALF_WIDTH = 1.26  # the unit ball never touches the box boundary
 
@@ -65,6 +66,7 @@ KERNELBENCH_HEADER = "d,k,kernel,microseconds,relative"
 
 _COMMANDS = ("convergence", "kernelbench", "multiballs", "breakdown")
 _DOMAINS = ("disk", "sphere", "balls", "halfspace")
+_DOMAIN_DIMS = {"disk": 2, "sphere": 3}
 _PROBLEMS = ("cosine", "quadratic")
 
 _PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#117a65")
@@ -85,7 +87,7 @@ class RunConfig:
     command: str
     degrees: tuple[int, ...] = (1, 2, 3)
     refinements: int = 5
-    dim: int = 2
+    dim: int | None = None  # unset: the domain's where the run reads it (disk 2, sphere 3), else 2
     domain: str = "disk"
     problem: str = "cosine"
     seed: int = 0
@@ -178,10 +180,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"degrees must lie in 1..4, got {cfg.degrees}")
     if cfg.refinements < 1:
         raise ConfigError(f"refinements must be >= 1, got {cfg.refinements}")
-    if cfg.dim not in (2, 3):
-        raise ConfigError(f"dim must be 2 or 3, got {cfg.dim}")
     if cfg.domain not in _DOMAINS:
         raise ConfigError(f"domain must be one of {_DOMAINS}, got {cfg.domain!r}")
+    if cfg.dim is not None and cfg.dim != _dim(cfg):
+        raise ConfigError(f"dim {cfg.dim} disagrees with the {cfg.domain} domain, which is {_dim(cfg)}D")
+    if _dim(cfg) not in (2, 3):
+        raise ConfigError(f"dim must be 2 or 3, got {cfg.dim}")
     if cfg.problem not in _PROBLEMS:
         raise ConfigError(f"problem must be one of {_PROBLEMS}, got {cfg.problem!r}")
     if cfg.command == "convergence" and cfg.domain not in ("disk", "sphere"):
@@ -199,8 +203,8 @@ def validate_config(cfg: RunConfig) -> None:
             BallUnionLevelSet(centers, radii)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad ball file {cfg.ball_file}: {exc}") from exc
-        if centers.ndim != 2 or centers.shape[1] != cfg.dim:
-            raise ConfigError(f"ball file {cfg.ball_file} must give centres of dim {cfg.dim}, got {centers.shape}")
+        if centers.ndim != 2 or centers.shape[1] != _dim(cfg):
+            raise ConfigError(f"ball file {cfg.ball_file} must give centres of dim {_dim(cfg)}, got {centers.shape}")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be >= 1")
     for k in cfg.degrees:
@@ -208,6 +212,14 @@ def validate_config(cfg: RunConfig) -> None:
             _params(cfg, k)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _dim(cfg: RunConfig) -> int:
+    """The run's dimension: a disk's or sphere's own where the driver reads
+    the domain (convergence, breakdown), else dim, which defaults to 2."""
+    if cfg.command in ("convergence", "breakdown") and cfg.domain in _DOMAIN_DIMS:
+        return _DOMAIN_DIMS[cfg.domain]
+    return 2 if cfg.dim is None else cfg.dim
 
 
 def _params(cfg: RunConfig, k: int) -> Parameters:
@@ -396,7 +408,7 @@ def _convergence_mesh(dim: int, level: int):
 
 def run_convergence(cfg: RunConfig) -> int:
     """Refinement study: coarsest mesh has 6 cells per axis, each level halves h."""
-    dim = 2 if cfg.domain == "disk" else 3
+    dim = _dim(cfg)
     make_problem = radial_cosine_problem if cfg.problem == "cosine" else manufactured_problem
     u_exact, f = make_problem(dim)
     levelset = SphereLevelSet(np.zeros(dim), 1.0)
@@ -479,16 +491,13 @@ def run_kernelbench(cfg: RunConfig) -> int:
             u_cells = rng.standard_normal((batch, nloc))
             pts_ref = rng.random((batch, nloc, d))
             weights = np.full(batch * nloc, prod(spacing) / nloc)
-            ghost = ghost_matrix_1d(elem, spacing[0])
-            scaled_mass = spacing[0] * mass_matrix_1d(elem)
-            mats = [ghost] + [scaled_mass] * (d - 1)
-            ext = (2 * k + 1,) + (n,) * (d - 1)
-            u_patch = rng.standard_normal((batch, prod(ext))).reshape((batch,) + ext[::-1])
+            ghost_face = ghost_face_kernel(elem, spacing, 1.0, 0)
+            u_patch = rng.standard_normal((batch, (2 * k + 1) * n ** (d - 1)))
 
             kernels = [
                 ("sumfac_cell", lambda: cell_laplacian_batch(elem, spacing, u_cells)),
                 ("point_cell", lambda: _bench_point_cell(elem, spacing, u_cells, pts_ref, weights)),
-                ("ghost_face", lambda: kron_batch(mats, u_patch)),
+                ("ghost_face", lambda: ghost_face(u_patch)),
             ]
             for name, fn in kernels:
                 seconds = _median_batch_seconds(fn, loops)
@@ -505,7 +514,7 @@ def run_kernelbench(cfg: RunConfig) -> int:
 def run_multiballs(cfg: RunConfig) -> int:
     """Throughput sweep over ball counts on a fixed mesh of 2^refinements
     cells per axis; each run also writes its own timing breakdown CSV."""
-    dim = cfg.dim
+    dim = _dim(cfg)
     k = cfg.degrees[0]
     out = _out_dir(cfg)
     cells = 2**cfg.refinements
@@ -539,11 +548,9 @@ def run_multiballs(cfg: RunConfig) -> int:
 
 
 def _breakdown_domain(cfg: RunConfig):
-    if cfg.domain == "disk":
-        return _convergence_mesh(2, cfg.refinements - 1), SphereLevelSet(np.zeros(2), 1.0)
-    if cfg.domain == "sphere":
-        return _convergence_mesh(3, cfg.refinements - 1), SphereLevelSet(np.zeros(3), 1.0)
-    dim = cfg.dim
+    dim = _dim(cfg)
+    if cfg.domain in _DOMAIN_DIMS:
+        return _convergence_mesh(dim, cfg.refinements - 1), SphereLevelSet(np.zeros(dim), 1.0)
     lo = [-BOX_HALF_WIDTH] * dim
     hi = [BOX_HALF_WIDTH] * dim
     if cfg.domain == "balls":

@@ -21,7 +21,7 @@ contributions (B, m) and scatters them, in this order:
   runs over the points of a chunk,
 * "ghost_penalty", one piece per axis: the faces normal to it apply
   gamma_A * (hM1 x ... x G1(h) x ... x hM1), the Kronecker product of 1D
-  factors with G1 on the face-normal axis (``sumfac.kron_batch``).
+  factors with G1 on the face-normal axis (``ghost_face_kernel``).
 
 On a uniform Cartesian mesh every uncut cell has the same local matrix, and
 so do all ghost faces of one axis.  ``build_context`` therefore probes the
@@ -117,13 +117,10 @@ class OperatorContext:
     classification: geometry.CellClassification
     dofmap: geometry.DofMap
     faces: np.ndarray               # (n_faces, 2) rows (axis, flat lower cell)
-    scaled_mass: list[np.ndarray]   # h_a * M1 per axis
-    ghost_1d: list[np.ndarray]      # G1(h_a) per axis
     inside_cells: np.ndarray
     cut_cells: np.ndarray
     inside_dofs: np.ndarray         # (n_inside, nloc) compact indices
     cut_dofs: np.ndarray            # (n_cut, nloc)
-    inside_lower: np.ndarray        # (n_inside, d) cell corners
     face_dofs: dict[int, np.ndarray]  # axis -> (n_faces, patch size)
     volume: PointBlock
     surface: PointBlock
@@ -197,10 +194,6 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
     dofmap = geometry.build_dofmap(mesh, k, classification)
     faces = geometry.ghost_faces(classification)
 
-    mass = tensor1d.mass_matrix_1d(elem)
-    scaled_mass = [h * mass for h in mesh.spacing]
-    ghost_1d = [tensor1d.ghost_matrix_1d(elem, h) for h in mesh.spacing]
-
     inside_cells = classification.cells_with(Label.INSIDE)
     cut_cells = classification.cells_with(Label.CUT)
     face_dofs = {
@@ -218,22 +211,18 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         classification=classification,
         dofmap=dofmap,
         faces=faces,
-        scaled_mass=scaled_mass,
-        ghost_1d=ghost_1d,
         inside_cells=inside_cells,
         cut_cells=cut_cells,
         inside_dofs=dofmap.compact_cell_dofs(inside_cells),
         cut_dofs=dofmap.compact_cell_dofs(cut_cells),
-        inside_lower=mesh.cell_box(mesh.cell_multi(inside_cells))[0],
         face_dofs=face_dofs,
         volume=_point_block(mesh, elem, cut_cells, rules),
         surface=_point_block(mesh, elem, cut_cells, rules, surface=True),
         fallback_count=rules.fallback_count,
         interior_matrix=_probe(partial(cell_laplacian_batch, elem, mesh.spacing), (k + 1) ** mesh.dim),
-        ghost_matrices={},
+        ghost_matrices={a: _probe(ghost_face_kernel(elem, mesh.spacing, params.gamma_ghost, a), idx.shape[1])
+                        for a, idx in face_dofs.items() if params.gamma_ghost != 0.0},
     )
-    if params.gamma_ghost != 0.0:
-        ctx.ghost_matrices.update((a, _probe(_ghost_kernel(ctx, a), idx.shape[1])) for a, idx in face_dofs.items())
     reset_timers(ctx)
     return ctx
 
@@ -333,12 +322,14 @@ def nitsche_apply(blk: PointBlock, spacing, penalty: float, u_cells: np.ndarray,
 # operator pieces: (component, DoF table, batched local kernel)
 
 
-def _ghost_kernel(ctx: OperatorContext, axis: int):
-    """gamma_A times the face operator of axis on face patches (B, m): hM1 on
-    the tangential axes and G1 on the face-normal axis."""
-    mats = [ctx.ghost_1d[axis] if b == axis else ctx.scaled_mass[b] for b in range(ctx.mesh.dim)]
-    shape = ctx.dofmap.patch_extents(axis)[::-1]
-    return lambda u: (ctx.params.gamma_ghost * kron_batch(mats, u.reshape((len(u),) + shape))).reshape(len(u), -1)
+def ghost_face_kernel(elem, spacing, gamma: float, axis: int):
+    """gamma times the face operator of axis on face patches (B, m), m the
+    patch size: h_b M1 on the tangential axes b and G1(h_axis) on the
+    face-normal axis, the Kronecker product of the 1D factors."""
+    k, mass = elem.degree, tensor1d.mass_matrix_1d(elem)
+    mats = [tensor1d.ghost_matrix_1d(elem, h) if b == axis else h * mass for b, h in enumerate(spacing)]
+    shape = tuple(2 * k + 1 if b == axis else k + 1 for b in range(len(spacing)))[::-1]
+    return lambda u: (gamma * kron_batch(mats, u.reshape((len(u),) + shape))).reshape(len(u), -1)
 
 
 def _probe(kernel, m: int) -> np.ndarray:
@@ -423,7 +414,8 @@ def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> T
     ext = ctx.dofmap.patch_extents(axis)
     if not 0 <= axis < ctx.mesh.dim or u_patch.extents != ext:
         raise ValueError(f"expected a patch of extents {ext} normal to axis {axis}, got {u_patch.extents}")
-    return TensorField(ext, _ghost_kernel(ctx, axis)(u_patch.data[None])[0])
+    kernel = ghost_face_kernel(ctx.elem, ctx.mesh.spacing, ctx.params.gamma_ghost, axis)
+    return TensorField(ext, kernel(u_patch.data[None])[0])
 
 
 def _cut_cell_forms(ctx: OperatorContext, cell_flat: int, u_local: TensorField,
@@ -474,7 +466,7 @@ def _uncut_chunks(ctx: OperatorContext, gx: np.ndarray):
     d, q, n = ctx.mesh.dim, len(gx), len(ctx.inside_cells)
     for start in range(0, n, _CELL_CHUNK):
         sl = slice(start, min(start + _CELL_CHUNK, n))
-        lowers = ctx.inside_lower[sl]
+        lowers = ctx.mesh.cell_box(ctx.mesh.cell_multi(ctx.inside_cells[sl]))[0]
         pts = np.empty((lowers.shape[0],) + (q,) * d + (d,))
         for a in range(d):
             shape = [1] * d

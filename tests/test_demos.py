@@ -1,6 +1,5 @@
 """The demos run to completion.  Each runs from a copy in a temporary
-directory, so that what it writes next to itself lands there.  Demo 03
-repeats the solves of acceptance criterion 1 and is left out for time."""
+directory, so that what it writes next to itself lands there."""
 
 import os
 import shutil
@@ -16,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("name", [
     "01_implicit_geometry_quadrature.py",
     "02_ghost_penalty_kronecker.py",
+    "03_poisson_convergence.py",
     "04_experiment_harness.py",
 ])
 def test_demo_runs(name, tmp_path):

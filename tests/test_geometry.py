@@ -74,6 +74,22 @@ def test_sphere_level_set_values_and_gradient():
     assert_allclose(g, [-1.0, 0.0])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_is_the_ball_formula_bitwise(rng, dim):
+    c, r = rng.uniform(-0.5, 0.5, dim), 0.8
+    ls = SphereLevelSet(c, r)
+    x = rng.uniform(-1.0, 1.0, (30, dim))
+    diff = x - c
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    assert np.array_equal(ls.value(x), r - dist)
+    assert np.array_equal(ls.gradient(x), -diff / dist[:, None])
+    # a (d,) input, and the centre, where the gradient has no direction and is zero
+    assert np.array_equal(ls.value(x[0]), r - dist[0])
+    assert np.array_equal(ls.gradient(x[0]), -diff[0] / dist[0])
+    assert ls.value(c) == r and np.array_equal(ls.gradient(c), np.zeros(dim))
+    assert np.array_equal(ls.gradient(np.stack([c, x[0]])), np.stack([np.zeros(dim), -diff[0] / dist[0]]))
+
+
 def test_ball_union_matches_max_of_spheres(rng):
     centers = rng.uniform(-1, 1, size=(5, 3))
     radii = rng.uniform(0.2, 0.7, size=5)
@@ -119,6 +135,8 @@ def test_ball_level_sets_reject_non_finite_balls():
             BallUnionLevelSet([center, [0.5, 0.5]], [radius, 0.5])
     with pytest.raises(ValueError, match="positive"):
         BallUnionLevelSet([[0.0, 0.0]], [-0.5])
+    with pytest.raises(ValueError, match="at least one ball"):
+        BallUnionLevelSet(np.zeros((0, 2)), [])
 
 
 # ---------------------------------------------------------------------------

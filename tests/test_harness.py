@@ -102,6 +102,7 @@ def test_validate_config_errors():
         dict(degrees=(5,)),
         dict(refinements=0),
         dict(dim=4),
+        dict(dim=3),  # the default domain, the disk, is 2D
         dict(domain="torus"),
         dict(problem="mystery"),
         dict(r0=0.0),
@@ -135,6 +136,7 @@ def test_main_returns_2_on_config_error(tmp_path, capsys):
         ["convergence", "--gamma-ghost", "nan"],
         ["convergence", "--gamma-ghost", "inf"],
         ["convergence", "--gamma-dirichlet", "nan"],
+        ["convergence", "--dim", "3", "--domain", "disk", "--refinements", "1", "--degrees", "1", "--interpolate-only"],
     ):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
         assert "configuration error" in capsys.readouterr().err

@@ -43,3 +43,14 @@ def test_cut_quadrature_reads_the_level_set_only_through_eval():
     ]
     assert reads
     assert all(id(n) in inside for n in reads), [n.lineno for n in reads if id(n) not in inside]
+
+
+def test_one_class_per_level_set_shape():
+    # a sphere is the one-ball union, so balls have one value and gradient
+    tree = ast.parse((PACKAGE / "geometry.py").read_text(encoding="utf-8"))
+    defined = {
+        (cls.name, fn.name)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in ("value", "gradient")
+    }
+    assert defined == {(c, m) for c in ("BallUnionLevelSet", "HalfSpaceLevelSet") for m in ("value", "gradient")}
