@@ -43,15 +43,16 @@ from .geometry import (
 )
 from .operators import (
     Parameters,
-    PointBlock,
+    add_by_cell,
     assemble_rhs,
     breakdown_report,
     build_context,
     cut_volume_apply,
     ghost_face_kernel,
+    point_block,
     reset_timers,
-    tabulate,
     vmult,
+    volume_factors,
 )
 from .solver import cg_solve, l2_error, manufactured_problem, radial_cosine_problem
 from .sumfac import cell_laplacian_batch
@@ -457,17 +458,15 @@ def run_convergence(cfg: RunConfig) -> int:
 
 def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
     """Weak Laplacian of a cell batch via per-point evaluation at arbitrary
-    reference points, including the on-the-fly point-last 1D basis
-    tabulation; the reference points stand in for the physical ones, which
-    it never reads."""
+    reference points, including the set-up of the point block (point-last
+    1D basis tables, gather and segment tables) and its factors; the
+    reference points stand in for the physical ones, which it never reads."""
     n_cells, n_pts, d = pts_ref.shape
     xi = pts_ref.reshape(-1, d)
-    vals, grads = tabulate(elem, xi)
     cell = np.repeat(np.arange(n_cells), n_pts)
-    blk = PointBlock(xi, weights, cell, vals, grads)
-    out = np.zeros(u_cells.shape)
-    cut_volume_apply(blk, spacing, u_cells, out)
-    return out
+    blk = point_block(xi, weights, cell, xi, elem, np.arange(u_cells.size).reshape(u_cells.shape))
+    sums = cut_volume_apply(blk, volume_factors(blk, spacing), u_cells.ravel())
+    return add_by_cell(np.zeros(u_cells.shape), blk, sums)
 
 
 def run_kernelbench(cfg: RunConfig) -> int:

@@ -2,9 +2,9 @@
 
 ``vmult`` applies  A = A_volume + A_nitsche + gamma_A * A_ghost  to a compact
 vector of active DoFs without assembling a global matrix.  The operator is a
-list of pieces (component, DoF table, batched local kernel); ``vmult``
-gathers each piece's local values (B, m), runs its kernel to local
-contributions (B, m) and scatters them, in this order:
+list of pieces (component, DoF table, local matrix); ``vmult`` gathers each
+piece's local values, runs its kernel to local contributions and scatters
+them, in this order:
 
 * "interior": uncut cells, the Kronecker sum of the 1D stiffness and mass
   matrices, K1 / h_a along one axis and h_b M1 along the others, summed
@@ -15,8 +15,8 @@ contributions (B, m) and scatters them, in this order:
   run on the point pair ``point_evaluate`` / ``point_integrate`` over the
   point blocks: the rows of one cut-quadrature call for all cut cells, as
   they come, with their 1D basis tables stored point-last, (d, k+1, N).
-  The pair works on chunks of P points (``point_chunks``), with P (k+1)^d
-  at most _POINT_CHUNK = 2^16, so that each (k+1,)*d + (P,) array of cell
+  The pair works on chunks of P points, with P (k+1)^d at most
+  _POINT_CHUNK = 2^16, so that each (k+1,)*d + (P,) array of cell
   coefficients or contributions stays at 512 KiB; every NumPy inner loop
   runs over the points of a chunk,
 * "ghost_penalty", one piece per axis: the faces normal to it apply
@@ -33,14 +33,26 @@ and the per-cell and per-face forms (``sumfac.cell_laplacian``,
 ``ghost_face_apply``) run them directly.  The cut piece has no shared matrix
 and runs the point pair on every call.
 
+Everything that depends only on the geometry is tabulated once, when the
+context is built: each point block's gather index (nloc, N), the DoF of
+every point's cell coefficients, and its chunks with the starts and cells
+of their per-cell segments (``point_block``); the per-point factors of the
+cut terms, w / h_a^2 for the volume and penalty w, -w n_a / h_a for
+Nitsche (``volume_factors``, ``nitsche_factors``); and one scatter index
+over the values of all pieces.  A ``vmult`` call does only the work that
+depends on u: it gathers, runs the GEMMs and the point pair, sums each
+chunk's contributions by cell segment with one ``reduceat``, and adds
+everything into the result with a single ``bincount``.
+
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
 The per-face form ``ghost_face_apply`` runs its axis's ghost kernel on a
 batch of one; the per-cell forms (``cut_cell_apply`` and its volume and
-surface parts) run the cut kernel on a batch that is zero except in the
-cell's row.  The domain integrals ``assemble_rhs`` and ``squared_l2_error``
-share the uncut tensor rule and cell walk, and run the point pair on cut
-cells.  All batches and reductions run in a fixed order, so results are
-bitwise reproducible.
+surface parts) run the cut kernel on a DoF vector that is zero except on
+the cell's DoFs and keep the cell's row.  The domain integrals
+``assemble_rhs`` and ``squared_l2_error`` share the uncut tensor rule and
+cell walk, and run the point pair on cut cells, the error on its own point
+blocks, built on first use.  All batches and reductions run in a fixed
+order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -96,19 +108,24 @@ class Parameters:
 @dataclass
 class PointBlock:
     """Concatenated per-point data of all cut cells, grouped cell by cell;
-    the 1D tables are point-last, so the point kernels loop over points."""
+    the 1D tables are point-last, so the point kernels loop over points.
+    ``gather`` and ``chunks`` are the kernels' geometry-only set-up, built
+    once by ``point_block``."""
 
     points: np.ndarray   # (N, d) physical coordinates
     weights: np.ndarray  # (N,)
     cell: np.ndarray     # (N,) position in the cut-cell list, nondecreasing
     vals: np.ndarray     # (d, k+1, N) 1D basis values at the reference coords, point-last
     grads: np.ndarray    # (d, k+1, N) 1D basis derivatives (reference), point-last
+    gather: np.ndarray   # (nloc, N) DoF of local coefficient i of each point's cell
+    chunks: list[tuple[slice, np.ndarray, np.ndarray]]  # (points, segment starts in them, segment cells)
     normals: np.ndarray | None = None  # (N, d) for surface blocks
 
 
 @dataclass
 class OperatorContext:
-    """Everything vmult needs, precomputed once per (mesh, level set, k)."""
+    """Everything vmult needs, precomputed once per (mesh, level set, k); the
+    fields not passed to the constructor are derived from the others."""
 
     mesh: CartesianMesh
     levelset: object
@@ -127,8 +144,16 @@ class OperatorContext:
     fallback_count: int             # sign-of-center fallbacks of the cut rules
     interior_matrix: np.ndarray     # (nloc, nloc) local matrix of every uncut cell
     ghost_matrices: dict[int, np.ndarray]  # axis -> (patch size,)*2, gamma_A included; empty if gamma_A = 0
+    volume_factors: np.ndarray = field(init=False)   # (d, N) w / h_a^2 at the volume points
+    nitsche_factors: np.ndarray = field(init=False)  # (d+1, N) penalty w, -w n_a / h_a at the surface points
+    scatter_index: np.ndarray = field(init=False)    # DoF of each value vmult's pieces produce, in order
     timers: dict[str, float] = field(default_factory=dict)
     _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.volume_factors = volume_factors(self.volume, self.mesh.spacing)
+        self.nitsche_factors = nitsche_factors(self.surface, self.mesh.spacing, self.nitsche_penalty)
+        self.scatter_index = _scatter_index(self)
 
     @property
     def n_dofs(self) -> int:
@@ -165,13 +190,28 @@ def tabulate(elem, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tabs[0], tabs[1]
 
 
-def _point_block(mesh, elem, cut_cells, rules, surface: bool = False) -> PointBlock:
-    """The volume or surface rows of the cut cells' rules with their 1D tables."""
+def point_block(points, weights, cell, xi, elem, dofs, normals=None) -> PointBlock:
+    """The points grouped cell by cell (cell nondecreasing) with their 1D
+    tables at the reference coordinates xi (N, d) and their kernel set-up:
+    the gather index dofs[cell].T of the cells' DoF table dofs (n_cells,
+    nloc), and chunks of P points, P nloc at most _POINT_CHUNK, each with the
+    starts and cells of its per-cell segments."""
+    nloc = dofs.shape[1]
+    step = max(1, _POINT_CHUNK // nloc)
+    chunks = []
+    for start in range(0, len(cell), step):
+        part = cell[start:start + step]
+        starts = np.flatnonzero(np.diff(part, prepend=-1))
+        chunks.append((slice(start, start + len(part)), starts, part[starts]))
+    return PointBlock(points, weights, cell, *tabulate(elem, xi), np.take(dofs.T, cell, axis=1), chunks, normals)
+
+
+def _point_block(mesh, elem, cut_cells, dofs, rules, surface: bool = False) -> PointBlock:
+    """The volume or surface rows of the cut cells' rules as a point block."""
     pts, wts, cell, nrm = ((rules.surface_points, rules.surface_weights, rules.surface_box, rules.surface_normals)
                            if surface else (rules.interior_points, rules.interior_weights, rules.interior_box, None))
     lower = np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell]) * np.asarray(mesh.spacing)
-    vals, grads = tabulate(elem, (pts - lower) / np.asarray(mesh.spacing))
-    return PointBlock(pts, wts, cell, vals, grads, nrm)
+    return point_block(pts, wts, cell, (pts - lower) / np.asarray(mesh.spacing), elem, dofs, nrm)
 
 
 def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.CutCellQuadrature:
@@ -187,7 +227,9 @@ def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.Cut
 
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
     """Classify, enumerate DoFs and ghost faces, build and tabulate cut rules,
-    and probe the local matrices of the interior and ghost pieces."""
+    probe the local matrices of the interior and ghost pieces, and tabulate
+    what every vmult reads: the point blocks' gather and segment tables, the
+    per-point factors of the cut terms and the scatter index."""
     k = params.degree
     elem = tensor1d.build_reference_element(k, max(params.quad_order, k + 1))
     classification = geometry.classify_cells(mesh, levelset, k + 2)
@@ -202,6 +244,7 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         if (faces[:, 0] == axis).any()
     }
 
+    cut_dofs = dofmap.compact_cell_dofs(cut_cells)
     rules = _cut_rules(mesh, levelset, cut_cells, params.quad_order, params.max_quad_depth)
     ctx = OperatorContext(
         mesh=mesh,
@@ -214,10 +257,10 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         inside_cells=inside_cells,
         cut_cells=cut_cells,
         inside_dofs=dofmap.compact_cell_dofs(inside_cells),
-        cut_dofs=dofmap.compact_cell_dofs(cut_cells),
+        cut_dofs=cut_dofs,
         face_dofs=face_dofs,
-        volume=_point_block(mesh, elem, cut_cells, rules),
-        surface=_point_block(mesh, elem, cut_cells, rules, surface=True),
+        volume=_point_block(mesh, elem, cut_cells, cut_dofs, rules),
+        surface=_point_block(mesh, elem, cut_cells, cut_dofs, rules, surface=True),
         fallback_count=rules.fallback_count,
         interior_matrix=_probe(partial(cell_laplacian_batch, elem, mesh.spacing), (k + 1) ** mesh.dim),
         ghost_matrices={a: _probe(ghost_face_kernel(elem, mesh.spacing, params.gamma_ghost, a), idx.shape[1])
@@ -243,19 +286,20 @@ def _outer(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
     return tab.reshape(tab.shape[:1] + (1,) * (x.ndim - 1) + tab.shape[1:]) * x
 
 
-def point_evaluate(up: np.ndarray, vals: np.ndarray, grads: np.ndarray | None = None):
+def point_evaluate(up: np.ndarray, vals: np.ndarray, grads: np.ndarray | None = None, value: bool = True):
     """(value, [reference derivative along each axis]) at each point of the
     cell coefficients up ((k+1,)*d + (P,), tensor axis 0 second to last),
     contracting one tensor axis at a time; the value and the derivatives
     share the contractions of the axes before theirs.  Without grads only
-    the value, and the list is empty."""
-    value, derivs = up, []
-    for a in range(vals.shape[0]):
+    the value, and the list is empty; with value=False the value is None
+    and its last contraction is skipped."""
+    val, derivs, d = up, [], vals.shape[0]
+    for a in range(d):
         derivs = [_contract(x, vals[a]) for x in derivs]
         if grads is not None:
-            derivs.append(_contract(value, grads[a]))
-        value = _contract(value, vals[a])
-    return value, derivs
+            derivs.append(_contract(val, grads[a]))
+        val = _contract(val, vals[a]) if value or a + 1 < d else None
+    return val, derivs
 
 
 def point_integrate(vals: np.ndarray, grads: np.ndarray | None, value_coef=None, grad_coefs=()) -> np.ndarray:
@@ -275,51 +319,65 @@ def point_integrate(vals: np.ndarray, grads: np.ndarray | None, value_coef=None,
     return acc
 
 
-def point_chunks(blk: PointBlock, u_cells: np.ndarray | None = None):
-    """Yield (slice, cell coefficients of those points) over blk in chunks of
-    P points, P (k+1)^d at most _POINT_CHUNK: the columns u_cells.T[:, cell]
-    gathered once per chunk as (k+1,)*d + (P,) (None when u_cells is None)."""
-    n, shape = len(blk.weights), (blk.vals.shape[1],) * blk.vals.shape[0]
-    step = max(1, _POINT_CHUNK // prod(shape))
-    ut = None if u_cells is None else np.ascontiguousarray(u_cells.T)
-    for start in range(0, n, step):
-        sl = slice(start, min(start + step, n))
-        yield sl, None if ut is None else np.take(ut, blk.cell[sl], axis=1).reshape(shape + (-1,))
+def _gather(blk: PointBlock, sl: slice, u: np.ndarray) -> np.ndarray:
+    """Cell coefficients (k+1,)*d + (P,) of the points sl of blk from the DoF vector u."""
+    return np.take(u, blk.gather[:, sl]).reshape((blk.vals.shape[1],) * blk.vals.shape[0] + (-1,))
 
 
-def _scatter_cells(out: np.ndarray, cells: np.ndarray, contrib: np.ndarray) -> None:
-    """Add per-point contributions (..., P) into out (n_cells, nloc) by cell:
-    cells is nondecreasing, so each cell's points are one segment."""
-    starts = np.flatnonzero(np.diff(cells, prepend=-1))
-    out[cells[starts]] += np.add.reduceat(contrib.reshape(out.shape[1], -1), starts, axis=1).T
+def _segment_sums(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-point contributions (..., P) summed over each cell's segment of a
+    chunk: (nloc, segments)."""
+    return np.add.reduceat(contrib.reshape(-1, contrib.shape[-1]), starts, axis=1)
 
 
-def cut_volume_apply(blk: PointBlock, spacing, u_cells: np.ndarray, out: np.ndarray) -> None:
-    """grad-grad term over the points of blk for the cell coefficients
-    u_cells (n_cells, nloc), accumulated into out (n_cells, nloc)."""
-    for sl, up in point_chunks(blk, u_cells):
+def add_by_cell(out: np.ndarray, blk: PointBlock, sums: list[np.ndarray]) -> np.ndarray:
+    """Add per-chunk segment sums of blk into out (n_cells, nloc) by cell;
+    returns out."""
+    for (_, _, cells), part in zip(blk.chunks, sums):
+        out[cells] += part.T
+    return out
+
+
+def volume_factors(blk: PointBlock, spacing) -> np.ndarray:
+    """(d, N): w / h_a^2, the factor of the grad-grad term along each axis."""
+    return blk.weights / np.square(np.asarray(spacing, dtype=float))[:, None]
+
+
+def nitsche_factors(blk: PointBlock, spacing, penalty: float) -> np.ndarray:
+    """(d+1, N): penalty w, then -w n_a / h_a along each axis."""
+    scaled = -(blk.weights[:, None] * blk.normals) / np.asarray(spacing, dtype=float)
+    return np.concatenate([(penalty * blk.weights)[None], scaled.T])
+
+
+def cut_volume_apply(blk: PointBlock, factors: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
+    """grad-grad term over the points of blk for the DoF vector u, with
+    factors from volume_factors: per chunk, its segment sums."""
+    sums = []
+    for sl, starts, _ in blk.chunks:
         vals, grads = blk.vals[..., sl], blk.grads[..., sl]
-        _, derivs = point_evaluate(up, vals, grads)
-        z = [g * blk.weights[sl] / h ** 2 for g, h in zip(derivs, spacing)]
-        _scatter_cells(out, blk.cell[sl], point_integrate(vals, grads, grad_coefs=z))
+        _, derivs = point_evaluate(_gather(blk, sl, u), vals, grads, value=False)
+        z = [g * f for g, f in zip(derivs, factors[:, sl])]
+        sums.append(_segment_sums(point_integrate(vals, grads, grad_coefs=z), starts))
+    return sums
 
 
-def nitsche_apply(blk: PointBlock, spacing, penalty: float, u_cells: np.ndarray, out: np.ndarray) -> None:
-    """Symmetric Nitsche terms over the surface points of blk, into out."""
-    for sl, up in point_chunks(blk, u_cells):
+def nitsche_apply(blk: PointBlock, factors: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
+    """Symmetric Nitsche terms over the surface points of blk for the DoF
+    vector u, with factors from nitsche_factors: per chunk, its segment sums."""
+    sums = []
+    for sl, starts, _ in blk.chunks:
         vals, grads = blk.vals[..., sl], blk.grads[..., sl]
-        w = blk.weights[sl]
-        nrm = blk.normals[sl]
-        u_val, derivs = point_evaluate(up, vals, grads)
-        g_n = np.zeros_like(u_val)
-        for a, (g, h) in enumerate(zip(derivs, spacing)):
-            g_n += nrm[:, a] * g / h
-        beta = [-u_val * w * nrm[:, a] / h for a, h in enumerate(spacing)]
-        _scatter_cells(out, blk.cell[sl], point_integrate(vals, grads, (-g_n + penalty * u_val) * w, beta))
+        u_val, derivs = point_evaluate(_gather(blk, sl, u), vals, grads)
+        penalty_w, wn = factors[0, sl], factors[1:, sl]
+        value_coef = penalty_w * u_val
+        for g, f in zip(derivs, wn):
+            value_coef += f * g
+        sums.append(_segment_sums(point_integrate(vals, grads, value_coef, [f * u_val for f in wn]), starts))
+    return sums
 
 
 # ---------------------------------------------------------------------------
-# operator pieces: (component, DoF table, batched local kernel)
+# operator pieces: (component, DoF table, local matrix)
 
 
 def ghost_face_kernel(elem, spacing, gamma: float, axis: int):
@@ -338,32 +396,45 @@ def _probe(kernel, m: int) -> np.ndarray:
     return kernel(np.eye(m)).T
 
 
-def _matrix_kernel(mat: np.ndarray):
-    """A batch (B, m) times the local matrix mat: one GEMM, counted like a sweep."""
-    return lambda u: sumfac.contract_axis(mat, u, 1)
+def _cut_sums(ctx: OperatorContext, u: np.ndarray) -> list[np.ndarray]:
+    """Segment sums of the volume and then the Nitsche term of all cut cells
+    for the DoF vector u, chunk by chunk: the cut piece's values in the
+    order of the scatter index."""
+    return cut_volume_apply(ctx.volume, ctx.volume_factors, u) + nitsche_apply(ctx.surface, ctx.nitsche_factors, u)
 
 
-def _cut_kernel(ctx: OperatorContext, u_cells: np.ndarray, volume: bool = True, surface: bool = True) -> np.ndarray:
-    """Volume and Nitsche terms of all cut cells, (n_cut, nloc) in and out."""
-    out = np.zeros(u_cells.shape)
+def _cut_kernel(ctx: OperatorContext, u: np.ndarray, volume: bool = True, surface: bool = True) -> np.ndarray:
+    """Volume and Nitsche terms of all cut cells for the DoF vector u, by
+    cell: (n_cut, nloc)."""
+    out = np.zeros(ctx.cut_dofs.shape)
     if volume:
-        cut_volume_apply(ctx.volume, ctx.mesh.spacing, u_cells, out)
+        add_by_cell(out, ctx.volume, cut_volume_apply(ctx.volume, ctx.volume_factors, u))
     if surface:
-        nitsche_apply(ctx.surface, ctx.mesh.spacing, ctx.nitsche_penalty, u_cells, out)
+        add_by_cell(out, ctx.surface, nitsche_apply(ctx.surface, ctx.nitsche_factors, u))
     return out
 
 
 def _pieces(ctx: OperatorContext) -> list[tuple]:
-    """(component, DoF table, kernel) of every non-empty piece, in scatter
-    order; the uniform pieces apply their cached local matrices."""
+    """(component, DoF table, local matrix) of every non-empty piece, in
+    scatter order; the cut piece has no matrix and runs the point kernels."""
     pieces = []
     if len(ctx.inside_cells):
-        pieces.append(("interior", ctx.inside_dofs, _matrix_kernel(ctx.interior_matrix)))
+        pieces.append(("interior", ctx.inside_dofs, ctx.interior_matrix))
     if len(ctx.cut_cells):
-        pieces.append(("intersected", ctx.cut_dofs, partial(_cut_kernel, ctx)))
-    pieces += [("ghost_penalty", ctx.face_dofs[a], _matrix_kernel(ctx.ghost_matrices[a]))
-               for a in sorted(ctx.ghost_matrices)]
+        pieces.append(("intersected", ctx.cut_dofs, None))
+    pieces += [("ghost_penalty", ctx.face_dofs[a], ctx.ghost_matrices[a]) for a in sorted(ctx.ghost_matrices)]
     return pieces
+
+
+def _scatter_index(ctx: OperatorContext) -> np.ndarray:
+    """The DoF of each value vmult's pieces produce, in their order: a
+    matrix piece's DoF table, and for the cut piece the (nloc, segments) DoFs
+    of each chunk's cells, volume block first."""
+    parts = [np.empty(0, dtype=np.intp)]  # a mesh with no active cell has no piece
+    for _, idx, mat in _pieces(ctx):
+        parts += [idx] if mat is not None else [blk.gather[:, sl][:, starts] for blk in (ctx.volume, ctx.surface)
+                                                for sl, starts, _ in blk.chunks]
+    return np.concatenate(parts, axis=None)
 
 
 def _scatter_jobs(jobs, n: int) -> np.ndarray:
@@ -389,12 +460,12 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """Apply the full operator; per-component timings accumulate on ctx."""
     u = _dof_vector(ctx, u)
     t_start = time.perf_counter()
-    jobs = []
-    for component, idx, kernel in _pieces(ctx):
+    parts = [np.empty(0)]  # a mesh with no active cell has no piece
+    for component, idx, mat in _pieces(ctx):
         t0 = time.perf_counter()
-        jobs.append((idx, kernel(u[idx])))
+        parts += _cut_sums(ctx, u) if mat is None else [sumfac.contract_axis(mat, u[idx], 1)]
         ctx.timers[component] += time.perf_counter() - t0
-    w = _scatter_jobs(jobs, ctx.n_dofs)
+    w = np.bincount(ctx.scatter_index, weights=np.concatenate(parts, axis=None), minlength=ctx.n_dofs)
 
     ctx.timers["total"] += time.perf_counter() - t_start
     ctx.timers["scatter_other"] = ctx.timers["total"] - sum(ctx.timers[c] for c in _COMPONENTS[:-1])
@@ -405,8 +476,8 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
 def apply_ghost_penalty(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """Only the ghost-penalty part gamma_A * A_ghost (zero when gamma_A = 0)."""
     u = _dof_vector(ctx, u)
-    return _scatter_jobs([(idx, kernel(u[idx])) for name, idx, kernel in _pieces(ctx) if name == "ghost_penalty"],
-                         ctx.n_dofs)
+    return _scatter_jobs([(idx, sumfac.contract_axis(mat, u[idx], 1)) for name, idx, mat in _pieces(ctx)
+                          if name == "ghost_penalty"], ctx.n_dofs)
 
 
 def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> TensorField:
@@ -420,16 +491,17 @@ def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> T
 
 def _cut_cell_forms(ctx: OperatorContext, cell_flat: int, u_local: TensorField,
                     volume: bool, surface: bool) -> TensorField:
-    """The cut kernel on a batch that is zero except in the cell's row."""
+    """Row j of the cut kernel for a DoF vector holding u_local on the
+    cell's DoFs, j the cell's position in the cut-cell list."""
     j = int(np.searchsorted(ctx.cut_cells, cell_flat))
     if j >= len(ctx.cut_cells) or ctx.cut_cells[j] != cell_flat:
         raise ValueError(f"cell {cell_flat} is not a cut cell")
     ext = ctx.dofmap.patch_extents(None)
     if u_local.extents != ext:
         raise ValueError(f"expected a cell field of extents {ext}, got {u_local.extents}")
-    u_cells = np.zeros(ctx.cut_dofs.shape)
-    u_cells[j] = u_local.data
-    return TensorField(ext, _cut_kernel(ctx, u_cells, volume, surface)[j])
+    u = np.zeros(ctx.n_dofs)
+    u[ctx.cut_dofs[j]] = u_local.data  # row j of the cut kernel reads only these
+    return TensorField(ext, _cut_kernel(ctx, u, volume, surface)[j])
 
 
 def cut_cell_volume_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -> TensorField:
@@ -480,11 +552,11 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     gx, tab, wgrid = _uncut_rule(ctx, len(ctx.elem.quad_points))
     jobs = [(ctx.inside_dofs[sl], kron_batch([tab.T] * ctx.mesh.dim, np.asarray(f(pts), dtype=float) * wgrid))
             for sl, pts in _uncut_chunks(ctx, gx)]
-    blk, acc = ctx.volume, np.zeros(ctx.cut_dofs.shape)
-    for sl, _ in point_chunks(blk):
+    blk, sums = ctx.volume, []
+    for sl, starts, _ in blk.chunks:
         fw = np.asarray(f(blk.points[sl]), dtype=float) * blk.weights[sl]
-        _scatter_cells(acc, blk.cell[sl], point_integrate(blk.vals[..., sl], None, fw))
-    return _scatter_jobs(jobs + [(ctx.cut_dofs, acc)], ctx.n_dofs)
+        sums.append(_segment_sums(point_integrate(blk.vals[..., sl], None, fw), starts))
+    return _scatter_jobs(jobs + [(ctx.cut_dofs, add_by_cell(np.zeros(ctx.cut_dofs.shape), blk, sums))], ctx.n_dofs)
 
 
 def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
@@ -504,11 +576,11 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
 
     if order not in ctx._error_blocks:
         rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
-        ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules)
+        ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, ctx.cut_dofs, rules)
     blk = ctx._error_blocks[order]
     vals = np.empty(blk.weights.size)
-    for sl, up in point_chunks(blk, u_h[ctx.cut_dofs]):
-        vals[sl] = point_evaluate(up, blk.vals[..., sl])[0]
+    for sl, _, _ in blk.chunks:
+        vals[sl] = point_evaluate(_gather(blk, sl, u_h), blk.vals[..., sl])[0]
     diff = vals - np.asarray(u_exact(blk.points), dtype=float)
     return err2 + float(np.sum(diff * diff * blk.weights))
 

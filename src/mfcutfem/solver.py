@@ -1,8 +1,10 @@
 """Conjugate-gradient solve, the L2 error norm and manufactured problems.
 
 The solver is a plain unpreconditioned CG with x0 = 0 stopping at
-||r|| <= tol_rel * ||b||; its report says why it stopped.  All reductions run
-in a fixed order, so solves are bitwise reproducible for a fixed operator.
+||r|| <= tol_rel * ||b||; its report says why it stopped.  Each iteration
+takes one reduction of r, whose square root is the residual norm, and
+updates the search direction in place.  All reductions run in a fixed
+order, so solves are bitwise reproducible for a fixed operator.
 ``l2_error`` takes the square root of ``operators.squared_l2_error``, which
 checks its input and integrates with elevated-order rules
 (tensor Gauss on uncut cells, regenerated cut-cell rules on intersected
@@ -66,13 +68,13 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
     t0 = time.perf_counter()
     x = np.zeros_like(b)
     r = b.copy()
-    norm_b = float(np.linalg.norm(r))
+    rs = float(r @ r)
+    norm_b = float(np.sqrt(rs))  # the bits of np.linalg.norm(r): sqrt(r . r)
     history = [norm_b]
     if norm_b == 0.0:
         return SolveReport(x, 0, True, "converged", 0.0, np.array(history), time.perf_counter() - t0)
 
     p = r.copy()
-    rs = float(r @ r)
     stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -86,13 +88,14 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
         alpha = rs / p_ap
         x += alpha * p
         r -= alpha * ap
-        rn = float(np.linalg.norm(r))
+        rs_new = float(r @ r)
+        rn = float(np.sqrt(rs_new))
         history.append(rn)
         if rn <= tol_rel * norm_b:
             stop_reason = "converged"
             break
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs  # p <- r + beta p in place, same bits
+        p += r
         rs = rs_new
 
     return SolveReport(

@@ -518,3 +518,31 @@ def per_cell_cut_quadrature(lo, hi, phi, q, max_depth=8):
     box = lambda w: np.zeros(len(w), dtype=np.int64)  # noqa: E731
     return CutCellQuadrature(points, weights, box(weights), s_points, s_weights, normals, box(s_weights),
                              np.array([counter[0]]))
+
+
+# ---------------------------------------------------------------------------
+# conjugate gradients as textbooks write it
+
+
+def textbook_cg(apply, b, tol_rel, max_iter):
+    """Unpreconditioned CG from x0 = 0 with the residual norm from
+    np.linalg.norm and a newly allocated search direction each iteration;
+    returns (x, iterations, residual-norm history)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    norm_b = np.linalg.norm(r)
+    history = [norm_b]
+    rs = r @ r
+    for iterations in range(1, max_iter + 1):
+        ap = apply(p)
+        alpha = rs / (p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        history.append(np.linalg.norm(r))
+        if history[-1] <= tol_rel * norm_b:
+            return x, iterations, np.array(history)
+        rs_new = r @ r
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, max_iter, np.array(history)

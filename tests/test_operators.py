@@ -7,11 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfcutfem import operators, sumfac
-from mfcutfem.geometry import BallUnionLevelSet, Label, SphereLevelSet, box_mesh, generate_balls
+from mfcutfem.geometry import BallUnionLevelSet, HalfSpaceLevelSet, Label, SphereLevelSet, box_mesh, generate_balls
 from mfcutfem.operators import (
     OperatorContext,
     Parameters,
-    PointBlock,
+    add_by_cell,
     apply_ghost_penalty,
     assemble_rhs,
     breakdown_report,
@@ -22,10 +22,12 @@ from mfcutfem.operators import (
     cut_volume_apply,
     ghost_face_apply,
     nitsche_apply,
+    nitsche_factors,
+    point_block,
     reset_timers,
     squared_l2_error,
-    tabulate,
     vmult,
+    volume_factors,
 )
 from mfcutfem.sumfac import TensorField, cell_laplacian_batch, madd_count, reset_madd_count
 from mfcutfem.tensor1d import build_reference_element
@@ -240,6 +242,13 @@ def test_dof_vector_of_the_wrong_length_is_rejected(apply):
         apply(ctx, np.ones(52))
 
 
+def test_vmult_on_a_mesh_with_no_active_cell():
+    # the ball lies outside the mesh: no piece, no DoF, an empty result
+    ctx = build_context(box_mesh([0.0, 0.0], [1.0, 1.0], [4, 4]), SphereLevelSet([5.0, 5.0], 0.5), Parameters(degree=1))
+    assert ctx.n_dofs == 0 and operators._pieces(ctx) == [] and ctx.scatter_index.size == 0
+    assert vmult(ctx, np.zeros(0)).shape == apply_ghost_penalty(ctx, np.zeros(0)).shape == (0,)
+
+
 def test_vmult_counts_its_sweeps():
     # one GEMM per uniform piece: m^2 per uncut cell, p(a)^2 per face of axis
     # a; the cut cells' point kernels are not counted
@@ -268,13 +277,13 @@ def test_cached_matrices_equal_their_factored_kernels(cells, degree, rng):
     ctx = build_context(mesh, SphereLevelSet([0.0] * d, 1.0), Parameters(degree=degree))
     assert len(set(ctx.mesh.spacing)) == len(set(cells))  # anisotropic meshes differ in h per axis
     u = rng.standard_normal((50, (degree + 1) ** d))
-    got = operators._matrix_kernel(ctx.interior_matrix)(u)
+    got = sumfac.contract_axis(ctx.interior_matrix, u, 1)  # as vmult applies it
     assert _max_rel(got, cell_laplacian_batch(ctx.elem, ctx.mesh.spacing, u)) <= 1e-14
     assert sorted(ctx.ghost_matrices) == sorted(ctx.face_dofs) == list(range(d))
     for axis, mat in ctx.ghost_matrices.items():
         u = rng.standard_normal((50, ctx.face_dofs[axis].shape[1]))
         kernel = operators.ghost_face_kernel(ctx.elem, ctx.mesh.spacing, ctx.params.gamma_ghost, axis)
-        assert _max_rel(operators._matrix_kernel(mat)(u), kernel(u)) <= 1e-14
+        assert _max_rel(sumfac.contract_axis(mat, u, 1), kernel(u)) <= 1e-14
 
 
 def test_no_ghost_matrices_without_ghost_penalty():
@@ -295,6 +304,24 @@ def test_vmult_runs_no_factored_kernel(rng, monkeypatch):
         monkeypatch.setattr(module, "cell_laplacian_batch", forbidden)
         monkeypatch.setattr(module, "kron_batch", forbidden)
     assert np.array_equal(vmult(ctx, u), expected)
+
+
+def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
+    # tabulation, point blocks, the cut terms' factors and the scatter index
+    # are built once by build_context; an application only reads them
+    ctx = disk_context(2, 6, 2)
+    u = rng.standard_normal(ctx.n_dofs)
+    cell = int(ctx.cut_cells[0])
+    u_local = TensorField((3, 3), rng.standard_normal(9))
+    expected = vmult(ctx, u), apply_ghost_penalty(ctx, u), cut_cell_apply(ctx, cell, u_local).data
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an operator action redid set-up work")
+
+    for name in ("tabulate", "_point_block", "point_block", "volume_factors", "nitsche_factors", "_scatter_index"):
+        monkeypatch.setattr(operators, name, forbidden)
+    got = vmult(ctx, u), apply_ghost_penalty(ctx, u), cut_cell_apply(ctx, cell, u_local).data
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +422,38 @@ def _without_cut_points(ctx):
                                _error_blocks={q: zero(b) for q, b in ctx._error_blocks.items()})
 
 
-@pytest.mark.parametrize("dim, cells, degree", [(2, 6, 3), (3, 5, 2)])
-def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, rng, monkeypatch):
-    ctx = disk_context(dim, cells, degree)
-    nloc = (degree + 1) ** dim
-    monkeypatch.setattr(operators, "_POINT_CHUNK", 37 * nloc)  # 37-point chunks
-    cell, starts = ctx.volume.cell, np.arange(37, len(ctx.volume.cell), 37)
-    assert (cell[starts - 1] == cell[starts]).any()  # some cell's points span two chunks
+def _spans_two_chunks(blk):
+    return any(blk.cell[sl.start - 1] == blk.cell[sl.start] for sl, _, _ in blk.chunks[1:])
 
-    u_cells = rng.standard_normal(ctx.cut_dofs.shape)
+
+def _cut_kernel_oracle(ctx, u_cells, volume=True, surface=True):
     vol, surf, h = ctx.volume, ctx.surface, ctx.mesh.spacing
-    ref = point_first_volume(*point_first_block_tables(ctx, vol), vol.weights, vol.cell, h, u_cells)
-    ref += point_first_nitsche(*point_first_block_tables(ctx, surf), surf.weights, surf.normals, surf.cell, h,
-                               ctx.nitsche_penalty, u_cells)
-    assert _max_rel(operators._cut_kernel(ctx, u_cells), ref) <= 1e-14
+    ref = np.zeros(u_cells.shape)
+    if volume:
+        ref += point_first_volume(*point_first_block_tables(ctx, vol), vol.weights, vol.cell, h, u_cells)
+    if surface:
+        ref += point_first_nitsche(*point_first_block_tables(ctx, surf), surf.weights, surf.normals, surf.cell, h,
+                                   ctx.nitsche_penalty, u_cells)
+    return ref
 
+
+@pytest.mark.parametrize("dim, cells, degree, chunk_points", [(2, 6, 3, 37), (3, 5, 2, 37), (3, 8, 2, None)],
+                         ids=["2-6-3", "3-5-2", "3-8-2"])  # 37-point chunks, or the default chunk size
+def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, chunk_points, rng, monkeypatch):
+    # chunks are fixed when the blocks are built, so the chunk size is set first
+    if chunk_points is not None:
+        monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * (degree + 1) ** dim)
+    ctx = disk_context(dim, cells, degree)
+    assert len(ctx.volume.chunks) > 1 and _spans_two_chunks(ctx.volume)  # some cell's points span two chunks
+
+    u = rng.standard_normal(ctx.n_dofs)
+    assert _max_rel(operators._cut_kernel(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
+    # vmult's one scatter of the chunks' segment sums against each piece scattered by its cells' DoFs
+    pieces = [(idx, operators._cut_kernel(ctx, u) if mat is None else u[idx] @ mat.T)
+              for _, idx, mat in operators._pieces(ctx)]
+    assert _max_rel(vmult(ctx, u), operators._scatter_jobs(pieces, ctx.n_dofs)) <= 1e-14
+
+    vol = ctx.volume
     f = lambda x: 1.0 + x[..., 0] + 2.0 * x[..., 1] ** 2  # noqa: E731
     cut = np.zeros(ctx.cut_dofs.shape)
     np.add.at(cut, vol.cell, point_first_integrate(*point_first_block_tables(ctx, vol), f(vol.points) * vol.weights))
@@ -417,13 +461,12 @@ def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, rng, mon
         ctx.cut_dofs.ravel(), weights=cut.ravel(), minlength=ctx.n_dofs)
     assert _max_rel(assemble_rhs(ctx, f), b_ref) <= 1e-14
 
-    u_h = rng.standard_normal(ctx.n_dofs)
     u_exact = lambda x: np.cos(x[..., 0]) * x[..., -1]  # noqa: E731
-    err2 = squared_l2_error(ctx, u_h, u_exact)
+    err2 = squared_l2_error(ctx, u, u_exact)
     blk = ctx._error_blocks[ctx.params.error_quad_order]
-    up = u_h[ctx.cut_dofs].reshape((-1,) + (degree + 1,) * dim)[blk.cell]
+    up = u[ctx.cut_dofs].reshape((-1,) + (degree + 1,) * dim)[blk.cell]
     diff = point_first_evaluate(up, *point_first_block_tables(ctx, blk)) - u_exact(blk.points)
-    err2_ref = squared_l2_error(_without_cut_points(ctx), u_h, u_exact) + np.sum(diff * diff * blk.weights)
+    err2_ref = squared_l2_error(_without_cut_points(ctx), u, u_exact) + np.sum(diff * diff * blk.weights)
     assert abs(err2 - err2_ref) <= 1e-14 * err2_ref
 
 
@@ -440,20 +483,41 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
     normals = rng.standard_normal((len(cell), dim))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     elem = build_reference_element(degree)
-    blk = PointBlock(xi, weights, cell, *tabulate(elem, xi), normals)
     u_cells = rng.standard_normal((5, nloc))
+    blk = point_block(xi, weights, cell, xi, elem, np.arange(u_cells.size).reshape(u_cells.shape), normals)
     spacing, penalty = (0.25, 0.5), 7.0
 
-    out = np.zeros(u_cells.shape)
-    cut_volume_apply(blk, spacing, u_cells, out)
+    sums = cut_volume_apply(blk, volume_factors(blk, spacing), u_cells.ravel())
+    assert [part.shape[1] for part in sums] == [len(np.unique(cell[sl])) for sl, _, _ in blk.chunks]  # a segment per cell
+    out = add_by_cell(np.zeros(u_cells.shape), blk, sums)
     assert not out[[1, 4]].any()
     assert _max_rel(out, point_first_volume(*point_first_tables(elem, xi), weights, cell, spacing, u_cells)) <= 1e-14
 
-    out = np.zeros(u_cells.shape)
-    nitsche_apply(blk, spacing, penalty, u_cells, out)
+    factors = nitsche_factors(blk, spacing, penalty)
+    out = add_by_cell(np.zeros(u_cells.shape), blk, nitsche_apply(blk, factors, u_cells.ravel()))
     assert not out[[1, 4]].any()
     ref = point_first_nitsche(*point_first_tables(elem, xi), weights, normals, cell, spacing, penalty, u_cells)
     assert _max_rel(out, ref) <= 1e-14
+
+
+def test_cut_cells_with_surface_points_and_no_volume_points(rng):
+    # the plane x + y = 0.5 only touches cut cells 2, 5 and 8 at a corner:
+    # each holds two zero-weight surface points and no volume point
+    mesh = box_mesh([0.0, 0.0], [1.0, 1.0], [4, 4])
+    ctx = build_context(mesh, HalfSpaceLevelSet([1.0, 1.0], 0.5), Parameters(degree=1))
+    corner = np.array([1, 3, 4])
+    assert ctx.cut_cells[corner].tolist() == [2, 5, 8]
+    assert not np.isin(corner, ctx.volume.cell).any()
+    assert all((ctx.surface.cell == j).sum() == 2 and not ctx.surface.weights[ctx.surface.cell == j].any()
+               for j in corner)
+
+    u = rng.standard_normal(ctx.n_dofs)
+    assert _max_rel(operators._cut_kernel(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
+    a_dense = dense_operator_matrix(ctx)
+    assert_allclose(vmult(ctx, u), a_dense @ u, rtol=0, atol=1e-12 * np.abs(a_dense @ u).max())
+    ext = (2, 2)
+    for cell in (2, 5, 8):
+        assert not cut_cell_volume_apply(ctx, cell, TensorField(ext, rng.standard_normal(4))).data.any()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from mfcutfem import cutquad
 from mfcutfem.geometry import SphereLevelSet, box_mesh
 from mfcutfem.operators import Parameters, assemble_rhs, build_context, vmult
+from oracles import textbook_cg
+
 from mfcutfem.solver import (
     SolveReport,
     cg_solve,
@@ -124,6 +126,23 @@ def test_cg_accepts_operator_context():
     true_resid = np.linalg.norm(b - vmult(ctx, report.solution))
     assert true_resid <= 1e-7 * np.linalg.norm(b)
     assert report.wall_time >= 0.0
+
+
+@pytest.mark.parametrize("case", ["dense", "disk"])
+def test_cg_matches_textbook_cg_bitwise(case, rng):
+    # one reduction per iteration (norm = sqrt(r . r)) and the in-place
+    # direction update give the textbook algorithm's bits
+    if case == "dense":
+        m = rng.standard_normal((60, 60))
+        a = m @ m.T + 60.0 * np.eye(60)
+        apply, b = (lambda v: a @ v), rng.standard_normal(60)
+    else:
+        ctx = disk_context(2, 6, 2)
+        apply, b = (lambda v: vmult(ctx, v)), assemble_rhs(ctx, radial_cosine_problem(2)[1])
+    report = cg_solve(apply, b, tol_rel=1e-10)
+    x, iterations, history = textbook_cg(apply, b, 1e-10, int(20 * np.sqrt(b.size)) + 1000)
+    assert report.converged and report.iterations == iterations > 5
+    assert np.array_equal(report.solution, x) and np.array_equal(report.residual_history, history)
 
 
 def test_cg_rejects_a_context_with_no_cut_cell():
