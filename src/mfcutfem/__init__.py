@@ -43,7 +43,6 @@ from .operators import (
     assemble_rhs,
     breakdown_report,
     build_context,
-    cut_cell_apply,
     ghost_face_apply,
     reset_timers,
     vmult,
@@ -92,7 +91,6 @@ __all__ = [
     "assemble_rhs",
     "breakdown_report",
     "build_context",
-    "cut_cell_apply",
     "ghost_face_apply",
     "reset_timers",
     "vmult",

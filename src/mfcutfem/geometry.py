@@ -76,10 +76,6 @@ class CartesianMesh:
             out[..., a] = (flat // s) % n
         return out
 
-    def cell_flat(self, multi) -> np.ndarray:
-        multi = np.asarray(multi)
-        return multi @ np.asarray(self.cell_strides, dtype=np.int64)
-
     def cell_box(self, multi) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners of a cell given by its multi-index."""
         multi = np.asarray(multi, dtype=float)

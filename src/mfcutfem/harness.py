@@ -51,6 +51,7 @@ from .operators import (
     ghost_face_kernel,
     point_block,
     reset_timers,
+    tabulate,
     vmult,
     volume_factors,
 )
@@ -464,7 +465,8 @@ def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
     n_cells, n_pts, d = pts_ref.shape
     xi = pts_ref.reshape(-1, d)
     cell = np.repeat(np.arange(n_cells), n_pts)
-    blk = point_block(xi, weights, cell, xi, elem, np.arange(u_cells.size).reshape(u_cells.shape))
+    blk = point_block(xi, weights, cell, tabulate(elem, xi), tabulate(elem, xi, 1),
+                      np.arange(u_cells.size).reshape(u_cells.shape))
     sums = cut_volume_apply(blk, volume_factors(blk, spacing), u_cells.ravel())
     return add_by_cell(np.zeros(u_cells.shape), blk, sums)
 

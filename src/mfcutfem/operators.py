@@ -45,14 +45,14 @@ chunk's contributions by cell segment with one ``reduceat``, and adds
 everything into the result with a single ``bincount``.
 
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
-The per-face form ``ghost_face_apply`` runs its axis's ghost kernel on a
-batch of one; the per-cell forms (``cut_cell_apply`` and its volume and
-surface parts) run the cut kernel on a DoF vector that is zero except on
-the cell's DoFs and keep the cell's row.  The domain integrals
-``assemble_rhs`` and ``squared_l2_error`` share the uncut tensor rule and
-cell walk, and run the point pair on cut cells, the error on its own point
-blocks, built on first use.  All batches and reductions run in a fixed
-order, so results are bitwise reproducible.
+``apply_ghost_penalty`` and ``assemble_rhs`` scatter as ``vmult`` does, with
+one ``bincount`` over their concatenated DoFs and values; cut cells' segment
+sums go to their segment DoFs.  The domain integrals ``assemble_rhs`` and
+``squared_l2_error`` share the uncut tensor rule and cell walk, read user
+functions through one checked evaluation, and run the point pair on cut
+cells, the error on its own point blocks of values only, built on first
+use.  All batches and reductions run in a fixed order, so results are
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class PointBlock:
     weights: np.ndarray  # (N,)
     cell: np.ndarray     # (N,) position in the cut-cell list, nondecreasing
     vals: np.ndarray     # (d, k+1, N) 1D basis values at the reference coords, point-last
-    grads: np.ndarray    # (d, k+1, N) 1D basis derivatives (reference), point-last
+    grads: np.ndarray | None  # (d, k+1, N) 1D basis derivatives (reference), point-last
     gather: np.ndarray   # (nloc, N) DoF of local coefficient i of each point's cell
     chunks: list[tuple[slice, np.ndarray, np.ndarray]]  # (points, segment starts in them, segment cells)
     normals: np.ndarray | None = None  # (N, d) for surface blocks
@@ -181,20 +181,18 @@ def reset_timers(ctx: OperatorContext) -> None:
     ctx.timers = {**dict.fromkeys(_COMPONENTS + ("total",), 0.0), "applications": 0}
 
 
-def tabulate(elem, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1D basis values and derivatives per axis at reference coordinates
-    xi (P, d): the point-last (d, k+1, P) tables the point kernels read."""
-    tabs = np.empty((2, xi.shape[1], elem.degree + 1, len(xi)))  # derivative order 0, 1
-    for m, a in np.ndindex(2, xi.shape[1]):
-        tabs[m, a] = elem.evaluate(xi[:, a], deriv=m).T
-    return tabs[0], tabs[1]
+def tabulate(elem, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """1D basis values (deriv 0) or derivatives (deriv 1) per axis at
+    reference coordinates xi (P, d): the point-last (d, k+1, P) table the
+    point kernels read."""
+    return np.stack([elem.evaluate(xi[:, a], deriv=deriv).T for a in range(xi.shape[1])])
 
 
-def point_block(points, weights, cell, xi, elem, dofs, normals=None) -> PointBlock:
+def point_block(points, weights, cell, vals, grads, dofs, normals=None) -> PointBlock:
     """The points grouped cell by cell (cell nondecreasing) with their 1D
-    tables at the reference coordinates xi (N, d) and their kernel set-up:
-    the gather index dofs[cell].T of the cells' DoF table dofs (n_cells,
-    nloc), and chunks of P points, P nloc at most _POINT_CHUNK, each with the
+    tables from tabulate (grads None if unused) and their kernel set-up: the
+    gather index dofs[cell].T of the cells' DoF table dofs (n_cells, nloc),
+    and chunks of P points, P nloc at most _POINT_CHUNK, each with the
     starts and cells of its per-cell segments."""
     nloc = dofs.shape[1]
     step = max(1, _POINT_CHUNK // nloc)
@@ -203,15 +201,16 @@ def point_block(points, weights, cell, xi, elem, dofs, normals=None) -> PointBlo
         part = cell[start:start + step]
         starts = np.flatnonzero(np.diff(part, prepend=-1))
         chunks.append((slice(start, start + len(part)), starts, part[starts]))
-    return PointBlock(points, weights, cell, *tabulate(elem, xi), np.take(dofs.T, cell, axis=1), chunks, normals)
+    return PointBlock(points, weights, cell, vals, grads, np.take(dofs.T, cell, axis=1), chunks, normals)
 
 
-def _point_block(mesh, elem, cut_cells, dofs, rules, surface: bool = False) -> PointBlock:
-    """The volume or surface rows of the cut cells' rules as a point block."""
+def _point_block(mesh, elem, cut_cells, dofs, rules, surface: bool = False, grads: bool = True) -> PointBlock:
+    """The volume or surface rows of the cut cells' rules as a point block; grads=False: values only."""
     pts, wts, cell, nrm = ((rules.surface_points, rules.surface_weights, rules.surface_box, rules.surface_normals)
                            if surface else (rules.interior_points, rules.interior_weights, rules.interior_box, None))
     lower = np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell]) * np.asarray(mesh.spacing)
-    return point_block(pts, wts, cell, (pts - lower) / np.asarray(mesh.spacing), elem, dofs, nrm)
+    xi = (pts - lower) / np.asarray(mesh.spacing)
+    return point_block(pts, wts, cell, tabulate(elem, xi), tabulate(elem, xi, 1) if grads else None, dofs, nrm)
 
 
 def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.CutCellQuadrature:
@@ -396,24 +395,6 @@ def _probe(kernel, m: int) -> np.ndarray:
     return kernel(np.eye(m)).T
 
 
-def _cut_sums(ctx: OperatorContext, u: np.ndarray) -> list[np.ndarray]:
-    """Segment sums of the volume and then the Nitsche term of all cut cells
-    for the DoF vector u, chunk by chunk: the cut piece's values in the
-    order of the scatter index."""
-    return cut_volume_apply(ctx.volume, ctx.volume_factors, u) + nitsche_apply(ctx.surface, ctx.nitsche_factors, u)
-
-
-def _cut_kernel(ctx: OperatorContext, u: np.ndarray, volume: bool = True, surface: bool = True) -> np.ndarray:
-    """Volume and Nitsche terms of all cut cells for the DoF vector u, by
-    cell: (n_cut, nloc)."""
-    out = np.zeros(ctx.cut_dofs.shape)
-    if volume:
-        add_by_cell(out, ctx.volume, cut_volume_apply(ctx.volume, ctx.volume_factors, u))
-    if surface:
-        add_by_cell(out, ctx.surface, nitsche_apply(ctx.surface, ctx.nitsche_factors, u))
-    return out
-
-
 def _pieces(ctx: OperatorContext) -> list[tuple]:
     """(component, DoF table, local matrix) of every non-empty piece, in
     scatter order; the cut piece has no matrix and runs the point kernels."""
@@ -426,22 +407,20 @@ def _pieces(ctx: OperatorContext) -> list[tuple]:
     return pieces
 
 
+def _segment_dofs(blk: PointBlock) -> list[np.ndarray]:
+    """The (nloc, segments) DoFs of each chunk's cells: where its segment
+    sums go."""
+    return [blk.gather[:, sl][:, starts] for sl, starts, _ in blk.chunks]
+
+
 def _scatter_index(ctx: OperatorContext) -> np.ndarray:
     """The DoF of each value vmult's pieces produce, in their order: a
-    matrix piece's DoF table, and for the cut piece the (nloc, segments) DoFs
-    of each chunk's cells, volume block first."""
+    matrix piece's DoF table, and for the cut piece the segment DoFs of the
+    volume block and then of the surface block."""
     parts = [np.empty(0, dtype=np.intp)]  # a mesh with no active cell has no piece
     for _, idx, mat in _pieces(ctx):
-        parts += [idx] if mat is not None else [blk.gather[:, sl][:, starts] for blk in (ctx.volume, ctx.surface)
-                                                for sl, starts, _ in blk.chunks]
+        parts += [idx] if mat is not None else _segment_dofs(ctx.volume) + _segment_dofs(ctx.surface)
     return np.concatenate(parts, axis=None)
-
-
-def _scatter_jobs(jobs, n: int) -> np.ndarray:
-    w = np.zeros(n)
-    for idx, val in jobs:
-        w += np.bincount(idx.ravel(), weights=val.ravel(), minlength=n)
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +442,11 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     parts = [np.empty(0)]  # a mesh with no active cell has no piece
     for component, idx, mat in _pieces(ctx):
         t0 = time.perf_counter()
-        parts += _cut_sums(ctx, u) if mat is None else [sumfac.contract_axis(mat, u[idx], 1)]
+        if mat is not None:
+            parts.append(sumfac.contract_axis(mat, u[idx], 1))
+        else:  # the cut piece: segment sums of the volume and then the Nitsche term
+            parts += cut_volume_apply(ctx.volume, ctx.volume_factors, u)
+            parts += nitsche_apply(ctx.surface, ctx.nitsche_factors, u)
         ctx.timers[component] += time.perf_counter() - t0
     w = np.bincount(ctx.scatter_index, weights=np.concatenate(parts, axis=None), minlength=ctx.n_dofs)
 
@@ -476,8 +459,10 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
 def apply_ghost_penalty(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """Only the ghost-penalty part gamma_A * A_ghost (zero when gamma_A = 0)."""
     u = _dof_vector(ctx, u)
-    return _scatter_jobs([(idx, sumfac.contract_axis(mat, u[idx], 1)) for name, idx, mat in _pieces(ctx)
-                          if name == "ghost_penalty"], ctx.n_dofs)
+    ghost = [(idx, mat) for name, idx, mat in _pieces(ctx) if name == "ghost_penalty"]
+    idx = np.concatenate([np.empty(0, dtype=np.intp)] + [i for i, _ in ghost], axis=None)  # none if gamma_A = 0
+    vals = np.concatenate([np.empty(0)] + [sumfac.contract_axis(m, u[i], 1) for i, m in ghost], axis=None)
+    return np.bincount(idx, weights=vals, minlength=ctx.n_dofs)
 
 
 def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> TensorField:
@@ -487,36 +472,6 @@ def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> T
         raise ValueError(f"expected a patch of extents {ext} normal to axis {axis}, got {u_patch.extents}")
     kernel = ghost_face_kernel(ctx.elem, ctx.mesh.spacing, ctx.params.gamma_ghost, axis)
     return TensorField(ext, kernel(u_patch.data[None])[0])
-
-
-def _cut_cell_forms(ctx: OperatorContext, cell_flat: int, u_local: TensorField,
-                    volume: bool, surface: bool) -> TensorField:
-    """Row j of the cut kernel for a DoF vector holding u_local on the
-    cell's DoFs, j the cell's position in the cut-cell list."""
-    j = int(np.searchsorted(ctx.cut_cells, cell_flat))
-    if j >= len(ctx.cut_cells) or ctx.cut_cells[j] != cell_flat:
-        raise ValueError(f"cell {cell_flat} is not a cut cell")
-    ext = ctx.dofmap.patch_extents(None)
-    if u_local.extents != ext:
-        raise ValueError(f"expected a cell field of extents {ext}, got {u_local.extents}")
-    u = np.zeros(ctx.n_dofs)
-    u[ctx.cut_dofs[j]] = u_local.data  # row j of the cut kernel reads only these
-    return TensorField(ext, _cut_kernel(ctx, u, volume, surface)[j])
-
-
-def cut_cell_volume_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -> TensorField:
-    """grad-grad part of one cut cell (no boundary terms)."""
-    return _cut_cell_forms(ctx, cell_flat, u_local, volume=True, surface=False)
-
-
-def cut_cell_surface_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -> TensorField:
-    """Nitsche boundary terms of one cut cell."""
-    return _cut_cell_forms(ctx, cell_flat, u_local, volume=False, surface=True)
-
-
-def cut_cell_apply(ctx: OperatorContext, cell_flat: int, u_local: TensorField) -> TensorField:
-    """Volume plus Nitsche contribution of one cut cell."""
-    return _cut_cell_forms(ctx, cell_flat, u_local, volume=True, surface=True)
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +502,30 @@ def _uncut_chunks(ctx: OperatorContext, gx: np.ndarray):
         yield sl, pts
 
 
+def _values(fn, pts: np.ndarray) -> np.ndarray:
+    """A user function fn at the points pts (..., d), as floats of shape
+    pts.shape[:-1] (a scalar broadcasts); a non-finite value is a ValueError
+    that names its point."""
+    vals = np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape[:-1])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"non-finite value {vals.flat[bad[0]]} at x = {pts.reshape(-1, pts.shape[-1])[bad[0]]}")
+    return vals
+
+
 def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     """Right-hand side b_i = int_{Omega} f phi_i over interior and cut cells."""
     gx, tab, wgrid = _uncut_rule(ctx, len(ctx.elem.quad_points))
-    jobs = [(ctx.inside_dofs[sl], kron_batch([tab.T] * ctx.mesh.dim, np.asarray(f(pts), dtype=float) * wgrid))
-            for sl, pts in _uncut_chunks(ctx, gx)]
-    blk, sums = ctx.volume, []
+    idx, vals = [np.empty(0, dtype=np.intp)], [np.empty(0)]  # a mesh with no active cell has no value
+    for sl, pts in _uncut_chunks(ctx, gx):
+        idx.append(ctx.inside_dofs[sl])
+        vals.append(kron_batch([tab.T] * ctx.mesh.dim, _values(f, pts) * wgrid))
+    blk = ctx.volume
     for sl, starts, _ in blk.chunks:
-        fw = np.asarray(f(blk.points[sl]), dtype=float) * blk.weights[sl]
-        sums.append(_segment_sums(point_integrate(blk.vals[..., sl], None, fw), starts))
-    return _scatter_jobs(jobs + [(ctx.cut_dofs, add_by_cell(np.zeros(ctx.cut_dofs.shape), blk, sums))], ctx.n_dofs)
+        fw = _values(f, blk.points[sl]) * blk.weights[sl]
+        vals.append(_segment_sums(point_integrate(blk.vals[..., sl], None, fw), starts))
+    idx += _segment_dofs(blk)
+    return np.bincount(np.concatenate(idx, axis=None), weights=np.concatenate(vals, axis=None), minlength=ctx.n_dofs)
 
 
 def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
@@ -571,17 +540,17 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     err2 = 0.0
     for sl, pts in _uncut_chunks(ctx, gx):
         t = kron_batch([tab] * d, u_h[ctx.inside_dofs[sl]].reshape(cell_shape))
-        diff = t - np.asarray(u_exact(pts), dtype=float)
+        diff = t - _values(u_exact, pts)
         err2 += float(np.sum(diff * diff * wgrid))
 
     if order not in ctx._error_blocks:
         rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
-        ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, ctx.cut_dofs, rules)
+        ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, ctx.cut_dofs, rules, grads=False)
     blk = ctx._error_blocks[order]
     vals = np.empty(blk.weights.size)
     for sl, _, _ in blk.chunks:
         vals[sl] = point_evaluate(_gather(blk, sl, u_h), blk.vals[..., sl])[0]
-    diff = vals - np.asarray(u_exact(blk.points), dtype=float)
+    diff = vals - _values(u_exact, blk.points)
     return err2 + float(np.sum(diff * diff * blk.weights))
 
 

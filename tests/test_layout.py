@@ -5,10 +5,12 @@ import ast
 from dataclasses import fields
 from pathlib import Path
 
+import mfcutfem
 from mfcutfem.harness import RunConfig, _build_parser, _CONVERTERS
 from mfcutfem.operators import Parameters
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mfcutfem"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mfcutfem"
 
 
 def test_no_private_imports_across_modules():
@@ -54,3 +56,23 @@ def test_one_class_per_level_set_shape():
         for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in ("value", "gradient")
     }
     assert defined == {(c, m) for c in ("BallUnionLevelSet", "HalfSpaceLevelSet") for m in ("value", "gradient")}
+
+
+def test_every_definition_has_a_caller():
+    # a function or class of the package is public (in __all__) or named by
+    # the package, the demos or perfbench; tests and __init__.py do not count,
+    # and dunder methods are called by Python itself
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    callers += [p for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py") if not p.name.startswith("test_")]
+    named = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for path in callers for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    unused = [f"{where} {name}" for name, where in defined.items() if name not in named | set(mfcutfem.__all__)]
+    assert not unused, "\n".join(unused)

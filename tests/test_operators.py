@@ -16,9 +16,6 @@ from mfcutfem.operators import (
     assemble_rhs,
     breakdown_report,
     build_context,
-    cut_cell_apply,
-    cut_cell_surface_apply,
-    cut_cell_volume_apply,
     cut_volume_apply,
     ghost_face_apply,
     nitsche_apply,
@@ -26,6 +23,7 @@ from mfcutfem.operators import (
     point_block,
     reset_timers,
     squared_l2_error,
+    tabulate,
     vmult,
     volume_factors,
 )
@@ -247,6 +245,7 @@ def test_vmult_on_a_mesh_with_no_active_cell():
     ctx = build_context(box_mesh([0.0, 0.0], [1.0, 1.0], [4, 4]), SphereLevelSet([5.0, 5.0], 0.5), Parameters(degree=1))
     assert ctx.n_dofs == 0 and operators._pieces(ctx) == [] and ctx.scatter_index.size == 0
     assert vmult(ctx, np.zeros(0)).shape == apply_ghost_penalty(ctx, np.zeros(0)).shape == (0,)
+    assert assemble_rhs(ctx, lambda x: 1.0).shape == (0,)
 
 
 def test_vmult_counts_its_sweeps():
@@ -311,16 +310,15 @@ def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
     # are built once by build_context; an application only reads them
     ctx = disk_context(2, 6, 2)
     u = rng.standard_normal(ctx.n_dofs)
-    cell = int(ctx.cut_cells[0])
-    u_local = TensorField((3, 3), rng.standard_normal(9))
-    expected = vmult(ctx, u), apply_ghost_penalty(ctx, u), cut_cell_apply(ctx, cell, u_local).data
+    f = lambda x: 1.0 + x[..., 0] * x[..., 1]  # noqa: E731
+    expected = vmult(ctx, u), apply_ghost_penalty(ctx, u), assemble_rhs(ctx, f)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an operator action redid set-up work")
 
     for name in ("tabulate", "_point_block", "point_block", "volume_factors", "nitsche_factors", "_scatter_index"):
         monkeypatch.setattr(operators, name, forbidden)
-    got = vmult(ctx, u), apply_ghost_penalty(ctx, u), cut_cell_apply(ctx, cell, u_local).data
+    got = vmult(ctx, u), apply_ghost_penalty(ctx, u), assemble_rhs(ctx, f)
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
@@ -370,6 +368,18 @@ def test_multiball_3d_vmult_bitwise_repeatable(multiball_3d):
 # single cut-cell kernels
 
 
+def _cut_by_cell(ctx, u, volume=True, surface=True):
+    """The cut piece's volume and Nitsche terms for the DoF vector u by cell,
+    (n_cut, nloc), from the batched kernels; for a u that is zero outside
+    cut cell j's DoFs, row j is that cell's own form."""
+    out = np.zeros(ctx.cut_dofs.shape)
+    if volume:
+        add_by_cell(out, ctx.volume, cut_volume_apply(ctx.volume, ctx.volume_factors, u))
+    if surface:
+        add_by_cell(out, ctx.surface, nitsche_apply(ctx.surface, ctx.nitsche_factors, u))
+    return out
+
+
 def test_cut_cell_apply_matches_dense_blocks(rng):
     ctx = disk_context(2, 4, 2)
     cell = int(ctx.cut_cells[0])
@@ -384,30 +394,16 @@ def test_cut_cell_apply_matches_dense_blocks(rng):
         rule.surface_points, rule.surface_weights, rule.surface_normals,
         ctx.params.gamma_dirichlet / ctx.h_min,
     )
-    ext = (ctx.elem.degree + 1,) * 2
     for _ in range(5):
         u = rng.standard_normal(nloc)
-        out_v = cut_cell_volume_apply(ctx, cell, TensorField(ext, u.copy()))
-        out_s = cut_cell_surface_apply(ctx, cell, TensorField(ext, u.copy()))
-        out = cut_cell_apply(ctx, cell, TensorField(ext, u.copy()))
-        assert_allclose(out_v.data, vol @ u, atol=1e-12 * np.abs(vol @ u).max())
-        assert_allclose(out_s.data, nit @ u, atol=1e-11 * max(np.abs(nit @ u).max(), 1.0))
-        assert_allclose(out.data, out_v.data + out_s.data, atol=1e-13)
-
-
-def test_cut_cell_apply_rejects_uncut_cell():
-    ctx = disk_context(2, 4, 1)
-    inside = int(ctx.inside_cells[0])
-    ext = (2, 2)
-    with pytest.raises(ValueError):
-        cut_cell_apply(ctx, inside, TensorField(ext, np.zeros(4)))
-
-
-@pytest.mark.parametrize("ext", [(2, 3), (3, 2), (2, 2, 2)])
-def test_cut_cell_apply_rejects_mismatched_extents(ext):
-    ctx = disk_context(2, 4, 1)
-    with pytest.raises(ValueError):
-        cut_cell_apply(ctx, int(ctx.cut_cells[0]), TensorField(ext, np.zeros(int(np.prod(ext)))))
+        u_full = np.zeros(ctx.n_dofs)
+        u_full[ctx.cut_dofs[0]] = u  # cell 0's row reads only these
+        out_v = _cut_by_cell(ctx, u_full, surface=False)[0]
+        out_s = _cut_by_cell(ctx, u_full, volume=False)[0]
+        out = _cut_by_cell(ctx, u_full)[0]
+        assert_allclose(out_v, vol @ u, atol=1e-12 * np.abs(vol @ u).max())
+        assert_allclose(out_s, nit @ u, atol=1e-11 * max(np.abs(nit @ u).max(), 1.0))
+        assert_allclose(out, out_v + out_s, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +443,13 @@ def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, chunk_po
     assert len(ctx.volume.chunks) > 1 and _spans_two_chunks(ctx.volume)  # some cell's points span two chunks
 
     u = rng.standard_normal(ctx.n_dofs)
-    assert _max_rel(operators._cut_kernel(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
+    assert _max_rel(_cut_by_cell(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
     # vmult's one scatter of the chunks' segment sums against each piece scattered by its cells' DoFs
-    pieces = [(idx, operators._cut_kernel(ctx, u) if mat is None else u[idx] @ mat.T)
-              for _, idx, mat in operators._pieces(ctx)]
-    assert _max_rel(vmult(ctx, u), operators._scatter_jobs(pieces, ctx.n_dofs)) <= 1e-14
+    w_ref = np.zeros(ctx.n_dofs)
+    for _, idx, mat in operators._pieces(ctx):
+        local = _cut_by_cell(ctx, u) if mat is None else u[idx] @ mat.T
+        w_ref += np.bincount(idx.ravel(), weights=local.ravel(), minlength=ctx.n_dofs)
+    assert _max_rel(vmult(ctx, u), w_ref) <= 1e-14
 
     vol = ctx.volume
     f = lambda x: 1.0 + x[..., 0] + 2.0 * x[..., 1] ** 2  # noqa: E731
@@ -484,7 +482,8 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     elem = build_reference_element(degree)
     u_cells = rng.standard_normal((5, nloc))
-    blk = point_block(xi, weights, cell, xi, elem, np.arange(u_cells.size).reshape(u_cells.shape), normals)
+    blk = point_block(xi, weights, cell, tabulate(elem, xi), tabulate(elem, xi, 1),
+                      np.arange(u_cells.size).reshape(u_cells.shape), normals)
     spacing, penalty = (0.25, 0.5), 7.0
 
     sums = cut_volume_apply(blk, volume_factors(blk, spacing), u_cells.ravel())
@@ -512,12 +511,13 @@ def test_cut_cells_with_surface_points_and_no_volume_points(rng):
                for j in corner)
 
     u = rng.standard_normal(ctx.n_dofs)
-    assert _max_rel(operators._cut_kernel(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
+    assert _max_rel(_cut_by_cell(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
     a_dense = dense_operator_matrix(ctx)
     assert_allclose(vmult(ctx, u), a_dense @ u, rtol=0, atol=1e-12 * np.abs(a_dense @ u).max())
-    ext = (2, 2)
-    for cell in (2, 5, 8):
-        assert not cut_cell_volume_apply(ctx, cell, TensorField(ext, rng.standard_normal(4))).data.any()
+    for j in corner:
+        u_j = np.zeros(ctx.n_dofs)
+        u_j[ctx.cut_dofs[j]] = rng.standard_normal(4)
+        assert not _cut_by_cell(ctx, u_j, surface=False)[j].any()
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +547,23 @@ def test_assemble_rhs_matches_direct_sum():
 
     b = assemble_rhs(ctx, f)
     assert np.abs(b - b_oracle).max() <= 1e-12 * np.abs(b_oracle).max()
+
+
+def test_scalar_user_function_broadcasts():
+    ctx = disk_context(2, 6, 2)
+    assert np.array_equal(assemble_rhs(ctx, lambda x: 2.5), assemble_rhs(ctx, lambda x: np.full(x.shape[:-1], 2.5)))
+
+
+@pytest.mark.parametrize("integral", [
+    assemble_rhs,
+    lambda ctx, fn: squared_l2_error(ctx, np.zeros(ctx.n_dofs), fn),
+], ids=["assemble_rhs", "squared_l2_error"])
+def test_user_function_values_are_checked(integral):
+    ctx = disk_context(2, 6, 2)
+    with pytest.raises(ValueError, match=r"non-finite value nan at x = \["):
+        integral(ctx, lambda x: np.where(x[..., 0] > 0.0, np.nan, 1.0))
+    with pytest.raises(ValueError):
+        integral(ctx, lambda x: np.ones(x.shape[:-1] + (1,)))  # (n, 1) for n points
 
 
 # ---------------------------------------------------------------------------

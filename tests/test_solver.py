@@ -226,6 +226,22 @@ def test_l2_error_constant_on_sphere():
     assert abs(err - np.sqrt(4.0 * np.pi / 3.0)) <= 1e-5
 
 
+def test_l2_error_caches_value_only_point_blocks(monkeypatch):
+    ctx = disk_context(2, 6, 2)
+    u_h = np.random.default_rng(3).standard_normal(ctx.n_dofs)
+    u_exact = lambda x: np.cos(x[..., 0]) * x[..., 1]
+    first = l2_error(ctx, u_h, u_exact)
+    blk = ctx._error_blocks[ctx.params.error_quad_order]
+    owner = blk.vals if blk.vals.base is None else blk.vals.base
+    assert blk.grads is None and owner.nbytes == blk.vals.nbytes  # no derivative table, nor memory for one
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("l2_error built a cut rule again")
+
+    monkeypatch.setattr(cutquad, "cut_cell_quadrature", forbidden)
+    assert l2_error(ctx, u_h, u_exact) == first
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_interpolation_error_rate(degree):
     u_exact, _ = radial_cosine_problem(2)
