@@ -124,11 +124,20 @@ class BallUnionLevelSet:
         return self._best(x)[0]
 
     def gradient(self, x) -> np.ndarray:
+        # _best's loop, keeping the leading ball's x - c_i and its norm: one norm per ball
         x = np.asarray(x, dtype=float)
-        _, best = self._best(x)
-        diff = x - self.centers[best]
-        dist = np.linalg.norm(diff, axis=-1, keepdims=True)
-        return -diff / np.where(dist == 0.0, 1.0, dist)
+        diff = x - self.centers[0]
+        dist = np.linalg.norm(diff, axis=-1)
+        best_val = self.radii[0] - dist
+        for i in range(1, len(self.radii)):
+            diff_i = x - self.centers[i]
+            dist_i = np.linalg.norm(diff_i, axis=-1)
+            v = self.radii[i] - dist_i
+            better = v > best_val
+            best_val = np.where(better, v, best_val)
+            diff = np.where(better[..., None], diff_i, diff)
+            dist = np.where(better, dist_i, dist)
+        return -diff / np.where(dist == 0.0, 1.0, dist)[..., None]
 
 
 class SphereLevelSet(BallUnionLevelSet):

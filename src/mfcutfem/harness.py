@@ -45,9 +45,10 @@ from .operators import (
     Parameters,
     add_by_cell,
     assemble_rhs,
+    basis_rows,
     breakdown_report,
     build_context,
-    cut_volume_apply,
+    cut_apply,
     ghost_face_kernel,
     point_block,
     reset_timers,
@@ -459,24 +460,27 @@ def run_convergence(cfg: RunConfig) -> int:
 
 def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
     """Weak Laplacian of a cell batch via per-point evaluation at arbitrary
-    reference points, including the set-up of the point block (point-last
-    1D basis tables, gather and segment tables) and its factors; the
-    reference points stand in for the physical ones, which it never reads."""
+    reference points: the set-up of a volume point block (1D basis tables,
+    the derivative rows tabulated from them, and segment tables) and its
+    factors, then the cut kernel on the cells' coefficients and the sums by
+    cell; the reference points stand in for the physical ones, which it
+    never reads."""
     n_cells, n_pts, d = pts_ref.shape
     xi = pts_ref.reshape(-1, d)
     cell = np.repeat(np.arange(n_cells), n_pts)
-    blk = point_block(xi, weights, cell, tabulate(elem, xi), tabulate(elem, xi, 1),
-                      np.arange(u_cells.size).reshape(u_cells.shape))
-    sums = cut_volume_apply(blk, volume_factors(blk, spacing), u_cells.ravel())
+    rows = basis_rows(tabulate(elem, xi), tabulate(elem, xi, 1))
+    blk = point_block(xi, weights, cell, u_cells.shape[1], rows=rows)
+    sums = cut_apply(blk, volume_factors(blk, spacing), u_cells.T)
     return add_by_cell(np.zeros(u_cells.shape), blk, sums)
 
 
 def run_kernelbench(cfg: RunConfig) -> int:
     """Per-application microseconds for the three per-cell/per-face kernels
     (the factored cell and ghost-face kernels that vmult's cached matrices
-    are probed from, and the per-point cut-cell kernel), measured over
-    vectorized cell batches; `relative` normalizes by the sum-factorized cell
-    kernel at the smallest degree of the sweep (within each dimension)."""
+    are probed from, and the per-point cut-cell kernel with the tabulation
+    of its basis rows), measured over vectorized cell batches; `relative`
+    normalizes by the sum-factorized cell kernel at the smallest degree of
+    the sweep (within each dimension)."""
     out = _out_dir(cfg)
     batch = 256
     loops = max(1, -(-1000 // batch))  # >= 1000 applications per timing batch

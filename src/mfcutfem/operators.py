@@ -11,14 +11,20 @@ them, in this order:
   over the axes (``sumfac.cell_laplacian_batch``),
 * "intersected": cut cells integrate the same weak form over their
   precomputed volume rule and add the symmetric Nitsche boundary terms
-  -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface; both
-  run on the point pair ``point_evaluate`` / ``point_integrate`` over the
-  point blocks: the rows of one cut-quadrature call for all cut cells, as
-  they come, with their 1D basis tables stored point-last, (d, k+1, N).
-  The pair works on chunks of P points, with P (k+1)^d at most
-  _POINT_CHUNK = 2^16, so that each (k+1,)*d + (P,) array of cell
-  coefficients or contributions stays at 512 KiB; every NumPy inner loop
-  runs over the points of a chunk,
+  -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface.  Both
+  run on the point blocks, the rows of one cut-quadrature call for all cut
+  cells as they come, through one kernel, ``cut_apply``: each point holds
+  the full basis rows its term reads, (r, nloc) per point stored
+  point-last as (r, nloc, N), so one ``einsum`` takes the gathered cell
+  coefficients to r numbers per point, a per-point coupling scales or mixes
+  them, and one ``einsum`` takes them back to test-function contributions.
+  The volume block's rows are the reference derivatives along each axis
+  (r = d), coupled by w / h_a^2; the surface block's are the value phi_i
+  and the Nitsche normal derivative D_i = sum_a (-w n_a / h_a) d_a phi_i
+  (r = 2), coupled into (penalty w u + D u, u).  The kernel works on
+  chunks of P points, with P nloc at most _POINT_CHUNK = 2^16, so that
+  each (nloc, P) array of gathered coefficients or contributions stays at
+  512 KiB,
 * "ghost_penalty", one piece per axis: the faces normal to it apply
   gamma_A * (hM1 x ... x G1(h) x ... x hM1), the Kronecker product of 1D
   factors with G1 on the face-normal axis (``ghost_face_kernel``).
@@ -31,28 +37,31 @@ keeps the (m, m) results, ``interior_matrix`` and ``ghost_matrices``;
 batch.  The factored kernels stay the one implementation the matrices cache,
 and the per-cell and per-face forms (``sumfac.cell_laplacian``,
 ``ghost_face_apply``) run them directly.  The cut piece has no shared matrix
-and runs the point pair on every call.
+and runs its kernel on every call.
 
 Everything that depends only on the geometry is tabulated once, when the
-context is built: each point block's gather index (nloc, N), the DoF of
-every point's cell coefficients, and its chunks with the starts and cells
-of their per-cell segments (``point_block``); the per-point factors of the
-cut terms, w / h_a^2 for the volume and penalty w, -w n_a / h_a for
-Nitsche (``volume_factors``, ``nitsche_factors``); and one scatter index
-over the values of all pieces.  A ``vmult`` call does only the work that
-depends on u: it gathers, runs the GEMMs and the point pair, sums each
-chunk's contributions by cell segment with one ``reduceat``, and adds
-everything into the result with a single ``bincount``.
+context is built: each point block's basis rows, tabulated from its 1D
+tables by ``point_integrate`` itself (``basis_rows``), and its chunks with
+the starts and cells of their per-cell segments (``point_block``); the
+per-point factors of the cut terms, w / h_a^2 for the volume and penalty w
+for Nitsche; and one scatter index over the values of all pieces.  No
+block holds a per-point DoF index: the cut kernels gather per cell, once
+per call ((nloc, n_cut) from the DoF vector by the cut cells' DoF table),
+and then per point by the points' cell column.  A ``vmult`` call does only
+the work that depends on u: it gathers, runs the GEMMs and the cut kernel,
+sums each chunk's contributions by cell segment with one ``reduceat``, and
+adds everything into the result with a single ``bincount``.
 
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
 ``apply_ghost_penalty`` and ``assemble_rhs`` scatter as ``vmult`` does, with
 one ``bincount`` over their concatenated DoFs and values; cut cells' segment
 sums go to their segment DoFs.  The domain integrals ``assemble_rhs`` and
 ``squared_l2_error`` share the uncut tensor rule and cell walk, read user
-functions through one checked evaluation, and run the point pair on cut
-cells, the error on its own point blocks of values only, built on first
-use.  All batches and reductions run in a fixed order, so results are
-bitwise reproducible.
+functions through one checked evaluation, and on cut cells run the point
+pair ``point_integrate`` / ``point_evaluate`` on 1D value tables: the RHS
+on the volume block's, the error on its own point blocks of values only,
+built on first use.  All batches and reductions run in a fixed order, so
+results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -108,16 +117,18 @@ class Parameters:
 @dataclass
 class PointBlock:
     """Concatenated per-point data of all cut cells, grouped cell by cell;
-    the 1D tables are point-last, so the point kernels loop over points.
-    ``gather`` and ``chunks`` are the kernels' geometry-only set-up, built
-    once by ``point_block``."""
+    the tables are point-last, so the point kernels loop over points.  The
+    volume block keeps its 1D values for assemble_rhs and its derivative
+    rows for cut_apply, the surface block only its value and Nitsche rows,
+    an error block only its 1D values.  ``rows`` and ``chunks`` are the
+    kernels' geometry-only set-up, built once; the kernels gather each
+    point's cell coefficients through ``cell``."""
 
     points: np.ndarray   # (N, d) physical coordinates
     weights: np.ndarray  # (N,)
     cell: np.ndarray     # (N,) position in the cut-cell list, nondecreasing
-    vals: np.ndarray     # (d, k+1, N) 1D basis values at the reference coords, point-last
-    grads: np.ndarray | None  # (d, k+1, N) 1D basis derivatives (reference), point-last
-    gather: np.ndarray   # (nloc, N) DoF of local coefficient i of each point's cell
+    vals: np.ndarray | None  # (d, k+1, N) 1D basis values at the reference coords; volume and error blocks
+    rows: np.ndarray | None  # (r, nloc, N) basis rows of cut_apply (basis_rows); volume and surface blocks
     chunks: list[tuple[slice, np.ndarray, np.ndarray]]  # (points, segment starts in them, segment cells)
     normals: np.ndarray | None = None  # (N, d) for surface blocks
 
@@ -145,14 +156,14 @@ class OperatorContext:
     interior_matrix: np.ndarray     # (nloc, nloc) local matrix of every uncut cell
     ghost_matrices: dict[int, np.ndarray]  # axis -> (patch size,)*2, gamma_A included; empty if gamma_A = 0
     volume_factors: np.ndarray = field(init=False)   # (d, N) w / h_a^2 at the volume points
-    nitsche_factors: np.ndarray = field(init=False)  # (d+1, N) penalty w, -w n_a / h_a at the surface points
+    nitsche_factors: np.ndarray = field(init=False)  # (N,) penalty w at the surface points
     scatter_index: np.ndarray = field(init=False)    # DoF of each value vmult's pieces produce, in order
     timers: dict[str, float] = field(default_factory=dict)
     _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
 
     def __post_init__(self):
         self.volume_factors = volume_factors(self.volume, self.mesh.spacing)
-        self.nitsche_factors = nitsche_factors(self.surface, self.mesh.spacing, self.nitsche_penalty)
+        self.nitsche_factors = self.nitsche_penalty * self.surface.weights
         self.scatter_index = _scatter_index(self)
 
     @property
@@ -188,29 +199,51 @@ def tabulate(elem, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
     return np.stack([elem.evaluate(xi[:, a], deriv=deriv).T for a in range(xi.shape[1])])
 
 
-def point_block(points, weights, cell, vals, grads, dofs, normals=None) -> PointBlock:
+def basis_rows(vals: np.ndarray, grads: np.ndarray, normal_coefs: np.ndarray | None = None) -> np.ndarray:
+    """The basis rows of cut_apply at each point of the 1D tables from
+    tabulate, as point_integrate builds them: without normal_coefs the
+    reference derivative of every basis function along each axis a (the
+    value row of the tables with grads[a] in place of vals[a]), (d, nloc,
+    P); with normal_coefs (d, P) the value row and D_i = sum_a
+    normal_coefs[a] d_a phi_i, (2, nloc, P)."""
+    d, n = vals.shape[0], vals.shape[-1]
+    ones = np.ones(n)
+    args = ([(np.concatenate([vals[:a], grads[a:a + 1], vals[a + 1:]]), None, ones) for a in range(d)]
+            if normal_coefs is None else [(vals, None, ones), (vals, grads, None, normal_coefs)])
+    rows = np.empty((len(args), vals.shape[1] ** d, n))
+    for r, arg in enumerate(args):
+        rows[r] = point_integrate(*arg).reshape(rows.shape[1:])
+    return rows
+
+
+def point_block(points, weights, cell, nloc: int, vals=None, rows=None, normals=None) -> PointBlock:
     """The points grouped cell by cell (cell nondecreasing) with their 1D
-    tables from tabulate (grads None if unused) and their kernel set-up: the
-    gather index dofs[cell].T of the cells' DoF table dofs (n_cells, nloc),
-    and chunks of P points, P nloc at most _POINT_CHUNK, each with the
-    starts and cells of its per-cell segments."""
-    nloc = dofs.shape[1]
+    values from tabulate and their basis rows from basis_rows (either None
+    if unused), and chunks of P points, P nloc at most _POINT_CHUNK, each
+    with the starts and cells of its per-cell segments."""
     step = max(1, _POINT_CHUNK // nloc)
     chunks = []
     for start in range(0, len(cell), step):
         part = cell[start:start + step]
         starts = np.flatnonzero(np.diff(part, prepend=-1))
         chunks.append((slice(start, start + len(part)), starts, part[starts]))
-    return PointBlock(points, weights, cell, vals, grads, np.take(dofs.T, cell, axis=1), chunks, normals)
+    return PointBlock(points, weights, cell, vals, rows, chunks, normals)
 
 
-def _point_block(mesh, elem, cut_cells, dofs, rules, surface: bool = False, grads: bool = True) -> PointBlock:
-    """The volume or surface rows of the cut cells' rules as a point block; grads=False: values only."""
+def _point_block(mesh, elem, cut_cells, rules, surface: bool = False, values_only: bool = False) -> PointBlock:
+    """The volume or surface rows of the cut cells' rules as a point block:
+    the volume block with 1D values and derivative rows, the surface block
+    with value and Nitsche rows only; values_only: 1D values only."""
     pts, wts, cell, nrm = ((rules.surface_points, rules.surface_weights, rules.surface_box, rules.surface_normals)
                            if surface else (rules.interior_points, rules.interior_weights, rules.interior_box, None))
-    lower = np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell]) * np.asarray(mesh.spacing)
-    xi = (pts - lower) / np.asarray(mesh.spacing)
-    return point_block(pts, wts, cell, tabulate(elem, xi), tabulate(elem, xi, 1) if grads else None, dofs, nrm)
+    spacing = np.asarray(mesh.spacing)
+    xi = (pts - (np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell]) * spacing)) / spacing
+    vals, nloc = tabulate(elem, xi), (elem.degree + 1) ** mesh.dim
+    if values_only:
+        return point_block(pts, wts, cell, nloc, vals)
+    normal_coefs = (-(wts[:, None] * nrm) / spacing).T if surface else None  # -w n_a / h_a
+    rows = basis_rows(vals, tabulate(elem, xi, 1), normal_coefs)
+    return point_block(pts, wts, cell, nloc, None if surface else vals, rows, nrm)
 
 
 def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.CutCellQuadrature:
@@ -227,8 +260,8 @@ def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.Cut
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
     """Classify, enumerate DoFs and ghost faces, build and tabulate cut rules,
     probe the local matrices of the interior and ghost pieces, and tabulate
-    what every vmult reads: the point blocks' gather and segment tables, the
-    per-point factors of the cut terms and the scatter index."""
+    what every vmult reads: the point blocks' basis rows and segment tables,
+    the per-point factors of the cut terms and the scatter index."""
     k = params.degree
     elem = tensor1d.build_reference_element(k, max(params.quad_order, k + 1))
     classification = geometry.classify_cells(mesh, levelset, k + 2)
@@ -243,7 +276,6 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         if (faces[:, 0] == axis).any()
     }
 
-    cut_dofs = dofmap.compact_cell_dofs(cut_cells)
     rules = _cut_rules(mesh, levelset, cut_cells, params.quad_order, params.max_quad_depth)
     ctx = OperatorContext(
         mesh=mesh,
@@ -256,10 +288,10 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         inside_cells=inside_cells,
         cut_cells=cut_cells,
         inside_dofs=dofmap.compact_cell_dofs(inside_cells),
-        cut_dofs=cut_dofs,
+        cut_dofs=dofmap.compact_cell_dofs(cut_cells),
         face_dofs=face_dofs,
-        volume=_point_block(mesh, elem, cut_cells, cut_dofs, rules),
-        surface=_point_block(mesh, elem, cut_cells, cut_dofs, rules, surface=True),
+        volume=_point_block(mesh, elem, cut_cells, rules),
+        surface=_point_block(mesh, elem, cut_cells, rules, surface=True),
         fallback_count=rules.fallback_count,
         interior_matrix=_probe(partial(cell_laplacian_batch, elem, mesh.spacing), (k + 1) ** mesh.dim),
         ghost_matrices={a: _probe(ghost_face_kernel(elem, mesh.spacing, params.gamma_ghost, a), idx.shape[1])
@@ -270,7 +302,8 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
 
 
 # ---------------------------------------------------------------------------
-# point kernels: evaluate / integrate on point-last 1D tables
+# point kernels: the 1D-table pair evaluate / integrate, and cut_apply on
+# tabulated basis rows
 
 
 def _contract(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
@@ -285,20 +318,12 @@ def _outer(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
     return tab.reshape(tab.shape[:1] + (1,) * (x.ndim - 1) + tab.shape[1:]) * x
 
 
-def point_evaluate(up: np.ndarray, vals: np.ndarray, grads: np.ndarray | None = None, value: bool = True):
-    """(value, [reference derivative along each axis]) at each point of the
-    cell coefficients up ((k+1,)*d + (P,), tensor axis 0 second to last),
-    contracting one tensor axis at a time; the value and the derivatives
-    share the contractions of the axes before theirs.  Without grads only
-    the value, and the list is empty; with value=False the value is None
-    and its last contraction is skipped."""
-    val, derivs, d = up, [], vals.shape[0]
-    for a in range(d):
-        derivs = [_contract(x, vals[a]) for x in derivs]
-        if grads is not None:
-            derivs.append(_contract(val, grads[a]))
-        val = _contract(val, vals[a]) if value or a + 1 < d else None
-    return val, derivs
+def point_evaluate(up: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The value at each point of the cell coefficients up ((k+1,)*d + (P,),
+    tensor axis 0 second to last), contracting one tensor axis at a time."""
+    for tab in vals:
+        up = _contract(up, tab)
+    return up
 
 
 def point_integrate(vals: np.ndarray, grads: np.ndarray | None, value_coef=None, grad_coefs=()) -> np.ndarray:
@@ -316,11 +341,6 @@ def point_integrate(vals: np.ndarray, grads: np.ndarray | None, value_coef=None,
             if a + 1 < len(grad_coefs):
                 before = _outer(before, vals[a])
     return acc
-
-
-def _gather(blk: PointBlock, sl: slice, u: np.ndarray) -> np.ndarray:
-    """Cell coefficients (k+1,)*d + (P,) of the points sl of blk from the DoF vector u."""
-    return np.take(u, blk.gather[:, sl]).reshape((blk.vals.shape[1],) * blk.vals.shape[0] + (-1,))
 
 
 def _segment_sums(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -342,36 +362,23 @@ def volume_factors(blk: PointBlock, spacing) -> np.ndarray:
     return blk.weights / np.square(np.asarray(spacing, dtype=float))[:, None]
 
 
-def nitsche_factors(blk: PointBlock, spacing, penalty: float) -> np.ndarray:
-    """(d+1, N): penalty w, then -w n_a / h_a along each axis."""
-    scaled = -(blk.weights[:, None] * blk.normals) / np.asarray(spacing, dtype=float)
-    return np.concatenate([(penalty * blk.weights)[None], scaled.T])
-
-
-def cut_volume_apply(blk: PointBlock, factors: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
-    """grad-grad term over the points of blk for the DoF vector u, with
-    factors from volume_factors: per chunk, its segment sums."""
+def cut_apply(blk: PointBlock, factors: np.ndarray, uc: np.ndarray) -> list[np.ndarray]:
+    """The cut term of blk for the cell coefficients uc (nloc, n_cells): per
+    chunk, its segment sums.  A chunk gathers its points' coefficients by
+    cell, takes them through the rows to y (r, P), couples y point by point
+    and takes it back through the rows.  The volume block (d derivative
+    rows) scales y by factors (d, N) = w / h_a^2; the surface block (rows
+    phi_i and D_i) turns y = (u, D u) into (factors u + D u, u), with
+    factors (N,) = penalty w: the symmetric Nitsche terms."""
     sums = []
     for sl, starts, _ in blk.chunks:
-        vals, grads = blk.vals[..., sl], blk.grads[..., sl]
-        _, derivs = point_evaluate(_gather(blk, sl, u), vals, grads, value=False)
-        z = [g * f for g, f in zip(derivs, factors[:, sl])]
-        sums.append(_segment_sums(point_integrate(vals, grads, grad_coefs=z), starts))
-    return sums
-
-
-def nitsche_apply(blk: PointBlock, factors: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
-    """Symmetric Nitsche terms over the surface points of blk for the DoF
-    vector u, with factors from nitsche_factors: per chunk, its segment sums."""
-    sums = []
-    for sl, starts, _ in blk.chunks:
-        vals, grads = blk.vals[..., sl], blk.grads[..., sl]
-        u_val, derivs = point_evaluate(_gather(blk, sl, u), vals, grads)
-        penalty_w, wn = factors[0, sl], factors[1:, sl]
-        value_coef = penalty_w * u_val
-        for g, f in zip(derivs, wn):
-            value_coef += f * g
-        sums.append(_segment_sums(point_integrate(vals, grads, value_coef, [f * u_val for f in wn]), starts))
+        rows = blk.rows[..., sl]
+        y = np.einsum("rip,ip->rp", rows, np.take(uc, blk.cell[sl], axis=1))
+        if blk.normals is None:
+            y *= factors[:, sl]
+        else:
+            y = np.stack([factors[sl] * y[0] + y[1], y[0]])
+        sums.append(_segment_sums(np.einsum("rip,rp->ip", rows, y), starts))
     return sums
 
 
@@ -407,10 +414,10 @@ def _pieces(ctx: OperatorContext) -> list[tuple]:
     return pieces
 
 
-def _segment_dofs(blk: PointBlock) -> list[np.ndarray]:
-    """The (nloc, segments) DoFs of each chunk's cells: where its segment
-    sums go."""
-    return [blk.gather[:, sl][:, starts] for sl, starts, _ in blk.chunks]
+def _segment_dofs(blk: PointBlock, dofs: np.ndarray) -> list[np.ndarray]:
+    """The (nloc, segments) DoFs of each chunk's cells, from the cut cells'
+    DoF table dofs (n_cut, nloc): where its segment sums go."""
+    return [dofs[cells].T for _, _, cells in blk.chunks]
 
 
 def _scatter_index(ctx: OperatorContext) -> np.ndarray:
@@ -419,7 +426,7 @@ def _scatter_index(ctx: OperatorContext) -> np.ndarray:
     volume block and then of the surface block."""
     parts = [np.empty(0, dtype=np.intp)]  # a mesh with no active cell has no piece
     for _, idx, mat in _pieces(ctx):
-        parts += [idx] if mat is not None else _segment_dofs(ctx.volume) + _segment_dofs(ctx.surface)
+        parts += [idx] if mat is not None else [*_segment_dofs(ctx.volume, idx), *_segment_dofs(ctx.surface, idx)]
     return np.concatenate(parts, axis=None)
 
 
@@ -444,9 +451,10 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
         t0 = time.perf_counter()
         if mat is not None:
             parts.append(sumfac.contract_axis(mat, u[idx], 1))
-        else:  # the cut piece: segment sums of the volume and then the Nitsche term
-            parts += cut_volume_apply(ctx.volume, ctx.volume_factors, u)
-            parts += nitsche_apply(ctx.surface, ctx.nitsche_factors, u)
+        else:  # the cut piece: one gather by cell, segment sums of the volume and then the Nitsche term
+            uc = np.take(u, idx.T)
+            parts += cut_apply(ctx.volume, ctx.volume_factors, uc)
+            parts += cut_apply(ctx.surface, ctx.nitsche_factors, uc)
         ctx.timers[component] += time.perf_counter() - t0
     w = np.bincount(ctx.scatter_index, weights=np.concatenate(parts, axis=None), minlength=ctx.n_dofs)
 
@@ -524,7 +532,7 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     for sl, starts, _ in blk.chunks:
         fw = _values(f, blk.points[sl]) * blk.weights[sl]
         vals.append(_segment_sums(point_integrate(blk.vals[..., sl], None, fw), starts))
-    idx += _segment_dofs(blk)
+    idx += _segment_dofs(blk, ctx.cut_dofs)
     return np.bincount(np.concatenate(idx, axis=None), weights=np.concatenate(vals, axis=None), minlength=ctx.n_dofs)
 
 
@@ -545,11 +553,12 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
 
     if order not in ctx._error_blocks:
         rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
-        ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, ctx.cut_dofs, rules, grads=False)
+        ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules, values_only=True)
     blk = ctx._error_blocks[order]
+    uc = np.take(u_h, ctx.cut_dofs.T).reshape(cell_shape[1:] + (-1,))  # (k+1,)*d + (n_cut,)
     vals = np.empty(blk.weights.size)
     for sl, _, _ in blk.chunks:
-        vals[sl] = point_evaluate(_gather(blk, sl, u_h), blk.vals[..., sl])[0]
+        vals[sl] = point_evaluate(np.take(uc, blk.cell[sl], axis=-1), blk.vals[..., sl])
     diff = vals - _values(u_exact, blk.points)
     return err2 + float(np.sum(diff * diff * blk.weights))
 

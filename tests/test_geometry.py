@@ -96,6 +96,32 @@ def test_ball_union_matches_max_of_spheres(rng):
     assert_allclose(union.value(x), singles.max(axis=0), atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_union_gradient_is_the_argmax_ball_formula_bitwise(rng, dim):
+    # -(x - c) / |x - c| of the ball of largest value, the first one on a
+    # tie, and zero at that ball's centre: the argmax followed by a second
+    # norm of x - c, as the gradient was first written
+    centers = np.zeros((3, dim))
+    centers[0, 0], centers[1, 0], centers[2, 1] = 0.3, -0.3, 0.9
+    radii = np.array([0.5, 0.5, 0.4])
+    ls = BallUnionLevelSet(centers, radii)
+    tie = rng.uniform(-1.0, 1.0, (10, dim))
+    tie[:, 0] = 0.0  # balls 0 and 1 are equally close and equally large,
+    tie[:, 1] = -np.abs(tie[:, 1])  # and ball 2 is farther
+    x = np.concatenate([rng.uniform(-1.0, 1.0, (50, dim)), tie, centers[2:]])
+
+    dists = np.stack([np.linalg.norm(x - c, axis=-1) for c in centers])
+    best = np.argmax(radii[:, None] - dists, axis=0)
+    diff = x - centers[best]
+    dist = np.linalg.norm(diff, axis=-1, keepdims=True)
+    expected = -diff / np.where(dist == 0.0, 1.0, dist)
+
+    assert (best[50:60] == 0).all() and best[-1] == 2
+    assert np.array_equal(ls.gradient(x), expected)
+    assert not ls.gradient(centers[2]).any()
+    assert all(np.array_equal(ls.gradient(p), e) for p, e in zip(x, expected))
+
+
 def test_half_space_level_set():
     ls = HalfSpaceLevelSet([1.0, 0.0], 0.3)
     assert ls.value(np.array([0.0, 9.0])) > 0

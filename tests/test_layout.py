@@ -58,21 +58,75 @@ def test_one_class_per_level_set_shape():
     assert defined == {(c, m) for c in ("BallUnionLevelSet", "HalfSpaceLevelSet") for m in ("value", "gradient")}
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(fn) -> set[str]:
+    """Names fn binds in its own scope: its parameters and the names it
+    assigns to; nested functions keep theirs."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _named(tree) -> set[str]:
+    """Names a module refers to: every attribute, and every name read where
+    no enclosing function binds it as a parameter or assignment target."""
+    named = set()
+
+    def visit(node, bound):
+        if isinstance(node, _SCOPES):
+            bound = bound | _bound(node)
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            named.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return named
+
+
+def _unused(defining: dict[str, str], calling: list[str], public=()) -> list[str]:
+    """Functions and classes (dunder methods aside) of the defining sources,
+    by file name, that no calling source names and that are not public, as
+    "file:line name"."""
+    defined = {}
+    for name, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                defined.setdefault(node.name, f"{name}:{node.lineno}")
+    named = set(public).union(*(_named(ast.parse(source)) for source in calling))
+    return [f"{where} {name}" for name, where in defined.items() if name not in named]
+
+
 def test_every_definition_has_a_caller():
     # a function or class of the package is public (in __all__) or named by
     # the package, the demos or perfbench; tests and __init__.py do not count,
     # and dunder methods are called by Python itself
-    defined = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    callers += [p for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py") if not p.name.startswith("test_")]
-    named = {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for path in callers for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(n, (ast.Name, ast.Attribute))
-    }
-    unused = [f"{where} {name}" for name, where in defined.items() if name not in named | set(mfcutfem.__all__)]
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [source for name, source in modules.items() if name != "__init__.py"]
+    callers += [p.read_text(encoding="utf-8") for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py")
+                if not p.name.startswith("test_")]
+    unused = _unused(modules, callers, mfcutfem.__all__)
     assert not unused, "\n".join(unused)
+
+
+def test_a_name_bound_in_a_function_does_not_name_a_definition():
+    # a parameter or local variable that shares a dead function's name
+    # reads the binding, not the function
+    dead = "def f():\n    pass\n"
+    assert _unused({"dead.py": dead}, ["def g(f):\n    return f()\n"]) == ["dead.py:1 f"]
+    assert _unused({"dead.py": dead}, ["def g(x):\n    f = x\n    return [f for _ in x]\n"]) == ["dead.py:1 f"]
+    assert _unused({"dead.py": dead}, ["def g(x):\n    return lambda f: f(x)\n"]) == ["dead.py:1 f"]
+    # a read outside the binding function, or of an attribute, still names it
+    assert _unused({"dead.py": dead}, ["def g(f):\n    return f\n\n\ndef h():\n    return f()\n"]) == []
+    assert _unused({"dead.py": dead}, ["def g(x):\n    return x.f()\n"]) == []

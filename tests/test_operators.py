@@ -1,6 +1,7 @@
 """Matrix-free operator application against independently assembled matrices."""
 
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,12 +15,11 @@ from mfcutfem.operators import (
     add_by_cell,
     apply_ghost_penalty,
     assemble_rhs,
+    basis_rows,
     breakdown_report,
     build_context,
-    cut_volume_apply,
+    cut_apply,
     ghost_face_apply,
-    nitsche_apply,
-    nitsche_factors,
     point_block,
     reset_timers,
     squared_l2_error,
@@ -316,7 +316,7 @@ def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an operator action redid set-up work")
 
-    for name in ("tabulate", "_point_block", "point_block", "volume_factors", "nitsche_factors", "_scatter_index"):
+    for name in ("tabulate", "basis_rows", "_point_block", "point_block", "volume_factors", "_scatter_index"):
         monkeypatch.setattr(operators, name, forbidden)
     got = vmult(ctx, u), apply_ghost_penalty(ctx, u), assemble_rhs(ctx, f)
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
@@ -372,11 +372,11 @@ def _cut_by_cell(ctx, u, volume=True, surface=True):
     """The cut piece's volume and Nitsche terms for the DoF vector u by cell,
     (n_cut, nloc), from the batched kernels; for a u that is zero outside
     cut cell j's DoFs, row j is that cell's own form."""
-    out = np.zeros(ctx.cut_dofs.shape)
+    out, uc = np.zeros(ctx.cut_dofs.shape), np.take(u, ctx.cut_dofs.T)
     if volume:
-        add_by_cell(out, ctx.volume, cut_volume_apply(ctx.volume, ctx.volume_factors, u))
+        add_by_cell(out, ctx.volume, cut_apply(ctx.volume, ctx.volume_factors, uc))
     if surface:
-        add_by_cell(out, ctx.surface, nitsche_apply(ctx.surface, ctx.nitsche_factors, u))
+        add_by_cell(out, ctx.surface, cut_apply(ctx.surface, ctx.nitsche_factors, uc))
     return out
 
 
@@ -482,21 +482,80 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     elem = build_reference_element(degree)
     u_cells = rng.standard_normal((5, nloc))
-    blk = point_block(xi, weights, cell, tabulate(elem, xi), tabulate(elem, xi, 1),
-                      np.arange(u_cells.size).reshape(u_cells.shape), normals)
+    vals, grads = tabulate(elem, xi), tabulate(elem, xi, 1)
     spacing, penalty = (0.25, 0.5), 7.0
 
-    sums = cut_volume_apply(blk, volume_factors(blk, spacing), u_cells.ravel())
+    blk = point_block(xi, weights, cell, nloc, vals, basis_rows(vals, grads))
+    sums = cut_apply(blk, volume_factors(blk, spacing), u_cells.T)
     assert [part.shape[1] for part in sums] == [len(np.unique(cell[sl])) for sl, _, _ in blk.chunks]  # a segment per cell
     out = add_by_cell(np.zeros(u_cells.shape), blk, sums)
     assert not out[[1, 4]].any()
     assert _max_rel(out, point_first_volume(*point_first_tables(elem, xi), weights, cell, spacing, u_cells)) <= 1e-14
 
-    factors = nitsche_factors(blk, spacing, penalty)
-    out = add_by_cell(np.zeros(u_cells.shape), blk, nitsche_apply(blk, factors, u_cells.ravel()))
+    normal_coefs = (-(weights[:, None] * normals) / np.asarray(spacing)).T
+    blk = point_block(xi, weights, cell, nloc, rows=basis_rows(vals, grads, normal_coefs), normals=normals)
+    out = add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, penalty * weights, u_cells.T))
     assert not out[[1, 4]].any()
     ref = point_first_nitsche(*point_first_tables(elem, xi), weights, normals, cell, spacing, penalty, u_cells)
     assert _max_rel(out, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
+    # row i at a point is the product over the axes of 1D table entries,
+    # axis 0 fastest in i: the derivative table on axis a for the volume
+    # rows, values only for the value row, and the D row is sum_a c_a times
+    # the volume row of axis a
+    elem = build_reference_element(degree)
+    xi = rng.random((7, dim))
+    coefs = rng.standard_normal((dim, len(xi)))
+    vals, grads = point_first_tables(elem, xi)
+
+    def products(deriv_axis):
+        return np.array([reduce(np.kron, [(grads if b == deriv_axis else vals)[p, b] for b in reversed(range(dim))])
+                         for p in range(len(xi))]).T
+
+    derivs = np.stack([products(a) for a in range(dim)])
+    tables = tabulate(elem, xi), tabulate(elem, xi, 1)
+    assert _max_rel(basis_rows(*tables), derivs) <= 1e-15
+    value_row, d_row = basis_rows(*tables, coefs)
+    assert _max_rel(value_row, products(None)) <= 1e-15
+    assert _max_rel(d_row, np.einsum("ap,aip->ip", coefs, derivs)) <= 1e-15
+
+
+def test_point_blocks_hold_no_per_point_dof_table():
+    # the cut kernel and l2_error gather by cell: no block keeps an integer
+    # array of nloc entries per point
+    ctx = disk_context(3, 5, 2)
+    squared_l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))  # builds the error block
+    nloc = ctx.cut_dofs.shape[1]
+    for blk in [ctx.volume, ctx.surface, *ctx._error_blocks.values()]:
+        arrays = [getattr(blk, f.name) for f in dataclasses.fields(blk)] + [a for c in blk.chunks for a in c[1:]]
+        ints = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
+        assert ints and all(a.size < nloc * blk.weights.size for a in ints)
+
+
+def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
+    # assemble_rhs and l2_error read the cut cells' DoFs by cell; their bits
+    # are those of a per-point DoF index (nloc, N), dofs[cell].T
+    ctx = disk_context(2, 6, 2)
+    u = rng.standard_normal(ctx.n_dofs)
+    f = lambda x: 1.0 + x[..., 0] + 2.0 * x[..., 1] ** 2  # noqa: E731
+    u_exact = lambda x: np.cos(x[..., 0]) * x[..., -1]  # noqa: E731
+    b, err2 = assemble_rhs(ctx, f), squared_l2_error(ctx, u, u_exact)
+    per_point = lambda blk: np.take(ctx.cut_dofs.T, blk.cell, axis=1)  # noqa: E731
+
+    blk = ctx._error_blocks[ctx.params.error_quad_order]
+    vals = np.empty(blk.weights.size)
+    for sl, _, _ in blk.chunks:
+        vals[sl] = operators.point_evaluate(u[per_point(blk)[:, sl]].reshape(3, 3, -1), blk.vals[..., sl])
+    diff = vals - u_exact(blk.points)
+    assert squared_l2_error(_without_cut_points(ctx), u, u_exact) + float(np.sum(diff * diff * blk.weights)) == err2
+
+    monkeypatch.setattr(operators, "_segment_dofs",
+                        lambda blk, dofs: [per_point(blk)[:, sl][:, starts] for sl, starts, _ in blk.chunks])
+    assert np.array_equal(assemble_rhs(ctx, f), b)
 
 
 def test_cut_cells_with_surface_points_and_no_volume_points(rng):
