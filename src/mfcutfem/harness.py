@@ -43,16 +43,13 @@ from .geometry import (
 )
 from .operators import (
     Parameters,
-    add_by_cell,
     assemble_rhs,
-    basis_rows,
     breakdown_report,
     build_context,
     cut_apply,
     ghost_face_kernel,
     point_block,
     reset_timers,
-    tabulate,
     vmult,
     volume_factors,
 )
@@ -459,26 +456,23 @@ def run_convergence(cfg: RunConfig) -> int:
 
 
 def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
-    """Weak Laplacian of a cell batch via per-point evaluation at arbitrary
-    reference points: the set-up of a volume point block (1D basis tables,
-    the derivative rows tabulated from them, and segment tables) and its
-    factors, then the cut kernel on the cells' coefficients and the sums by
-    cell; the reference points stand in for the physical ones, which it
-    never reads."""
+    """The per-point cut-cell kernel as a call: a volume point block at
+    arbitrary reference points, pts_ref (n_cells, points per cell, d), and
+    its factors are built here, and the call applies cut_apply to the
+    cells' coefficients, a weak Laplacian per cell by chunk segments.  The
+    reference points stand in for the physical ones, which it never reads."""
     n_cells, n_pts, d = pts_ref.shape
     xi = pts_ref.reshape(-1, d)
-    cell = np.repeat(np.arange(n_cells), n_pts)
-    rows = basis_rows(tabulate(elem, xi), tabulate(elem, xi, 1))
-    blk = point_block(xi, weights, cell, u_cells.shape[1], rows=rows)
-    sums = cut_apply(blk, volume_factors(blk, spacing), u_cells.T)
-    return add_by_cell(np.zeros(u_cells.shape), blk, sums)
+    blk = point_block(elem, xi, xi, weights, np.repeat(np.arange(n_cells), n_pts))
+    factors, uc = volume_factors(blk, spacing), u_cells.T
+    return lambda: cut_apply(blk, factors, uc)
 
 
 def run_kernelbench(cfg: RunConfig) -> int:
     """Per-application microseconds for the three per-cell/per-face kernels
     (the factored cell and ghost-face kernels that vmult's cached matrices
-    are probed from, and the per-point cut-cell kernel with the tabulation
-    of its basis rows), measured over vectorized cell batches; `relative`
+    are probed from, and the per-point cut-cell kernel on a point block
+    tabulated beforehand), measured over vectorized cell batches; `relative`
     normalizes by the sum-factorized cell kernel at the smallest degree of
     the sweep (within each dimension)."""
     out = _out_dir(cfg)
@@ -501,7 +495,7 @@ def run_kernelbench(cfg: RunConfig) -> int:
 
             kernels = [
                 ("sumfac_cell", lambda: cell_laplacian_batch(elem, spacing, u_cells)),
-                ("point_cell", lambda: _bench_point_cell(elem, spacing, u_cells, pts_ref, weights)),
+                ("point_cell", _bench_point_cell(elem, spacing, u_cells, pts_ref, weights)),
                 ("ghost_face", lambda: ghost_face(u_patch)),
             ]
             for name, fn in kernels:

@@ -40,28 +40,31 @@ and the per-cell and per-face forms (``sumfac.cell_laplacian``,
 and runs its kernel on every call.
 
 Everything that depends only on the geometry is tabulated once, when the
-context is built: each point block's basis rows, tabulated from its 1D
-tables by ``point_integrate`` itself (``basis_rows``), and its chunks with
-the starts and cells of their per-cell segments (``point_block``); the
-per-point factors of the cut terms, w / h_a^2 for the volume and penalty w
-for Nitsche; and one scatter index over the values of all pieces.  No
-block holds a per-point DoF index: the cut kernels gather per cell, once
-per call ((nloc, n_cut) from the DoF vector by the cut cells' DoF table),
-and then per point by the points' cell column.  A ``vmult`` call does only
-the work that depends on u: it gathers, runs the GEMMs and the cut kernel,
-sums each chunk's contributions by cell segment with one ``reduceat``, and
-adds everything into the result with a single ``bincount``.
+context is built: each point block's basis rows, products of its 1D
+tables (``basis_rows``), and its chunks with the starts and cells of their
+per-cell segments (``point_block``); the per-point factors of the cut
+terms, w / h_a^2 for the volume and penalty w for Nitsche; and one scatter
+index over the values of all pieces.  No block holds a per-point DoF
+index: the cut kernels gather per cell, once per call ((nloc, n_cut) from
+the DoF vector by the cut cells' DoF table), and then per point by the
+points' cell column.  A ``vmult`` call does only the work that depends on
+u: it gathers, runs the GEMMs and the cut kernel, sums each chunk's
+contributions by cell segment with one ``reduceat``, and adds everything
+into the result with a single ``bincount``.
 
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
 ``apply_ghost_penalty`` and ``assemble_rhs`` scatter as ``vmult`` does, with
 one ``bincount`` over their concatenated DoFs and values; cut cells' segment
 sums go to their segment DoFs.  The domain integrals ``assemble_rhs`` and
 ``squared_l2_error`` share the uncut tensor rule and cell walk, read user
-functions through one checked evaluation, and on cut cells run the point
-pair ``point_integrate`` / ``point_evaluate`` on 1D value tables: the RHS
-on the volume block's, the error on its own point blocks of values only,
-built on first use.  All batches and reductions run in a fixed order, so
-results are bitwise reproducible.
+functions through one checked evaluation, and on cut cells build each
+chunk's value rows from 1D value tables: the RHS sums f w times them by
+cell segment on the volume block's tables, the error takes them against
+the gathered cell coefficients on its own point blocks of values only,
+built on first use.  Every basis row of a cut point, value or derivative,
+is one product of 1D table entries per axis (``_tensor_rows``).  All
+batches and reductions run in a fixed order, so results are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -133,6 +136,11 @@ class PointBlock:
     normals: np.ndarray | None = None  # (N, d) for surface blocks
 
 
+def _zero_timers() -> dict:
+    """vmult's accumulated seconds per component and in total, and its count."""
+    return {**dict.fromkeys(_COMPONENTS + ("total",), 0.0), "applications": 0}
+
+
 @dataclass
 class OperatorContext:
     """Everything vmult needs, precomputed once per (mesh, level set, k); the
@@ -158,7 +166,7 @@ class OperatorContext:
     volume_factors: np.ndarray = field(init=False)   # (d, N) w / h_a^2 at the volume points
     nitsche_factors: np.ndarray = field(init=False)  # (N,) penalty w at the surface points
     scatter_index: np.ndarray = field(init=False)    # DoF of each value vmult's pieces produce, in order
-    timers: dict[str, float] = field(default_factory=dict)
+    timers: dict[str, float] = field(default_factory=_zero_timers)
     _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -189,7 +197,7 @@ class OperatorContext:
 
 
 def reset_timers(ctx: OperatorContext) -> None:
-    ctx.timers = {**dict.fromkeys(_COMPONENTS + ("total",), 0.0), "applications": 0}
+    ctx.timers = _zero_timers()
 
 
 def tabulate(elem, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
@@ -201,26 +209,33 @@ def tabulate(elem, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
 
 def basis_rows(vals: np.ndarray, grads: np.ndarray, normal_coefs: np.ndarray | None = None) -> np.ndarray:
     """The basis rows of cut_apply at each point of the 1D tables from
-    tabulate, as point_integrate builds them: without normal_coefs the
-    reference derivative of every basis function along each axis a (the
-    value row of the tables with grads[a] in place of vals[a]), (d, nloc,
-    P); with normal_coefs (d, P) the value row and D_i = sum_a
-    normal_coefs[a] d_a phi_i, (2, nloc, P)."""
-    d, n = vals.shape[0], vals.shape[-1]
-    ones = np.ones(n)
-    args = ([(np.concatenate([vals[:a], grads[a:a + 1], vals[a + 1:]]), None, ones) for a in range(d)]
-            if normal_coefs is None else [(vals, None, ones), (vals, grads, None, normal_coefs)])
-    rows = np.empty((len(args), vals.shape[1] ** d, n))
-    for r, arg in enumerate(args):
-        rows[r] = point_integrate(*arg).reshape(rows.shape[1:])
-    return rows
+    tabulate: without normal_coefs the reference derivative R_a of every
+    basis function along each axis a (the tensor rows of the tables with
+    grads[a] in place of vals[a]), (d, nloc, P); with normal_coefs (d, P)
+    the value row and D = sum_a normal_coefs[a] R_a, (2, nloc, P)."""
+    d = len(vals)
+    derivs = np.empty((d, vals.shape[1] ** d, vals.shape[-1]))
+    for a in range(d):  # filled in place: one (nloc, P) temporary at a time
+        derivs[a] = _tensor_rows([grads[b] if b == a else v for b, v in enumerate(vals)], 1)
+    if normal_coefs is None:
+        return derivs
+    return np.stack([_tensor_rows(vals, 1), np.einsum("ap,aip->ip", normal_coefs, derivs)])
 
 
-def point_block(points, weights, cell, nloc: int, vals=None, rows=None, normals=None) -> PointBlock:
-    """The points grouped cell by cell (cell nondecreasing) with their 1D
-    values from tabulate and their basis rows from basis_rows (either None
-    if unused), and chunks of P points, P nloc at most _POINT_CHUNK, each
-    with the starts and cells of its per-cell segments."""
+def point_block(elem, xi, points, weights, cell, normals=None, spacing=None, values_only=False) -> PointBlock:
+    """The points of cut cells at reference coordinates xi (N, d), grouped
+    cell by cell (cell nondecreasing), tabulated for their use: a volume
+    block keeps its 1D values and derivative rows, a surface block (normals
+    given; the Nitsche row reads spacing) its value and Nitsche rows only,
+    a values_only block its 1D values only.  Its chunks of P points, P nloc
+    at most _POINT_CHUNK, each hold the starts and cells of their per-cell
+    segments."""
+    nloc = (elem.degree + 1) ** xi.shape[1]
+    vals, rows = tabulate(elem, xi), None
+    if normals is not None:  # value and Nitsche rows; normal_coefs -w n_a / h_a
+        vals, rows = None, basis_rows(vals, tabulate(elem, xi, 1), (-(weights[:, None] * normals) / spacing).T)
+    elif not values_only:
+        rows = basis_rows(vals, tabulate(elem, xi, 1))
     step = max(1, _POINT_CHUNK // nloc)
     chunks = []
     for start in range(0, len(cell), step):
@@ -231,19 +246,13 @@ def point_block(points, weights, cell, nloc: int, vals=None, rows=None, normals=
 
 
 def _point_block(mesh, elem, cut_cells, rules, surface: bool = False, values_only: bool = False) -> PointBlock:
-    """The volume or surface rows of the cut cells' rules as a point block:
-    the volume block with 1D values and derivative rows, the surface block
-    with value and Nitsche rows only; values_only: 1D values only."""
+    """The volume or surface rows of the cut cells' rules, at their
+    coordinates in the reference cell, as a point block (point_block)."""
     pts, wts, cell, nrm = ((rules.surface_points, rules.surface_weights, rules.surface_box, rules.surface_normals)
                            if surface else (rules.interior_points, rules.interior_weights, rules.interior_box, None))
     spacing = np.asarray(mesh.spacing)
     xi = (pts - (np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell]) * spacing)) / spacing
-    vals, nloc = tabulate(elem, xi), (elem.degree + 1) ** mesh.dim
-    if values_only:
-        return point_block(pts, wts, cell, nloc, vals)
-    normal_coefs = (-(wts[:, None] * nrm) / spacing).T if surface else None  # -w n_a / h_a
-    rows = basis_rows(vals, tabulate(elem, xi, 1), normal_coefs)
-    return point_block(pts, wts, cell, nloc, None if surface else vals, rows, nrm)
+    return point_block(elem, xi, pts, wts, cell, nrm, spacing, values_only)
 
 
 def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.CutCellQuadrature:
@@ -277,7 +286,7 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
     }
 
     rules = _cut_rules(mesh, levelset, cut_cells, params.quad_order, params.max_quad_depth)
-    ctx = OperatorContext(
+    return OperatorContext(
         mesh=mesh,
         levelset=levelset,
         params=params,
@@ -297,64 +306,27 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         ghost_matrices={a: _probe(ghost_face_kernel(elem, mesh.spacing, params.gamma_ghost, a), idx.shape[1])
                         for a, idx in face_dofs.items() if params.gamma_ghost != 0.0},
     )
-    reset_timers(ctx)
-    return ctx
 
 
 # ---------------------------------------------------------------------------
-# point kernels: the 1D-table pair evaluate / integrate, and cut_apply on
+# point kernels: tensor rows of the 1D tables, and cut_apply on the
 # tabulated basis rows
 
 
-def _contract(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
-    """Sum x (..., k+1, P) against a 1D table (k+1, P) over the tensor axis
-    second to last, point by point."""
-    return np.einsum("...ip,ip->...p", x, tab)
-
-
-def _outer(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
-    """x (..., P) times a 1D table (k+1, P) as a new leading tensor axis:
-    (k+1, ..., P)."""
-    return tab.reshape(tab.shape[:1] + (1,) * (x.ndim - 1) + tab.shape[1:]) * x
-
-
-def point_evaluate(up: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The value at each point of the cell coefficients up ((k+1,)*d + (P,),
-    tensor axis 0 second to last), contracting one tensor axis at a time."""
-    for tab in vals:
-        up = _contract(up, tab)
-    return up
-
-
-def point_integrate(vals: np.ndarray, grads: np.ndarray | None, value_coef=None, grad_coefs=()) -> np.ndarray:
-    """Test-function contributions (k+1,)*d + (P,) at each point: value_coef
-    times phi_i plus grad_coefs[a] times the reference derivative of phi_i
-    along a.  Built one tensor axis at a time: acc sums the terms whose
-    derivative axis is already taken, and grad_coefs[a] joins it at axis a
-    times the product of the 1D values of the axes before a."""
-    acc, before = value_coef, np.ones(vals.shape[-1])
-    for a in range(vals.shape[0]):
-        acc = None if acc is None else _outer(acc, vals[a])
-        if a < len(grad_coefs):
-            term = _outer(before * grad_coefs[a], grads[a])
-            acc = term if acc is None else np.add(acc, term, out=acc)
-            if a + 1 < len(grad_coefs):
-                before = _outer(before, vals[a])
-    return acc
+def _tensor_rows(tabs, coef) -> np.ndarray:
+    """coef (P,) times the product of the per-axis 1D tables tabs, each
+    (k+1, P): the (nloc, P) rows of the tensor basis at each point, tensor
+    axis 0 fastest."""
+    acc = coef
+    for tab in tabs:
+        acc = tab.reshape(tab.shape[:1] + (1,) * (np.ndim(acc) - 1) + tab.shape[1:]) * acc
+    return acc.reshape(prod(acc.shape[:-1]), acc.shape[-1])
 
 
 def _segment_sums(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per-point contributions (..., P) summed over each cell's segment of a
     chunk: (nloc, segments)."""
     return np.add.reduceat(contrib.reshape(-1, contrib.shape[-1]), starts, axis=1)
-
-
-def add_by_cell(out: np.ndarray, blk: PointBlock, sums: list[np.ndarray]) -> np.ndarray:
-    """Add per-chunk segment sums of blk into out (n_cells, nloc) by cell;
-    returns out."""
-    for (_, _, cells), part in zip(blk.chunks, sums):
-        out[cells] += part.T
-    return out
 
 
 def volume_factors(blk: PointBlock, spacing) -> np.ndarray:
@@ -531,7 +503,7 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     blk = ctx.volume
     for sl, starts, _ in blk.chunks:
         fw = _values(f, blk.points[sl]) * blk.weights[sl]
-        vals.append(_segment_sums(point_integrate(blk.vals[..., sl], None, fw), starts))
+        vals.append(_segment_sums(_tensor_rows(blk.vals[..., sl], fw), starts))
     idx += _segment_dofs(blk, ctx.cut_dofs)
     return np.bincount(np.concatenate(idx, axis=None), weights=np.concatenate(vals, axis=None), minlength=ctx.n_dofs)
 
@@ -555,10 +527,10 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
         rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
         ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules, values_only=True)
     blk = ctx._error_blocks[order]
-    uc = np.take(u_h, ctx.cut_dofs.T).reshape(cell_shape[1:] + (-1,))  # (k+1,)*d + (n_cut,)
+    uc = np.take(u_h, ctx.cut_dofs.T)  # (nloc, n_cut)
     vals = np.empty(blk.weights.size)
     for sl, _, _ in blk.chunks:
-        vals[sl] = point_evaluate(np.take(uc, blk.cell[sl], axis=-1), blk.vals[..., sl])
+        vals[sl] = np.einsum("ip,ip->p", _tensor_rows(blk.vals[..., sl], 1), np.take(uc, blk.cell[sl], axis=1))
     diff = vals - _values(u_exact, blk.points)
     return err2 + float(np.sum(diff * diff * blk.weights))
 

@@ -5,8 +5,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from mfcutfem import harness, operators
 from mfcutfem.geometry import SphereLevelSet, box_mesh, save_balls
 from mfcutfem.operators import build_context
+from mfcutfem.tensor1d import build_reference_element
 from mfcutfem.harness import (
     BREAKDOWN_HEADER,
     CONVERGENCE_HEADER,
@@ -14,6 +16,7 @@ from mfcutfem.harness import (
     THROUGHPUT_HEADER,
     ConfigError,
     RunConfig,
+    _bench_point_cell,
     _params,
     build_config,
     _build_parser,
@@ -253,6 +256,25 @@ def test_kernelbench_csv(tmp_path):
         for r in block:
             assert float(r[3]) > 0.0
             assert float(r[4]) == pytest.approx(float(r[3]) / float(block[0][3]))
+
+
+def test_kernelbench_point_cell_call_does_no_set_up(monkeypatch):
+    # the point block is tabulated when the call is built; the timed call
+    # only runs cut_apply on it
+    rng = np.random.default_rng(0)
+    elem = build_reference_element(2)
+    u_cells, pts_ref = rng.standard_normal((8, 27)), rng.random((8, 27, 3))
+    call = _bench_point_cell(elem, (0.1,) * 3, u_cells, pts_ref, np.full(8 * 27, 1e-3 / 27))
+    expected = call()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the timed call redid set-up work")
+
+    for module, name in [(operators, "tabulate"), (operators, "basis_rows"), (operators, "point_block"),
+                         (harness, "point_block")]:
+        monkeypatch.setattr(module, name, forbidden)
+    got = call()
+    assert len(got) == len(expected) and all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ def test_one_class_per_level_set_shape():
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
+
 def _bound(fn) -> set[str]:
     """Names fn binds in its own scope: its parameters and the names it
     assigns to; nested functions keep theirs."""
@@ -130,3 +131,17 @@ def test_a_name_bound_in_a_function_does_not_name_a_definition():
     # a read outside the binding function, or of an attribute, still names it
     assert _unused({"dead.py": dead}, ["def g(f):\n    return f\n\n\ndef h():\n    return f()\n"]) == []
     assert _unused({"dead.py": dead}, ["def g(x):\n    return x.f()\n"]) == []
+
+
+def test_only_operators_knows_the_point_last_tensor_layout():
+    # the 1D tables of the cut points and the basis rows built from them are
+    # tabulated and read in operators alone; other modules go through
+    # point_block and the kernels
+    layout = {"tabulate", "basis_rows", "_tensor_rows"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        offenders += [f"{path.name} names {name}" for name in sorted(layout & (_named(tree) | imported))
+                      if path.name != "operators.py"]
+    assert not offenders, "\n".join(offenders)

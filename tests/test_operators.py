@@ -12,7 +12,6 @@ from mfcutfem.geometry import BallUnionLevelSet, HalfSpaceLevelSet, Label, Spher
 from mfcutfem.operators import (
     OperatorContext,
     Parameters,
-    add_by_cell,
     apply_ghost_penalty,
     assemble_rhs,
     basis_rows,
@@ -368,15 +367,22 @@ def test_multiball_3d_vmult_bitwise_repeatable(multiball_3d):
 # single cut-cell kernels
 
 
+def _add_by_cell(out, blk, sums):
+    """Add the per-chunk segment sums of blk into out (n_cells, nloc) by cell."""
+    for (_, _, cells), part in zip(blk.chunks, sums):
+        out[cells] += part.T
+    return out
+
+
 def _cut_by_cell(ctx, u, volume=True, surface=True):
     """The cut piece's volume and Nitsche terms for the DoF vector u by cell,
     (n_cut, nloc), from the batched kernels; for a u that is zero outside
     cut cell j's DoFs, row j is that cell's own form."""
     out, uc = np.zeros(ctx.cut_dofs.shape), np.take(u, ctx.cut_dofs.T)
     if volume:
-        add_by_cell(out, ctx.volume, cut_apply(ctx.volume, ctx.volume_factors, uc))
+        _add_by_cell(out, ctx.volume, cut_apply(ctx.volume, ctx.volume_factors, uc))
     if surface:
-        add_by_cell(out, ctx.surface, cut_apply(ctx.surface, ctx.nitsche_factors, uc))
+        _add_by_cell(out, ctx.surface, cut_apply(ctx.surface, ctx.nitsche_factors, uc))
     return out
 
 
@@ -482,19 +488,17 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     elem = build_reference_element(degree)
     u_cells = rng.standard_normal((5, nloc))
-    vals, grads = tabulate(elem, xi), tabulate(elem, xi, 1)
     spacing, penalty = (0.25, 0.5), 7.0
 
-    blk = point_block(xi, weights, cell, nloc, vals, basis_rows(vals, grads))
+    blk = point_block(elem, xi, xi, weights, cell)
     sums = cut_apply(blk, volume_factors(blk, spacing), u_cells.T)
     assert [part.shape[1] for part in sums] == [len(np.unique(cell[sl])) for sl, _, _ in blk.chunks]  # a segment per cell
-    out = add_by_cell(np.zeros(u_cells.shape), blk, sums)
+    out = _add_by_cell(np.zeros(u_cells.shape), blk, sums)
     assert not out[[1, 4]].any()
     assert _max_rel(out, point_first_volume(*point_first_tables(elem, xi), weights, cell, spacing, u_cells)) <= 1e-14
 
-    normal_coefs = (-(weights[:, None] * normals) / np.asarray(spacing)).T
-    blk = point_block(xi, weights, cell, nloc, rows=basis_rows(vals, grads, normal_coefs), normals=normals)
-    out = add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, penalty * weights, u_cells.T))
+    blk = point_block(elem, xi, xi, weights, cell, normals, spacing)
+    out = _add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, penalty * weights, u_cells.T))
     assert not out[[1, 4]].any()
     ref = point_first_nitsche(*point_first_tables(elem, xi), weights, normals, cell, spacing, penalty, u_cells)
     assert _max_rel(out, ref) <= 1e-14
@@ -506,7 +510,8 @@ def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
     # row i at a point is the product over the axes of 1D table entries,
     # axis 0 fastest in i: the derivative table on axis a for the volume
     # rows, values only for the value row, and the D row is sum_a c_a times
-    # the volume row of axis a
+    # the volume row of axis a; _tensor_rows scales the value row by a
+    # coefficient per point
     elem = build_reference_element(degree)
     xi = rng.random((7, dim))
     coefs = rng.standard_normal((dim, len(xi)))
@@ -522,6 +527,7 @@ def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
     value_row, d_row = basis_rows(*tables, coefs)
     assert _max_rel(value_row, products(None)) <= 1e-15
     assert _max_rel(d_row, np.einsum("ap,aip->ip", coefs, derivs)) <= 1e-15
+    assert _max_rel(operators._tensor_rows(tables[0], coefs[0]), coefs[0] * products(None)) <= 1e-15
 
 
 def test_point_blocks_hold_no_per_point_dof_table():
@@ -549,7 +555,7 @@ def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
     blk = ctx._error_blocks[ctx.params.error_quad_order]
     vals = np.empty(blk.weights.size)
     for sl, _, _ in blk.chunks:
-        vals[sl] = operators.point_evaluate(u[per_point(blk)[:, sl]].reshape(3, 3, -1), blk.vals[..., sl])
+        vals[sl] = np.einsum("ip,ip->p", operators._tensor_rows(blk.vals[..., sl], 1), u[per_point(blk)[:, sl]])
     diff = vals - u_exact(blk.points)
     assert squared_l2_error(_without_cut_points(ctx), u, u_exact) + float(np.sum(diff * diff * blk.weights)) == err2
 
@@ -655,3 +661,16 @@ def test_timers_and_breakdown():
     reset_timers(ctx)
     assert ctx.timers["applications"] == 0
     assert ctx.timers["total"] == 0.0
+
+
+def test_a_context_from_its_constructor_starts_with_zeroed_timers(rng):
+    # a context rebuilt from the init fields of a built one times its first
+    # vmult and reports it as build_context's own contexts do
+    built = disk_context(2, 6, 2)
+    ctx = OperatorContext(**{f.name: getattr(built, f.name) for f in dataclasses.fields(built)
+                             if f.init and f.name not in ("timers", "_error_blocks")})
+    assert ctx.timers == built.timers and ctx.timers["applications"] == 0
+    u = rng.standard_normal(ctx.n_dofs)
+    assert np.array_equal(vmult(ctx, u), vmult(built, u))
+    assert ctx.timers["applications"] == 1 and ctx.timers["total"] > 0
+    assert [name for name, _, _ in breakdown_report(ctx)] == list(operators._COMPONENTS)
