@@ -5,8 +5,8 @@ K n {phi > 0} and the surface K n {phi = 0} by dimension reduction (Saye,
 SIAM J. Sci. Comput. 2015): pick a height axis along which d(phi)/dx_a has
 uniform sign, integrate the other axes with a recursively built base rule
 that is split at the zeros of phi restricted to the bottom/top faces, and
-resolve each vertical line by root finding (a sign scan repeated on every
-bracket with a sign change).
+resolve each vertical line by root finding (two sign scans isolate the
+roots, then Brent's zeroin refines every bracket with a sign change).
 
 One call builds the rules of a whole stack of boxes, one reduction level at
 a time, so each step reads the level set once for all boxes.  Points are
@@ -30,7 +30,6 @@ interfaces that oscillate below the sample resolution can be missed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .tensor1d import gauss_rule
 # an axis qualifies as height direction when |d(phi)/dx_a| is at least this
 # fraction of the largest component at every sample point, with uniform sign
 DERIVATIVE_DOMINANCE = 1e-3
-ROOT_BITS = 48  # root brackets end no wider than 2^-48 (~4e-15) of the line
+ROOT_BITS = 48  # zeroin's tolerance: roots to 2^-48 (~4e-15) of the line, or a few ulps
 _CELL_CHUNK = 4096  # boxes per pass over the worklist
 
 
@@ -176,20 +175,69 @@ def _line_points(base: np.ndarray, axis: np.ndarray, t: np.ndarray) -> np.ndarra
     return x
 
 
+def _zeroin(read, a, b, fa, fb, tol):
+    """Brent-Dekker zeroin (Brent 1973, ch. 4) on all brackets [a, b] at
+    once, their end values fa, fb of strictly opposite sign.
+
+    Each bracket keeps its best point b, contrapoint c (phi changes sign
+    between them), previous point a and its last two steps d, e.  A step is
+    a secant or inverse quadratic step where Brent's test accepts it and a
+    bisection otherwise, and moves b by at least tol1; ``read(k, t)`` gives
+    phi at the heights t of the open brackets k, one read per step.  A
+    bracket stops at |c - b| / 2 <= tol1 = 2 eps |b| + tol / 2 or at
+    phi(b) = 0.  Returns b and phi(b) of every bracket.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    k = np.arange(b.size)
+    root, f_root = np.empty_like(b), np.empty_like(b)
+    while True:
+        swap = np.abs(fc) < np.abs(fb)  # b the end of least |phi|
+        a, b, c = np.where(swap, b, a), np.where(swap, c, b), np.where(swap, b, c)
+        fa, fb, fc = np.where(swap, fb, fa), np.where(swap, fc, fb), np.where(swap, fb, fc)
+        tol1 = 2.0 * np.finfo(float).eps * np.abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        done = (np.abs(xm) <= tol1) | (fb == 0.0)
+        root[k[done]], f_root[k[done]] = b[done], fb[done]
+        if done.all():
+            return root, f_root
+        go = ~done
+        a, b, c, fa, fb, fc, d, e, tol, tol1, xm, k = (v[go] for v in (a, b, c, fa, fb, fc, d, e, tol, tol1, xm, k))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # in lanes that bisect
+            s, r, u = fb / fa, fb / fc, fa / fc
+            secant = a == c
+            p = np.where(secant, 2.0 * xm * s, s * (2.0 * xm * u * (u - r) - (b - a) * (r - 1.0)))
+            den = np.where(secant, 1.0 - s, (u - 1.0) * (r - 1.0) * (s - 1.0))
+            den = np.where(p > 0, -den, den)
+            p = np.abs(p)
+            interpolate = ((np.abs(e) >= tol1) & (np.abs(fa) > np.abs(fb))
+                           & (2.0 * p < 3.0 * xm * den - np.abs(tol1 * den)) & (p < np.abs(0.5 * e * den)))
+            e = np.where(interpolate, d, xm)
+            d = np.where(interpolate, p / den, xm)
+        a, fa = b, fb
+        b = b + np.where(np.abs(d) > tol1, d, np.copysign(tol1, xm))
+        fb = read(k, b)
+        new = np.sign(fb) == np.sign(fc)  # the sign change is now between a and b
+        c, fc = np.where(new, a, c), np.where(new, fa, fc)
+        d = np.where(new, b - a, d)
+        e = np.where(new, d, e)
+
+
 def _roots_on_lines(phi, pins, box, base, base_box, axis, lo, hi, q: int, cell):
     """All roots of every restriction (row of ``pins``, owned by ``box``)
     along every base line of its box (rows of ``base``, grouped by
     ``base_box``), on [lo, hi] of the box's height axis ``axis[box]``.
 
     A bracket is a (restriction, line, t_lo, t_hi) row; the first ones are
-    the whole lines.  Each scan splits every bracket at q+4 equally spaced
-    heights: an exact zero is a root, and every sub-piece with a strict sign
-    change is a bracket of the next scan, which keeps its end values and
-    reads phi only inside it, so no sign is decided on a value read twice.
-    After 1 + ceil(ROOT_BITS / log2(q+3)) scans a bracket is at most
-    2^-ROOT_BITS of the line wide and its midpoint is the root.  Returns
-    (line_index, root) rows sorted by line and then by root, with roots
-    closer than 1e-12 of the span on one line merged.
+    the whole lines.  Two sign scans split every bracket at q+4 equally
+    spaced heights: an exact zero is a root, and every sub-piece with a
+    strict sign change is a bracket of the next step, which keeps its end
+    values and reads phi only inside it, so no sign is decided on a value
+    read twice.  The scans isolate roots (q+3)^-2 of the line apart; then
+    ``_zeroin`` takes every bracket left to its root, to 2^-ROOT_BITS of the
+    line or the rounding of its coordinates.  Returns (line_index, root)
+    rows sorted by line and then by root, with roots closer than 1e-12 of
+    the span on one line merged.
     """
     first = np.searchsorted(base_box, box)
     count = np.searchsorted(base_box, box, side="right") - first
@@ -206,23 +254,22 @@ def _roots_on_lines(phi, pins, box, base, base_box, axis, lo, hi, q: int, cell):
     vals = read(row, line, ts)
     scale = np.maximum.reduceat(np.abs(vals).max(axis=1), row_start)  # one per restriction
     lines, roots = [], []
-    scans = 1 + math.ceil(ROOT_BITS / math.log2(q + 3))
-    for scan in range(1, scans + 1):
+    for scan in (1, 2):
         k, j = np.nonzero(vals == 0.0)
         lines.append(line[k])
         roots.append(ts[k, j])
         k, j = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-        row, line, f_lo, f_hi = row[k], line[k], vals[k, j], vals[k, j + 1]
-        ts = np.linspace(ts[k, j], ts[k, j + 1], q + 4, axis=-1)
-        if scan == scans or not line.size:
+        row, line, t0, t1, f0, f1 = row[k], line[k], ts[k, j], ts[k, j + 1], vals[k, j], vals[k, j + 1]
+        if scan == 2 or not line.size:
             break
-        vals = np.column_stack([f_lo, read(row, line, ts[:, 1:-1]), f_hi])
-    root = 0.5 * (ts[:, 0] + ts[:, -1])
-    if line.size:
-        fr = read(row, line, root[:, None])[:, 0]
-        bad = (scale[row] > 0) & (np.abs(fr) > 1e-6 * scale[row])
-        if bad.any():
-            raise QuadratureError("root finding did not converge", int(cell[box[row[np.argmax(bad)]]]))
+        ts = np.linspace(t0, t1, q + 4, axis=-1)
+        vals = np.column_stack([f0, read(row, line, ts[:, 1:-1]), f1])
+    b, a = box[row], axis[box[row]]
+    tol = 2.0**-ROOT_BITS * (hi[b, a] - lo[b, a])
+    root, fr = _zeroin(lambda k, t: read(row[k], line[k], t[:, None])[:, 0], t0, t1, f0, f1, tol)
+    bad = (scale[row] > 0) & (np.abs(fr) > 1e-6 * scale[row])
+    if bad.any():
+        raise QuadratureError("root finding did not converge", int(cell[box[row[np.argmax(bad)]]]))
     line, root = np.concatenate([*lines, line]), np.concatenate([*roots, root])
     order = np.lexsort((root, line))
     line, root = line[order], root[order]

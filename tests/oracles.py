@@ -395,29 +395,72 @@ def _cq_line_points(base, axis, t):
     return x
 
 
+def _cq_zeroin(f, a, b, fa, fb, tol):
+    """Brent's zeroin (Brent 1973, ch. 4) on one bracket [a, b] whose end
+    values fa, fb have strictly opposite signs, step by step as in the book;
+    returns the best point b and f(b) once |c - b| / 2 <= tol1 or f(b) = 0."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b, fb
+        step = None
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * xm * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                step = p / q
+        if step is None:
+            d = e = xm
+        else:
+            d, e = step, d
+        a, fa = b, fb
+        b = b + (d if abs(d) > tol1 else math.copysign(tol1, xm))
+        fb = f(b)
+        if fb * math.copysign(1.0, fc) > 0:
+            c, fc = a, fa
+            d = e = b - a
+
+
 def _cq_roots_on_lines(phi, pins, base, axis, lo_a, hi_a, q):
     row, line = (i.ravel() for i in np.indices((len(pins), len(base))))
     ts = np.linspace(np.full(row.size, lo_a), hi_a, q + 4, axis=-1)
     vals = _cq_eval(phi, _cq_pinned(pins[row, None], _cq_line_points(base[line], axis, ts)))
     scale = np.abs(vals).reshape(len(pins), -1).max(axis=1)
     lines, roots = [], []
-    scans = 1 + math.ceil(ROOT_BITS / math.log2(q + 3))
-    for scan in range(1, scans + 1):
+    for scan in (1, 2):
         k, j = np.nonzero(vals == 0.0)
         lines.append(line[k])
         roots.append(ts[k, j])
         k, j = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-        row, line, f_lo, f_hi = row[k], line[k], vals[k, j], vals[k, j + 1]
-        ts = np.linspace(ts[k, j], ts[k, j + 1], q + 4, axis=-1)
-        if scan == scans or not line.size:
+        row, line, t0, t1, f0, f1 = row[k], line[k], ts[k, j], ts[k, j + 1], vals[k, j], vals[k, j + 1]
+        if scan == 2 or not line.size:
             break
+        ts = np.linspace(t0, t1, q + 4, axis=-1)
         inner = _cq_eval(phi, _cq_pinned(pins[row, None], _cq_line_points(base[line], axis, ts[:, 1:-1])))
-        vals = np.column_stack([f_lo, inner, f_hi])
-    root = 0.5 * (ts[:, 0] + ts[:, -1])
-    if line.size:
-        fr = _cq_eval(phi, _cq_pinned(pins[row, None], _cq_line_points(base[line], axis, root[:, None])))[:, 0]
-        if ((scale[row] > 0) & (np.abs(fr) > 1e-6 * scale[row])).any():
-            raise QuadratureError("root finding did not converge")
+        vals = np.column_stack([f0, inner, f1])
+    tol = 2.0**-ROOT_BITS * (hi_a - lo_a)
+    root, fr = np.empty(line.size), np.empty(line.size)
+    for i in range(line.size):
+        def f(t):
+            x = _cq_pinned(pins[row[i], None, None], _cq_line_points(base[line[i], None], axis, np.array([[t]])))
+            return _cq_eval(phi, x)[0, 0]
+        root[i], fr[i] = _cq_zeroin(f, t0[i], t1[i], f0[i], f1[i], tol)
+    if ((scale[row] > 0) & (np.abs(fr) > 1e-6 * scale[row])).any():
+        raise QuadratureError("root finding did not converge")
     return np.concatenate([*lines, line]), np.concatenate([*roots, root])
 
 

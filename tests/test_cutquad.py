@@ -401,8 +401,8 @@ def test_circle_measure_convergence_order_q3():
 @pytest.mark.parametrize("dim, cells", [(2, 24), (3, 8)])
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_surface_points_are_roots_to_rounding(dim, cells, q):
-    # the root brackets shrink to 2^-48 of a line at every rule order; 22
-    # scans, 2^-44 at q = 1, leave |phi| near 3e-14 h
+    # the root finder stops once a root is bracketed to 2^-48 of the line
+    # or to a few ulps of its coordinate, at every rule order
     mesh = box_mesh([-1.26] * dim, [1.26] * dim, [cells] * dim)
     phi = SphereLevelSet([0.0123, -0.0311, 0.0207][:dim], 1.0)  # off the grid lines
     worst = 0.0
@@ -560,21 +560,106 @@ def test_one_batch_mixes_whole_reduced_subdivided_and_fallback_boxes():
     assert reduced.fallback_count == 0 and reduced.surface_weights.size > 0
 
 
-def test_level_set_reads_do_not_grow_with_the_number_of_boxes(monkeypatch):
-    # translates of one unit cube along a direction in the plane x + y + z =
-    # 1.5 cut alike: two restrictions with roots at every reduction level
+def count_reads(monkeypatch):
+    """A list that gets one entry per call of ``cutquad._eval``."""
     reads = []
     read = cutquad._eval
     monkeypatch.setattr(cutquad, "_eval", lambda *args, **kwargs: reads.append(1) or read(*args, **kwargs))
+    return reads
+
+
+def test_level_set_reads_do_not_grow_with_the_number_of_boxes(monkeypatch):
+    # translates of one unit cube along a direction in the plane x + y + z =
+    # 1.5 cut alike: two restrictions with roots at every reduction level
+    reads = count_reads(monkeypatch)
     phi = HalfSpaceLevelSet([1.0, 1.0, 1.0], 1.5)
     counts = []
-    for n in (4, 40):
+    for n in (4, 40, 400):
         lo = np.arange(n)[:, None] * np.array([1.0, -1.0, 0.0])
         reads.clear()
         rules = cut_cell_quadrature(lo, lo + 1.0, phi, 3)
         assert all(abs(rules.box(i).interior_weights.sum() - 0.5) <= 1e-13 for i in range(n))
         counts.append(len(reads))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] == counts[2]
+
+
+@pytest.mark.parametrize("name, q, max_depth, max_reads",
+                         [("multiball6", 2, 2, 114), ("multiball6", 3, 2, 105), ("disk48", 3, 8, 22)])
+def test_one_call_reads_the_level_set_half_as_often_as_fixed_scans(monkeypatch, name, q, max_depth, max_reads):
+    # multiball3d's and disk2d's cut cells; a fixed 20-22 sign scans per
+    # bracket read the level set 228, 210 and 45 times
+    mesh, phi = oracle_fixture(name)
+    cells = classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT)
+    lo, hi = mesh.cell_box(mesh.cell_multi(cells))
+    reads = count_reads(monkeypatch)
+    cut_cell_quadrature(lo, hi, phi, q, max_depth)
+    assert len(reads) <= max_reads
+
+
+def two_disk_kink():
+    """The union of two unequal disks and the corner P where their circles
+    cross, with both circles' x-normals positive at P."""
+    c1, r1, c2, r2 = np.array([0.0, -0.3]), 0.6, np.array([0.05, 0.35]), 0.5
+    d = np.linalg.norm(c2 - c1)
+    a = (r1**2 - r2**2 + d**2) / (2 * d)
+    corner = c1 + (a * (c2 - c1) + math.sqrt(r1**2 - a**2) * np.array([c2[1] - c1[1], c1[0] - c2[0]])) / d
+    return BallUnionLevelSet([c1, c2], [r1, r2]), corner
+
+
+def edge_case(name):
+    """(lo, hi, level set, h) of a root-finding edge case, at q = 3."""
+    if name == "scan point":
+        # roots that sit on scan points up to the rounding of the translates
+        lo = np.arange(400)[:, None] * np.array([1.0, -1.0, 0.0])
+        return lo, lo + 1.0, HalfSpaceLevelSet([1.0, 1.0, 1.0], 1.5), 1.0
+    if name == "kink":
+        # the midpoint Gauss line of the cell crosses the interface at the
+        # corner P, where the level set along the line has a kink
+        phi, corner = two_disk_kink()
+        return corner - [0.037, 0.05], corner + [0.063, 0.05], phi, 0.1
+    # near x = 1e3: 2^-48 of the span is below the coordinates' ulp
+    return np.array([1000.99, 0.0]), np.array([1001.04, 0.05]), SphereLevelSet([1000.0123, -0.0311], 1.0), 0.05
+
+
+@pytest.mark.parametrize("name", ["scan point", "kink", "far"])
+def test_roots_converge_at_the_edge_cases_in_few_reads(monkeypatch, name):
+    # fixed sign scans read 50, 25 and 26 times here; the roots are good to
+    # 1e-14 h or, where the coordinates are large, to about their ulp
+    lo, hi, phi, h = edge_case(name)
+    reads = count_reads(monkeypatch)
+    rules = cut_cell_quadrature(lo, hi, phi, 3)
+    assert len(reads) <= 20
+    assert rules.fallback_count == 0 and rules.surface_weights.size
+    x = rules.surface_points
+    slope = np.linalg.norm(phi.gradient(x), axis=-1)
+    assert (np.abs(phi.value(x)) <= 1e-14 * h + 2 * np.spacing(np.abs(x).max(axis=-1)) * slope).all()
+    if name == "kink":
+        assert np.linalg.norm(x - two_disk_kink()[1], axis=-1).min() <= 1e-15
+
+
+class JumpLevelSet:
+    """phi(x, y) = +-1 + 0.1 (c - x), the sign by the side of x = c: a sign
+    change with no root."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        return np.where(x < self.c, 1.0, -1.0) + 0.1 * (self.c - x)
+
+    def gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.full(x.shape[:-1], -0.1), np.zeros(x.shape[:-1])], axis=-1)
+
+
+def test_a_jump_in_a_bracket_fails_loudly_and_names_its_box():
+    # the jump is in box 1 of three: the root finder closes in on it, and
+    # phi there is +-1, not a root
+    lo = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+    with pytest.raises(QuadratureError, match="root finding did not converge") as err:
+        cut_cell_quadrature(lo, lo + 1.0, JumpLevelSet(2.37), 3)
+    assert err.value.box == 1
 
 
 # ---------------------------------------------------------------------------
