@@ -21,11 +21,15 @@ root, and emits the Gauss pieces between them for all lines at once: first
 the base rules, then the volume pieces and surface points of every box.
 
 A box whose reduction finds no height axis at some level is bisected into
-2^d sub-boxes, which go back on a worklist processed at most _CELL_CHUNK
-boxes at a time, up to ``max_depth``; below that a sign-of-center fallback
-fires and is counted per box.  The rules are rows, box by box, each with its
-box, and depth-first over sub-boxes.  Signs come from samples, not bounds:
-interfaces that oscillate below the sample resolution can be missed.
+2^d sub-boxes, which go back on a worklist, up to ``max_depth``; below that
+a sign-of-center fallback fires and is counted per box.  Each pass over the
+worklist (at most _CELL_CHUNK boxes) samples signs and runs the top-down
+pass, so it subdivides at once; the bottom-up pass runs once over the
+resolved boxes of every depth, at most _CELL_CHUNK of them per call, so a
+deeper subdivision adds one pass of top-down reads and no root finding
+pass.  The rules are rows, box by box, each with its box, and depth-first
+over sub-boxes.  Signs come from samples, not bounds: interfaces that
+oscillate below the sample resolution can be missed.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .tensor1d import gauss_rule
 # fraction of the largest component at every sample point, with uniform sign
 DERIVATIVE_DOMINANCE = 1e-3
 ROOT_BITS = 48  # zeroin's tolerance: roots to 2^-48 (~4e-15) of the line, or a few ulps
-_CELL_CHUNK = 4096  # boxes per pass over the worklist
+_CELL_CHUNK = 4096  # boxes per pass over the worklist and per bottom-up call
 
 
 class QuadratureError(RuntimeError):
@@ -305,11 +309,11 @@ def _line_rule(base, base_w, axis, line, t0, t1, rule):
 
 def _top_down(lo, hi, phi, cut, samples: int, cell):
     """Height axes and restrictions of every reduction level of the boxes
-    ``cut``.  Returns the levels as (pins, box, axis), rows grouped by box
-    and axis (B,) per box; ``tops``, where tops[l] holds the upper corners
-    of the level-l face boxes (the height axes of the levels above
-    collapsed to lo); and ``split``, the boxes some level of which found
-    no height axis."""
+    ``cut``.  Returns the d levels as (pins, box, axis), rows grouped by box
+    (none below the last level a box reaches) and axis (B,) per box;
+    ``tops``, where tops[l] holds the upper corners of the level-l face
+    boxes (the height axes of the levels above collapsed to lo); and
+    ``split``, the boxes some level of which found no height axis."""
     n_box, d = lo.shape
     split = np.zeros(n_box, dtype=bool)
     levels, tops = [], [hi]
@@ -338,28 +342,22 @@ def _top_down(lo, hi, phi, cut, samples: int, cell):
         keep = ((vals > 0).any(axis=1) & (vals < 0).any(axis=1)) | (vals == 0.0).any(axis=1)
         order = np.argsort(face_box[keep], kind="stable")
         pins, box = faces[keep][order], face_box[keep][order]
-    return levels, tops, split
+    levels += [(pins, box, np.full(n_box, -1))] * (d - len(levels))  # levels no box reaches
+    return levels, tops + tops[-1:] * (d - len(tops)), split
 
 
-def _chunk_rules(lo, hi, phi, rule, cell):
-    """Rules of the boxes (lo, hi) (B, d) of one pass.  Returns ``split``
-    (B,), the boxes to subdivide, and the interior (points, weights, box)
-    and surface (points, weights, normals, box) rows of the others, each
-    box's rows in order."""
+def _bottom_up(lo, hi, tops, levels, phi, rule, cell):
+    """Rules of the cut boxes (lo, hi) (B, d) whose reduction found a height
+    axis at every level: their ``_top_down`` levels (pins, box, axis), with
+    each box's rows at level l on the face box (lo, tops[l]), taken from the
+    bottom level up.  Returns the interior (points, weights, box) and
+    surface (points, weights, normals, box) rows, each box's rows in order."""
     d = lo.shape[1]
     q = len(rule[0])
-    samples = max(q + 1, 3)
-    vals = _eval(phi, _sample_grid(lo, hi, samples), cell)
-    whole = np.flatnonzero((vals >= 0).all(axis=1))
-    cut = np.flatnonzero(~(vals >= 0).all(axis=1) & (vals >= 0).any(axis=1))
-    interior, surface = [_tensor_rule(lo, hi, whole, rule)], []
-
-    levels, tops, split = _top_down(lo, hi, phi, cut, samples, cell)
+    interior, surface = [], []
     below = None  # (points, weights, box) of the face rules of the level below
-    for level in reversed(range(len(levels))):
+    for level in reversed(range(d)):
         pins, box, axis = levels[level]
-        keep = ~split[box]
-        pins, box = pins[keep], box[keep]
         if not len(box):
             below = None
             continue
@@ -389,36 +387,63 @@ def _chunk_rules(lo, hi, phi, rule, cell):
             norm = np.linalg.norm(g, axis=-1)
             weights = base_w[line] * norm / np.abs(g[np.arange(line.size), line_axis[line]])
             surface.append((x, weights, -g / norm[:, None], base_box[line]))
-    return split, interior, surface
+    return interior, surface
 
 
 def _stack_rules(lo, hi, phi, rule, max_depth: int) -> CutCellQuadrature:
     """Rules of the boxes (lo, hi) (C, d): passes over a worklist of boxes,
     each with its input box, subdivision path (corner digits, zero-padded)
-    and depth; a leaf's points are ordered by (input box, path)."""
+    and depth.  A pass samples signs, emits whole-box and fallback rules,
+    runs ``_top_down`` and subdivides at once; the cut boxes it resolves
+    wait, with their levels and tops, for one ``_bottom_up`` over those of
+    every pass, run before they would exceed _CELL_CHUNK and at the end.  A
+    leaf's points are ordered by (input box, path)."""
     n, d = lo.shape
+    samples = max(len(rule[0]) + 1, 3)
     work = [lo, hi, np.arange(n), np.zeros((n, max_depth), dtype=np.int64), np.zeros(n, dtype=np.int64)]
     corners = np.arange(2**d)[:, None] >> np.arange(d) & 1  # (2^d, d): upper half per axis
     leaf_cell, leaf_path = [work[2][:0]], [work[3][:0]]
     interior, surface = [(lo[:0], lo[:0, 0], work[2][:0])], [(lo[:0], lo[:0, 0], lo[:0], work[2][:0])]
     fallbacks = np.zeros(n, dtype=np.int64)
     n_leaves = 0
+    pending = []  # per pass: (leaf, cell, lo, hi, tops, levels) of the cut boxes it resolved
+
+    def flush():
+        leaf, cell, lo_p, hi_p = (np.concatenate(c) for c in zip(*(p[:4] for p in pending)))
+        tops = [np.concatenate(t) for t in zip(*(p[4] for p in pending))]
+        levels = [[np.concatenate(c) for c in zip(*level)] for level in zip(*(p[5] for p in pending))]
+        vol, surf = _bottom_up(lo_p, hi_p, tops, levels, phi, rule, cell)
+        interior.extend((*rows[:-1], leaf[rows[-1]]) for rows in vol)
+        surface.extend((*rows[:-1], leaf[rows[-1]]) for rows in surf)
+        pending.clear()
+
     while len(work[0]):
         lo_c, hi_c, cell, path, depth = (a[-_CELL_CHUNK:] for a in work)
         work = [a[:-_CELL_CHUNK] for a in work]
-        split, vol, surf = _chunk_rules(lo_c, hi_c, phi, rule, cell)
+        vals = _eval(phi, _sample_grid(lo_c, hi_c, samples), cell) >= 0
+        cut = np.flatnonzero(~vals.all(axis=1) & vals.any(axis=1))
+        levels, tops, split = _top_down(lo_c, hi_c, phi, cut, samples, cell)
+        whole = np.flatnonzero(vals.all(axis=1))
         fall = np.flatnonzero(split & (depth == max_depth))
         if fall.size:
             np.add.at(fallbacks, cell[fall], 1)
             center = 0.5 * (lo_c[fall] + hi_c[fall])
-            vol.append(_tensor_rule(lo_c, hi_c, fall[_eval(phi, center, cell[fall]) >= 0], rule))
+            whole = np.concatenate([whole, fall[_eval(phi, center, cell[fall]) >= 0]])
         sub = split & (depth < max_depth)
         leaf = np.cumsum(~sub) - 1 + n_leaves
         n_leaves = leaf[-1] + 1
         leaf_cell.append(cell[~sub])
         leaf_path.append(path[~sub])
-        interior += [(*rows[:-1], leaf[rows[-1]]) for rows in vol]
-        surface += [(*rows[:-1], leaf[rows[-1]]) for rows in surf]
+        pts, wts, box = _tensor_rule(lo_c, hi_c, whole, rule)
+        interior.append((pts, wts, leaf[box]))
+        done = cut[~split[cut]]
+        if done.size:
+            if sum(len(p[0]) for p in pending) + done.size > _CELL_CHUNK:
+                flush()
+            local = np.full(len(lo_c), -1)  # a resolved box's position among the pending ones
+            local[done] = sum(len(p[0]) for p in pending) + np.arange(done.size)
+            pending.append((leaf[done], cell[done], lo_c[done], hi_c[done], [t[done] for t in tops],
+                            [(pins[~split[box]], local[box[~split[box]]], axis[done]) for pins, box, axis in levels]))
         if sub.any():
             center = 0.5 * (lo_c[sub] + hi_c[sub])
             k = len(corners)
@@ -430,6 +455,8 @@ def _stack_rules(lo, hi, phi, rule, max_depth: int) -> CutCellQuadrature:
                 np.repeat(cell[sub], k), child_path, np.repeat(depth[sub] + 1, k),
             ]
             work = [np.concatenate([w, c]) for w, c in zip(work, children)]
+    if pending:
+        flush()
 
     leaf_cell, leaf_path = np.concatenate(leaf_cell), np.concatenate(leaf_path)
     rank = np.empty(n_leaves, dtype=np.int64)

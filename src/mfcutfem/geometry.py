@@ -108,36 +108,37 @@ class BallUnionLevelSet:
         if not (np.isfinite(self.centers).all() and ((0 < self.radii) & (self.radii < np.inf)).all()):
             raise ValueError("radii must be positive, and centers and radii finite")
 
-    def _best(self, x) -> tuple[np.ndarray, np.ndarray]:
-        # loop over balls to keep memory at one scalar field per point
-        x = np.asarray(x, dtype=float)
-        best_val = self.radii[0] - np.linalg.norm(x - self.centers[0], axis=-1)
-        best_idx = np.zeros(x.shape[:-1], dtype=np.int64)
-        for i in range(1, len(self.radii)):
-            v = self.radii[i] - np.linalg.norm(x - self.centers[i], axis=-1)
-            better = v > best_val
-            best_val = np.where(better, v, best_val)
-            best_idx = np.where(better, i, best_idx)
-        return best_val, best_idx
+    def _distance(self, x: np.ndarray, i: int) -> np.ndarray:
+        """|x - c_i|, bitwise as np.linalg.norm(x - c_i, axis=-1) gives it:
+        the square root of the per-axis squares added in axis order."""
+        c = self.centers[i]
+        s = (x[..., 0] - c[0]) ** 2
+        for a in range(1, len(c)):
+            s += (x[..., a] - c[a]) ** 2
+        return np.sqrt(s)
 
     def value(self, x) -> np.ndarray:
-        return self._best(x)[0]
+        # loop over balls to keep memory at one scalar field per point
+        x = np.asarray(x, dtype=float)
+        best = self.radii[0] - self._distance(x, 0)
+        for i in range(1, len(self.radii)):
+            v = self.radii[i] - self._distance(x, i)
+            best = np.where(v > best, v, best)
+        return best
 
     def gradient(self, x) -> np.ndarray:
-        # _best's loop, keeping the leading ball's x - c_i and its norm: one norm per ball
+        # value's loop, keeping the leading ball and its distance
         x = np.asarray(x, dtype=float)
-        diff = x - self.centers[0]
-        dist = np.linalg.norm(diff, axis=-1)
-        best_val = self.radii[0] - dist
+        dist = self._distance(x, 0)
+        best_val, best = self.radii[0] - dist, np.zeros(x.shape[:-1], dtype=np.int64)
         for i in range(1, len(self.radii)):
-            diff_i = x - self.centers[i]
-            dist_i = np.linalg.norm(diff_i, axis=-1)
+            dist_i = self._distance(x, i)
             v = self.radii[i] - dist_i
             better = v > best_val
             best_val = np.where(better, v, best_val)
-            diff = np.where(better[..., None], diff_i, diff)
+            best = np.where(better, i, best)
             dist = np.where(better, dist_i, dist)
-        return -diff / np.where(dist == 0.0, 1.0, dist)[..., None]
+        return -(x - self.centers[best]) / np.where(dist == 0.0, 1.0, dist)[..., None]
 
 
 class SphereLevelSet(BallUnionLevelSet):

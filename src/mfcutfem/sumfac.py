@@ -67,9 +67,7 @@ def contract_axis(a: np.ndarray, grid: np.ndarray, np_axis: int) -> np.ndarray:
     """Contract matrix a (m_out, m_in) with one numpy axis of an nd array."""
     global _madds
     _madds += a.shape[0] * grid.size
-    moved = np.moveaxis(grid, np_axis, -1)
-    out = moved @ a.T
-    return np.moveaxis(out, -1, np_axis)
+    return (grid.swapaxes(np_axis, -1) @ a.T).swapaxes(np_axis, -1)
 
 
 def apply_axis(a: np.ndarray, u: TensorField, axis: int) -> TensorField:

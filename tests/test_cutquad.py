@@ -584,7 +584,8 @@ def test_level_set_reads_do_not_grow_with_the_number_of_boxes(monkeypatch):
 
 
 @pytest.mark.parametrize("name, q, max_depth, max_reads",
-                         [("multiball6", 2, 2, 114), ("multiball6", 3, 2, 105), ("disk48", 3, 8, 22)])
+                         [("multiball6", 2, 2, 114), ("multiball6", 3, 2, 105), ("disk48", 3, 8, 22),
+                          ("multiball6", 2, 2, 48)])
 def test_one_call_reads_the_level_set_half_as_often_as_fixed_scans(monkeypatch, name, q, max_depth, max_reads):
     # multiball3d's and disk2d's cut cells; a fixed 20-22 sign scans per
     # bracket read the level set 228, 210 and 45 times
@@ -594,6 +595,57 @@ def test_one_call_reads_the_level_set_half_as_often_as_fixed_scans(monkeypatch, 
     reads = count_reads(monkeypatch)
     cut_cell_quadrature(lo, hi, phi, q, max_depth)
     assert len(reads) <= max_reads
+
+
+def cut_boxes(name, q):
+    """Corners of the cut cells of an oracle fixture, and its level set."""
+    mesh, phi = oracle_fixture(name)
+    cells = classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT)
+    return (*mesh.cell_box(mesh.cell_multi(cells)), phi)
+
+
+@pytest.mark.parametrize("name, q", [("multiball6", 2), ("multiball6", 3), ("fourball24", 2)])
+def test_each_extra_depth_adds_one_pass_of_reads(monkeypatch, name, q):
+    # a depth adds one pass: its sign samples and two reads per level above
+    # the last; the bottom-up reads run once over the boxes of every depth,
+    # and only the Brent steps of the new boxes' brackets can add to them
+    lo, hi, phi = cut_boxes(name, q)
+    reads = count_reads(monkeypatch)
+    inner = []
+    bottom_up = cutquad._bottom_up
+
+    def spy(*args):
+        start = len(reads)
+        rules = bottom_up(*args)
+        inner.append(len(reads) - start)
+        return rules
+
+    monkeypatch.setattr(cutquad, "_bottom_up", spy)
+    passes, bottom = [], []
+    for max_depth in range(5):
+        reads.clear()
+        inner.clear()
+        cut_cell_quadrature(lo, hi, phi, q, max_depth)
+        passes.append(len(reads) - sum(inner))
+        bottom.append(sum(inner))
+    d = lo.shape[1]
+    assert (np.diff(passes) == 2 * d - 1).all(), passes
+    assert (np.diff(bottom) <= 2).all(), bottom
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50])
+@pytest.mark.parametrize("name, q", [(name, q) for name in ("multiball6", "fourball24") for q in (1, 2, 4)])
+def test_chunk_boundaries_keep_the_bits(monkeypatch, name, q, chunk):
+    # every bottom-up step is per row, bracket or line, so the rules do not
+    # depend on which boxes share a bottom-up call
+    lo, hi, phi = cut_boxes(name, q)
+    ref = cut_cell_quadrature(lo, hi, phi, q, 4)
+    sizes = []
+    bottom_up = cutquad._bottom_up
+    monkeypatch.setattr(cutquad, "_CELL_CHUNK", chunk)
+    monkeypatch.setattr(cutquad, "_bottom_up", lambda lo, *args: sizes.append(len(lo)) or bottom_up(lo, *args))
+    assert_same_rule(cut_cell_quadrature(lo, hi, phi, q, 4), ref, f"chunk {chunk}")
+    assert len(sizes) > 1 and max(sizes) <= chunk
 
 
 def two_disk_kink():

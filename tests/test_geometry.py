@@ -122,6 +122,20 @@ def test_ball_union_gradient_is_the_argmax_ball_formula_bitwise(rng, dim):
     assert all(np.array_equal(ls.gradient(p), e) for p, e in zip(x, expected))
 
 
+@pytest.mark.parametrize("shape", [(40,), (), (4, 10)])
+def test_ball_union_value_is_the_max_of_norm_distances_bitwise(rng, shape):
+    # r_i - np.linalg.norm(x - c_i, axis=-1), the first ball's on a tie:
+    # balls 0 and 1 are equally close and equally large on x_0 = 0
+    centers = np.array([[0.3, 0.1, 0.0], [-0.3, 0.1, 0.0], [0.1, 0.9, -0.2], [0.0, 0.0, 0.5]])
+    radii = np.array([0.5, 0.5, 0.4, 0.3])
+    x = rng.uniform(-1.0, 1.0, shape + (3,))
+    x[..., 0] = np.where(rng.uniform(size=shape) < 0.3, 0.0, x[..., 0])
+    dists = np.stack([r - np.linalg.norm(x - c, axis=-1) for c, r in zip(centers, radii)])
+    expected = np.take_along_axis(dists, np.argmax(dists, axis=0)[None], 0)[0]
+    value = BallUnionLevelSet(centers, radii).value(x)
+    assert np.shape(value) == shape and np.array_equal(value, expected)
+
+
 def test_half_space_level_set():
     ls = HalfSpaceLevelSet([1.0, 0.0], 0.3)
     assert ls.value(np.array([0.0, 9.0])) > 0
