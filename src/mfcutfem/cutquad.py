@@ -29,7 +29,9 @@ resolved boxes of every depth, at most _CELL_CHUNK of them per call, so a
 deeper subdivision adds one pass of top-down reads and no root finding
 pass.  The rules are rows, box by box, each with its box, and depth-first
 over sub-boxes.  Signs come from samples, not bounds: interfaces that
-oscillate below the sample resolution can be missed.
+oscillate below the sample resolution can be missed.  ``_eval`` is the
+package's one reader of phi; ``box_signs`` samples its signs on each box,
+for the whole-box test here and for ``geometry.classify_cells``.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ ROOT_BITS = 48  # zeroin's tolerance: roots to 2^-48 (~4e-15) of the line, or a 
 _CELL_CHUNK = 4096  # boxes per pass over the worklist and per bottom-up call
 
 
-class QuadratureError(RuntimeError):
-    """Cut quadrature failed; ``box`` is the position of the failing box in
-    the stack the call was given, None when the error names no box."""
+class QuadratureError(ValueError):
+    """The level set broke its contract (a value of the wrong shape or not
+    finite, or a root that does not converge); ``box`` is the position of the
+    failing box in the stack the call was given, None when it names none."""
 
     def __init__(self, message: str, box: int | None = None):
         super().__init__(message)
@@ -136,6 +139,14 @@ def _sample_grid(lo: np.ndarray, hi: np.ndarray, per_axis: int) -> np.ndarray:
     free = _free(lo, hi)
     lin = np.linspace(np.take_along_axis(lo, free, 1), np.take_along_axis(hi, free, 1), per_axis, axis=-1)
     return _tensor_grid(lo, free, lin)[0]
+
+
+def box_signs(phi, lo: np.ndarray, hi: np.ndarray, per_axis: int, owner: np.ndarray) -> np.ndarray:
+    """phi >= 0 (B, per_axis^f) on the sample grids of the boxes (lo, hi)
+    (B, d), B >= 1, read in chunks of at most _CELL_CHUNK boxes; a failure
+    names owner[i], the input box of box i."""
+    return np.concatenate([_eval(phi, _sample_grid(lo[s], hi[s], per_axis), owner[s]) >= 0
+                           for s in (slice(i, i + _CELL_CHUNK) for i in range(0, len(lo), _CELL_CHUNK))])
 
 
 def _tensor_rule(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray, rule):
@@ -420,7 +431,7 @@ def _stack_rules(lo, hi, phi, rule, max_depth: int) -> CutCellQuadrature:
     while len(work[0]):
         lo_c, hi_c, cell, path, depth = (a[-_CELL_CHUNK:] for a in work)
         work = [a[:-_CELL_CHUNK] for a in work]
-        vals = _eval(phi, _sample_grid(lo_c, hi_c, samples), cell) >= 0
+        vals = box_signs(phi, lo_c, hi_c, samples, cell)
         cut = np.flatnonzero(~vals.all(axis=1) & vals.any(axis=1))
         levels, tops, split = _top_down(lo_c, hi_c, phi, cut, samples, cell)
         whole = np.flatnonzero(vals.all(axis=1))

@@ -1,10 +1,11 @@
 """Background Cartesian mesh, level-set domains, cell classification and DoFs.
 
 The domain is the open set {phi > 0} for a user-supplied level set phi; the
-mesh never conforms to it.  Cells are classified by sign sampling into
-INSIDE / OUTSIDE / CUT, ghost-penalty faces are the interior mesh faces that
-touch at least one CUT cell and no OUTSIDE cell, and degrees of freedom are
-the tensor-product Lagrange nodes supported on at least one non-OUTSIDE cell.
+mesh never conforms to it.  Cells are classified by cut quadrature's sign
+sampler into INSIDE / OUTSIDE / CUT, ghost-penalty faces are the interior
+mesh faces that touch at least one CUT cell and no OUTSIDE cell, and degrees
+of freedom are the tensor-product Lagrange nodes supported on at least one
+non-OUTSIDE cell.
 
 Conventions: flat cell index = c1 + c2*n1 + c3*n1*n2, flat DoF grid index
 likewise with extents (k*n1+1, ...); axis numbering is 0-based with axis 0
@@ -19,6 +20,7 @@ from math import prod
 
 import numpy as np
 
+from . import cutquad
 from .tensor1d import gauss_lobatto_nodes
 
 
@@ -192,42 +194,21 @@ def classify_cells(mesh: CartesianMesh, phi, samples_per_axis: int) -> CellClass
     """Label every cell by the signs of phi on a tensor sample grid.
 
     The grid has samples_per_axis points per direction including the cell
-    corners.  Zero values count as inside, so: all samples >= 0 -> INSIDE,
-    all < 0 -> OUTSIDE, otherwise CUT.  Callers should sample at least at
-    k+2 points per axis for a degree-k discretization.  A NaN or infinite
-    sample raises ValueError naming the point, since no sign can be read.
+    corners (cutquad.box_signs).  Zero values count as inside, so: all
+    samples >= 0 -> INSIDE, all < 0 -> OUTSIDE, otherwise CUT.  Callers
+    should sample at least at k+2 points per axis for a degree-k
+    discretization.  Values of the wrong shape or not finite raise a
+    ValueError naming the shape or the point, since no sign can be read.
     """
     if samples_per_axis < 2:
         raise ValueError(f"need at least 2 samples per axis, got {samples_per_axis}")
-    d = mesh.dim
-    s = samples_per_axis
-    frac = np.linspace(0.0, 1.0, s)
-    # per-axis sample coordinates (n_a, s), then one big tensor evaluation
-    coords = [
-        mesh.origin[a] + (np.arange(mesh.cells_per_axis[a])[:, None] + frac) * mesh.spacing[a]
-        for a in range(d)
-    ]
-    axes = [c.ravel() for c in coords]
-    # grid shaped (n_d*s, ..., n_1*s) so the flattened cell order is lexicographic
-    mesh_pts = np.stack(np.meshgrid(*axes[::-1], indexing="ij")[::-1], axis=-1)
-    vals = phi.value(mesh_pts)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        point = tuple(float(x) for x in mesh_pts[bad][0])
-        raise ValueError(f"level set value is not finite at sample point {point}")
-    # split each numpy axis into (cell, sample) and pull samples to the back
-    vals = vals.reshape(tuple(t for a in reversed(range(d)) for t in (mesh.cells_per_axis[a], s)))
-    vals = vals.transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
-    vals = vals.reshape(tuple(mesh.cells_per_axis[::-1]) + (s ** d,))
-    has_nonneg = (vals >= 0.0).any(axis=-1)
-    has_neg = (vals < 0.0).any(axis=-1)
-    labels = np.where(
-        has_nonneg & has_neg,
-        np.int8(Label.CUT),
-        np.where(has_nonneg, np.int8(Label.INSIDE), np.int8(Label.OUTSIDE)),
-    )
-    # labels is laid out (n_d, ..., n_1); C-order ravel is lexicographic
-    return CellClassification(mesh, labels.ravel().astype(np.int8))
+    cells = np.arange(mesh.n_cells)
+    multi, origin, h = mesh.cell_multi(cells), np.asarray(mesh.origin), np.asarray(mesh.spacing)
+    # upper corners origin + (m + 1) h, not cell_box's lo + h, which can differ
+    # in the last bit: neighbours sample their shared face at one coordinate
+    nonneg = cutquad.box_signs(phi, origin + multi * h, origin + (multi + 1) * h, samples_per_axis, cells)
+    labels = np.where(nonneg.all(axis=1), Label.INSIDE, np.where(nonneg.any(axis=1), Label.CUT, Label.OUTSIDE))
+    return CellClassification(mesh, labels.astype(np.int8))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,8 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"ball file {cfg.ball_file} must give centres of dim {_dim(cfg)}, got {centers.shape}")
     if cfg.repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    if cfg.seed < 0:  # numpy's generators take non-negative seeds only
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     for k in cfg.degrees:
         try:
             _params(cfg, k)

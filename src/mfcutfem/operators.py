@@ -529,8 +529,11 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     blk = ctx._error_blocks[order]
     uc = np.take(u_h, ctx.cut_dofs.T)  # (nloc, n_cut)
     vals = np.empty(blk.weights.size)
-    for sl, _, _ in blk.chunks:
-        vals[sl] = np.einsum("ip,ip->p", _tensor_rows(blk.vals[..., sl], 1), np.take(uc, blk.cell[sl], axis=1))
+    for sl, _, _ in blk.chunks:  # one tensor axis at a time, axis 0 (the fastest) first
+        g = np.take(uc, blk.cell[sl], axis=1).reshape(cell_shape[1:] + (-1,))
+        for tab in blk.vals[..., sl]:
+            g = np.einsum("...ip,ip->...p", g, tab)
+        vals[sl] = g
     diff = vals - _values(u_exact, blk.points)
     return err2 + float(np.sum(diff * diff * blk.weights))
 

@@ -201,6 +201,16 @@ def test_classify_zero_counts_as_inside():
     assert cls.labels[1] == Label.CUT
 
 
+def test_classify_samples_a_shared_face_at_one_coordinate():
+    # x = 0 is the face between columns 5 and 6, where lo + h of column 5
+    # rounds to 2.8e-17: the interface cuts column 6 alone, as on a face
+    # sampled once
+    mesh = box_mesh([-1.26, -1.26], [1.26, 1.26], [12, 12])
+    assert mesh.cell_box([5, 0])[1][0] != mesh.cell_box([6, 0])[0][0]
+    cls = classify_cells(mesh, HalfSpaceLevelSet([1.0, 0.0], 0.0), 3)
+    assert np.flatnonzero(cls.labels == Label.CUT).tolist() == list(range(6, 144, 12))
+
+
 class _NaNAt:
     """A sphere level set that is NaN at one point (or everywhere)."""
 
@@ -218,14 +228,27 @@ class _NaNAt:
 
 def test_classify_rejects_all_nan_level_set():
     mesh = box_mesh([-1, -1], [1, 1], [4, 4])
-    with pytest.raises(ValueError, match=r"not finite at sample point \(-1.0, -1.0\)"):
+    with pytest.raises(ValueError, match=r"not finite at \[-1.0, -1.0\]"):
         classify_cells(mesh, _NaNAt(), 3)
 
 
 def test_classify_rejects_single_nan_sample():
     mesh = box_mesh([-1, -1], [1, 1], [4, 4])
-    with pytest.raises(ValueError, match=r"not finite at sample point \(0.5, 0.0\)"):
+    with pytest.raises(ValueError, match=r"not finite at \[0.5, 0.0\]"):
         classify_cells(mesh, _NaNAt([0.5, 0.0]), 3)
+
+
+class _Flattened:
+    """A sphere level set whose values come back flattened to (N,)."""
+
+    def value(self, x):
+        return SphereLevelSet([0.0, 0.0], 1.0).value(x).ravel()
+
+
+def test_classify_rejects_a_value_of_the_wrong_shape():
+    mesh = box_mesh([-1, -1], [1, 1], [4, 4])
+    with pytest.raises(ValueError, match=r"value has shape \(144,\) for points \(16, 9, 2\)"):
+        classify_cells(mesh, _Flattened(), 3)
 
 
 def test_classify_circle_matches_dense_sampling_oracle():

@@ -121,6 +121,7 @@ def test_validate_config_errors():
         dict(quad_order=0),
         dict(max_quad_depth=-1),
         dict(repeats=0),
+        dict(seed=-1),
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
@@ -136,6 +137,7 @@ def test_main_returns_2_on_config_error(tmp_path, capsys):
         ["breakdown", "--domain", "halfspace", "--offset", "nan"],
         ["multiballs", "--r0", "nan"],
         ["multiballs", "--r0", "inf"],
+        ["multiballs", "--seed", "-1"],
         ["convergence", "--gamma-ghost", "nan"],
         ["convergence", "--gamma-ghost", "inf"],
         ["convergence", "--gamma-dirichlet", "nan"],

@@ -35,16 +35,17 @@ def test_options_are_declared_once():
 
 
 def test_cut_quadrature_reads_the_level_set_only_through_eval():
-    # _eval checks the shape and finiteness of every value and gradient read
-    tree = ast.parse((PACKAGE / "cutquad.py").read_text(encoding="utf-8"))
-    (reader,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_eval"]
+    # _eval checks the shape and finiteness of every value and gradient read,
+    # and no other module of the package reads the level set
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    (reader,) = [n for n in trees["cutquad.py"].body if isinstance(n, ast.FunctionDef) and n.name == "_eval"]
     inside = {id(n) for n in ast.walk(reader)}
     reads = [
-        n for n in ast.walk(tree)
+        (name, n) for name, tree in trees.items() for n in ast.walk(tree)
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("value", "gradient")
     ]
     assert reads
-    assert all(id(n) in inside for n in reads), [n.lineno for n in reads if id(n) not in inside]
+    assert all(id(n) in inside for _, n in reads), [f"{name}:{n.lineno}" for name, n in reads if id(n) not in inside]
 
 
 def test_one_class_per_level_set_shape():
