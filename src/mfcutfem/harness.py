@@ -47,11 +47,11 @@ from .operators import (
     breakdown_report,
     build_context,
     cut_apply,
+    cut_block,
     ghost_face_kernel,
     point_block,
     reset_timers,
     vmult,
-    volume_factors,
 )
 from .solver import cg_solve, l2_error, manufactured_problem, radial_cosine_problem
 from .sumfac import cell_laplacian_batch
@@ -458,16 +458,17 @@ def run_convergence(cfg: RunConfig) -> int:
 
 
 def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
-    """The per-point cut-cell kernel as a call: a volume point block at
-    arbitrary reference points, pts_ref (n_cells, points per cell, d), and
-    its factors are built here, and the call applies cut_apply to the
-    cells' coefficients, a weak Laplacian per cell by chunk segments.  The
-    reference points stand in for the physical ones, which it never reads."""
+    """The per-point cut-cell kernel as a call: a cut block of volume points
+    only at arbitrary reference points, pts_ref (n_cells, points per cell,
+    d), is built here as build_context builds its one (point_block, then
+    cut_block), and the call applies cut_apply to the cells' coefficients,
+    a weak Laplacian per cell by chunk segments.  The reference points
+    stand in for the physical ones, which it never reads."""
     n_cells, n_pts, d = pts_ref.shape
     xi = pts_ref.reshape(-1, d)
-    blk = point_block(elem, xi, xi, weights, np.repeat(np.arange(n_cells), n_pts))
-    factors, uc = volume_factors(blk, spacing), u_cells.T
-    return lambda: cut_apply(blk, factors, uc)
+    blk = cut_block(point_block(elem, xi, xi, weights, np.repeat(np.arange(n_cells), n_pts)), spacing)
+    uc = u_cells.T
+    return lambda: cut_apply(blk, uc)
 
 
 def run_kernelbench(cfg: RunConfig) -> int:

@@ -12,19 +12,21 @@ them, in this order:
 * "intersected": cut cells integrate the same weak form over their
   precomputed volume rule and add the symmetric Nitsche boundary terms
   -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface.  Both
-  run on the point blocks, the rows of one cut-quadrature call for all cut
-  cells as they come, through one kernel, ``cut_apply``: each point holds
-  the full basis rows its term reads, (r, nloc) per point stored
-  point-last as (r, nloc, N), so one ``einsum`` takes the gathered cell
-  coefficients to r numbers per point, a per-point coupling scales or mixes
-  them, and one ``einsum`` takes them back to test-function contributions.
-  The volume block's rows are the reference derivatives along each axis
-  (r = d), coupled by w / h_a^2; the surface block's are the value phi_i
-  and the Nitsche normal derivative D_i = sum_a (-w n_a / h_a) d_a phi_i
-  (r = 2), coupled into (penalty w u + D u, u).  The kernel works on
-  chunks of P points, with P nloc at most _POINT_CHUNK = 2^16, so that
-  each (nloc, P) array of gathered coefficients or contributions stays at
-  512 KiB,
+  terms run in one pass of one kernel, ``cut_apply``, over one cut block:
+  each cut cell's volume points and then its surface points, so that a
+  cell's points are one segment.  Each point holds the d basis rows its
+  term reads, stored point-last as (d, nloc, N): a volume point the
+  reference derivatives along each axis, a surface point the value phi_i
+  and the Nitsche normal derivative D_i = sum_a (-w n_a / h_a) d_a phi_i,
+  and in 3D a zero row.  One ``einsum`` takes the cell coefficients,
+  repeated over their segments, to d numbers y per point; a per-point
+  coupling, t = cross (y_1, y_0), y *= factors, y[:2] += t, scales a
+  volume point's y by w / h_a^2 and turns a surface point's (u, D u) into
+  (penalty w u + D u, u); one ``einsum`` takes y back to test-function
+  contributions and one ``reduceat`` sums them by segment.  The kernel
+  works on chunks of P points, with P nloc at most _POINT_CHUNK = 2^16, so
+  that each (nloc, P) array of gathered coefficients or contributions
+  stays at 512 KiB,
 * "ghost_penalty", one piece per axis: the faces normal to it apply
   gamma_A * (hM1 x ... x G1(h) x ... x hM1), the Kronecker product of 1D
   factors with G1 on the face-normal axis (``ghost_face_kernel``).
@@ -40,37 +42,38 @@ and the per-cell and per-face forms (``sumfac.cell_laplacian``,
 and runs its kernel on every call.
 
 Everything that depends only on the geometry is tabulated once, when the
-context is built: each point block's basis rows, products of its 1D
-tables (``basis_rows``), and its chunks with the starts and cells of their
-per-cell segments (``point_block``); the per-point factors of the cut
-terms, w / h_a^2 for the volume and penalty w for Nitsche; and one scatter
-index over the values of all pieces.  No block holds a per-point DoF
-index: the cut kernels gather per cell, once per call ((nloc, n_cut) from
-the DoF vector by the cut cells' DoF table), and then per point by the
-points' cell column.  A ``vmult`` call does only the work that depends on
-u: it gathers, runs the GEMMs and the cut kernel, sums each chunk's
-contributions by cell segment with one ``reduceat``, and adds everything
-into the result with a single ``bincount``.
+context is built: the volume and surface points' basis rows, products of
+their 1D tables (``basis_rows``, ``point_block``), which ``cut_block``
+copies once into the cut block with the per-point factors and cross
+weights and the chunks' per-cell segments (their starts, cells and
+lengths); and one scatter index over the values of all pieces.  No block
+holds a per-point DoF index: the cut kernel gathers per cell, once per call
+((nloc, n_cut) from the DoF vector by the cut cells' DoF table), and then
+repeats each cell's column over its segment (``np.repeat``).  A ``vmult``
+call does only the work that depends on u: each piece writes its values
+into its slice of one value buffer, in scatter order (the GEMMs through
+``sumfac.contract_axis``, the cut piece one chunk's segment sums at a
+time), and a single ``bincount`` adds the buffer into the result.
 
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
-``apply_ghost_penalty`` and ``assemble_rhs`` scatter as ``vmult`` does, with
-one ``bincount`` over their concatenated DoFs and values; cut cells' segment
-sums go to their segment DoFs.  The domain integrals ``assemble_rhs`` and
+``apply_ghost_penalty`` and ``assemble_rhs`` scatter with one ``bincount``
+over their concatenated DoFs and values; cut cells' segment sums go to
+their segment DoFs.  The domain integrals ``assemble_rhs`` and
 ``squared_l2_error`` share the uncut tensor rule and cell walk, read user
-functions through one checked evaluation, and on cut cells build each
-chunk's value rows from 1D value tables: the RHS sums f w times them by
-cell segment on the volume block's tables, the error takes them against
-the gathered cell coefficients on its own point blocks of values only,
-built on first use.  Every basis row of a cut point, value or derivative,
-is one product of 1D table entries per axis (``_tensor_rows``).  All
-batches and reductions run in a fixed order, so results are bitwise
-reproducible.
+functions through one checked evaluation, and on cut cells read 1D value
+tables per chunk: the RHS sums f w times the value rows by cell segment on
+the volume block's tables, and the error contracts the cell coefficients,
+repeated over their segments, one axis at a time with the tables of its
+own point blocks of values only, built on first use.  Every basis row of a
+cut point, value or derivative, is one product of 1D table entries per
+axis (``_tensor_rows``).  All batches and reductions run in a fixed order,
+so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from math import prod
 
@@ -119,21 +122,42 @@ class Parameters:
 
 @dataclass
 class PointBlock:
-    """Concatenated per-point data of all cut cells, grouped cell by cell;
-    the tables are point-last, so the point kernels loop over points.  The
-    volume block keeps its 1D values for assemble_rhs and its derivative
-    rows for cut_apply, the surface block only its value and Nitsche rows,
-    an error block only its 1D values.  ``rows`` and ``chunks`` are the
-    kernels' geometry-only set-up, built once; the kernels gather each
-    point's cell coefficients through ``cell``."""
+    """Concatenated per-point data of one kind of cut-cell points (volume,
+    surface or error order), grouped cell by cell; the tables are
+    point-last.  The volume block keeps its 1D values for assemble_rhs, an
+    error block its 1D values for squared_l2_error.  point_block tabulates
+    the basis rows of cut_apply for volume and surface points; cut_block
+    copies them into the cut block, and a context's blocks keep none.
+    ``chunks`` are built once; a chunk gathers each point's cell
+    coefficients by repeating its cells' columns over their segments."""
 
     points: np.ndarray   # (N, d) physical coordinates
     weights: np.ndarray  # (N,)
     cell: np.ndarray     # (N,) position in the cut-cell list, nondecreasing
     vals: np.ndarray | None  # (d, k+1, N) 1D basis values at the reference coords; volume and error blocks
-    rows: np.ndarray | None  # (r, nloc, N) basis rows of cut_apply (basis_rows); volume and surface blocks
-    chunks: list[tuple[slice, np.ndarray, np.ndarray]]  # (points, segment starts in them, segment cells)
+    rows: np.ndarray | None  # (r, nloc, N) basis rows (basis_rows) for cut_block; None in a context
+    chunks: list[tuple]      # (points, segment starts in them, segment cells, segment lengths)
     normals: np.ndarray | None = None  # (N, d) for surface blocks
+
+
+@dataclass
+class CutBlock:
+    """The one operand of cut_apply: every cut cell's volume points and then
+    its surface points, one segment per cell in each chunk, with the rows
+    and per-point coupling of both cut terms in point-last arrays.  Volume
+    points hold the d reference derivative rows R_a; surface points hold
+    the value row phi_i and the Nitsche row D_i, and in 3D a zero third
+    row.  Built once by cut_block."""
+
+    rows: np.ndarray     # (d, nloc, N)
+    factors: np.ndarray  # (d, N) w / h_a^2 at volume points; penalty w on a surface point's value row, else 0
+    cross: np.ndarray    # (N,) 1 at surface points, 0 at volume points
+    chunks: list[tuple]  # (points, segment starts in them, segment cells, segment lengths)
+
+    @property
+    def n_values(self) -> int:
+        """The number of values cut_apply writes: nloc per segment."""
+        return self.rows.shape[1] * sum(len(starts) for _, starts, _, _ in self.chunks)
 
 
 def _zero_timers() -> dict:
@@ -158,33 +182,22 @@ class OperatorContext:
     inside_dofs: np.ndarray         # (n_inside, nloc) compact indices
     cut_dofs: np.ndarray            # (n_cut, nloc)
     face_dofs: dict[int, np.ndarray]  # axis -> (n_faces, patch size)
-    volume: PointBlock
-    surface: PointBlock
+    volume: PointBlock              # no rows: they are in cut
+    surface: PointBlock             # no rows: they are in cut
+    cut: CutBlock
     fallback_count: int             # sign-of-center fallbacks of the cut rules
     interior_matrix: np.ndarray     # (nloc, nloc) local matrix of every uncut cell
     ghost_matrices: dict[int, np.ndarray]  # axis -> (patch size,)*2, gamma_A included; empty if gamma_A = 0
-    volume_factors: np.ndarray = field(init=False)   # (d, N) w / h_a^2 at the volume points
-    nitsche_factors: np.ndarray = field(init=False)  # (N,) penalty w at the surface points
     scatter_index: np.ndarray = field(init=False)    # DoF of each value vmult's pieces produce, in order
     timers: dict[str, float] = field(default_factory=_zero_timers)
     _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.volume_factors = volume_factors(self.volume, self.mesh.spacing)
-        self.nitsche_factors = self.nitsche_penalty * self.surface.weights
         self.scatter_index = _scatter_index(self)
 
     @property
     def n_dofs(self) -> int:
         return self.dofmap.n_active
-
-    @property
-    def h_min(self) -> float:
-        return min(self.mesh.spacing)
-
-    @property
-    def nitsche_penalty(self) -> float:
-        return self.params.gamma_dirichlet / self.h_min
 
     @property
     def cut_rules(self) -> dict[int, cutquad.CutCellQuadrature]:
@@ -222,27 +235,53 @@ def basis_rows(vals: np.ndarray, grads: np.ndarray, normal_coefs: np.ndarray | N
     return np.stack([_tensor_rows(vals, 1), np.einsum("ap,aip->ip", normal_coefs, derivs)])
 
 
+def _chunks(cell: np.ndarray, nloc: int) -> list[tuple]:
+    """Chunks of P points, P nloc at most _POINT_CHUNK, of points grouped by
+    their nondecreasing cell: (points, the starts of their per-cell
+    segments in them, the segments' cells, the segments' lengths)."""
+    step, chunks = max(1, _POINT_CHUNK // nloc), []
+    for start in range(0, len(cell), step):
+        part = cell[start:start + step]
+        starts = np.flatnonzero(np.diff(part, prepend=-1))
+        chunks.append((slice(start, start + len(part)), starts, part[starts], np.diff(starts, append=len(part))))
+    return chunks
+
+
 def point_block(elem, xi, points, weights, cell, normals=None, spacing=None, values_only=False) -> PointBlock:
     """The points of cut cells at reference coordinates xi (N, d), grouped
     cell by cell (cell nondecreasing), tabulated for their use: a volume
     block keeps its 1D values and derivative rows, a surface block (normals
     given; the Nitsche row reads spacing) its value and Nitsche rows only,
-    a values_only block its 1D values only.  Its chunks of P points, P nloc
-    at most _POINT_CHUNK, each hold the starts and cells of their per-cell
-    segments."""
-    nloc = (elem.degree + 1) ** xi.shape[1]
+    a values_only block its 1D values only; and its chunks (_chunks)."""
     vals, rows = tabulate(elem, xi), None
     if normals is not None:  # value and Nitsche rows; normal_coefs -w n_a / h_a
         vals, rows = None, basis_rows(vals, tabulate(elem, xi, 1), (-(weights[:, None] * normals) / spacing).T)
     elif not values_only:
         rows = basis_rows(vals, tabulate(elem, xi, 1))
-    step = max(1, _POINT_CHUNK // nloc)
-    chunks = []
-    for start in range(0, len(cell), step):
-        part = cell[start:start + step]
-        starts = np.flatnonzero(np.diff(part, prepend=-1))
-        chunks.append((slice(start, start + len(part)), starts, part[starts]))
-    return PointBlock(points, weights, cell, vals, rows, chunks, normals)
+    return PointBlock(points, weights, cell, vals, rows, _chunks(cell, (elem.degree + 1) ** xi.shape[1]), normals)
+
+
+def cut_block(volume: PointBlock, spacing, surface: PointBlock | None = None, penalty: float = 0.0) -> CutBlock:
+    """The cut piece's one block from the rows of a volume block and, if
+    given, a surface block (point_block): each cell's volume points and
+    then its surface points, their rows copied once into place, with the
+    per-point factors w / h_a^2 of the grad-grad term, penalty w of the
+    Nitsche value term, and cross 1 at the surface points."""
+    parts = [volume] if surface is None else [volume, surface]
+    cell = np.concatenate([blk.cell for blk in parts])
+    order = np.argsort(cell, kind="stable")  # a cell's volume points stay ahead of its surface points
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    vol, surf = pos[:len(volume.cell)], pos[len(volume.cell):]
+    d, nloc, _ = volume.rows.shape
+    rows, factors, cross = np.zeros((d, nloc, len(cell))), np.zeros((d, len(cell))), np.zeros(len(cell))
+    rows[..., vol] = volume.rows
+    factors[:, vol] = volume.weights / np.square(np.asarray(spacing, dtype=float))[:, None]
+    if surface is not None:
+        rows[:2, :, surf] = surface.rows
+        factors[0, surf] = penalty * surface.weights
+        cross[surf] = 1.0
+    return CutBlock(rows, factors, cross, _chunks(cell[order], nloc))
 
 
 def _point_block(mesh, elem, cut_cells, rules, surface: bool = False, values_only: bool = False) -> PointBlock:
@@ -269,8 +308,8 @@ def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.Cut
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
     """Classify, enumerate DoFs and ghost faces, build and tabulate cut rules,
     probe the local matrices of the interior and ghost pieces, and tabulate
-    what every vmult reads: the point blocks' basis rows and segment tables,
-    the per-point factors of the cut terms and the scatter index."""
+    what every vmult reads: the cut block's basis rows, per-point factors
+    and segment tables, and the scatter index."""
     k = params.degree
     elem = tensor1d.build_reference_element(k, max(params.quad_order, k + 1))
     classification = geometry.classify_cells(mesh, levelset, k + 2)
@@ -286,6 +325,8 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
     }
 
     rules = _cut_rules(mesh, levelset, cut_cells, params.quad_order, params.max_quad_depth)
+    volume = _point_block(mesh, elem, cut_cells, rules)
+    surface = _point_block(mesh, elem, cut_cells, rules, surface=True)
     return OperatorContext(
         mesh=mesh,
         levelset=levelset,
@@ -299,8 +340,9 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         inside_dofs=dofmap.compact_cell_dofs(inside_cells),
         cut_dofs=dofmap.compact_cell_dofs(cut_cells),
         face_dofs=face_dofs,
-        volume=_point_block(mesh, elem, cut_cells, rules),
-        surface=_point_block(mesh, elem, cut_cells, rules, surface=True),
+        volume=replace(volume, rows=None),
+        surface=replace(surface, rows=None),
+        cut=cut_block(volume, mesh.spacing, surface, params.gamma_dirichlet / min(mesh.spacing)),
         fallback_count=rules.fallback_count,
         interior_matrix=_probe(partial(cell_laplacian_batch, elem, mesh.spacing), (k + 1) ** mesh.dim),
         ghost_matrices={a: _probe(ghost_face_kernel(elem, mesh.spacing, params.gamma_ghost, a), idx.shape[1])
@@ -329,29 +371,28 @@ def _segment_sums(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib.reshape(-1, contrib.shape[-1]), starts, axis=1)
 
 
-def volume_factors(blk: PointBlock, spacing) -> np.ndarray:
-    """(d, N): w / h_a^2, the factor of the grad-grad term along each axis."""
-    return blk.weights / np.square(np.asarray(spacing, dtype=float))[:, None]
-
-
-def cut_apply(blk: PointBlock, factors: np.ndarray, uc: np.ndarray) -> list[np.ndarray]:
-    """The cut term of blk for the cell coefficients uc (nloc, n_cells): per
-    chunk, its segment sums.  A chunk gathers its points' coefficients by
-    cell, takes them through the rows to y (r, P), couples y point by point
-    and takes it back through the rows.  The volume block (d derivative
-    rows) scales y by factors (d, N) = w / h_a^2; the surface block (rows
-    phi_i and D_i) turns y = (u, D u) into (factors u + D u, u), with
-    factors (N,) = penalty w: the symmetric Nitsche terms."""
-    sums = []
-    for sl, starts, _ in blk.chunks:
+def cut_apply(blk: CutBlock, uc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The cut piece for the cell coefficients uc (nloc, n_cells): each
+    chunk's (nloc, segments) segment sums, one chunk after the other in the
+    flat out (blk.n_values; a new array if None), in scatter order.  A
+    chunk repeats its cells' coefficients over their segments (g), takes
+    them through the rows to y = R g (d, P), couples y point by point,
+    t = cross (y_1, y_0), y *= factors, y[:2] += t, and sums R^T y by
+    segment with one reduceat.  At a volume point that scales the
+    derivatives by w / h_a^2; at a surface point (rows phi_i, D_i, 0) it
+    turns (u, D u) into (penalty w u + D u, u): the symmetric Nitsche terms."""
+    nloc = blk.rows.shape[1]
+    out = np.empty(blk.n_values) if out is None else out
+    end = 0
+    for sl, starts, cells, counts in blk.chunks:
         rows = blk.rows[..., sl]
-        y = np.einsum("rip,ip->rp", rows, np.take(uc, blk.cell[sl], axis=1))
-        if blk.normals is None:
-            y *= factors[:, sl]
-        else:
-            y = np.stack([factors[sl] * y[0] + y[1], y[0]])
-        sums.append(_segment_sums(np.einsum("rip,rp->ip", rows, y), starts))
-    return sums
+        y = np.einsum("rip,ip->rp", rows, np.repeat(np.take(uc, cells, axis=1), counts, axis=1))
+        t = blk.cross[sl] * y[1::-1]
+        y *= blk.factors[:, sl]
+        y[:2] += t
+        start, end = end, end + nloc * len(starts)
+        np.add.reduceat(np.einsum("rip,rp->ip", rows, y), starts, axis=1, out=out[start:end].reshape(nloc, -1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +417,7 @@ def _probe(kernel, m: int) -> np.ndarray:
 
 def _pieces(ctx: OperatorContext) -> list[tuple]:
     """(component, DoF table, local matrix) of every non-empty piece, in
-    scatter order; the cut piece has no matrix and runs the point kernels."""
+    scatter order; the cut piece has no matrix and runs cut_apply."""
     pieces = []
     if len(ctx.inside_cells):
         pieces.append(("interior", ctx.inside_dofs, ctx.interior_matrix))
@@ -386,19 +427,19 @@ def _pieces(ctx: OperatorContext) -> list[tuple]:
     return pieces
 
 
-def _segment_dofs(blk: PointBlock, dofs: np.ndarray) -> list[np.ndarray]:
+def _segment_dofs(blk: PointBlock | CutBlock, dofs: np.ndarray) -> list[np.ndarray]:
     """The (nloc, segments) DoFs of each chunk's cells, from the cut cells'
     DoF table dofs (n_cut, nloc): where its segment sums go."""
-    return [dofs[cells].T for _, _, cells in blk.chunks]
+    return [dofs[cells].T for _, _, cells, _ in blk.chunks]
 
 
 def _scatter_index(ctx: OperatorContext) -> np.ndarray:
     """The DoF of each value vmult's pieces produce, in their order: a
     matrix piece's DoF table, and for the cut piece the segment DoFs of the
-    volume block and then of the surface block."""
+    cut block."""
     parts = [np.empty(0, dtype=np.intp)]  # a mesh with no active cell has no piece
     for _, idx, mat in _pieces(ctx):
-        parts += [idx] if mat is not None else [*_segment_dofs(ctx.volume, idx), *_segment_dofs(ctx.surface, idx)]
+        parts += [idx] if mat is not None else _segment_dofs(ctx.cut, idx)
     return np.concatenate(parts, axis=None)
 
 
@@ -418,17 +459,16 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """Apply the full operator; per-component timings accumulate on ctx."""
     u = _dof_vector(ctx, u)
     t_start = time.perf_counter()
-    parts = [np.empty(0)]  # a mesh with no active cell has no piece
+    vals, end = np.empty(ctx.scatter_index.size), 0  # each piece writes its slice, in scatter order
     for component, idx, mat in _pieces(ctx):
         t0 = time.perf_counter()
+        start, end = end, end + (idx.size if mat is not None else ctx.cut.n_values)
         if mat is not None:
-            parts.append(sumfac.contract_axis(mat, u[idx], 1))
-        else:  # the cut piece: one gather by cell, segment sums of the volume and then the Nitsche term
-            uc = np.take(u, idx.T)
-            parts += cut_apply(ctx.volume, ctx.volume_factors, uc)
-            parts += cut_apply(ctx.surface, ctx.nitsche_factors, uc)
+            sumfac.contract_axis(mat, u[idx], 1, out=vals[start:end].reshape(idx.shape))
+        else:  # the cut piece: one gather by cell, one pass per chunk of the cut block
+            cut_apply(ctx.cut, np.take(u, idx.T), vals[start:end])
         ctx.timers[component] += time.perf_counter() - t0
-    w = np.bincount(ctx.scatter_index, weights=np.concatenate(parts, axis=None), minlength=ctx.n_dofs)
+    w = np.bincount(ctx.scatter_index, weights=vals, minlength=ctx.n_dofs)
 
     ctx.timers["total"] += time.perf_counter() - t_start
     ctx.timers["scatter_other"] = ctx.timers["total"] - sum(ctx.timers[c] for c in _COMPONENTS[:-1])
@@ -501,7 +541,7 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
         idx.append(ctx.inside_dofs[sl])
         vals.append(kron_batch([tab.T] * ctx.mesh.dim, _values(f, pts) * wgrid))
     blk = ctx.volume
-    for sl, starts, _ in blk.chunks:
+    for sl, starts, _, _ in blk.chunks:
         fw = _values(f, blk.points[sl]) * blk.weights[sl]
         vals.append(_segment_sums(_tensor_rows(blk.vals[..., sl], fw), starts))
     idx += _segment_dofs(blk, ctx.cut_dofs)
@@ -529,8 +569,8 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     blk = ctx._error_blocks[order]
     uc = np.take(u_h, ctx.cut_dofs.T)  # (nloc, n_cut)
     vals = np.empty(blk.weights.size)
-    for sl, _, _ in blk.chunks:  # one tensor axis at a time, axis 0 (the fastest) first
-        g = np.take(uc, blk.cell[sl], axis=1).reshape(cell_shape[1:] + (-1,))
+    for sl, _, cells, counts in blk.chunks:  # one tensor axis at a time, axis 0 (the fastest) first
+        g = np.repeat(np.take(uc, cells, axis=1), counts, axis=1).reshape(cell_shape[1:] + (-1,))
         for tab in blk.vals[..., sl]:
             g = np.einsum("...ip,ip->...p", g, tab)
         vals[sl] = g

@@ -63,11 +63,13 @@ class TensorField:
         return self.data.reshape(self.extents[::-1])
 
 
-def contract_axis(a: np.ndarray, grid: np.ndarray, np_axis: int) -> np.ndarray:
-    """Contract matrix a (m_out, m_in) with one numpy axis of an nd array."""
+def contract_axis(a: np.ndarray, grid: np.ndarray, np_axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Contract matrix a (m_out, m_in) with one numpy axis of an nd array,
+    into out (the result's shape) if given."""
     global _madds
     _madds += a.shape[0] * grid.size
-    return (grid.swapaxes(np_axis, -1) @ a.T).swapaxes(np_axis, -1)
+    out = None if out is None else out.swapaxes(np_axis, -1)
+    return np.matmul(grid.swapaxes(np_axis, -1), a.T, out=out).swapaxes(np_axis, -1)
 
 
 def apply_axis(a: np.ndarray, u: TensorField, axis: int) -> TensorField:

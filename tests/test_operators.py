@@ -18,13 +18,13 @@ from mfcutfem.operators import (
     breakdown_report,
     build_context,
     cut_apply,
+    cut_block,
     ghost_face_apply,
     point_block,
     reset_timers,
     squared_l2_error,
     tabulate,
     vmult,
-    volume_factors,
 )
 from mfcutfem.sumfac import TensorField, cell_laplacian_batch, madd_count, reset_madd_count
 from mfcutfem.tensor1d import build_reference_element
@@ -90,7 +90,10 @@ def test_parameter_validation():
 def test_context_structure_disk():
     ctx = disk_context(2, 4, 2)
     assert ctx.n_dofs == ctx.dofmap.n_active
-    assert ctx.h_min == pytest.approx(2.52 / 4)
+    # Nitsche's penalty gamma_D / h_min times the weight on each surface point's value row
+    surf = ctx.cut.cross == 1.0
+    assert_allclose(ctx.cut.factors[0, surf], ctx.params.gamma_dirichlet / (2.52 / 4) * ctx.surface.weights, rtol=1e-15)
+    assert not ctx.cut.factors[1:, surf].any()
     assert len(ctx.cut_cells) > 0
     assert ctx.fallback_count == 0
     # every cut cell owns one run of volume points, in cut-cell order
@@ -315,7 +318,7 @@ def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an operator action redid set-up work")
 
-    for name in ("tabulate", "basis_rows", "_point_block", "point_block", "volume_factors", "_scatter_index"):
+    for name in ("tabulate", "basis_rows", "_point_block", "point_block", "_chunks", "cut_block", "_scatter_index"):
         monkeypatch.setattr(operators, name, forbidden)
     got = vmult(ctx, u), apply_ghost_penalty(ctx, u), assemble_rhs(ctx, f)
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
@@ -367,23 +370,25 @@ def test_multiball_3d_vmult_bitwise_repeatable(multiball_3d):
 # single cut-cell kernels
 
 
-def _add_by_cell(out, blk, sums):
-    """Add the per-chunk segment sums of blk into out (n_cells, nloc) by cell."""
-    for (_, _, cells), part in zip(blk.chunks, sums):
-        out[cells] += part.T
+def _add_by_cell(out, blk, vals):
+    """Add cut_apply's values on blk, each chunk's (nloc, segments) segment
+    sums in turn, into out (n_cells, nloc) by cell."""
+    end = 0
+    for _, starts, cells, _ in blk.chunks:
+        start, end = end, end + out.shape[1] * len(starts)
+        out[cells] += vals[start:end].reshape(out.shape[1], -1).T
+    assert end == len(vals) == blk.n_values
     return out
 
 
 def _cut_by_cell(ctx, u, volume=True, surface=True):
     """The cut piece's volume and Nitsche terms for the DoF vector u by cell,
-    (n_cut, nloc), from the batched kernels; for a u that is zero outside
-    cut cell j's DoFs, row j is that cell's own form."""
-    out, uc = np.zeros(ctx.cut_dofs.shape), np.take(u, ctx.cut_dofs.T)
-    if volume:
-        _add_by_cell(out, ctx.volume, cut_apply(ctx.volume, ctx.volume_factors, uc))
-    if surface:
-        _add_by_cell(out, ctx.surface, cut_apply(ctx.surface, ctx.nitsche_factors, uc))
-    return out
+    (n_cut, nloc), from cut_apply on the cut block with the coupling of the
+    terms left out set to zero; for a u that is zero outside cut cell j's
+    DoFs, row j is that cell's own form."""
+    keep = np.where(ctx.cut.cross == 1.0, surface, volume)
+    blk = dataclasses.replace(ctx.cut, factors=ctx.cut.factors * keep, cross=ctx.cut.cross * keep)
+    return _add_by_cell(np.zeros(ctx.cut_dofs.shape), blk, cut_apply(blk, np.take(u, ctx.cut_dofs.T)))
 
 
 def test_cut_cell_apply_matches_dense_blocks(rng):
@@ -398,7 +403,7 @@ def test_cut_cell_apply_matches_dense_blocks(rng):
     nit = dense_cut_nitsche(
         ctx.elem.nodes, ctx.mesh.spacing, lo,
         rule.surface_points, rule.surface_weights, rule.surface_normals,
-        ctx.params.gamma_dirichlet / ctx.h_min,
+        ctx.params.gamma_dirichlet / min(ctx.mesh.spacing),
     )
     for _ in range(5):
         u = rng.standard_normal(nloc)
@@ -425,7 +430,8 @@ def _without_cut_points(ctx):
 
 
 def _spans_two_chunks(blk):
-    return any(blk.cell[sl.start - 1] == blk.cell[sl.start] for sl, _, _ in blk.chunks[1:])
+    """Whether some cell's points start in one chunk and end in the next."""
+    return any(a[2][-1] == b[2][0] for a, b in zip(blk.chunks, blk.chunks[1:]))
 
 
 def _cut_kernel_oracle(ctx, u_cells, volume=True, surface=True):
@@ -435,7 +441,7 @@ def _cut_kernel_oracle(ctx, u_cells, volume=True, surface=True):
         ref += point_first_volume(*point_first_block_tables(ctx, vol), vol.weights, vol.cell, h, u_cells)
     if surface:
         ref += point_first_nitsche(*point_first_block_tables(ctx, surf), surf.weights, surf.normals, surf.cell, h,
-                                   ctx.nitsche_penalty, u_cells)
+                                   ctx.params.gamma_dirichlet / min(h), u_cells)
     return ref
 
 
@@ -446,7 +452,7 @@ def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, chunk_po
     if chunk_points is not None:
         monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * (degree + 1) ** dim)
     ctx = disk_context(dim, cells, degree)
-    assert len(ctx.volume.chunks) > 1 and _spans_two_chunks(ctx.volume)  # some cell's points span two chunks
+    assert len(ctx.cut.chunks) > 1 and _spans_two_chunks(ctx.cut)  # some cell's points span two chunks
 
     u = rng.standard_normal(ctx.n_dofs)
     assert _max_rel(_cut_by_cell(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
@@ -490,18 +496,21 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
     u_cells = rng.standard_normal((5, nloc))
     spacing, penalty = (0.25, 0.5), 7.0
 
-    blk = point_block(elem, xi, xi, weights, cell)
-    sums = cut_apply(blk, volume_factors(blk, spacing), u_cells.T)
-    assert [part.shape[1] for part in sums] == [len(np.unique(cell[sl])) for sl, _, _ in blk.chunks]  # a segment per cell
-    out = _add_by_cell(np.zeros(u_cells.shape), blk, sums)
-    assert not out[[1, 4]].any()
-    assert _max_rel(out, point_first_volume(*point_first_tables(elem, xi), weights, cell, spacing, u_cells)) <= 1e-14
-
-    blk = point_block(elem, xi, xi, weights, cell, normals, spacing)
-    out = _add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, penalty * weights, u_cells.T))
-    assert not out[[1, 4]].any()
-    ref = point_first_nitsche(*point_first_tables(elem, xi), weights, normals, cell, spacing, penalty, u_cells)
-    assert _max_rel(out, ref) <= 1e-14
+    vol = point_block(elem, xi, xi, weights, cell)
+    surf = point_block(elem, xi, xi, weights, cell, normals, spacing)
+    no_vol = point_block(elem, xi[:0], xi[:0], weights[:0], cell[:0])
+    tables = point_first_tables(elem, xi)
+    ref_vol = point_first_volume(*tables, weights, cell, spacing, u_cells)
+    ref_nit = point_first_nitsche(*tables, weights, normals, cell, spacing, penalty, u_cells)
+    # volume points only, surface points only, and both: a cell's points in one segment per chunk
+    for blk, points_of, ref in [(cut_block(vol, spacing), cell, ref_vol),
+                                (cut_block(no_vol, spacing, surf, penalty), cell, ref_nit),
+                                (cut_block(vol, spacing, surf, penalty), np.repeat(cell, 2), ref_vol + ref_nit)]:
+        assert [len(starts) for _, starts, _, _ in blk.chunks] == [len(np.unique(points_of[sl]))
+                                                                   for sl, _, _, _ in blk.chunks]
+        out = _add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, u_cells.T))
+        assert not out[[1, 4]].any()
+        assert _max_rel(out, ref) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -536,10 +545,11 @@ def test_point_blocks_hold_no_per_point_dof_table():
     ctx = disk_context(3, 5, 2)
     squared_l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))  # builds the error block
     nloc = ctx.cut_dofs.shape[1]
-    for blk in [ctx.volume, ctx.surface, *ctx._error_blocks.values()]:
+    for blk in [ctx.cut, ctx.volume, ctx.surface, *ctx._error_blocks.values()]:
         arrays = [getattr(blk, f.name) for f in dataclasses.fields(blk)] + [a for c in blk.chunks for a in c[1:]]
         ints = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
-        assert ints and all(a.size < nloc * blk.weights.size for a in ints)
+        n_points = blk.cross.size if blk is ctx.cut else blk.weights.size
+        assert ints and all(a.size < nloc * n_points for a in ints)
 
 
 def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
@@ -554,7 +564,7 @@ def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
 
     blk = ctx._error_blocks[ctx.params.error_quad_order]
     vals = np.empty(blk.weights.size)
-    for sl, _, _ in blk.chunks:
+    for sl, _, _, _ in blk.chunks:
         g = u[per_point(blk)[:, sl]].reshape((ctx.elem.degree + 1,) * ctx.mesh.dim + (-1,))
         for tab in blk.vals[..., sl]:
             g = np.einsum("...ip,ip->...p", g, tab)
@@ -563,7 +573,7 @@ def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
     assert squared_l2_error(_without_cut_points(ctx), u, u_exact) + float(np.sum(diff * diff * blk.weights)) == err2
 
     monkeypatch.setattr(operators, "_segment_dofs",
-                        lambda blk, dofs: [per_point(blk)[:, sl][:, starts] for sl, starts, _ in blk.chunks])
+                        lambda blk, dofs: [per_point(blk)[:, sl][:, starts] for sl, starts, _, _ in blk.chunks])
     assert np.array_equal(assemble_rhs(ctx, f), b)
 
 
@@ -586,6 +596,119 @@ def test_cut_cells_with_surface_points_and_no_volume_points(rng):
         u_j = np.zeros(ctx.n_dofs)
         u_j[ctx.cut_dofs[j]] = rng.standard_normal(4)
         assert not _cut_by_cell(ctx, u_j, surface=False)[j].any()
+
+
+# ---------------------------------------------------------------------------
+# the one cut block: each cut cell's volume and surface points in one segment
+
+
+def _one_block_context(case, degree):
+    """A 6^2 disk; the corner fixture above, whose cut cells 1, 3 and 4 hold
+    surface points and no volume point; or three balls on a 3^3 mesh at
+    quadrature depth 0, where sign-of-centre fallbacks leave cut cells with
+    volume points and no surface point."""
+    if case == "disk":
+        return disk_context(2, 6, degree)
+    if case == "corner":
+        mesh = box_mesh([0.0, 0.0], [1.0, 1.0], [4, 4])
+        return build_context(mesh, HalfSpaceLevelSet([1.0, 1.0], 0.5), Parameters(degree=degree))
+    mesh = box_mesh([-1.26] * 3, [1.26] * 3, [3] * 3)
+    phi = BallUnionLevelSet(*generate_balls(3, 0, [-1.26] * 3, [1.26] * 3, r0=2.0))
+    return build_context(mesh, phi, Parameters(degree=degree, max_quad_depth=0))
+
+
+def _vmult_by_pieces(ctx, u):
+    """vmult from the matrix pieces and the point-first oracle of the cut
+    piece, each scattered by its cells' DoFs."""
+    w = np.zeros(ctx.n_dofs)
+    for _, idx, mat in operators._pieces(ctx):
+        local = _cut_kernel_oracle(ctx, u[idx]) if mat is None else u[idx] @ mat.T
+        w += np.bincount(idx.ravel(), weights=local.ravel(), minlength=ctx.n_dofs)
+    return w
+
+
+@pytest.mark.parametrize("chunk_points", [None, 5], ids=["default-chunks", "5-point-chunks"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("case", ["disk", "corner", "balls"])
+def test_one_cut_block_vmult_matches_the_point_first_and_dense_oracles(case, degree, chunk_points, rng, monkeypatch):
+    dim = 3 if case == "balls" else 2
+    if chunk_points is not None:  # chunks are fixed when the block is built
+        monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * (degree + 1) ** dim)
+    ctx = _one_block_context(case, degree)
+    n_cut = len(ctx.cut_cells)
+    n_vol, n_surf = np.bincount(ctx.volume.cell, minlength=n_cut), np.bincount(ctx.surface.cell, minlength=n_cut)
+    if case == "corner":
+        assert not n_vol[[1, 3, 4]].any() and n_surf[[1, 3, 4]].all()
+    if case == "balls":
+        assert ((n_vol > 0) & (n_surf == 0)).any()
+    assert chunk_points is None or _spans_two_chunks(ctx.cut)
+
+    u = rng.standard_normal(ctx.n_dofs)
+    w = vmult(ctx, u)
+    assert _max_rel(w, _vmult_by_pieces(ctx, u)) <= 1e-14
+    if chunk_points is None:  # the dense matrix does not depend on the chunks
+        a_dense = dense_operator_matrix(ctx)
+        assert_allclose(w, a_dense @ u, rtol=0, atol=1e-12 * np.abs(a_dense @ u).max())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
+    # with every point its own cell, cut_apply's segment sums are the points'
+    # contributions: bitwise R^T (y w / h_a^2) with y = R u at a volume point
+    # and R^T (penalty w u + D u, u) with (u, D u) = (phi, D) u at a surface
+    # point, as the separate volume and Nitsche passes computed them; a 3D
+    # surface point's zero third row adds exact zeros
+    elem = build_reference_element(degree)
+    nloc, n_vol, n_surf = (degree + 1) ** dim, 11, 7
+    xi_v, xi_s = rng.random((n_vol, dim)), rng.random((n_surf, dim))
+    w_v, w_s = rng.random(n_vol), rng.random(n_surf)
+    normals = rng.standard_normal((n_surf, dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    spacing, penalty = (0.25, 0.5, 0.125)[:dim], 37.0
+    vol = point_block(elem, xi_v, xi_v, w_v, np.arange(n_vol))
+    surf = point_block(elem, xi_s, xi_s, w_s, np.arange(n_vol, n_vol + n_surf), normals, spacing)
+    blk = cut_block(vol, spacing, surf, penalty)
+    u_cells = rng.standard_normal((n_vol + n_surf, nloc))
+    got = cut_apply(blk, u_cells.T).reshape(nloc, -1)
+
+    y = np.einsum("rip,ip->rp", vol.rows, u_cells[:n_vol].T)
+    y *= w_v / np.square(spacing)[:, None]
+    old_vol = np.einsum("rip,rp->ip", vol.rows, y)
+    y = np.einsum("rip,ip->rp", surf.rows, u_cells[n_vol:].T)
+    old_nitsche = np.einsum("rip,rp->ip", surf.rows, np.stack([(penalty * w_s) * y[0] + y[1], y[0]]))
+    assert np.array_equal(got, np.concatenate([old_vol, old_nitsche], axis=1))
+    assert not blk.rows[2:, :, n_vol:].any() and not blk.factors[1:, n_vol:].any()
+
+
+@pytest.mark.parametrize("chunk_points", [None, 5], ids=["default-chunks", "5-point-chunks"])
+def test_the_cut_piece_is_one_block_with_one_segment_per_cell_and_chunk(chunk_points, rng, monkeypatch):
+    # the cut piece's values are nloc per segment of the one cut block, a
+    # segment for each cut cell with points in a chunk (volume and surface
+    # points together), and vmult hands its one bincount a value buffer as
+    # long as the scatter index
+    if chunk_points is not None:
+        monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * 27)
+    ctx = disk_context(3, 5, 2)
+    nloc = ctx.cut_dofs.shape[1]
+    cell_of_point = np.sort(np.concatenate([ctx.volume.cell, ctx.surface.cell]))
+    chunks = ctx.cut.chunks
+    assert chunk_points is None or _spans_two_chunks(ctx.cut)
+    assert [len(starts) for _, starts, _, _ in chunks] == [len(np.unique(cell_of_point[sl])) for sl, _, _, _ in chunks]
+    segments = sum(len(starts) for _, starts, _, _ in chunks)
+    assert segments == len(ctx.cut_cells) + sum(a[2][-1] == b[2][0] for a, b in zip(chunks, chunks[1:]))
+    n_matrix = sum(idx.size for _, idx, mat in operators._pieces(ctx) if mat is not None)
+    assert ctx.scatter_index.size - n_matrix == nloc * segments == ctx.cut.n_values
+
+    bincount, sizes = np.bincount, []
+
+    def spy(x, weights=None, minlength=0):
+        sizes.append(None if weights is None else len(weights))
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    vmult(ctx, rng.standard_normal(ctx.n_dofs))
+    assert sizes == [ctx.scatter_index.size]
 
 
 # ---------------------------------------------------------------------------
