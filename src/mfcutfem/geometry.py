@@ -48,6 +48,8 @@ class CartesianMesh:
             raise ValueError(f"dimension must be 2 or 3, got {self.dim}")
         if any(n < 1 for n in self.cells_per_axis):
             raise ValueError(f"cell counts must be positive, got {self.cells_per_axis}")
+        if not np.isfinite(self.origin + self.spacing).all():
+            raise ValueError(f"origin and spacing must be finite, got origin {self.origin}, spacing {self.spacing}")
         if any(h <= 0 for h in self.spacing):
             raise ValueError(f"spacings must be positive, got {self.spacing}")
 

@@ -49,7 +49,6 @@ from .operators import (
     cut_apply,
     cut_block,
     ghost_face_kernel,
-    point_block,
     reset_timers,
     vmult,
 )
@@ -460,13 +459,12 @@ def run_convergence(cfg: RunConfig) -> int:
 def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
     """The per-point cut-cell kernel as a call: a cut block of volume points
     only at arbitrary reference points, pts_ref (n_cells, points per cell,
-    d), is built here as build_context builds its one (point_block, then
-    cut_block), and the call applies cut_apply to the cells' coefficients,
-    a weak Laplacian per cell by chunk segments.  The reference points
-    stand in for the physical ones, which it never reads."""
+    d), is tabulated here by one cut_block call, as build_context tabulates
+    its one, and the call applies cut_apply to the cells' coefficients, a
+    weak Laplacian per cell by chunk segments.  The reference points stand
+    in for the physical ones, which it never reads."""
     n_cells, n_pts, d = pts_ref.shape
-    xi = pts_ref.reshape(-1, d)
-    blk = cut_block(point_block(elem, xi, xi, weights, np.repeat(np.arange(n_cells), n_pts)), spacing)
+    blk = cut_block(elem, spacing, (pts_ref.reshape(-1, d), weights, np.repeat(np.arange(n_cells), n_pts)))
     uc = u_cells.T
     return lambda: cut_apply(blk, uc)
 
@@ -474,7 +472,7 @@ def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
 def run_kernelbench(cfg: RunConfig) -> int:
     """Per-application microseconds for the three per-cell/per-face kernels
     (the factored cell and ghost-face kernels that vmult's cached matrices
-    are probed from, and the per-point cut-cell kernel on a point block
+    are probed from, and the per-point cut-cell kernel on a cut block
     tabulated beforehand), measured over vectorized cell batches; `relative`
     normalizes by the sum-factorized cell kernel at the smallest degree of
     the sweep (within each dimension)."""

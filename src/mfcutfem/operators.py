@@ -42,9 +42,9 @@ and the per-cell and per-face forms (``sumfac.cell_laplacian``,
 and runs its kernel on every call.
 
 Everything that depends only on the geometry is tabulated once, when the
-context is built: the volume and surface points' basis rows, products of
-their 1D tables (``basis_rows``, ``point_block``), which ``cut_block``
-copies once into the cut block with the per-point factors and cross
+context is built: the cut block (``cut_block``), whose basis rows,
+products of the cut points' 1D tables, are written in place in the
+block's order, chunk by chunk, with the per-point factors and cross
 weights and the chunks' per-cell segments (their starts, cells and
 lengths); and one scatter index over the values of all pieces.  No block
 holds a per-point DoF index: the cut kernel gathers per cell, once per call
@@ -64,16 +64,16 @@ functions through one checked evaluation, and on cut cells read 1D value
 tables per chunk: the RHS sums f w times the value rows by cell segment on
 the volume block's tables, and the error contracts the cell coefficients,
 repeated over their segments, one axis at a time with the tables of its
-own point blocks of values only, built on first use.  Every basis row of a
-cut point, value or derivative, is one product of 1D table entries per
-axis (``_tensor_rows``).  All batches and reductions run in a fixed order,
-so results are bitwise reproducible.
+own values blocks (``point_block``), built on first use.  Every basis row
+of a cut point, value or derivative, is one product of 1D table entries
+per axis (``_tensor_rows``).  All batches and reductions run in a fixed
+order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from math import prod
 
@@ -100,44 +100,39 @@ class Parameters:
     max_quad_depth: int = 8
 
     def __post_init__(self):
-        if not 1 <= self.degree:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if not 0 <= self.gamma_ghost < np.inf:
-            raise ValueError(f"gamma_ghost must be finite and >= 0, got {self.gamma_ghost}")
-        if self.max_quad_depth < 0:
-            raise ValueError(f"max_quad_depth must be >= 0, got {self.max_quad_depth}")
         k = self.degree
         if self.gamma_dirichlet is None:
             self.gamma_dirichlet = 30.0 * k * (k + 1)
-        if not np.isfinite(self.gamma_dirichlet):
-            raise ValueError(f"gamma_dirichlet must be finite, got {self.gamma_dirichlet}")
         if self.quad_order is None:
             self.quad_order = k + 1
         if self.error_quad_order is None:
             self.error_quad_order = k + 2
-        for name in ("quad_order", "error_quad_order"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("degree", 1), ("quad_order", 1), ("error_quad_order", 1), ("max_quad_depth", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not 0 <= self.gamma_ghost < np.inf:
+            raise ValueError(f"gamma_ghost must be finite and >= 0, got {self.gamma_ghost}")
+        if not np.isfinite(self.gamma_dirichlet):
+            raise ValueError(f"gamma_dirichlet must be finite, got {self.gamma_dirichlet}")
 
 
 @dataclass
 class PointBlock:
     """Concatenated per-point data of one kind of cut-cell points (volume,
-    surface or error order), grouped cell by cell; the tables are
-    point-last.  The volume block keeps its 1D values for assemble_rhs, an
-    error block its 1D values for squared_l2_error.  point_block tabulates
-    the basis rows of cut_apply for volume and surface points; cut_block
-    copies them into the cut block, and a context's blocks keep none.
-    ``chunks`` are built once; a chunk gathers each point's cell
-    coefficients by repeating its cells' columns over their segments."""
+    surface or error order), grouped cell by cell.  A values block
+    (point_block: the volume block, an error block) keeps the point-last 1D
+    value tables that assemble_rhs and squared_l2_error read, and chunks
+    that gather each point's cell coefficients by repeating its cells'
+    columns over their segments.  The surface block keeps its normals for
+    cut_rules and neither; the basis rows of cut_apply are in the cut block."""
 
     points: np.ndarray   # (N, d) physical coordinates
     weights: np.ndarray  # (N,)
     cell: np.ndarray     # (N,) position in the cut-cell list, nondecreasing
-    vals: np.ndarray | None  # (d, k+1, N) 1D basis values at the reference coords; volume and error blocks
-    rows: np.ndarray | None  # (r, nloc, N) basis rows (basis_rows) for cut_block; None in a context
-    chunks: list[tuple]      # (points, segment starts in them, segment cells, segment lengths)
-    normals: np.ndarray | None = None  # (N, d) for surface blocks
+    vals: np.ndarray | None  # (d, k+1, N) 1D basis values at the reference coords; values blocks only
+    chunks: list[tuple]      # (points, segment starts in them, segment cells, segment lengths); values blocks only
+    normals: np.ndarray | None = None  # (N, d) for the surface block
 
 
 @dataclass
@@ -147,7 +142,7 @@ class CutBlock:
     and per-point coupling of both cut terms in point-last arrays.  Volume
     points hold the d reference derivative rows R_a; surface points hold
     the value row phi_i and the Nitsche row D_i, and in 3D a zero third
-    row.  Built once by cut_block."""
+    row.  Tabulated once, in this order, by cut_block."""
 
     rows: np.ndarray     # (d, nloc, N)
     factors: np.ndarray  # (d, N) w / h_a^2 at volume points; penalty w on a surface point's value row, else 0
@@ -220,21 +215,6 @@ def tabulate(elem, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
     return np.stack([elem.evaluate(xi[:, a], deriv=deriv).T for a in range(xi.shape[1])])
 
 
-def basis_rows(vals: np.ndarray, grads: np.ndarray, normal_coefs: np.ndarray | None = None) -> np.ndarray:
-    """The basis rows of cut_apply at each point of the 1D tables from
-    tabulate: without normal_coefs the reference derivative R_a of every
-    basis function along each axis a (the tensor rows of the tables with
-    grads[a] in place of vals[a]), (d, nloc, P); with normal_coefs (d, P)
-    the value row and D = sum_a normal_coefs[a] R_a, (2, nloc, P)."""
-    d = len(vals)
-    derivs = np.empty((d, vals.shape[1] ** d, vals.shape[-1]))
-    for a in range(d):  # filled in place: one (nloc, P) temporary at a time
-        derivs[a] = _tensor_rows([grads[b] if b == a else v for b, v in enumerate(vals)], 1)
-    if normal_coefs is None:
-        return derivs
-    return np.stack([_tensor_rows(vals, 1), np.einsum("ap,aip->ip", normal_coefs, derivs)])
-
-
 def _chunks(cell: np.ndarray, nloc: int) -> list[tuple]:
     """Chunks of P points, P nloc at most _POINT_CHUNK, of points grouped by
     their nondecreasing cell: (points, the starts of their per-cell
@@ -247,51 +227,55 @@ def _chunks(cell: np.ndarray, nloc: int) -> list[tuple]:
     return chunks
 
 
-def point_block(elem, xi, points, weights, cell, normals=None, spacing=None, values_only=False) -> PointBlock:
-    """The points of cut cells at reference coordinates xi (N, d), grouped
-    cell by cell (cell nondecreasing), tabulated for their use: a volume
-    block keeps its 1D values and derivative rows, a surface block (normals
-    given; the Nitsche row reads spacing) its value and Nitsche rows only,
-    a values_only block its 1D values only; and its chunks (_chunks)."""
-    vals, rows = tabulate(elem, xi), None
-    if normals is not None:  # value and Nitsche rows; normal_coefs -w n_a / h_a
-        vals, rows = None, basis_rows(vals, tabulate(elem, xi, 1), (-(weights[:, None] * normals) / spacing).T)
-    elif not values_only:
-        rows = basis_rows(vals, tabulate(elem, xi, 1))
-    return PointBlock(points, weights, cell, vals, rows, _chunks(cell, (elem.degree + 1) ** xi.shape[1]), normals)
+def point_block(elem, xi, points, weights, cell) -> PointBlock:
+    """A values block of the points of cut cells at reference coordinates xi
+    (N, d), grouped cell by cell (cell nondecreasing): their 1D value tables
+    and their chunks (_chunks)."""
+    return PointBlock(points, weights, cell, tabulate(elem, xi), _chunks(cell, (elem.degree + 1) ** xi.shape[1]))
 
 
-def cut_block(volume: PointBlock, spacing, surface: PointBlock | None = None, penalty: float = 0.0) -> CutBlock:
-    """The cut piece's one block from the rows of a volume block and, if
-    given, a surface block (point_block): each cell's volume points and
-    then its surface points, their rows copied once into place, with the
-    per-point factors w / h_a^2 of the grad-grad term, penalty w of the
-    Nitsche value term, and cross 1 at the surface points."""
-    parts = [volume] if surface is None else [volume, surface]
-    cell = np.concatenate([blk.cell for blk in parts])
-    order = np.argsort(cell, kind="stable")  # a cell's volume points stay ahead of its surface points
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(order))
-    vol, surf = pos[:len(volume.cell)], pos[len(volume.cell):]
-    d, nloc, _ = volume.rows.shape
-    rows, factors, cross = np.zeros((d, nloc, len(cell))), np.zeros((d, len(cell))), np.zeros(len(cell))
-    rows[..., vol] = volume.rows
-    factors[:, vol] = volume.weights / np.square(np.asarray(spacing, dtype=float))[:, None]
-    if surface is not None:
-        rows[:2, :, surf] = surface.rows
-        factors[0, surf] = penalty * surface.weights
-        cross[surf] = 1.0
-    return CutBlock(rows, factors, cross, _chunks(cell[order], nloc))
+def cut_block(elem, spacing, volume: tuple, surface: tuple | None = None, penalty: float = 0.0) -> CutBlock:
+    """The cut piece's one block from volume points (xi, weights, cell) and,
+    if given, surface points (xi, weights, cell, normals), each kind at
+    reference coordinates xi (N, d) and grouped by cell: each cell's volume
+    points and then its surface points, with the per-point factors
+    w / h_a^2 of the grad-grad term, penalty w of the Nitsche value term,
+    and cross 1 at the surface points.  The rows are tabulated in place,
+    chunk by chunk, from the 1D tables of the chunk's points: the reference
+    derivatives R_a of every point (_write_tensor_rows), and then over the
+    surface points' columns the Nitsche row D = sum_a (-w n_a / h_a) R_a,
+    the value row and zeros: no temporary outgrows a chunk's surface
+    columns or a slice of its derivative rows."""
+    parts = [volume + (np.zeros_like(volume[0]),)] + ([] if surface is None else [surface])  # no volume normal
+    order = np.argsort(np.concatenate([part[2] for part in parts]), kind="stable")  # volume points stay first
+    xi, weights, cell, normals = (np.concatenate(arrays)[order] for arrays in zip(*parts))
+    surf = order >= len(volume[2])
+    h = np.asarray(spacing, dtype=float)
+    factors = np.where(surf, 0.0, weights / np.square(h)[:, None])
+    factors[0, surf] = penalty * weights[surf]
+    d, nloc = xi.shape[1], (elem.degree + 1) ** xi.shape[1]
+    rows, chunks = np.empty((d, nloc, len(cell))), _chunks(cell, nloc)
+    for sl, _, _, _ in chunks:
+        vals, part = tabulate(elem, xi[sl]), rows[..., sl]
+        for a in range(d):  # R_a, with the derivative table of axis a alive for this call only
+            _write_tensor_rows(part[a], [tabulate(elem, xi[sl, a:a + 1], 1)[0] if b == a else vals[b]
+                                         for b in range(d)])
+        s = np.flatnonzero(surf[sl])  # surface columns: D summed from zero axis by axis, then phi, then zeros
+        coefs = -(weights[sl][s, None] * normals[sl][s]) / h
+        nitsche = np.zeros((nloc, len(s)))
+        for a in range(d):
+            nitsche += coefs[:, a] * part[a][:, s]
+        part[1][:, s] = nitsche
+        part[0][:, s] = _tensor_rows(vals[..., s], 1)
+        part[2:, :, s] = 0.0
+    return CutBlock(rows, factors, surf.astype(float), chunks)
 
 
-def _point_block(mesh, elem, cut_cells, rules, surface: bool = False, values_only: bool = False) -> PointBlock:
-    """The volume or surface rows of the cut cells' rules, at their
-    coordinates in the reference cell, as a point block (point_block)."""
-    pts, wts, cell, nrm = ((rules.surface_points, rules.surface_weights, rules.surface_box, rules.surface_normals)
-                           if surface else (rules.interior_points, rules.interior_weights, rules.interior_box, None))
+def _reference_coords(mesh, cut_cells, points, cell) -> np.ndarray:
+    """The points of the cut cells (cell: position in cut_cells) at their
+    coordinates in the reference cell."""
     spacing = np.asarray(mesh.spacing)
-    xi = (pts - (np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell]) * spacing)) / spacing
-    return point_block(elem, xi, pts, wts, cell, nrm, spacing, values_only)
+    return (points - (np.asarray(mesh.origin) + mesh.cell_multi(cut_cells[cell]) * spacing)) / spacing
 
 
 def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.CutCellQuadrature:
@@ -325,8 +309,10 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
     }
 
     rules = _cut_rules(mesh, levelset, cut_cells, params.quad_order, params.max_quad_depth)
-    volume = _point_block(mesh, elem, cut_cells, rules)
-    surface = _point_block(mesh, elem, cut_cells, rules, surface=True)
+    vol_w, vol_cell = rules.interior_weights, rules.interior_box
+    surf_w, surf_cell, normals = rules.surface_weights, rules.surface_box, rules.surface_normals
+    vol_xi = _reference_coords(mesh, cut_cells, rules.interior_points, vol_cell)
+    surf_xi = _reference_coords(mesh, cut_cells, rules.surface_points, surf_cell)
     return OperatorContext(
         mesh=mesh,
         levelset=levelset,
@@ -340,9 +326,10 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         inside_dofs=dofmap.compact_cell_dofs(inside_cells),
         cut_dofs=dofmap.compact_cell_dofs(cut_cells),
         face_dofs=face_dofs,
-        volume=replace(volume, rows=None),
-        surface=replace(surface, rows=None),
-        cut=cut_block(volume, mesh.spacing, surface, params.gamma_dirichlet / min(mesh.spacing)),
+        volume=point_block(elem, vol_xi, rules.interior_points, vol_w, vol_cell),
+        surface=PointBlock(rules.surface_points, surf_w, surf_cell, None, [], normals),
+        cut=cut_block(elem, mesh.spacing, (vol_xi, vol_w, vol_cell), (surf_xi, surf_w, surf_cell, normals),
+                      params.gamma_dirichlet / min(mesh.spacing)),
         fallback_count=rules.fallback_count,
         interior_matrix=_probe(partial(cell_laplacian_batch, elem, mesh.spacing), (k + 1) ** mesh.dim),
         ghost_matrices={a: _probe(ghost_face_kernel(elem, mesh.spacing, params.gamma_ghost, a), idx.shape[1])
@@ -363,6 +350,15 @@ def _tensor_rows(tabs, coef) -> np.ndarray:
     for tab in tabs:
         acc = tab.reshape(tab.shape[:1] + (1,) * (np.ndim(acc) - 1) + tab.shape[1:]) * acc
     return acc.reshape(prod(acc.shape[:-1]), acc.shape[-1])
+
+
+def _write_tensor_rows(out: np.ndarray, tabs) -> None:
+    """The tensor rows of the 1D tables tabs (_tensor_rows with coefficient
+    1) written into out (nloc, P) one slice of the slowest axis at a time,
+    with no (nloc, P) temporary."""
+    inner = _tensor_rows(tabs[:-1], 1)
+    for j, tab in enumerate(tabs[-1]):
+        np.multiply(tab, inner, out=out[j * len(inner):(j + 1) * len(inner)])
 
 
 def _segment_sums(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -565,7 +561,9 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
 
     if order not in ctx._error_blocks:
         rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
-        ctx._error_blocks[order] = _point_block(ctx.mesh, ctx.elem, ctx.cut_cells, rules, values_only=True)
+        pts, cell = rules.interior_points, rules.interior_box
+        xi = _reference_coords(ctx.mesh, ctx.cut_cells, pts, cell)
+        ctx._error_blocks[order] = point_block(ctx.elem, xi, pts, rules.interior_weights, cell)
     blk = ctx._error_blocks[order]
     uc = np.take(u_h, ctx.cut_dofs.T)  # (nloc, n_cut)
     vals = np.empty(blk.weights.size)

@@ -57,6 +57,11 @@ def test_mesh_validation():
         box_mesh([0, 0], [1, 1], [0, 4])
     with pytest.raises(ValueError):
         box_mesh([0, 0], [0, 1], [4, 4])  # zero extent gives zero spacing
+    for lo, hi in [([0, 0], [np.nan, 1]), ([0, 0], [np.inf, 1]), ([np.nan, 0], [1, 1]), ([-np.inf, 0], [1, 1])]:
+        with pytest.raises(ValueError, match="origin and spacing must be finite"):
+            box_mesh(lo, hi, [2, 2])  # not left for cut quadrature to blame on the level set
+    with pytest.raises(ValueError, match="finite"):
+        CartesianMesh((0.0, np.nan), (2, 2), (0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------

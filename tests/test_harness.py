@@ -261,7 +261,7 @@ def test_kernelbench_csv(tmp_path):
 
 
 def test_kernelbench_point_cell_call_does_no_set_up(monkeypatch):
-    # the point block is tabulated when the call is built; the timed call
+    # the cut block is tabulated when the call is built; the timed call
     # only runs cut_apply on it
     rng = np.random.default_rng(0)
     elem = build_reference_element(2)
@@ -272,8 +272,8 @@ def test_kernelbench_point_cell_call_does_no_set_up(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the timed call redid set-up work")
 
-    for module, name in [(operators, "tabulate"), (operators, "basis_rows"), (operators, "point_block"),
-                         (harness, "point_block")]:
+    for module, name in [(operators, "tabulate"), (operators, "_write_tensor_rows"), (operators, "cut_block"),
+                         (harness, "cut_block")]:
         monkeypatch.setattr(module, name, forbidden)
     got = call()
     assert len(got) == len(expected) and all(np.array_equal(g, e) for g, e in zip(got, expected))

@@ -1,6 +1,7 @@
 """Matrix-free operator application against independently assembled matrices."""
 
 import dataclasses
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -14,13 +15,11 @@ from mfcutfem.operators import (
     Parameters,
     apply_ghost_penalty,
     assemble_rhs,
-    basis_rows,
     breakdown_report,
     build_context,
     cut_apply,
     cut_block,
     ghost_face_apply,
-    point_block,
     reset_timers,
     squared_l2_error,
     tabulate,
@@ -81,6 +80,12 @@ def test_parameter_validation():
                 dict(gamma_dirichlet=-np.inf)):
         with pytest.raises(ValueError):
             Parameters(degree=2, **bad)
+    # a non-integer degree, order or depth is rejected by name at construction
+    for bad in (dict(degree=2.5), dict(quad_order=2.5), dict(error_quad_order=3.5), dict(max_quad_depth=1.5)):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+            Parameters(**{"degree": 2, **bad})
+    p = Parameters(degree=np.int64(2), quad_order=np.int32(4), error_quad_order=np.int64(5), max_quad_depth=np.int8(3))
+    assert (p.degree, p.quad_order, p.error_quad_order, p.max_quad_depth) == (2, 4, 5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +323,8 @@ def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an operator action redid set-up work")
 
-    for name in ("tabulate", "basis_rows", "_point_block", "point_block", "_chunks", "cut_block", "_scatter_index"):
+    for name in ("tabulate", "_write_tensor_rows", "_reference_coords", "point_block", "_chunks", "cut_block",
+                 "_scatter_index"):
         monkeypatch.setattr(operators, name, forbidden)
     got = vmult(ctx, u), apply_ghost_penalty(ctx, u), assemble_rhs(ctx, f)
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
@@ -496,16 +502,14 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
     u_cells = rng.standard_normal((5, nloc))
     spacing, penalty = (0.25, 0.5), 7.0
 
-    vol = point_block(elem, xi, xi, weights, cell)
-    surf = point_block(elem, xi, xi, weights, cell, normals, spacing)
-    no_vol = point_block(elem, xi[:0], xi[:0], weights[:0], cell[:0])
+    vol, surf, no_vol = (xi, weights, cell), (xi, weights, cell, normals), (xi[:0], weights[:0], cell[:0])
     tables = point_first_tables(elem, xi)
     ref_vol = point_first_volume(*tables, weights, cell, spacing, u_cells)
     ref_nit = point_first_nitsche(*tables, weights, normals, cell, spacing, penalty, u_cells)
     # volume points only, surface points only, and both: a cell's points in one segment per chunk
-    for blk, points_of, ref in [(cut_block(vol, spacing), cell, ref_vol),
-                                (cut_block(no_vol, spacing, surf, penalty), cell, ref_nit),
-                                (cut_block(vol, spacing, surf, penalty), np.repeat(cell, 2), ref_vol + ref_nit)]:
+    for blk, points_of, ref in [(cut_block(elem, spacing, vol), cell, ref_vol),
+                                (cut_block(elem, spacing, no_vol, surf, penalty), cell, ref_nit),
+                                (cut_block(elem, spacing, vol, surf, penalty), np.repeat(cell, 2), ref_vol + ref_nit)]:
         assert [len(starts) for _, starts, _, _ in blk.chunks] == [len(np.unique(points_of[sl]))
                                                                    for sl, _, _, _ in blk.chunks]
         out = _add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, u_cells.T))
@@ -517,13 +521,15 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
     # row i at a point is the product over the axes of 1D table entries,
-    # axis 0 fastest in i: the derivative table on axis a for the volume
-    # rows, values only for the value row, and the D row is sum_a c_a times
-    # the volume row of axis a; _tensor_rows scales the value row by a
+    # axis 0 fastest in i: in a cut block's volume columns the derivative
+    # table on axis a for row a; in its surface columns values only for the
+    # value row, and the D row is sum_a c_a times the volume row of axis a,
+    # c_a = -w n_a / h_a; _tensor_rows scales the value row by a
     # coefficient per point
     elem = build_reference_element(degree)
-    xi = rng.random((7, dim))
-    coefs = rng.standard_normal((dim, len(xi)))
+    xi, weights, cell = rng.random((7, dim)), rng.random(7), np.arange(7)
+    normals, spacing = rng.standard_normal((7, dim)), (0.25, 0.5, 0.125)[:dim]
+    coefs = (-(weights[:, None] * normals) / spacing).T
     vals, grads = point_first_tables(elem, xi)
 
     def products(deriv_axis):
@@ -531,11 +537,13 @@ def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
                          for p in range(len(xi))]).T
 
     derivs = np.stack([products(a) for a in range(dim)])
+    blk = cut_block(elem, spacing, (xi, weights, cell), (xi, weights, cell, normals), 1.0)
+    vol, surf = blk.cross == 0.0, blk.cross == 1.0  # each cell's volume point, then its surface point
+    assert _max_rel(blk.rows[..., vol], derivs) <= 1e-15
+    assert _max_rel(blk.rows[0][:, surf], products(None)) <= 1e-15
+    assert _max_rel(blk.rows[1][:, surf], np.einsum("ap,aip->ip", coefs, derivs)) <= 1e-15
+    assert not blk.rows[2:, :, surf].any()
     tables = tabulate(elem, xi), tabulate(elem, xi, 1)
-    assert _max_rel(basis_rows(*tables), derivs) <= 1e-15
-    value_row, d_row = basis_rows(*tables, coefs)
-    assert _max_rel(value_row, products(None)) <= 1e-15
-    assert _max_rel(d_row, np.einsum("ap,aip->ip", coefs, derivs)) <= 1e-15
     assert _max_rel(operators._tensor_rows(tables[0], coefs[0]), coefs[0] * products(None)) <= 1e-15
 
 
@@ -666,17 +674,30 @@ def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
     normals = rng.standard_normal((n_surf, dim))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     spacing, penalty = (0.25, 0.5, 0.125)[:dim], 37.0
-    vol = point_block(elem, xi_v, xi_v, w_v, np.arange(n_vol))
-    surf = point_block(elem, xi_s, xi_s, w_s, np.arange(n_vol, n_vol + n_surf), normals, spacing)
-    blk = cut_block(vol, spacing, surf, penalty)
+    blk = cut_block(elem, spacing, (xi_v, w_v, np.arange(n_vol)),
+                    (xi_s, w_s, np.arange(n_vol, n_vol + n_surf), normals), penalty)
     u_cells = rng.standard_normal((n_vol + n_surf, nloc))
     got = cut_apply(blk, u_cells.T).reshape(nloc, -1)
 
-    y = np.einsum("rip,ip->rp", vol.rows, u_cells[:n_vol].T)
+    # the rows of each kind as the two passes tabulated them: the volume
+    # points' derivative rows, and the surface points' value row and
+    # Nitsche row sum_a (-w n_a / h_a) R_a
+    def derivative_rows(xi):
+        vals, grads = tabulate(elem, xi), tabulate(elem, xi, 1)
+        return vals, np.stack([operators._tensor_rows([grads[b] if b == a else v for b, v in enumerate(vals)], 1)
+                               for a in range(dim)])
+
+    vol_rows = derivative_rows(xi_v)[1]
+    vals, derivs = derivative_rows(xi_s)
+    coefs = (-(w_s[:, None] * normals) / np.asarray(spacing)).T
+    surf_rows = np.stack([operators._tensor_rows(vals, 1), np.einsum("ap,aip->ip", coefs, derivs)])
+    assert np.array_equal(blk.rows[..., :n_vol], vol_rows) and np.array_equal(blk.rows[:2, :, n_vol:], surf_rows)
+
+    y = np.einsum("rip,ip->rp", vol_rows, u_cells[:n_vol].T)
     y *= w_v / np.square(spacing)[:, None]
-    old_vol = np.einsum("rip,rp->ip", vol.rows, y)
-    y = np.einsum("rip,ip->rp", surf.rows, u_cells[n_vol:].T)
-    old_nitsche = np.einsum("rip,rp->ip", surf.rows, np.stack([(penalty * w_s) * y[0] + y[1], y[0]]))
+    old_vol = np.einsum("rip,rp->ip", vol_rows, y)
+    y = np.einsum("rip,ip->rp", surf_rows, u_cells[n_vol:].T)
+    old_nitsche = np.einsum("rip,rp->ip", surf_rows, np.stack([(penalty * w_s) * y[0] + y[1], y[0]]))
     assert np.array_equal(got, np.concatenate([old_vol, old_nitsche], axis=1))
     assert not blk.rows[2:, :, n_vol:].any() and not blk.factors[1:, n_vol:].any()
 
@@ -709,6 +730,22 @@ def test_the_cut_piece_is_one_block_with_one_segment_per_cell_and_chunk(chunk_po
     monkeypatch.setattr(np, "bincount", spy)
     vmult(ctx, rng.standard_normal(ctx.n_dofs))
     assert sizes == [ctx.scatter_index.size]
+
+
+def test_build_context_tabulates_the_cut_block_in_place():
+    # the cut block's rows are written where they stay, chunk by chunk:
+    # the peak of build_context above the context it keeps is well under
+    # one more copy of the rows, which tabulating them per kind and copying
+    # them into the block would hold (a ratio near 1 on this sphere)
+    mesh = box_mesh([-1.26] * 3, [1.26] * 3, [4] * 3)
+    phi = SphereLevelSet([0.071, -0.043, 0.029], 1.0)
+    tracemalloc.start()
+    try:
+        ctx = build_context(mesh, phi, Parameters(degree=3))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 0.75 * ctx.cut.rows.nbytes
 
 
 # ---------------------------------------------------------------------------
