@@ -394,6 +394,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _volume_points(ctx) -> str:
+    """The cut cells' volume points in their rules and in the cut block,
+    where a cell of more than (2k+1)^d points keeps (2k+1)^d moment-fitted ones."""
+    return f"volume_points rule={ctx.volume.weights.size} block={np.count_nonzero(ctx.cut.cross == 0.0)}"
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -540,7 +546,7 @@ def run_multiballs(cfg: RunConfig) -> int:
         write_csv(out / f"breakdown_balls{n_balls}.csv", BREAKDOWN_HEADER, breakdown_report(ctx))
         _log(
             f"multiballs n={n_balls}: n_dofs={ctx.n_dofs} cut_fraction={cut_fraction:.3f} "
-            f"throughput={dofs_per_second:.3e} DoFs/s"
+            f"throughput={dofs_per_second:.3e} DoFs/s {_volume_points(ctx)}"
         )
     write_csv(out / "multiballs.csv", THROUGHPUT_HEADER, rows)
     _log(f"wrote {out / 'multiballs.csv'}")
@@ -579,6 +585,7 @@ def run_breakdown(cfg: RunConfig) -> int:
     write_stacked_bar_svg(out / "breakdown.svg", rows, f"vmult time breakdown (k={k})")
     for component, seconds, percent in rows:
         _log(f"breakdown {component}: {seconds:.4f} s ({percent:.1f}%)")
+    _log(f"breakdown {_volume_points(ctx)}")
     _log(f"wrote {out / 'breakdown.csv'} and {out / 'breakdown.svg'}")
     return 3 if (_fallbacks(ctx, f"breakdown k={k}") and cfg.strict) else 0
 

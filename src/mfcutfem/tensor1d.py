@@ -52,9 +52,10 @@ def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
 class ReferenceElement1D:
     """Nodal Lagrange basis of degree k on [0, 1] with a Gauss quadrature.
 
-    Values and derivatives of the basis at any points go through
-    ``evaluate``: ``mass_matrix_1d`` and ``stiffness_matrix_1d`` read it at
-    the quadrature points and ``jump_vector`` at the cell endpoints.
+    Values and derivatives of the basis at any points go through ``table``
+    (basis first) or ``evaluate`` (basis last): ``mass_matrix_1d`` and
+    ``stiffness_matrix_1d`` read them at the quadrature points and
+    ``jump_vector`` at the cell endpoints.
     """
 
     degree: int
@@ -70,21 +71,39 @@ class ReferenceElement1D:
 
         Returns an array of shape ``x.shape + (k+1,)``.
         """
+        return np.moveaxis(self.table(x, deriv), 0, -1)
+
+    def table(self, x, deriv: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """Values of all basis functions (or a derivative) at points x, basis
+        first: ``(k+1,) + x.shape``, written into out if given.  Horner's
+        rule in the order of ``npoly.polyval``, so the bits are polyval's,
+        with no temporary larger than x."""
         if not 0 <= deriv <= self.degree:
             raise ValueError(f"derivative order {deriv} outside 0..{self.degree}")
         x = np.asarray(x, dtype=float)
-        vals = npoly.polyval(x, self._deriv_coeffs[deriv])  # (k+1,) + x.shape
-        return np.moveaxis(vals, 0, -1)
+        coefs = self._deriv_coeffs[deriv]
+        coefs = coefs.reshape(coefs.shape + (1,) * x.ndim)  # (powers, k+1, 1, ...)
+        out = np.empty(coefs.shape[1:2] + x.shape) if out is None else out
+        np.add(coefs[-1], x * 0, out=out)
+        for c in coefs[-2::-1]:
+            out *= x
+            out += c
+        return out
 
 
-def build_reference_element(k: int, q: int | None = None) -> ReferenceElement1D:
+def build_reference_element(k: int, q: int | None = None, nodes: np.ndarray | None = None) -> ReferenceElement1D:
     """Build the degree-k reference element with a q-point Gauss rule.
 
     q defaults to k+1, which integrates products of two basis functions
     exactly; q < k+1 is rejected because every consumer here relies on the
-    mass matrix being exact.
+    mass matrix being exact.  The k+1 support points default to the
+    Gauss-Lobatto points of [0, 1]; other nodes, anywhere on the line, give
+    the Lagrange basis on them.
     """
-    nodes = gauss_lobatto_nodes(k)  # rejects k < 1
+    if nodes is None:
+        nodes = gauss_lobatto_nodes(k)  # rejects k < 1
+    elif len(nodes) != k + 1:
+        raise ValueError(f"degree {k} needs {k + 1} nodes, got {len(nodes)}")
     if q is None:
         q = k + 1
     if q < k + 1:

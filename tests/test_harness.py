@@ -1,5 +1,6 @@
 """Experiment drivers: config handling, CSV/SVG emission, exit codes."""
 
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -283,7 +284,7 @@ def test_kernelbench_point_cell_call_does_no_set_up(monkeypatch):
 # multi-ball throughput driver
 
 
-def test_multiballs_csv(tmp_path):
+def test_multiballs_csv(tmp_path, capsys):
     code = main(
         [
             "multiballs",
@@ -307,6 +308,9 @@ def test_multiballs_csv(tmp_path):
         bheader, brows = read_csv(tmp_path / f"breakdown_balls{n}.csv")
         assert bheader == BREAKDOWN_HEADER
         assert sum(float(r[2]) for r in brows) == pytest.approx(100.0, abs=0.5)
+    # each run logs its cut cells' volume points in the rules and in the cut block
+    counts = re.findall(r"multiballs n=\d+: .* volume_points rule=(\d+) block=(\d+)", capsys.readouterr().err)
+    assert len(counts) == 2 and all(0 < int(block) <= int(rule) for rule, block in counts)
 
 
 def test_multiballs_degenerate_domain(tmp_path):
@@ -341,7 +345,9 @@ def test_ball_file_needs_one_ball_count(tmp_path, capsys):
     assert [r[0] for r in rows] == ["2"]
     assert (tmp_path / "balls_2.txt").read_bytes() == balls.read_bytes()
     # breakdown reads the file whatever the (default) ball counts
+    capsys.readouterr()
     assert main(["breakdown", "--domain", "balls"] + common) == 0
+    assert re.search(r"breakdown volume_points rule=\d+ block=\d+", capsys.readouterr().err)
 
 
 def test_ball_file_is_checked_at_configuration_time(tmp_path, capsys):

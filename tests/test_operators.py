@@ -6,6 +6,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
 from mfcutfem import operators, sumfac
@@ -547,6 +548,23 @@ def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
     assert _max_rel(operators._tensor_rows(tables[0], coefs[0]), coefs[0] * products(None)) <= 1e-15
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tabulate_writes_the_bits_of_polyval_into_one_table(dim, rng):
+    # one (d, k+1, P) table written axis by axis by Horner's rule: the bits
+    # of npoly.polyval, and no temporary of the table's size
+    elem = build_reference_element(3)
+    xi = rng.random((20_000, dim))
+    for deriv in (0, 1):
+        tracemalloc.start()
+        try:
+            table = tabulate(elem, xi, deriv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * table.nbytes
+        assert all(np.array_equal(table[a], npoly.polyval(xi[:, a], elem._deriv_coeffs[deriv])) for a in range(dim))
+
+
 def test_point_blocks_hold_no_per_point_dof_table():
     # the cut kernel and l2_error gather by cell: no block keeps an integer
     # array of nloc entries per point
@@ -746,6 +764,103 @@ def test_build_context_tabulates_the_cut_block_in_place():
     finally:
         tracemalloc.stop()
     assert peak - retained < 0.75 * ctx.cut.rows.nbytes
+
+
+# ---------------------------------------------------------------------------
+# moment-fitted volume rules of crowded cut cells
+
+
+def _crowded_context(dim, degree):
+    """Cut cells with more than (2k+1)^d volume points: in 2D two disks
+    meeting on a diagonal, whose normals at the kinks differ in sign on
+    both axes, and in 3D three balls, each at quadrature depth 3."""
+    if dim == 2:
+        mesh = box_mesh([-1.26] * 2, [1.26] * 2, [6] * 2)
+        phi = BallUnionLevelSet([[-0.47, -0.52], [0.53, 0.45]], [0.75, 0.74])
+    else:
+        mesh = box_mesh([-1.26] * 3, [1.26] * 3, [3] * 3)
+        phi = BallUnionLevelSet(*generate_balls(3, 0, [-1.26] * 3, [1.26] * 3, r0=2.0))
+    return build_context(mesh, phi, Parameters(degree=degree, max_quad_depth=3))
+
+
+def _crowded(ctx):
+    """Which cut cells' rules hold more than (2k+1)^d volume points."""
+    return np.bincount(ctx.volume.cell, minlength=len(ctx.cut_cells)) > (2 * ctx.elem.degree + 1) ** ctx.mesh.dim
+
+
+def _block_cells(blk):
+    """The cut cell of each point of a cut block."""
+    return np.concatenate([np.repeat(cells, counts) for _, _, cells, counts in blk.chunks])
+
+
+@pytest.mark.parametrize("chunk_points", [None, 5], ids=["default-chunks", "5-point-chunks"])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_moment_fitted_weights_reproduce_the_rule_on_q2k(dim, degree, chunk_points, rng, monkeypatch):
+    # a crowded cell's (2k+1)^d grid points with weights W_j = sum_p w_p L_j(x_p)
+    # integrate every g in Q_2k as its own points do; the other cells keep
+    # their points bit for bit and in order
+    if chunk_points is not None:
+        monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * (2 * degree + 1) ** dim)
+    elem, cap = build_reference_element(degree), (2 * degree + 1) ** dim
+    cell = np.repeat(np.arange(6), [cap + 1, 3, 2 * cap + 7, 0, cap, 4 * cap])
+    xi, weights = rng.random((len(cell), dim)), rng.random(len(cell)) - 0.2
+    got_xi, got_w, got_cell = operators._moment_fitted(elem, xi, weights, cell)
+    assert np.bincount(got_cell, minlength=6).tolist() == [cap, 3, cap, 0, cap, cap]
+
+    kept = np.isin(cell, [1, 4])
+    assert np.array_equal(got_xi[np.isin(got_cell, [1, 4])], xi[kept])
+    assert np.array_equal(got_w[np.isin(got_cell, [1, 4])], weights[kept])
+    exponents = np.indices((2 * degree + 1,) * dim).reshape(dim, -1).T
+    for _ in range(5):
+        coefs = rng.standard_normal(len(exponents))
+        g = lambda x: np.prod(x[:, None, :] ** exponents, axis=-1) @ coefs  # noqa: E731
+        for j in (0, 2, 5):
+            ref = weights[cell == j] * g(xi[cell == j])
+            fitted = got_w[got_cell == j] @ g(got_xi[got_cell == j])
+            assert abs(fitted - ref.sum()) <= 1e-13 * np.abs(ref).sum()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_vmult_on_crowded_cut_cells_matches_the_dense_oracle(dim, degree, rng):
+    # the dense oracle reads every point of the cut rules (ctx.cut_rules);
+    # the cut block holds (2k+1)^d volume points in each crowded cell
+    ctx = _crowded_context(dim, degree)
+    crowded, cap = _crowded(ctx), (2 * degree + 1) ** dim
+    n_vol = np.bincount(ctx.volume.cell, minlength=len(ctx.cut_cells))
+    assert crowded.any()
+    assert np.array_equal(np.bincount(_block_cells(ctx.cut)[ctx.cut.cross == 0.0], minlength=len(n_vol)),
+                          np.where(crowded, cap, n_vol))
+    u = rng.standard_normal(ctx.n_dofs)
+    au = dense_operator_matrix(ctx) @ u
+    assert np.abs(vmult(ctx, u) - au).max() <= 1e-13 * np.abs(au).max()
+
+
+@pytest.mark.parametrize("make, has_crowded", [
+    (lambda: disk_context(2, 6, 2), False),
+    (lambda: disk_context(3, 5, 2), False),
+    (lambda: _crowded_context(2, 2), True),
+    (lambda: _crowded_context(3, 2), True),
+], ids=["disk-2-6-2", "disk-3-5-2", "crowded-2-2", "crowded-3-2"])
+def test_cells_at_or_under_the_cap_keep_their_cut_block_columns_bitwise(make, has_crowded, monkeypatch):
+    # against the same context tabulated without moment fitting: a context
+    # with no crowded cell keeps its whole cut block, and the columns of
+    # every cell at or under the cap keep their bits in any context
+    ctx = make()
+    monkeypatch.setattr(operators, "_moment_fitted", lambda elem, *volume: volume)
+    ref = make()
+    assert np.array_equal(ctx.volume.weights, ref.volume.weights)  # the RHS rule is not fitted
+    crowded = _crowded(ctx)
+    assert crowded.any() == has_crowded
+    if not has_crowded:
+        for name in ("rows", "factors", "cross"):
+            assert np.array_equal(getattr(ctx.cut, name), getattr(ref.cut, name))
+        assert all(a[0] == b[0] and all(map(np.array_equal, a[1:], b[1:]))
+                   for a, b in zip(ctx.cut.chunks, ref.cut.chunks, strict=True))
+    keep, keep_ref = ~crowded[_block_cells(ctx.cut)], ~crowded[_block_cells(ref.cut)]
+    assert np.array_equal(ctx.cut.rows[..., keep], ref.cut.rows[..., keep_ref])
+    assert np.array_equal(ctx.cut.factors[:, keep], ref.cut.factors[:, keep_ref])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
 from mfcutfem.tensor1d import (
@@ -52,6 +53,29 @@ def test_shape_values_match_lagrange_oracle(k, rng):
             oracles.eval_basis(elem.nodes, x, deriv=deriv),
             atol=1e-11,
         )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_table_has_the_bits_of_polyval(k, rng):
+    # Horner's rule in polyval's order, written into one table: the same
+    # bits for every derivative, shape of x and preallocated output
+    elem = build_reference_element(k)
+    for x in (rng.random(17), rng.random((3, 5)) * 2 - 0.5, np.float64(0.3), np.array([0.0, 1.0, -0.0])):
+        for deriv in range(k + 1):
+            ref = npoly.polyval(np.asarray(x), elem._deriv_coeffs[deriv])
+            assert np.array_equal(elem.table(x, deriv), ref)
+            out = np.full((k + 1,) + np.shape(x), np.nan)
+            assert elem.table(x, deriv, out=out) is out and np.array_equal(out, ref)
+            assert np.array_equal(elem.evaluate(x, deriv), np.moveaxis(ref, 0, -1))
+
+
+def test_lagrange_basis_on_given_nodes():
+    nodes = gauss_rule(5)[0]
+    elem = build_reference_element(4, nodes=nodes)
+    assert np.array_equal(elem.nodes, nodes)
+    assert_allclose(elem.evaluate(nodes), np.eye(5), atol=1e-12)
+    with pytest.raises(ValueError, match="needs 5 nodes"):
+        build_reference_element(4, nodes=nodes[:4])
 
 
 def test_evaluate_nodal_property():
