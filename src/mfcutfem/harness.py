@@ -395,9 +395,10 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _volume_points(ctx) -> str:
-    """The cut cells' volume points in their rules and in the cut block,
-    where a cell of more than (2k+1)^d points keeps (2k+1)^d moment-fitted ones."""
-    return f"volume_points rule={ctx.volume.weights.size} block={np.count_nonzero(ctx.cut.cross == 0.0)}"
+    """The cut cells' volume points in their rules and in the cut block (not
+    its padding), where a cell of more than (2k+1)^d keeps (2k+1)^d moment-fitted ones."""
+    blk = ctx.cut
+    return f"volume_points rule={ctx.volume.weights.size} block={np.count_nonzero(blk.real & (blk.cross == 0.0))}"
 
 
 def _log(msg: str) -> None:
@@ -466,13 +467,12 @@ def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
     """The per-point cut-cell kernel as a call: a cut block of volume points
     only at arbitrary reference points, pts_ref (n_cells, points per cell,
     d), is tabulated here by one cut_block call, as build_context tabulates
-    its one, and the call applies cut_apply to the cells' coefficients, a
-    weak Laplacian per cell by chunk segments.  The reference points stand
-    in for the physical ones, which it never reads."""
+    its one (every cell has S points: one slot each, no padding), and the
+    call gathers by slot and applies cut_apply, a weak Laplacian per cell,
+    as vmult does.  The reference points stand in for the physical ones."""
     n_cells, n_pts, d = pts_ref.shape
     blk = cut_block(elem, spacing, (pts_ref.reshape(-1, d), weights, np.repeat(np.arange(n_cells), n_pts)))
-    uc = u_cells.T
-    return lambda: cut_apply(blk, uc)
+    return lambda: cut_apply(blk, np.take(u_cells, blk.cell, axis=0))
 
 
 def run_kernelbench(cfg: RunConfig) -> int:

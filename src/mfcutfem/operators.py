@@ -13,26 +13,28 @@ them, in this order:
   precomputed volume rule and add the symmetric Nitsche boundary terms
   -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface.  Both
   terms run in one pass of one kernel, ``cut_apply``, over one cut block:
-  each cut cell's volume points and then its surface points, so that a
-  cell's points are one segment.  A cell whose rule holds more than
-  (2k+1)^d volume points (one that cut quadrature subdivided for want of
-  a height axis: ball-union kinks, some sphere cells) enters the block with the moment-fitted rule on the (2k+1)^d tensor grid
-  of Gauss nodes (``_moment_fitted``): every volume integrand lies in
-  Q_2k, where that rule is exact, so the cell's volume matrix changes only
-  in rounding; the right-hand side and the error keep the full rules.
-  Each point holds the d basis rows its
-  term reads, stored point-last as (d, nloc, N): a volume point the
-  reference derivatives along each axis, a surface point the value phi_i
-  and the Nitsche normal derivative D_i = sum_a (-w n_a / h_a) d_a phi_i,
-  and in 3D a zero row.  One ``einsum`` takes the cell coefficients,
-  repeated over their segments, to d numbers y per point; a per-point
-  coupling, t = cross (y_1, y_0), y *= factors, y[:2] += t, scales a
-  volume point's y by w / h_a^2 and turns a surface point's (u, D u) into
-  (penalty w u + D u, u); one ``einsum`` takes y back to test-function
-  contributions and one ``reduceat`` sums them by segment.  The kernel
-  works on chunks of P points, with P nloc at most _POINT_CHUNK = 2^16, so
-  that each (nloc, P) array of gathered coefficients or contributions
-  stays at 512 KiB,
+  each cut cell's volume points and then its surface points.  A cell whose
+  rule holds more than (2k+1)^d volume points (one that cut quadrature
+  subdivided for want of a height axis: ball-union kinks, some sphere
+  cells) enters the block with the moment-fitted rule on the (2k+1)^d
+  tensor grid of Gauss nodes (``_moment_fitted``): every volume integrand
+  lies in Q_2k, where that rule is exact, so the cell's volume matrix
+  changes only in rounding; the right-hand side and the error keep the
+  full rules.  Each point holds the d basis rows its term reads: a volume
+  point the reference derivatives along each axis, a surface point the
+  value phi_i and the Nitsche normal derivative D_i = sum_a (-w n_a / h_a)
+  d_a phi_i, and in 3D a zero row.  The points sit in fixed-size slots of
+  S points: a cell of n_c points fills ceil(n_c / S) slots of its own,
+  the last one padded with exact zeros, and S is the most common n_c (the
+  smallest on a tie), so most cells fill one slot exactly.  The rows are
+  slot-major, (n_slots, d S, nloc), each slot one C-contiguous matrix.
+  One batched matrix-vector product takes each slot's gathered cell
+  coefficients to d numbers y per point; a per-point coupling, t = cross
+  (y_1, y_0), y *= factors, y[:2] += t, scales a volume point's y by
+  w / h_a^2 and turns a surface point's (u, D u) into (penalty w u + D u,
+  u); a second batched product takes y back to one row of nloc
+  test-function values per slot.  A cell of several slots gives several
+  rows, which the scatter sums,
 * "ghost_penalty", one piece per axis: the faces normal to it apply
   gamma_A * (hM1 x ... x G1(h) x ... x hM1), the Kronecker product of 1D
   factors with G1 on the face-normal axis (``ghost_face_kernel``).
@@ -49,17 +51,15 @@ and runs its kernel on every call.
 
 Everything that depends only on the geometry is tabulated once, when the
 context is built: the cut block (``cut_block``), whose basis rows,
-products of the cut points' 1D tables, are written in place in the
-block's order, chunk by chunk, with the per-point factors and cross
-weights and the chunks' per-cell segments (their starts, cells and
-lengths); and one scatter index over the values of all pieces.  No block
-holds a per-point DoF index: the cut kernel gathers per cell, once per call
-((nloc, n_cut) from the DoF vector by the cut cells' DoF table), and then
-repeats each cell's column over its segment (``np.repeat``).  A ``vmult``
-call does only the work that depends on u: each piece writes its values
-into its slice of one value buffer, in scatter order (the GEMMs through
-``sumfac.contract_axis``, the cut piece one chunk's segment sums at a
-time), and a single ``bincount`` adds the buffer into the result.
+products of the cut points' 1D tables, are tabulated chunk by chunk and
+written to their slots, with the per-point factors and cross weights and
+each slot's cell; the slots' DoFs (``slot_dofs``, the DoF table of the
+cut piece, nloc per slot); and one scatter index over the values of all
+pieces.  No block holds a per-point DoF index.  A ``vmult`` call does
+only the work that depends on u: each piece gathers by its DoF table once
+and writes its values into its slice of one value buffer, in scatter
+order (the GEMMs through ``sumfac.contract_axis``, the cut piece one row
+per slot), and a single ``bincount`` adds the buffer into the result.
 
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
 ``apply_ghost_penalty`` and ``assemble_rhs`` scatter with one ``bincount``
@@ -144,23 +144,22 @@ class PointBlock:
 @dataclass
 class CutBlock:
     """The one operand of cut_apply: every cut cell's volume points and then
-    its surface points, one segment per cell in each chunk, with the rows
-    and per-point coupling of both cut terms in point-last arrays.  Volume
-    points hold the d reference derivative rows R_a; surface points hold
-    the value row phi_i and the Nitsche row D_i, and in 3D a zero third
-    row.  A cell has at most (2k+1)^d volume points: those of its rule, or
-    the moment-fitted grid points that replace more.  Tabulated once, in
-    this order, by cut_block."""
+    its surface points in fixed-size slots of S points, with the rows and
+    per-point coupling of both cut terms.  Volume points hold the d
+    reference derivative rows R_a; surface points hold the value row phi_i
+    and the Nitsche row D_i, and in 3D a zero third row.  A cell of n_c
+    points fills ceil(n_c / S) slots of its own, the last one padded with
+    exact zeros in rows, factors and cross.  S is the most common point
+    count of a cell with points (the smallest on a tie), so most cells fill
+    one slot exactly.  A cell has at most (2k+1)^d volume points: those of
+    its rule, or the moment-fitted grid points that replace more.
+    Tabulated once, in this order, by cut_block."""
 
-    rows: np.ndarray     # (d, nloc, N)
-    factors: np.ndarray  # (d, N) w / h_a^2 at volume points; penalty w on a surface point's value row, else 0
-    cross: np.ndarray    # (N,) 1 at surface points, 0 at volume points
-    chunks: list[tuple]  # (points, segment starts in them, segment cells, segment lengths)
-
-    @property
-    def n_values(self) -> int:
-        """The number of values cut_apply writes: nloc per segment."""
-        return self.rows.shape[1] * sum(len(starts) for _, starts, _, _ in self.chunks)
+    rows: np.ndarray     # (n_slots, d S, nloc): per slot, row a of its S points at a S .. a S + S - 1
+    factors: np.ndarray  # (n_slots, d, S) w / h_a^2 at volume points; penalty w on a surface value row; else 0
+    cross: np.ndarray    # (n_slots, S) 1 at surface points, 0 at volume points and padding
+    cell: np.ndarray     # (n_slots,) the cut cell of each slot (position in the cut-cell list), nondecreasing
+    real: np.ndarray     # (n_slots, S) True at points, False at padding
 
 
 def _zero_timers() -> dict:
@@ -191,11 +190,13 @@ class OperatorContext:
     fallback_count: int             # sign-of-center fallbacks of the cut rules
     interior_matrix: np.ndarray     # (nloc, nloc) local matrix of every uncut cell
     ghost_matrices: dict[int, np.ndarray]  # axis -> (patch size,)*2, gamma_A included; empty if gamma_A = 0
+    slot_dofs: np.ndarray = field(init=False)        # (n_slots, nloc) DoFs of each cut-block slot's cell
     scatter_index: np.ndarray = field(init=False)    # DoF of each value vmult's pieces produce, in order
     timers: dict[str, float] = field(default_factory=_zero_timers)
     _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.slot_dofs = self.cut_dofs[self.cut.cell]
         self.scatter_index = _scatter_index(self)
 
     @property
@@ -250,14 +251,14 @@ def cut_block(elem, spacing, volume: tuple, surface: tuple | None = None, penalt
     if given, surface points (xi, weights, cell, normals), each kind at
     reference coordinates xi (N, d) and grouped by cell: each cell's volume
     points, moment-fitted to (2k+1)^d grid points where it has more
-    (_moment_fitted), and then its surface points, with the per-point factors
-    w / h_a^2 of the grad-grad term, penalty w of the Nitsche value term,
-    and cross 1 at the surface points.  The rows are tabulated in place,
-    chunk by chunk, from the 1D tables of the chunk's points: the reference
-    derivatives R_a of every point (_write_tensor_rows), and then over the
-    surface points' columns the Nitsche row D = sum_a (-w n_a / h_a) R_a,
-    the value row and zeros: no temporary outgrows a chunk's surface
-    columns or a slice of its derivative rows."""
+    (_moment_fitted), and then its surface points, in slots of S points,
+    with the per-point factors w / h_a^2 of the grad-grad term, penalty w of
+    the Nitsche value term, and cross 1 at the surface points.  The rows are
+    tabulated chunk by chunk from the 1D tables of the chunk's points: the
+    reference derivatives R_a of every point (_write_tensor_rows), and then
+    over the surface points' columns the Nitsche row D = sum_a (-w n_a /
+    h_a) R_a, the value row and zeros; each chunk's (d, nloc, P) rows, at
+    most _POINT_CHUNK values, are then written to their slots."""
     volume = _moment_fitted(elem, *volume)
     parts = [volume + (np.zeros_like(volume[0]),)] + ([] if surface is None else [surface])  # no volume normal
     order = np.argsort(np.concatenate([part[2] for part in parts]), kind="stable")  # volume points stay first
@@ -266,10 +267,18 @@ def cut_block(elem, spacing, volume: tuple, surface: tuple | None = None, penalt
     h = np.asarray(spacing, dtype=float)
     factors = np.where(surf, 0.0, weights / np.square(h)[:, None])
     factors[0, surf] = penalty * weights[surf]
-    d, nloc = xi.shape[1], (elem.degree + 1) ** xi.shape[1]
-    rows, chunks = np.empty((d, nloc, len(cell))), _chunks(cell, nloc)
-    for sl, _, _, _ in chunks:
-        vals, part = tabulate(elem, xi[sl]), rows[..., sl]
+    counts = np.bincount(cell)  # each cell's points, then its slots and each point's slot and place in it
+    size = 1 + int(np.argmax(np.bincount(counts, minlength=2)[1:]))  # S: most common count but 0, least on a tie
+    per_cell = -(-counts // size)
+    rank = np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell]
+    slot, place = (np.cumsum(per_cell) - per_cell)[cell] + rank // size, rank % size
+    d, nloc, n = xi.shape[1], (elem.degree + 1) ** xi.shape[1], per_cell.sum()
+    blk = CutBlock(np.zeros((n, d * size, nloc)), np.zeros((n, d, size)), np.zeros((n, size)),  # padding stays 0
+                   np.repeat(np.arange(len(counts)), per_cell), np.zeros((n, size), dtype=bool))
+    blk.factors[slot, :, place], blk.cross[slot, place], blk.real[slot, place] = factors.T, surf, True
+    slots = blk.rows.reshape(-1, d, size, nloc)
+    for sl, _, _, _ in _chunks(cell, d * nloc):
+        vals, part = tabulate(elem, xi[sl]), np.empty((d, nloc, sl.stop - sl.start))
         for a in range(d):  # R_a, with the derivative table of axis a alive for this call only
             _write_tensor_rows(part[a], [tabulate(elem, xi[sl, a:a + 1], 1)[0] if b == a else vals[b]
                                          for b in range(d)])
@@ -281,7 +290,8 @@ def cut_block(elem, spacing, volume: tuple, surface: tuple | None = None, penalt
         part[1][:, s] = nitsche
         part[0][:, s] = _tensor_rows(vals[..., s], 1)
         part[2:, :, s] = 0.0
-    return CutBlock(rows, factors, surf.astype(float), chunks)
+        slots[slot[sl], :, place[sl]] = part.transpose(2, 0, 1)
+    return blk
 
 
 def _moment_fitted(elem, xi, weights, cell) -> tuple:
@@ -411,27 +421,23 @@ def _segment_sums(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib.reshape(-1, contrib.shape[-1]), starts, axis=1)
 
 
-def cut_apply(blk: CutBlock, uc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The cut piece for the cell coefficients uc (nloc, n_cells): each
-    chunk's (nloc, segments) segment sums, one chunk after the other in the
-    flat out (blk.n_values; a new array if None), in scatter order.  A
-    chunk repeats its cells' coefficients over their segments (g), takes
-    them through the rows to y = R g (d, P), couples y point by point,
-    t = cross (y_1, y_0), y *= factors, y[:2] += t, and sums R^T y by
-    segment with one reduceat.  At a volume point that scales the
-    derivatives by w / h_a^2; at a surface point (rows phi_i, D_i, 0) it
-    turns (u, D u) into (penalty w u + D u, u): the symmetric Nitsche terms."""
-    nloc = blk.rows.shape[1]
-    out = np.empty(blk.n_values) if out is None else out
-    end = 0
-    for sl, starts, cells, counts in blk.chunks:
-        rows = blk.rows[..., sl]
-        y = np.einsum("rip,ip->rp", rows, np.repeat(np.take(uc, cells, axis=1), counts, axis=1))
-        t = blk.cross[sl] * y[1::-1]
-        y *= blk.factors[:, sl]
-        y[:2] += t
-        start, end = end, end + nloc * len(starts)
-        np.add.reduceat(np.einsum("rip,rp->ip", rows, y), starts, axis=1, out=out[start:end].reshape(nloc, -1))
+def cut_apply(blk: CutBlock, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The cut piece for the coefficients g (n_slots, nloc) of each slot's
+    cell: one row of nloc values per slot, in out (a new array if None).
+    Each slot's rows take g to y = R g (d, S) in one batched matrix-vector
+    product; y is coupled point by point, t = cross (y_1, y_0), y *= factors,
+    y[:2] += t, and a second batched product takes it back, R^T y.  At a
+    volume point that scales the derivatives by w / h_a^2; at a surface
+    point (rows phi_i, D_i, 0) it turns (u, D u) into (penalty w u + D u,
+    u): the symmetric Nitsche terms.  Padding adds exact zeros, and the rows
+    of a cell's several slots are summed by the caller's scatter."""
+    n, d, size = blk.factors.shape
+    out = np.empty(g.shape) if out is None else out
+    y = np.matmul(blk.rows, g[..., None]).reshape(n, d, size)
+    t = blk.cross[:, None] * y[:, 1::-1]
+    y *= blk.factors
+    y[:, :2] += t
+    np.matmul(y.reshape(n, 1, d * size), blk.rows, out=out[:, None])
     return out
 
 
@@ -462,25 +468,22 @@ def _pieces(ctx: OperatorContext) -> list[tuple]:
     if len(ctx.inside_cells):
         pieces.append(("interior", ctx.inside_dofs, ctx.interior_matrix))
     if len(ctx.cut_cells):
-        pieces.append(("intersected", ctx.cut_dofs, None))
+        pieces.append(("intersected", ctx.slot_dofs, None))
     pieces += [("ghost_penalty", ctx.face_dofs[a], ctx.ghost_matrices[a]) for a in sorted(ctx.ghost_matrices)]
     return pieces
 
 
-def _segment_dofs(blk: PointBlock | CutBlock, dofs: np.ndarray) -> list[np.ndarray]:
+def _segment_dofs(blk: PointBlock, dofs: np.ndarray) -> list[np.ndarray]:
     """The (nloc, segments) DoFs of each chunk's cells, from the cut cells'
     DoF table dofs (n_cut, nloc): where its segment sums go."""
     return [dofs[cells].T for _, _, cells, _ in blk.chunks]
 
 
 def _scatter_index(ctx: OperatorContext) -> np.ndarray:
-    """The DoF of each value vmult's pieces produce, in their order: a
-    matrix piece's DoF table, and for the cut piece the segment DoFs of the
-    cut block."""
+    """The DoF of each value vmult's pieces produce, in their order: each
+    piece's DoF table, the cut piece's by slot."""
     parts = [np.empty(0, dtype=np.intp)]  # a mesh with no active cell has no piece
-    for _, idx, mat in _pieces(ctx):
-        parts += [idx] if mat is not None else _segment_dofs(ctx.cut, idx)
-    return np.concatenate(parts, axis=None)
+    return np.concatenate(parts + [idx for _, idx, _ in _pieces(ctx)], axis=None)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +505,12 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     vals, end = np.empty(ctx.scatter_index.size), 0  # each piece writes its slice, in scatter order
     for component, idx, mat in _pieces(ctx):
         t0 = time.perf_counter()
-        start, end = end, end + (idx.size if mat is not None else ctx.cut.n_values)
+        start, end = end, end + idx.size
+        out = vals[start:end].reshape(idx.shape)
         if mat is not None:
-            sumfac.contract_axis(mat, u[idx], 1, out=vals[start:end].reshape(idx.shape))
-        else:  # the cut piece: one gather by cell, one pass per chunk of the cut block
-            cut_apply(ctx.cut, np.take(u, idx.T), vals[start:end])
+            sumfac.contract_axis(mat, u[idx], 1, out=out)
+        else:  # the cut piece: one gather by slot, two batched products over the cut block
+            cut_apply(ctx.cut, np.take(u, idx), out)
         ctx.timers[component] += time.perf_counter() - t0
     w = np.bincount(ctx.scatter_index, weights=vals, minlength=ctx.n_dofs)
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mfcutfem import harness, operators
-from mfcutfem.geometry import SphereLevelSet, box_mesh, save_balls
-from mfcutfem.operators import build_context
+from mfcutfem.geometry import BallUnionLevelSet, SphereLevelSet, box_mesh, generate_balls, save_balls
+from mfcutfem.operators import Parameters, build_context
 from mfcutfem.tensor1d import build_reference_element
 from mfcutfem.harness import (
     BREAKDOWN_HEADER,
@@ -19,6 +19,7 @@ from mfcutfem.harness import (
     RunConfig,
     _bench_point_cell,
     _params,
+    _volume_points,
     build_config,
     _build_parser,
     load_config_file,
@@ -280,8 +281,40 @@ def test_kernelbench_point_cell_call_does_no_set_up(monkeypatch):
     assert len(got) == len(expected) and all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
+def test_kernelbench_point_cell_block_has_no_padding(monkeypatch):
+    # nloc points in every cell: S = nloc, one full slot per cell
+    rng = np.random.default_rng(0)
+    blocks = []
+    monkeypatch.setattr(harness, "cut_block", lambda *args: blocks.append(operators.cut_block(*args)) or blocks[-1])
+    for d, k in [(2, 1), (2, 3), (3, 2)]:
+        nloc = (k + 1) ** d
+        call = _bench_point_cell(build_reference_element(k), (0.1,) * d, rng.standard_normal((8, nloc)),
+                                 rng.random((8, nloc, d)), np.full(8 * nloc, 1e-3 / nloc))
+        blk = blocks[-1]
+        assert blk.cross.shape[1] == nloc and blk.real.all() and blk.cell.tolist() == list(range(8))
+        assert call().shape == (8, nloc)
+
+
 # ---------------------------------------------------------------------------
 # multi-ball throughput driver
+
+
+@pytest.mark.parametrize("dim, cells, degree, depth, balls, rule, block",
+                         [(2, 48, 2, 8, 0, 1746, 1746), (3, 6, 1, 2, 3, 3140, 1395)], ids=["disk", "three-balls"])
+def test_volume_points_log_counts_the_block_without_its_padding(dim, cells, degree, depth, balls, rule, block):
+    # a unit disk at 48^2, k = 2, and a union of three balls at 6^3, k = 1,
+    # quadrature depth 2, each shifted by under half a cell; the three balls'
+    # crowded cells keep 27 moment-fitted volume points each
+    mesh = box_mesh([-1.26] * dim, [1.26] * dim, [cells] * dim)
+    shift = np.random.default_rng([0, dim, balls]).uniform(-0.5, 0.5, size=dim) * np.asarray(mesh.spacing)
+    if balls:
+        centers, radii = generate_balls(balls, 0, [-1.26] * dim, [1.26] * dim, r0=2.0)
+        phi = BallUnionLevelSet(centers + shift, radii)
+    else:
+        phi = SphereLevelSet(shift, 1.0)
+    ctx = build_context(mesh, phi, Parameters(degree=degree, max_quad_depth=depth))
+    assert (~ctx.cut.real).any()  # padding the count leaves out
+    assert _volume_points(ctx) == f"volume_points rule={rule} block={block}"
 
 
 def test_multiballs_csv(tmp_path, capsys):

@@ -97,9 +97,10 @@ def test_context_structure_disk():
     ctx = disk_context(2, 4, 2)
     assert ctx.n_dofs == ctx.dofmap.n_active
     # Nitsche's penalty gamma_D / h_min times the weight on each surface point's value row
-    surf = ctx.cut.cross == 1.0
-    assert_allclose(ctx.cut.factors[0, surf], ctx.params.gamma_dirichlet / (2.52 / 4) * ctx.surface.weights, rtol=1e-15)
-    assert not ctx.cut.factors[1:, surf].any()
+    _, factors, cross, _ = _points_of(ctx.cut)
+    surf = cross == 1.0
+    assert_allclose(factors[0, surf], ctx.params.gamma_dirichlet / (2.52 / 4) * ctx.surface.weights, rtol=1e-15)
+    assert not factors[1:, surf].any()
     assert len(ctx.cut_cells) > 0
     assert ctx.fallback_count == 0
     # every cut cell owns one run of volume points, in cut-cell order
@@ -378,14 +379,40 @@ def test_multiball_3d_vmult_bitwise_repeatable(multiball_3d):
 
 
 def _add_by_cell(out, blk, vals):
-    """Add cut_apply's values on blk, each chunk's (nloc, segments) segment
-    sums in turn, into out (n_cells, nloc) by cell."""
-    end = 0
-    for _, starts, cells, _ in blk.chunks:
-        start, end = end, end + out.shape[1] * len(starts)
-        out[cells] += vals[start:end].reshape(out.shape[1], -1).T
-    assert end == len(vals) == blk.n_values
+    """Add cut_apply's values on blk, one row of nloc values per slot, into
+    out (n_cells, nloc) by the slots' cells."""
+    assert vals.shape == (len(blk.cell), out.shape[1])
+    np.add.at(out, blk.cell, vals)
     return out
+
+
+def _points_of(blk):
+    """The cut block's points in block order without the padding, point-last:
+    rows (d, nloc, N), factors (d, N), cross (N,) and cell (N,)."""
+    n, d, size = blk.factors.shape
+    rows = blk.rows.reshape(n, d, size, -1).transpose(1, 3, 0, 2)[..., blk.real]
+    return rows, blk.factors.transpose(1, 0, 2)[:, blk.real], blk.cross[blk.real], np.repeat(blk.cell, blk.real.sum(1))
+
+
+def _spans_slots(blk, n):
+    """Whether some cell's points fill at least n slots."""
+    return np.bincount(blk.cell).max(initial=0) >= n
+
+
+def _assert_slot_layout(blk):
+    """A cut block's slots: each cell's points fill its slots from the front
+    and only its last slot holds padding; S is the most common point count
+    of a cell with points (the smallest on a tie); and padded places hold
+    exact zeros in rows, factors and cross."""
+    n, d, size = blk.factors.shape
+    filled = blk.real.sum(1)
+    assert np.array_equal(blk.real, np.arange(size) < filled[:, None]) and filled.all()
+    assert (np.diff(blk.cell) >= 0).all() and (filled[:-1][np.diff(blk.cell) == 0] == size).all()
+    n_c = np.bincount(blk.cell, weights=filled).astype(int)
+    assert size == np.argmax(np.bincount(n_c[n_c > 0]))
+    pad = ~blk.real
+    assert not blk.rows.reshape(n, d, size, -1).transpose(0, 2, 1, 3)[pad].any()
+    assert not blk.factors.transpose(0, 2, 1)[pad].any() and not blk.cross[pad].any()
 
 
 def _cut_by_cell(ctx, u, volume=True, surface=True):
@@ -394,8 +421,8 @@ def _cut_by_cell(ctx, u, volume=True, surface=True):
     terms left out set to zero; for a u that is zero outside cut cell j's
     DoFs, row j is that cell's own form."""
     keep = np.where(ctx.cut.cross == 1.0, surface, volume)
-    blk = dataclasses.replace(ctx.cut, factors=ctx.cut.factors * keep, cross=ctx.cut.cross * keep)
-    return _add_by_cell(np.zeros(ctx.cut_dofs.shape), blk, cut_apply(blk, np.take(u, ctx.cut_dofs.T)))
+    blk = dataclasses.replace(ctx.cut, factors=ctx.cut.factors * keep[:, None], cross=ctx.cut.cross * keep)
+    return _add_by_cell(np.zeros(ctx.cut_dofs.shape), blk, cut_apply(blk, np.take(u, ctx.slot_dofs)))
 
 
 def test_cut_cell_apply_matches_dense_blocks(rng):
@@ -437,7 +464,8 @@ def _without_cut_points(ctx):
 
 
 def _spans_two_chunks(blk):
-    """Whether some cell's points start in one chunk and end in the next."""
+    """Whether some cell's points in a values block start in one chunk and
+    end in the next."""
     return any(a[2][-1] == b[2][0] for a, b in zip(blk.chunks, blk.chunks[1:]))
 
 
@@ -455,18 +483,20 @@ def _cut_kernel_oracle(ctx, u_cells, volume=True, surface=True):
 @pytest.mark.parametrize("dim, cells, degree, chunk_points", [(2, 6, 3, 37), (3, 5, 2, 37), (3, 8, 2, None)],
                          ids=["2-6-3", "3-5-2", "3-8-2"])  # 37-point chunks, or the default chunk size
 def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, chunk_points, rng, monkeypatch):
-    # chunks are fixed when the blocks are built, so the chunk size is set first
+    # chunks are fixed when the blocks are built, so the chunk size is set
+    # first; they bound the cut block's tabulation and the values blocks
     if chunk_points is not None:
         monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * (degree + 1) ** dim)
     ctx = disk_context(dim, cells, degree)
-    assert len(ctx.cut.chunks) > 1 and _spans_two_chunks(ctx.cut)  # some cell's points span two chunks
+    assert _spans_slots(ctx.cut, 2)  # some cell's points fill two slots
+    assert chunk_points is None or (len(ctx.volume.chunks) > 1 and _spans_two_chunks(ctx.volume))
 
     u = rng.standard_normal(ctx.n_dofs)
     assert _max_rel(_cut_by_cell(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
-    # vmult's one scatter of the chunks' segment sums against each piece scattered by its cells' DoFs
+    # vmult's one scatter of the slots' rows against each piece scattered by its cells' DoFs
     w_ref = np.zeros(ctx.n_dofs)
     for _, idx, mat in operators._pieces(ctx):
-        local = _cut_by_cell(ctx, u) if mat is None else u[idx] @ mat.T
+        idx, local = (ctx.cut_dofs, _cut_by_cell(ctx, u)) if mat is None else (idx, u[idx] @ mat.T)
         w_ref += np.bincount(idx.ravel(), weights=local.ravel(), minlength=ctx.n_dofs)
     assert _max_rel(vmult(ctx, u), w_ref) <= 1e-14
 
@@ -507,13 +537,18 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
     tables = point_first_tables(elem, xi)
     ref_vol = point_first_volume(*tables, weights, cell, spacing, u_cells)
     ref_nit = point_first_nitsche(*tables, weights, normals, cell, spacing, penalty, u_cells)
-    # volume points only, surface points only, and both: a cell's points in one segment per chunk
-    for blk, points_of, ref in [(cut_block(elem, spacing, vol), cell, ref_vol),
-                                (cut_block(elem, spacing, no_vol, surf, penalty), cell, ref_nit),
-                                (cut_block(elem, spacing, vol, surf, penalty), np.repeat(cell, 2), ref_vol + ref_nit)]:
-        assert [len(starts) for _, starts, _, _ in blk.chunks] == [len(np.unique(points_of[sl]))
-                                                                   for sl, _, _, _ in blk.chunks]
-        out = _add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, u_cells.T))
+    # volume points only, surface points only, and both: points per cell 4,
+    # 0, 3, 5, 0 (S = 3, the smallest of three tied counts) or 8, 0, 6, 10
+    # (S = 6), each cell in ceil(n_c / S) slots of its own and none for the
+    # cells without points
+    for blk, size, filled, ref in [(cut_block(elem, spacing, vol), 3, [3, 1, 3, 3, 2], ref_vol),
+                                   (cut_block(elem, spacing, no_vol, surf, penalty), 3, [3, 1, 3, 3, 2], ref_nit),
+                                   (cut_block(elem, spacing, vol, surf, penalty), 6, [6, 2, 6, 6, 4],
+                                    ref_vol + ref_nit)]:
+        assert blk.cross.shape[1] == size and blk.cell.tolist() == [0, 0, 2, 3, 3]
+        assert blk.real.sum(1).tolist() == filled
+        _assert_slot_layout(blk)
+        out = _add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, u_cells[blk.cell]))
         assert not out[[1, 4]].any()
         assert _max_rel(out, ref) <= 1e-14
 
@@ -539,11 +574,12 @@ def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
 
     derivs = np.stack([products(a) for a in range(dim)])
     blk = cut_block(elem, spacing, (xi, weights, cell), (xi, weights, cell, normals), 1.0)
-    vol, surf = blk.cross == 0.0, blk.cross == 1.0  # each cell's volume point, then its surface point
-    assert _max_rel(blk.rows[..., vol], derivs) <= 1e-15
-    assert _max_rel(blk.rows[0][:, surf], products(None)) <= 1e-15
-    assert _max_rel(blk.rows[1][:, surf], np.einsum("ap,aip->ip", coefs, derivs)) <= 1e-15
-    assert not blk.rows[2:, :, surf].any()
+    rows, _, cross, _ = _points_of(blk)
+    vol, surf = cross == 0.0, cross == 1.0  # each cell's volume point, then its surface point
+    assert _max_rel(rows[..., vol], derivs) <= 1e-15
+    assert _max_rel(rows[0][:, surf], products(None)) <= 1e-15
+    assert _max_rel(rows[1][:, surf], np.einsum("ap,aip->ip", coefs, derivs)) <= 1e-15
+    assert not rows[2:, :, surf].any()
     tables = tabulate(elem, xi), tabulate(elem, xi, 1)
     assert _max_rel(operators._tensor_rows(tables[0], coefs[0]), coefs[0] * products(None)) <= 1e-15
 
@@ -566,16 +602,19 @@ def test_tabulate_writes_the_bits_of_polyval_into_one_table(dim, rng):
 
 
 def test_point_blocks_hold_no_per_point_dof_table():
-    # the cut kernel and l2_error gather by cell: no block keeps an integer
-    # array of nloc entries per point
+    # the cut kernel gathers by slot and l2_error by cell: no block keeps an
+    # integer array of nloc entries per point, and the context's slot DoFs
+    # hold nloc per slot
     ctx = disk_context(3, 5, 2)
     squared_l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))  # builds the error block
     nloc = ctx.cut_dofs.shape[1]
     for blk in [ctx.cut, ctx.volume, ctx.surface, *ctx._error_blocks.values()]:
-        arrays = [getattr(blk, f.name) for f in dataclasses.fields(blk)] + [a for c in blk.chunks for a in c[1:]]
+        arrays = [getattr(blk, f.name) for f in dataclasses.fields(blk)]
+        arrays += [a for c in getattr(blk, "chunks", []) for a in c[1:]]
         ints = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
-        n_points = blk.cross.size if blk is ctx.cut else blk.weights.size
+        n_points = blk.real.sum() if blk is ctx.cut else blk.weights.size
         assert ints and all(a.size < nloc * n_points for a in ints)
+    assert ctx.slot_dofs.shape == (len(ctx.cut.cell), nloc) and ctx.slot_dofs.size < nloc * ctx.cut.real.sum()
 
 
 def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
@@ -625,7 +664,7 @@ def test_cut_cells_with_surface_points_and_no_volume_points(rng):
 
 
 # ---------------------------------------------------------------------------
-# the one cut block: each cut cell's volume and surface points in one segment
+# the one cut block: each cut cell's volume and surface points in slots of its own
 
 
 def _one_block_context(case, degree):
@@ -648,6 +687,7 @@ def _vmult_by_pieces(ctx, u):
     piece, each scattered by its cells' DoFs."""
     w = np.zeros(ctx.n_dofs)
     for _, idx, mat in operators._pieces(ctx):
+        idx = ctx.cut_dofs if mat is None else idx
         local = _cut_kernel_oracle(ctx, u[idx]) if mat is None else u[idx] @ mat.T
         w += np.bincount(idx.ravel(), weights=local.ravel(), minlength=ctx.n_dofs)
     return w
@@ -667,7 +707,8 @@ def test_one_cut_block_vmult_matches_the_point_first_and_dense_oracles(case, deg
         assert not n_vol[[1, 3, 4]].any() and n_surf[[1, 3, 4]].all()
     if case == "balls":
         assert ((n_vol > 0) & (n_surf == 0)).any()
-    assert chunk_points is None or _spans_two_chunks(ctx.cut)
+    assert case == "balls" or _spans_slots(ctx.cut, 2)  # at depth 0 each ball cell fits one slot at k = 1, 3
+    _assert_slot_layout(ctx.cut)
 
     u = rng.standard_normal(ctx.n_dofs)
     w = vmult(ctx, u)
@@ -680,11 +721,11 @@ def test_one_cut_block_vmult_matches_the_point_first_and_dense_oracles(case, deg
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
-    # with every point its own cell, cut_apply's segment sums are the points'
-    # contributions: bitwise R^T (y w / h_a^2) with y = R u at a volume point
-    # and R^T (penalty w u + D u, u) with (u, D u) = (phi, D) u at a surface
-    # point, as the separate volume and Nitsche passes computed them; a 3D
-    # surface point's zero third row adds exact zeros
+    # with every point its own cell, S = 1 and cut_apply's rows are the
+    # points' contributions: bitwise R^T (y w / h_a^2) with y = R u at a
+    # volume point and R^T (penalty w u + D u, u, 0) with (u, D u, 0) = R u
+    # at a surface point, taken one point at a time by the same products; and
+    # to rounding as the separate volume and Nitsche passes computed them
     elem = build_reference_element(degree)
     nloc, n_vol, n_surf = (degree + 1) ** dim, 11, 7
     xi_v, xi_s = rng.random((n_vol, dim)), rng.random((n_surf, dim))
@@ -695,7 +736,9 @@ def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
     blk = cut_block(elem, spacing, (xi_v, w_v, np.arange(n_vol)),
                     (xi_s, w_s, np.arange(n_vol, n_vol + n_surf), normals), penalty)
     u_cells = rng.standard_normal((n_vol + n_surf, nloc))
-    got = cut_apply(blk, u_cells.T).reshape(nloc, -1)
+    assert blk.cross.shape[1] == 1 and blk.cell.tolist() == list(range(n_vol + n_surf)) and blk.real.all()
+    got = cut_apply(blk, u_cells[blk.cell])
+    rows = _points_of(blk)[0]
 
     # the rows of each kind as the two passes tabulated them: the volume
     # points' derivative rows, and the surface points' value row and
@@ -709,35 +752,46 @@ def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
     vals, derivs = derivative_rows(xi_s)
     coefs = (-(w_s[:, None] * normals) / np.asarray(spacing)).T
     surf_rows = np.stack([operators._tensor_rows(vals, 1), np.einsum("ap,aip->ip", coefs, derivs)])
-    assert np.array_equal(blk.rows[..., :n_vol], vol_rows) and np.array_equal(blk.rows[:2, :, n_vol:], surf_rows)
+    assert np.array_equal(rows[..., :n_vol], vol_rows) and np.array_equal(rows[:2, :, n_vol:], surf_rows)
+    assert not rows[2:, :, n_vol:].any() and not _points_of(blk)[1][1:, n_vol:].any()
+
+    scale = w_v / np.square(spacing)[:, None]
+    for p, u_p in enumerate(u_cells):
+        r_p = np.ascontiguousarray(rows[..., p])
+        y = r_p @ u_p
+        if p < n_vol:
+            y *= scale[:, p]
+        else:
+            y[:2] = (penalty * w_s[p - n_vol]) * y[0] + y[1], y[0]
+        assert np.array_equal(got[p], y @ r_p)
 
     y = np.einsum("rip,ip->rp", vol_rows, u_cells[:n_vol].T)
-    y *= w_v / np.square(spacing)[:, None]
+    y *= scale
     old_vol = np.einsum("rip,rp->ip", vol_rows, y)
     y = np.einsum("rip,ip->rp", surf_rows, u_cells[n_vol:].T)
     old_nitsche = np.einsum("rip,rp->ip", surf_rows, np.stack([(penalty * w_s) * y[0] + y[1], y[0]]))
-    assert np.array_equal(got, np.concatenate([old_vol, old_nitsche], axis=1))
-    assert not blk.rows[2:, :, n_vol:].any() and not blk.factors[1:, n_vol:].any()
+    assert _max_rel(got.T, np.concatenate([old_vol, old_nitsche], axis=1)) <= 1e-14
 
 
 @pytest.mark.parametrize("chunk_points", [None, 5], ids=["default-chunks", "5-point-chunks"])
-def test_the_cut_piece_is_one_block_with_one_segment_per_cell_and_chunk(chunk_points, rng, monkeypatch):
-    # the cut piece's values are nloc per segment of the one cut block, a
-    # segment for each cut cell with points in a chunk (volume and surface
-    # points together), and vmult hands its one bincount a value buffer as
-    # long as the scatter index
+def test_the_cut_piece_is_one_block_with_ceil_n_over_s_slots_per_cell(chunk_points, rng, monkeypatch):
+    # the cut piece's values are nloc per slot of the one cut block: a cell
+    # of n_c points (volume and surface points together) fills ceil(n_c / S)
+    # slots, S the most common n_c, whatever the chunks of its tabulation;
+    # and vmult hands its one bincount a value buffer as long as the
+    # scatter index
     if chunk_points is not None:
         monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * 27)
     ctx = disk_context(3, 5, 2)
-    nloc = ctx.cut_dofs.shape[1]
-    cell_of_point = np.sort(np.concatenate([ctx.volume.cell, ctx.surface.cell]))
-    chunks = ctx.cut.chunks
-    assert chunk_points is None or _spans_two_chunks(ctx.cut)
-    assert [len(starts) for _, starts, _, _ in chunks] == [len(np.unique(cell_of_point[sl])) for sl, _, _, _ in chunks]
-    segments = sum(len(starts) for _, starts, _, _ in chunks)
-    assert segments == len(ctx.cut_cells) + sum(a[2][-1] == b[2][0] for a, b in zip(chunks, chunks[1:]))
+    nloc, size = ctx.cut_dofs.shape[1], ctx.cut.cross.shape[1]
+    n_c = np.bincount(np.concatenate([ctx.volume.cell, ctx.surface.cell]), minlength=len(ctx.cut_cells))
+    assert not _crowded(ctx).any() and n_c.all()
+    assert size == np.argmax(np.bincount(n_c)) and _spans_slots(ctx.cut, 2)
+    assert np.array_equal(np.bincount(ctx.cut.cell, minlength=len(n_c)), -(-n_c // size))
+    assert np.array_equal(np.bincount(ctx.cut.cell, weights=ctx.cut.real.sum(1), minlength=len(n_c)), n_c)
+    _assert_slot_layout(ctx.cut)
     n_matrix = sum(idx.size for _, idx, mat in operators._pieces(ctx) if mat is not None)
-    assert ctx.scatter_index.size - n_matrix == nloc * segments == ctx.cut.n_values
+    assert ctx.scatter_index.size - n_matrix == nloc * len(ctx.cut.cell) == ctx.slot_dofs.size
 
     bincount, sizes = np.bincount, []
 
@@ -788,11 +842,6 @@ def _crowded(ctx):
     return np.bincount(ctx.volume.cell, minlength=len(ctx.cut_cells)) > (2 * ctx.elem.degree + 1) ** ctx.mesh.dim
 
 
-def _block_cells(blk):
-    """The cut cell of each point of a cut block."""
-    return np.concatenate([np.repeat(cells, counts) for _, _, cells, counts in blk.chunks])
-
-
 @pytest.mark.parametrize("chunk_points", [None, 5], ids=["default-chunks", "5-point-chunks"])
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -825,13 +874,15 @@ def test_moment_fitted_weights_reproduce_the_rule_on_q2k(dim, degree, chunk_poin
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_vmult_on_crowded_cut_cells_matches_the_dense_oracle(dim, degree, rng):
     # the dense oracle reads every point of the cut rules (ctx.cut_rules);
-    # the cut block holds (2k+1)^d volume points in each crowded cell
+    # the cut block holds (2k+1)^d volume points in each crowded cell, and
+    # the points of some cell fill at least 3 slots
     ctx = _crowded_context(dim, degree)
     crowded, cap = _crowded(ctx), (2 * degree + 1) ** dim
     n_vol = np.bincount(ctx.volume.cell, minlength=len(ctx.cut_cells))
-    assert crowded.any()
-    assert np.array_equal(np.bincount(_block_cells(ctx.cut)[ctx.cut.cross == 0.0], minlength=len(n_vol)),
-                          np.where(crowded, cap, n_vol))
+    assert crowded.any() and _spans_slots(ctx.cut, 3)
+    _assert_slot_layout(ctx.cut)
+    _, _, cross, cells = _points_of(ctx.cut)
+    assert np.array_equal(np.bincount(cells[cross == 0.0], minlength=len(n_vol)), np.where(crowded, cap, n_vol))
     u = rng.standard_normal(ctx.n_dofs)
     au = dense_operator_matrix(ctx) @ u
     assert np.abs(vmult(ctx, u) - au).max() <= 1e-13 * np.abs(au).max()
@@ -854,13 +905,14 @@ def test_cells_at_or_under_the_cap_keep_their_cut_block_columns_bitwise(make, ha
     crowded = _crowded(ctx)
     assert crowded.any() == has_crowded
     if not has_crowded:
-        for name in ("rows", "factors", "cross"):
-            assert np.array_equal(getattr(ctx.cut, name), getattr(ref.cut, name))
-        assert all(a[0] == b[0] and all(map(np.array_equal, a[1:], b[1:]))
-                   for a, b in zip(ctx.cut.chunks, ref.cut.chunks, strict=True))
-    keep, keep_ref = ~crowded[_block_cells(ctx.cut)], ~crowded[_block_cells(ref.cut)]
-    assert np.array_equal(ctx.cut.rows[..., keep], ref.cut.rows[..., keep_ref])
-    assert np.array_equal(ctx.cut.factors[:, keep], ref.cut.factors[:, keep_ref])
+        for f in dataclasses.fields(ctx.cut):
+            assert np.array_equal(getattr(ctx.cut, f.name), getattr(ref.cut, f.name))
+    # by point, without the padding: S may differ once crowded cells shrink
+    (rows, factors, cross, cells), (rows_ref, factors_ref, cross_ref, cells_ref) = map(_points_of, (ctx.cut, ref.cut))
+    keep, keep_ref = ~crowded[cells], ~crowded[cells_ref]
+    assert np.array_equal(rows[..., keep], rows_ref[..., keep_ref])
+    assert np.array_equal(factors[:, keep], factors_ref[:, keep_ref])
+    assert np.array_equal(cross[keep], cross_ref[keep_ref]) and np.array_equal(cells[keep], cells_ref[keep_ref])
 
 
 # ---------------------------------------------------------------------------
