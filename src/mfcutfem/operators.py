@@ -64,15 +64,17 @@ per slot), and a single ``bincount`` adds the buffer into the result.
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
 ``apply_ghost_penalty`` and ``assemble_rhs`` scatter with one ``bincount``
 over their concatenated DoFs and values; cut cells' segment sums go to
-their segment DoFs.  The domain integrals ``assemble_rhs`` and
+their cells' DoFs.  The domain integrals ``assemble_rhs`` and
 ``squared_l2_error`` share the uncut tensor rule and cell walk, read user
-functions through one checked evaluation, and on cut cells read 1D value
-tables per chunk: the RHS sums f w times the value rows by cell segment on
-the volume block's tables, and the error contracts the cell coefficients,
-repeated over their segments, one axis at a time with the tables of its
-own values blocks (``point_block``), built on first use.  Every basis row
-of a cut point, value or derivative, is one product of 1D table entries
-per axis (``_tensor_rows``).  All batches and reductions run in a fixed
+functions through one checked evaluation, and on cut cells keep only the
+rows of the rules (points, weights, cells), which they tabulate chunk by
+chunk when they run (``_tabulated_chunks``): each is read once per call,
+so no 1D table outlives its chunk.  The RHS sums f w times the value rows
+by cell segment on the volume rules; the error gathers each point's cell
+coefficients and contracts them one axis at a time on the rules of its
+own order, built on first use and cached per order.  Every basis row of a
+cut point, value or derivative, is one product of 1D table entries per
+axis (``_tensor_rows``).  All batches and reductions run in a fixed
 order, so results are bitwise reproducible.
 """
 
@@ -125,19 +127,14 @@ class Parameters:
 
 @dataclass
 class PointBlock:
-    """Concatenated per-point data of one kind of cut-cell points (volume,
-    surface or error order), grouped cell by cell.  A values block
-    (point_block: the volume block, an error block) keeps the point-last 1D
-    value tables that assemble_rhs and squared_l2_error read, and chunks
-    that gather each point's cell coefficients by repeating its cells'
-    columns over their segments.  The surface block keeps its normals for
-    cut_rules and neither; the basis rows of cut_apply are in the cut block."""
+    """The rows of one kind of cut-cell rules (volume, surface or error
+    order), concatenated cell by cell.  No block holds a table: the domain
+    integrals tabulate theirs chunk by chunk when they run, and the basis
+    rows of cut_apply are in the cut block."""
 
     points: np.ndarray   # (N, d) physical coordinates
     weights: np.ndarray  # (N,)
     cell: np.ndarray     # (N,) position in the cut-cell list, nondecreasing
-    vals: np.ndarray | None  # (d, k+1, N) 1D basis values at the reference coords; values blocks only
-    chunks: list[tuple]      # (points, segment starts in them, segment cells, segment lengths); values blocks only
     normals: np.ndarray | None = None  # (N, d) for the surface block
 
 
@@ -184,10 +181,10 @@ class OperatorContext:
     inside_dofs: np.ndarray         # (n_inside, nloc) compact indices
     cut_dofs: np.ndarray            # (n_cut, nloc)
     face_dofs: dict[int, np.ndarray]  # axis -> (n_faces, patch size)
-    volume: PointBlock              # the full volume rules, read by the RHS; no rows: they are in cut
-    surface: PointBlock             # no rows: they are in cut
+    volume: PointBlock              # the full volume rules, read by the RHS; their basis rows are in cut
+    surface: PointBlock             # their basis rows are in cut
     cut: CutBlock
-    fallback_count: int             # sign-of-center fallbacks of the cut rules
+    fallbacks: np.ndarray           # (n_cut,) sign-of-center fallbacks of each cut cell's rules
     interior_matrix: np.ndarray     # (nloc, nloc) local matrix of every uncut cell
     ghost_matrices: dict[int, np.ndarray]  # axis -> (patch size,)*2, gamma_A included; empty if gamma_A = 0
     slot_dofs: np.ndarray = field(init=False)        # (n_slots, nloc) DoFs of each cut-block slot's cell
@@ -204,13 +201,17 @@ class OperatorContext:
         return self.dofmap.n_active
 
     @property
+    def fallback_count(self) -> int:
+        return int(self.fallbacks.sum())
+
+    @property
     def cut_rules(self) -> dict[int, cutquad.CutCellQuadrature]:
-        """Each cut cell's rows of ``volume`` and ``surface`` keyed by flat cell
-        index, built on access; per-cell fallback counts are not kept (NaN)."""
-        v, s, n = self.volume, self.surface, len(self.cut_cells)
+        """Each cut cell's rows of ``volume`` and ``surface`` and its fallback
+        count, keyed by flat cell index, built on access."""
+        v, s = self.volume, self.surface
         rules = cutquad.CutCellQuadrature(v.points, v.weights, v.cell, s.points, s.weights, s.normals, s.cell,
-                                          np.full(n, np.nan))
-        return dict(zip(self.cut_cells.tolist(), map(rules.box, range(n))))
+                                          self.fallbacks)
+        return dict(zip(self.cut_cells.tolist(), map(rules.box, range(len(self.cut_cells)))))
 
 
 def reset_timers(ctx: OperatorContext) -> None:
@@ -227,23 +228,24 @@ def tabulate(elem, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
     return out
 
 
-def _chunks(cell: np.ndarray, nloc: int) -> list[tuple]:
+def _chunks(cell: np.ndarray, nloc: int):
     """Chunks of P points, P nloc at most _POINT_CHUNK, of points grouped by
     their nondecreasing cell: (points, the starts of their per-cell
-    segments in them, the segments' cells, the segments' lengths)."""
-    step, chunks = max(1, _POINT_CHUNK // nloc), []
+    segments in them, the segments' cells)."""
+    step = max(1, _POINT_CHUNK // nloc)
     for start in range(0, len(cell), step):
         part = cell[start:start + step]
         starts = np.flatnonzero(np.diff(part, prepend=-1))
-        chunks.append((slice(start, start + len(part)), starts, part[starts], np.diff(starts, append=len(part))))
-    return chunks
+        yield slice(start, start + len(part)), starts, part[starts]
 
 
-def point_block(elem, xi, points, weights, cell) -> PointBlock:
-    """A values block of the points of cut cells at reference coordinates xi
-    (N, d), grouped cell by cell (cell nondecreasing): their 1D value tables
-    and their chunks (_chunks)."""
-    return PointBlock(points, weights, cell, tabulate(elem, xi), _chunks(cell, (elem.degree + 1) ** xi.shape[1]))
+def _tabulated_chunks(ctx: OperatorContext, blk: PointBlock):
+    """The chunks of a rules block (_chunks), each with the (d, k+1, P) 1D
+    value tables of its points, tabulated for that chunk only: (points,
+    segment starts, segment cells, tables)."""
+    for sl, starts, cells in _chunks(blk.cell, ctx.cut_dofs.shape[1]):
+        xi = _reference_coords(ctx.mesh, ctx.cut_cells, blk.points[sl], blk.cell[sl])
+        yield sl, starts, cells, tabulate(ctx.elem, xi)
 
 
 def cut_block(elem, spacing, volume: tuple, surface: tuple | None = None, penalty: float = 0.0) -> CutBlock:
@@ -277,7 +279,7 @@ def cut_block(elem, spacing, volume: tuple, surface: tuple | None = None, penalt
                    np.repeat(np.arange(len(counts)), per_cell), np.zeros((n, size), dtype=bool))
     blk.factors[slot, :, place], blk.cross[slot, place], blk.real[slot, place] = factors.T, surf, True
     slots = blk.rows.reshape(-1, d, size, nloc)
-    for sl, _, _, _ in _chunks(cell, d * nloc):
+    for sl, _, _ in _chunks(cell, d * nloc):
         vals, part = tabulate(elem, xi[sl]), np.empty((d, nloc, sl.stop - sl.start))
         for a in range(d):  # R_a, with the derivative table of axis a alive for this call only
             _write_tensor_rows(part[a], [tabulate(elem, xi[sl, a:a + 1], 1)[0] if b == a else vals[b]
@@ -316,7 +318,7 @@ def _moment_fitted(elem, xi, weights, cell) -> tuple:
     fit = tensor1d.build_reference_element(n - 1, nodes=nodes)
     keep = counts[cell] <= m
     moments, sub = np.zeros((len(crowded), m)), np.flatnonzero(~keep)
-    for sl, starts, rank, _ in _chunks(np.searchsorted(crowded, cell[sub]), m):
+    for sl, starts, rank in _chunks(np.searchsorted(crowded, cell[sub]), m):
         rows = _tensor_rows(tabulate(fit, 2 * xi[sub[sl]] - 1), weights[sub[sl]])
         moments[rank] += np.add.reduceat(rows, starts, axis=1).T  # a cell split over two chunks adds twice
     grid = tensor1d.gauss_rule(n)[0][np.indices((n,) * d).reshape(d, -1)[::-1].T]  # (m, d), axis 0 fastest
@@ -344,10 +346,10 @@ def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.Cut
 
 
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
-    """Classify, enumerate DoFs and ghost faces, build and tabulate cut rules,
-    probe the local matrices of the interior and ghost pieces, and tabulate
-    what every vmult reads: the cut block's basis rows, per-point factors
-    and segment tables, and the scatter index."""
+    """Classify, enumerate DoFs and ghost faces, build the cut rules, probe
+    the local matrices of the interior and ghost pieces, and tabulate what
+    every vmult reads: the cut block's basis rows, per-point factors and
+    slots, and the scatter index.  The rules' rows are kept untabulated."""
     k = params.degree
     elem = tensor1d.build_reference_element(k, max(params.quad_order, k + 1))
     classification = geometry.classify_cells(mesh, levelset, k + 2)
@@ -380,11 +382,11 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         inside_dofs=dofmap.compact_cell_dofs(inside_cells),
         cut_dofs=dofmap.compact_cell_dofs(cut_cells),
         face_dofs=face_dofs,
-        volume=point_block(elem, vol_xi, rules.interior_points, vol_w, vol_cell),
-        surface=PointBlock(rules.surface_points, surf_w, surf_cell, None, [], normals),
+        volume=PointBlock(rules.interior_points, vol_w, vol_cell),
+        surface=PointBlock(rules.surface_points, surf_w, surf_cell, normals),
         cut=cut_block(elem, mesh.spacing, (vol_xi, vol_w, vol_cell), (surf_xi, surf_w, surf_cell, normals),
                       params.gamma_dirichlet / min(mesh.spacing)),
-        fallback_count=rules.fallback_count,
+        fallbacks=rules.fallbacks,
         interior_matrix=_probe(partial(cell_laplacian_batch, elem, mesh.spacing), (k + 1) ** mesh.dim),
         ghost_matrices={a: _probe(ghost_face_kernel(elem, mesh.spacing, params.gamma_ghost, a), idx.shape[1])
                         for a, idx in face_dofs.items() if params.gamma_ghost != 0.0},
@@ -471,12 +473,6 @@ def _pieces(ctx: OperatorContext) -> list[tuple]:
         pieces.append(("intersected", ctx.slot_dofs, None))
     pieces += [("ghost_penalty", ctx.face_dofs[a], ctx.ghost_matrices[a]) for a in sorted(ctx.ghost_matrices)]
     return pieces
-
-
-def _segment_dofs(blk: PointBlock, dofs: np.ndarray) -> list[np.ndarray]:
-    """The (nloc, segments) DoFs of each chunk's cells, from the cut cells'
-    DoF table dofs (n_cut, nloc): where its segment sums go."""
-    return [dofs[cells].T for _, _, cells, _ in blk.chunks]
 
 
 def _scatter_index(ctx: OperatorContext) -> np.ndarray:
@@ -585,10 +581,9 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
         idx.append(ctx.inside_dofs[sl])
         vals.append(kron_batch([tab.T] * ctx.mesh.dim, _values(f, pts) * wgrid))
     blk = ctx.volume
-    for sl, starts, _, _ in blk.chunks:
-        fw = _values(f, blk.points[sl]) * blk.weights[sl]
-        vals.append(_segment_sums(_tensor_rows(blk.vals[..., sl], fw), starts))
-    idx += _segment_dofs(blk, ctx.cut_dofs)
+    for sl, starts, cells, tables in _tabulated_chunks(ctx, blk):
+        idx.append(ctx.cut_dofs[cells].T)
+        vals.append(_segment_sums(_tensor_rows(tables, _values(f, blk.points[sl]) * blk.weights[sl]), starts))
     return np.bincount(np.concatenate(idx, axis=None), weights=np.concatenate(vals, axis=None), minlength=ctx.n_dofs)
 
 
@@ -609,15 +604,13 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
 
     if order not in ctx._error_blocks:
         rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
-        pts, cell = rules.interior_points, rules.interior_box
-        xi = _reference_coords(ctx.mesh, ctx.cut_cells, pts, cell)
-        ctx._error_blocks[order] = point_block(ctx.elem, xi, pts, rules.interior_weights, cell)
+        ctx._error_blocks[order] = PointBlock(rules.interior_points, rules.interior_weights, rules.interior_box)
     blk = ctx._error_blocks[order]
     uc = np.take(u_h, ctx.cut_dofs.T)  # (nloc, n_cut)
     vals = np.empty(blk.weights.size)
-    for sl, _, cells, counts in blk.chunks:  # one tensor axis at a time, axis 0 (the fastest) first
-        g = np.repeat(np.take(uc, cells, axis=1), counts, axis=1).reshape(cell_shape[1:] + (-1,))
-        for tab in blk.vals[..., sl]:
+    for sl, _, _, tables in _tabulated_chunks(ctx, blk):  # one tensor axis at a time, axis 0 (the fastest) first
+        g = np.take(uc, blk.cell[sl], axis=1).reshape(cell_shape[1:] + (-1,))
+        for tab in tables:
             g = np.einsum("...ip,ip->...p", g, tab)
         vals[sl] = g
     diff = vals - _values(u_exact, blk.points)

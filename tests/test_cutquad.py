@@ -782,8 +782,21 @@ def test_point_blocks_are_the_per_cell_rules_in_cut_cell_order(name, degree, max
     for j, c in enumerate(ctx.cut_cells.tolist()):
         for field in RULE_FIELDS:
             assert np.array_equal(getattr(views[c], field), getattr(refs[order][j], field)), f"cell {c} {field}"
-        assert np.isnan(views[c].fallbacks).all()  # per-cell counts are not kept
+        assert views[c].fallbacks.tolist() == [refs[order][j].fallback_count], f"cell {c} fallbacks"
     for f in dataclasses.fields(ctx):
         value = getattr(ctx, f.name)
         held = value.values() if isinstance(value, dict) else [value]
         assert not any(isinstance(v, CutCellQuadrature) for v in held), f.name
+
+
+def test_cut_rule_views_keep_the_per_cell_fallback_counts():
+    # multiball3d's inputs (6^3, k = 1, depth 2): 25 sign-of-center
+    # fallbacks at the kinks, which each cell's view counts as the batched
+    # rules do
+    mesh, phi = oracle_fixture("multiball6")
+    ctx = build_context(mesh, phi, Parameters(degree=1, max_quad_depth=2))
+    lo, hi = mesh.cell_box(mesh.cell_multi(ctx.cut_cells))
+    direct = cutquad.cut_cell_quadrature(lo, hi, phi, ctx.params.quad_order, 2)
+    counts = np.array([view.fallbacks[0] for view in ctx.cut_rules.values()])
+    assert ctx.fallback_count == 25 and isinstance(ctx.fallback_count, int)
+    assert counts.sum() == ctx.fallback_count and np.array_equal(counts, direct.fallbacks)

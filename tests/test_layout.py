@@ -138,7 +138,7 @@ def test_only_operators_knows_the_point_last_tensor_layout():
     # the 1D tables of the cut points and the basis rows built from them are
     # tabulated and read in operators alone; other modules go through
     # build_context, cut_block and the kernels
-    layout = {"tabulate", "_write_tensor_rows", "_tensor_rows", "point_block"}
+    layout = {"tabulate", "_write_tensor_rows", "_tensor_rows"}
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

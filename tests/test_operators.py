@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
-from mfcutfem import operators, sumfac
+from mfcutfem import cutquad, operators, sumfac
 from mfcutfem.geometry import BallUnionLevelSet, HalfSpaceLevelSet, Label, SphereLevelSet, box_mesh, generate_balls
 from mfcutfem.operators import (
     OperatorContext,
@@ -315,8 +315,10 @@ def test_vmult_runs_no_factored_kernel(rng, monkeypatch):
 
 
 def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
-    # tabulation, point blocks, the cut terms' factors and the scatter index
-    # are built once by build_context; an application only reads them
+    # the cut block, the cut rules and the scatter index are built once by
+    # build_context; vmult and the ghost penalty only read them, and
+    # assemble_rhs, which tabulates its 1D tables chunk by chunk by design,
+    # builds neither a block, a rule nor the scatter index
     ctx = disk_context(2, 6, 2)
     u = rng.standard_normal(ctx.n_dofs)
     f = lambda x: 1.0 + x[..., 0] * x[..., 1]  # noqa: E731
@@ -325,10 +327,13 @@ def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an operator action redid set-up work")
 
-    for name in ("tabulate", "_write_tensor_rows", "_reference_coords", "point_block", "_chunks", "cut_block",
-                 "_scatter_index"):
+    monkeypatch.setattr(cutquad, "cut_cell_quadrature", forbidden)
+    for name in ("cut_block", "_scatter_index"):
         monkeypatch.setattr(operators, name, forbidden)
-    got = vmult(ctx, u), apply_ghost_penalty(ctx, u), assemble_rhs(ctx, f)
+    assert np.array_equal(assemble_rhs(ctx, f), expected[2])
+    for name in ("tabulate", "_write_tensor_rows", "_reference_coords", "_chunks"):
+        monkeypatch.setattr(operators, name, forbidden)
+    got = vmult(ctx, u), apply_ghost_penalty(ctx, u)
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
@@ -463,10 +468,11 @@ def _without_cut_points(ctx):
                                _error_blocks={q: zero(b) for q, b in ctx._error_blocks.items()})
 
 
-def _spans_two_chunks(blk):
-    """Whether some cell's points in a values block start in one chunk and
-    end in the next."""
-    return any(a[2][-1] == b[2][0] for a, b in zip(blk.chunks, blk.chunks[1:]))
+def _spans_two_chunks(blk, nloc):
+    """Whether some cell's points in a rules block start in one of the
+    chunks the domain integrals tabulate and end in the next."""
+    chunks = list(operators._chunks(blk.cell, nloc))
+    return any(a[2][-1] == b[2][0] for a, b in zip(chunks, chunks[1:]))
 
 
 def _cut_kernel_oracle(ctx, u_cells, volume=True, surface=True):
@@ -483,13 +489,13 @@ def _cut_kernel_oracle(ctx, u_cells, volume=True, surface=True):
 @pytest.mark.parametrize("dim, cells, degree, chunk_points", [(2, 6, 3, 37), (3, 5, 2, 37), (3, 8, 2, None)],
                          ids=["2-6-3", "3-5-2", "3-8-2"])  # 37-point chunks, or the default chunk size
 def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, chunk_points, rng, monkeypatch):
-    # chunks are fixed when the blocks are built, so the chunk size is set
-    # first; they bound the cut block's tabulation and the values blocks
+    # the chunk size is set before the context is built: it bounds the cut
+    # block's tabulation and, when they run, the domain integrals'
     if chunk_points is not None:
         monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * (degree + 1) ** dim)
     ctx = disk_context(dim, cells, degree)
     assert _spans_slots(ctx.cut, 2)  # some cell's points fill two slots
-    assert chunk_points is None or (len(ctx.volume.chunks) > 1 and _spans_two_chunks(ctx.volume))
+    assert chunk_points is None or _spans_two_chunks(ctx.volume, (degree + 1) ** dim)
 
     u = rng.standard_normal(ctx.n_dofs)
     assert _max_rel(_cut_by_cell(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
@@ -610,7 +616,6 @@ def test_point_blocks_hold_no_per_point_dof_table():
     nloc = ctx.cut_dofs.shape[1]
     for blk in [ctx.cut, ctx.volume, ctx.surface, *ctx._error_blocks.values()]:
         arrays = [getattr(blk, f.name) for f in dataclasses.fields(blk)]
-        arrays += [a for c in getattr(blk, "chunks", []) for a in c[1:]]
         ints = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
         n_points = blk.real.sum() if blk is ctx.cut else blk.weights.size
         assert ints and all(a.size < nloc * n_points for a in ints)
@@ -618,28 +623,71 @@ def test_point_blocks_hold_no_per_point_dof_table():
 
 
 def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
-    # assemble_rhs and l2_error read the cut cells' DoFs by cell; their bits
-    # are those of a per-point DoF index (nloc, N), dofs[cell].T
+    # assemble_rhs and l2_error read the cut cells' DoFs by cell and
+    # tabulate per chunk; their bits are those of a per-point DoF index
+    # (nloc, N), dofs[cell].T, on 1D tables tabulated once for the whole
+    # block, at chunks of 37 points so that some cell spans two
     ctx = disk_context(2, 6, 2)
+    nloc = ctx.cut_dofs.shape[1]
+    monkeypatch.setattr(operators, "_POINT_CHUNK", 37 * nloc)
     u = rng.standard_normal(ctx.n_dofs)
     f = lambda x: 1.0 + x[..., 0] + 2.0 * x[..., 1] ** 2  # noqa: E731
     u_exact = lambda x: np.cos(x[..., 0]) * x[..., -1]  # noqa: E731
-    b, err2 = assemble_rhs(ctx, f), squared_l2_error(ctx, u, u_exact)
+    err2 = squared_l2_error(ctx, u, u_exact)
     per_point = lambda blk: np.take(ctx.cut_dofs.T, blk.cell, axis=1)  # noqa: E731
+    tables = lambda blk: tabulate(  # noqa: E731
+        ctx.elem, operators._reference_coords(ctx.mesh, ctx.cut_cells, blk.points, blk.cell))
 
     blk = ctx._error_blocks[ctx.params.error_quad_order]
-    vals = np.empty(blk.weights.size)
-    for sl, _, _, _ in blk.chunks:
+    assert _spans_two_chunks(blk, nloc)
+    vals, tabs = np.empty(blk.weights.size), tables(blk)
+    for sl, _, _ in operators._chunks(blk.cell, nloc):
         g = u[per_point(blk)[:, sl]].reshape((ctx.elem.degree + 1,) * ctx.mesh.dim + (-1,))
-        for tab in blk.vals[..., sl]:
+        for tab in tabs[..., sl]:
             g = np.einsum("...ip,ip->...p", g, tab)
         vals[sl] = g
     diff = vals - u_exact(blk.points)
     assert squared_l2_error(_without_cut_points(ctx), u, u_exact) + float(np.sum(diff * diff * blk.weights)) == err2
 
-    monkeypatch.setattr(operators, "_segment_dofs",
-                        lambda blk, dofs: [per_point(blk)[:, sl][:, starts] for sl, starts, _, _ in blk.chunks])
-    assert np.array_equal(assemble_rhs(ctx, f), b)
+    # the cut cells' part of the RHS alone: a context without uncut cells
+    cut_only = dataclasses.replace(ctx, inside_cells=ctx.inside_cells[:0], inside_dofs=ctx.inside_dofs[:0])
+    blk, idx, vals = ctx.volume, [], []
+    assert _spans_two_chunks(blk, nloc)
+    tabs = tables(blk)
+    for sl, starts, _ in operators._chunks(blk.cell, nloc):
+        idx.append(per_point(blk)[:, sl][:, starts])
+        vals.append(operators._segment_sums(operators._tensor_rows(tabs[..., sl], f(blk.points[sl]) * blk.weights[sl]),
+                                            starts))
+    b_ref = np.bincount(np.concatenate(idx, axis=None), weights=np.concatenate(vals, axis=None), minlength=ctx.n_dofs)
+    assert np.array_equal(assemble_rhs(cut_only, f), b_ref)
+
+
+def test_domain_integrals_tabulate_each_chunk_where_they_read_it(rng, monkeypatch):
+    # the 1D tables of the cut rules are tabulated inside assemble_rhs and
+    # squared_l2_error, one call per chunk of at most _POINT_CHUNK // nloc
+    # points, and together the calls cover every point of the block once,
+    # in order; at 37-point chunks some cell spans two
+    ctx = disk_context(2, 6, 2)
+    nloc = ctx.cut_dofs.shape[1]
+    monkeypatch.setattr(operators, "_POINT_CHUNK", 37 * nloc)
+    calls, original = [], operators.tabulate
+
+    def spy(elem, xi, deriv=0):
+        calls.append(xi.copy())
+        return original(elem, xi, deriv)
+
+    monkeypatch.setattr(operators, "tabulate", spy)
+    u = rng.standard_normal(ctx.n_dofs)
+    f = lambda x: 1.0 + x[..., 0]  # noqa: E731
+    for run, block in [(lambda: assemble_rhs(ctx, f), lambda: ctx.volume),
+                       (lambda: squared_l2_error(ctx, u, f), lambda: ctx._error_blocks[ctx.params.error_quad_order])]:
+        calls.clear()
+        run()
+        blk = block()
+        assert _spans_two_chunks(blk, nloc) and len(calls) > 1
+        assert all(len(xi) <= operators._POINT_CHUNK // nloc for xi in calls)
+        xi = operators._reference_coords(ctx.mesh, ctx.cut_cells, blk.points, blk.cell)
+        assert np.array_equal(np.concatenate(calls), xi)
 
 
 def test_cut_cells_with_surface_points_and_no_volume_points(rng):

@@ -226,20 +226,21 @@ def test_l2_error_constant_on_sphere():
     assert abs(err - np.sqrt(4.0 * np.pi / 3.0)) <= 1e-5
 
 
-def test_l2_error_caches_value_only_point_blocks(monkeypatch):
+def test_l2_error_caches_the_rows_of_its_error_rules_and_builds_no_rule_again(monkeypatch):
     ctx = disk_context(2, 6, 2)
     u_h = np.random.default_rng(3).standard_normal(ctx.n_dofs)
     u_exact = lambda x: np.cos(x[..., 0]) * x[..., 1]
     first = l2_error(ctx, u_h, u_exact)
     blk = ctx._error_blocks[ctx.params.error_quad_order]
-    owner = blk.vals if blk.vals.base is None else blk.vals.base
-    assert owner.nbytes == blk.vals.nbytes  # no derivative table, nor memory for one
+    n = blk.weights.size  # the rows of the rules alone: no table, nor memory for one
+    assert n and blk.points.shape == (n, 2) and blk.cell.shape == (n,) and blk.normals is None
 
     def forbidden(*args, **kwargs):
         raise AssertionError("l2_error built a cut rule again")
 
     monkeypatch.setattr(cutquad, "cut_cell_quadrature", forbidden)
     assert l2_error(ctx, u_h, u_exact) == first
+    assert ctx._error_blocks[ctx.params.error_quad_order] is blk
 
 
 @pytest.mark.parametrize("degree", [1, 2])
