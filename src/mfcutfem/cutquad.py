@@ -31,7 +31,8 @@ pass.  The rules are rows, box by box, each with its box, and depth-first
 over sub-boxes.  Signs come from samples, not bounds: interfaces that
 oscillate below the sample resolution can be missed.  ``_eval`` is the
 package's one reader of phi; ``box_signs`` samples its signs on each box,
-for the whole-box test here and for ``geometry.classify_cells``.
+``sign_samples(q)`` per axis, for the whole-box test here and for
+``geometry.classify_cells`` in ``build_context``.
 """
 
 from __future__ import annotations
@@ -147,6 +148,13 @@ def box_signs(phi, lo: np.ndarray, hi: np.ndarray, per_axis: int, owner: np.ndar
     names owner[i], the input box of box i."""
     return np.concatenate([_eval(phi, _sample_grid(lo[s], hi[s], per_axis), owner[s]) >= 0
                            for s in (slice(i, i + _CELL_CHUNK) for i in range(0, len(lo), _CELL_CHUNK))])
+
+
+def sign_samples(q: int) -> int:
+    """Sign samples per axis of a box for rules of q Gauss points per axis:
+    q + 1, and at least 3.  build_context classifies its cells with the same
+    count, so their labels follow the rules' order, not the degree."""
+    return max(q + 1, 3)
 
 
 def _tensor_rule(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray, rule):
@@ -410,7 +418,7 @@ def _stack_rules(lo, hi, phi, rule, max_depth: int) -> CutCellQuadrature:
     every pass, run before they would exceed _CELL_CHUNK and at the end.  A
     leaf's points are ordered by (input box, path)."""
     n, d = lo.shape
-    samples = max(len(rule[0]) + 1, 3)
+    samples = sign_samples(len(rule[0]))
     work = [lo, hi, np.arange(n), np.zeros((n, max_depth), dtype=np.int64), np.zeros(n, dtype=np.int64)]
     corners = np.arange(2**d)[:, None] >> np.arange(d) & 1  # (2^d, d): upper half per axis
     leaf_cell, leaf_path = [work[2][:0]], [work[3][:0]]

@@ -197,10 +197,10 @@ def classify_cells(mesh: CartesianMesh, phi, samples_per_axis: int) -> CellClass
 
     The grid has samples_per_axis points per direction including the cell
     corners (cutquad.box_signs).  Zero values count as inside, so: all
-    samples >= 0 -> INSIDE, all < 0 -> OUTSIDE, otherwise CUT.  Callers
-    should sample at least at k+2 points per axis for a degree-k
-    discretization.  Values of the wrong shape or not finite raise a
-    ValueError naming the shape or the point, since no sign can be read.
+    samples >= 0 -> INSIDE, all < 0 -> OUTSIDE, otherwise CUT.  build_context
+    samples as its cut rules do, cutquad.sign_samples(quad_order) per axis.
+    Values of the wrong shape or not finite raise a ValueError naming the
+    shape or the point, since no sign can be read.
     """
     if samples_per_axis < 2:
         raise ValueError(f"need at least 2 samples per axis, got {samples_per_axis}")
@@ -242,18 +242,18 @@ def ghost_faces(classification: CellClassification) -> np.ndarray:
 class DofMap:
     """Active tensor-product Lagrange DoFs of degree k over the mesh.
 
-    ``compact`` maps the flat DoF-grid index to 0..n_active-1 (or -1 when
-    the DoF has no supporting non-OUTSIDE cell).
+    ``compact`` maps the flat DoF-grid index to 0..n_active-1, or to -1
+    when the DoF has no supporting non-OUTSIDE cell: the active DoFs are
+    ``compact >= 0``, in flat order.  ``n_active`` is stored, since every
+    vmult reads it.
     """
 
     mesh: CartesianMesh
     degree: int
     classification: CellClassification
     extents: tuple[int, ...]
-    active: np.ndarray = field(repr=False)
     compact: np.ndarray = field(repr=False)
     n_active: int = 0
-    node_pattern: np.ndarray = field(default=None, repr=False)
 
     @property
     def strides(self) -> tuple[int, ...]:
@@ -298,12 +298,12 @@ class DofMap:
 
     def dof_coordinates(self) -> np.ndarray:
         """Physical coordinates of the active DoFs, shape (n_active, d)."""
-        k = self.degree
+        k, nodes = self.degree, gauss_lobatto_nodes(self.degree)
         pts = np.empty((self.n_active, self.mesh.dim))
-        flat = np.flatnonzero(self.active)
+        flat = np.flatnonzero(self.compact >= 0)
         for a in range(self.mesh.dim):
             g = (flat // self.strides[a]) % self.extents[a]
-            pts[:, a] = self.mesh.origin[a] + (g // k + self.node_pattern[g % k]) * self.mesh.spacing[a]
+            pts[:, a] = self.mesh.origin[a] + (g // k + nodes[g % k]) * self.mesh.spacing[a]
         return pts
 
 
@@ -312,20 +312,14 @@ def build_dofmap(mesh: CartesianMesh, k: int, classification: CellClassification
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
     extents = tuple(k * n + 1 for n in mesh.cells_per_axis)
-    dm = DofMap(
-        mesh=mesh,
-        degree=k,
-        classification=classification,
-        extents=extents,
-        active=np.zeros(prod(extents), dtype=bool),
-        compact=np.full(prod(extents), -1, dtype=np.int64),
-        node_pattern=gauss_lobatto_nodes(k),
-    )
+    dm = DofMap(mesh=mesh, degree=k, classification=classification, extents=extents,
+                compact=np.full(prod(extents), -1, dtype=np.int64))
+    active = np.zeros(prod(extents), dtype=bool)
     keep = np.flatnonzero(classification.labels != Label.OUTSIDE).astype(np.int64)
     if keep.size:
-        dm.active[dm.cell_dofs(keep).ravel()] = True
-    dm.n_active = int(np.count_nonzero(dm.active))
-    dm.compact[dm.active] = np.arange(dm.n_active, dtype=np.int64)
+        active[dm.cell_dofs(keep).ravel()] = True
+    dm.n_active = int(np.count_nonzero(active))
+    dm.compact[active] = np.arange(dm.n_active, dtype=np.int64)
     return dm
 
 

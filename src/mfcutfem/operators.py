@@ -54,8 +54,9 @@ context is built: the cut block (``cut_block``), whose basis rows,
 products of the cut points' 1D tables, are tabulated chunk by chunk and
 written to their slots, with the per-point factors and cross weights and
 each slot's cell; the slots' DoFs (``slot_dofs``, the DoF table of the
-cut piece, nloc per slot); and one scatter index over the values of all
-pieces.  No block holds a per-point DoF index.  A ``vmult`` call does
+cut piece, nloc per slot); the list of pieces (``pieces``); and one
+scatter index over the values of all pieces.  No block holds a per-point
+DoF index.  A ``vmult`` call does
 only the work that depends on u: each piece gathers by its DoF table once
 and writes its values into its slice of one value buffer, in scatter
 order (the GEMMs through ``sumfac.contract_axis``, the cut piece one row
@@ -72,7 +73,8 @@ chunk when they run (``_tabulated_chunks``): each is read once per call,
 so no 1D table outlives its chunk.  The RHS sums f w times the value rows
 by cell segment on the volume rules; the error gathers each point's cell
 coefficients and contracts them one axis at a time on the rules of its
-own order, built on first use and cached per order.  Every basis row of a
+own order, which it builds in the call: each caller reads the error once
+per context, so the context keeps no rule of it.  Every basis row of a
 cut point, value or derivative, is one product of 1D table entries per
 axis (``_tensor_rows``).  All batches and reductions run in a fixed
 order, so results are bitwise reproducible.
@@ -188,13 +190,14 @@ class OperatorContext:
     interior_matrix: np.ndarray     # (nloc, nloc) local matrix of every uncut cell
     ghost_matrices: dict[int, np.ndarray]  # axis -> (patch size,)*2, gamma_A included; empty if gamma_A = 0
     slot_dofs: np.ndarray = field(init=False)        # (n_slots, nloc) DoFs of each cut-block slot's cell
+    pieces: list[tuple] = field(init=False)          # (component, DoF table, local matrix) in scatter order
     scatter_index: np.ndarray = field(init=False)    # DoF of each value vmult's pieces produce, in order
     timers: dict[str, float] = field(default_factory=_zero_timers)
-    _error_blocks: dict[int, PointBlock] = field(default_factory=dict)
 
     def __post_init__(self):
         self.slot_dofs = self.cut_dofs[self.cut.cell]
-        self.scatter_index = _scatter_index(self)
+        self.pieces = _pieces(self)  # none on a mesh with no active cell
+        self.scatter_index = np.concatenate([np.empty(0, dtype=np.intp)] + [i for _, i, _ in self.pieces], axis=None)
 
     @property
     def n_dofs(self) -> int:
@@ -346,13 +349,13 @@ def _cut_rules(mesh, levelset, cells, order: int, max_depth: int) -> cutquad.Cut
 
 
 def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> OperatorContext:
-    """Classify, enumerate DoFs and ghost faces, build the cut rules, probe
-    the local matrices of the interior and ghost pieces, and tabulate what
-    every vmult reads: the cut block's basis rows, per-point factors and
-    slots, and the scatter index.  The rules' rows are kept untabulated."""
+    """Classify as the cut rules sample, enumerate DoFs and ghost faces, build
+    the cut rules, probe the local matrices of the interior and ghost pieces,
+    and tabulate what every vmult reads: the cut block's basis rows, factors
+    and slots, the pieces and the scatter index.  Rules stay untabulated."""
     k = params.degree
     elem = tensor1d.build_reference_element(k, max(params.quad_order, k + 1))
-    classification = geometry.classify_cells(mesh, levelset, k + 2)
+    classification = geometry.classify_cells(mesh, levelset, cutquad.sign_samples(params.quad_order))
     dofmap = geometry.build_dofmap(mesh, k, classification)
     faces = geometry.ghost_faces(classification)
 
@@ -417,12 +420,6 @@ def _write_tensor_rows(out: np.ndarray, tabs) -> None:
         np.multiply(tab, inner, out=out[j * len(inner):(j + 1) * len(inner)])
 
 
-def _segment_sums(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-point contributions (..., P) summed over each cell's segment of a
-    chunk: (nloc, segments)."""
-    return np.add.reduceat(contrib.reshape(-1, contrib.shape[-1]), starts, axis=1)
-
-
 def cut_apply(blk: CutBlock, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The cut piece for the coefficients g (n_slots, nloc) of each slot's
     cell: one row of nloc values per slot, in out (a new array if None).
@@ -465,7 +462,8 @@ def _probe(kernel, m: int) -> np.ndarray:
 
 def _pieces(ctx: OperatorContext) -> list[tuple]:
     """(component, DoF table, local matrix) of every non-empty piece, in
-    scatter order; the cut piece has no matrix and runs cut_apply."""
+    scatter order; the cut piece has no matrix and runs cut_apply.  Built
+    once, into ctx.pieces, which vmult and the ghost penalty loop over."""
     pieces = []
     if len(ctx.inside_cells):
         pieces.append(("interior", ctx.inside_dofs, ctx.interior_matrix))
@@ -473,13 +471,6 @@ def _pieces(ctx: OperatorContext) -> list[tuple]:
         pieces.append(("intersected", ctx.slot_dofs, None))
     pieces += [("ghost_penalty", ctx.face_dofs[a], ctx.ghost_matrices[a]) for a in sorted(ctx.ghost_matrices)]
     return pieces
-
-
-def _scatter_index(ctx: OperatorContext) -> np.ndarray:
-    """The DoF of each value vmult's pieces produce, in their order: each
-    piece's DoF table, the cut piece's by slot."""
-    parts = [np.empty(0, dtype=np.intp)]  # a mesh with no active cell has no piece
-    return np.concatenate(parts + [idx for _, idx, _ in _pieces(ctx)], axis=None)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +490,7 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     u = _dof_vector(ctx, u)
     t_start = time.perf_counter()
     vals, end = np.empty(ctx.scatter_index.size), 0  # each piece writes its slice, in scatter order
-    for component, idx, mat in _pieces(ctx):
+    for component, idx, mat in ctx.pieces:
         t0 = time.perf_counter()
         start, end = end, end + idx.size
         out = vals[start:end].reshape(idx.shape)
@@ -519,7 +510,7 @@ def vmult(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
 def apply_ghost_penalty(ctx: OperatorContext, u: np.ndarray) -> np.ndarray:
     """Only the ghost-penalty part gamma_A * A_ghost (zero when gamma_A = 0)."""
     u = _dof_vector(ctx, u)
-    ghost = [(idx, mat) for name, idx, mat in _pieces(ctx) if name == "ghost_penalty"]
+    ghost = [(idx, mat) for name, idx, mat in ctx.pieces if name == "ghost_penalty"]
     idx = np.concatenate([np.empty(0, dtype=np.intp)] + [i for i, _ in ghost], axis=None)  # none if gamma_A = 0
     vals = np.concatenate([np.empty(0)] + [sumfac.contract_axis(m, u[i], 1) for i, m in ghost], axis=None)
     return np.bincount(idx, weights=vals, minlength=ctx.n_dofs)
@@ -538,19 +529,14 @@ def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> T
 # domain integrals: right-hand side and squared L2 error
 
 
-def _uncut_rule(ctx: OperatorContext, order: int):
-    """Tensor Gauss rule of the given order on uncut cells: the 1D points,
-    the (order, k+1) basis table and the physical weight grid (order,) * d."""
+def _uncut_chunks(ctx: OperatorContext, order: int):
+    """The tensor Gauss rule of the given order on the uncut cells in chunks of
+    at most _CELL_CHUNK cells: (slice, physical points (C, q, ..., q, d), and
+    the same (q, k+1) basis table and physical weight grid (q,) * d)."""
     gx, gw = tensor1d.gauss_rule(order)
-    d = ctx.mesh.dim
-    wgrid = sumfac.reference_weight_grid(gw, d).reshape((order,) * d) * prod(ctx.mesh.spacing)
-    return gx, ctx.elem.evaluate(gx), wgrid
-
-
-def _uncut_chunks(ctx: OperatorContext, gx: np.ndarray):
-    """(slice, physical points (C, q, ..., q, d)) over the uncut cells in
-    chunks of at most _CELL_CHUNK cells, for 1D points gx."""
-    d, q, n = ctx.mesh.dim, len(gx), len(ctx.inside_cells)
+    d, q, n = ctx.mesh.dim, order, len(ctx.inside_cells)
+    tab = ctx.elem.evaluate(gx)
+    wgrid = sumfac.reference_weight_grid(gw, d).reshape((q,) * d) * prod(ctx.mesh.spacing)
     for start in range(0, n, _CELL_CHUNK):
         sl = slice(start, min(start + _CELL_CHUNK, n))
         lowers = ctx.mesh.cell_box(ctx.mesh.cell_multi(ctx.inside_cells[sl]))[0]
@@ -559,7 +545,7 @@ def _uncut_chunks(ctx: OperatorContext, gx: np.ndarray):
             shape = [1] * d
             shape[d - 1 - a] = q
             pts[..., a] = lowers[:, a].reshape((-1,) + (1,) * d) + (gx * ctx.mesh.spacing[a]).reshape(shape)
-        yield sl, pts
+        yield sl, pts, tab, wgrid
 
 
 def _values(fn, pts: np.ndarray) -> np.ndarray:
@@ -575,37 +561,34 @@ def _values(fn, pts: np.ndarray) -> np.ndarray:
 
 def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     """Right-hand side b_i = int_{Omega} f phi_i over interior and cut cells."""
-    gx, tab, wgrid = _uncut_rule(ctx, len(ctx.elem.quad_points))
     idx, vals = [np.empty(0, dtype=np.intp)], [np.empty(0)]  # a mesh with no active cell has no value
-    for sl, pts in _uncut_chunks(ctx, gx):
+    for sl, pts, tab, wgrid in _uncut_chunks(ctx, len(ctx.elem.quad_points)):
         idx.append(ctx.inside_dofs[sl])
         vals.append(kron_batch([tab.T] * ctx.mesh.dim, _values(f, pts) * wgrid))
     blk = ctx.volume
     for sl, starts, cells, tables in _tabulated_chunks(ctx, blk):
         idx.append(ctx.cut_dofs[cells].T)
-        vals.append(_segment_sums(_tensor_rows(tables, _values(f, blk.points[sl]) * blk.weights[sl]), starts))
+        rows = _tensor_rows(tables, _values(f, blk.points[sl]) * blk.weights[sl])
+        vals.append(np.add.reduceat(rows, starts, axis=1))  # summed over each cell's segment of the chunk
     return np.bincount(np.concatenate(idx, axis=None), weights=np.concatenate(vals, axis=None), minlength=ctx.n_dofs)
 
 
 def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     """Integral of (u_h - u_exact)^2 over the physical domain at the error
     order: the tensor Gauss rule on uncut cells and cut-cell volume rules of
-    that order, built on first use and cached on ctx per order."""
+    that order, built in the call and dropped at its end."""
     u_h = _dof_vector(ctx, u_h)
     order = ctx.params.error_quad_order
     d = ctx.mesh.dim
     cell_shape = (-1,) + (ctx.elem.degree + 1,) * d
-    gx, tab, wgrid = _uncut_rule(ctx, order)
     err2 = 0.0
-    for sl, pts in _uncut_chunks(ctx, gx):
+    for sl, pts, tab, wgrid in _uncut_chunks(ctx, order):
         t = kron_batch([tab] * d, u_h[ctx.inside_dofs[sl]].reshape(cell_shape))
         diff = t - _values(u_exact, pts)
         err2 += float(np.sum(diff * diff * wgrid))
 
-    if order not in ctx._error_blocks:
-        rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
-        ctx._error_blocks[order] = PointBlock(rules.interior_points, rules.interior_weights, rules.interior_box)
-    blk = ctx._error_blocks[order]
+    rules = _cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
+    blk = PointBlock(rules.interior_points, rules.interior_weights, rules.interior_box)
     uc = np.take(u_h, ctx.cut_dofs.T)  # (nloc, n_cut)
     vals = np.empty(blk.weights.size)
     for sl, _, _, tables in _tabulated_chunks(ctx, blk):  # one tensor axis at a time, axis 0 (the fastest) first

@@ -6,9 +6,9 @@ takes one reduction of r, whose square root is the residual norm, and
 updates the search direction in place.  All reductions run in a fixed
 order, so solves are bitwise reproducible for a fixed operator.
 ``l2_error`` takes the square root of ``operators.squared_l2_error``, which
-checks its input and integrates with elevated-order rules
-(tensor Gauss on uncut cells, regenerated cut-cell rules on intersected
-cells) so the measurement resolves rates up to k+1.  The manufactured
+checks its input and integrates with elevated-order rules (tensor Gauss on
+uncut cells, cut-cell rules built in the call on intersected cells) so the
+measurement resolves rates up to k+1.  The manufactured
 problems give exact solutions and right-hand sides on the unit disk or ball.
 """
 
@@ -113,7 +113,7 @@ def l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     """sqrt of the integral of (u_h - u_exact)^2 over the physical domain.
 
     Uncut cells use a tensor Gauss rule of the configured error order; cut
-    cells use freshly generated interior rules at that order (cached on ctx).
+    cells use interior rules at that order, built in the call.
     """
     return float(np.sqrt(squared_l2_error(ctx, u_h, u_exact)))
 

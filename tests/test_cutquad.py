@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfcutfem import cutquad
+from mfcutfem import cutquad, operators
 from mfcutfem.cutquad import (
     CutCellQuadrature,
     QuadratureError,
     cut_cell_quadrature,
     dump_quadrature_csv,
+    sign_samples,
 )
 from mfcutfem.geometry import (
     BallUnionLevelSet,
@@ -28,7 +29,7 @@ from mfcutfem.geometry import (
     classify_cells,
     generate_balls,
 )
-from mfcutfem.operators import Parameters, build_context, squared_l2_error
+from mfcutfem.operators import Parameters, build_context
 from mfcutfem.tensor1d import gauss_rule
 
 from oracles import circle_box_area, per_cell_cut_quadrature, simplex_monomial_integral
@@ -126,7 +127,7 @@ def domain_measures(dim, cells, q, radius=1.0):
     ball of given radius on the harness box, cell by cell."""
     mesh = box_mesh([-1.26] * dim, [1.26] * dim, [cells] * dim)
     phi = SphereLevelSet([0.0] * dim, radius)
-    classification = classify_cells(mesh, phi, max(q + 1, 3))
+    classification = classify_cells(mesh, phi, sign_samples(q))
     h = mesh.spacing[0]
     volume = surface = flux = 0.0
     for c in range(mesh.n_cells):
@@ -406,7 +407,7 @@ def test_surface_points_are_roots_to_rounding(dim, cells, q):
     mesh = box_mesh([-1.26] * dim, [1.26] * dim, [cells] * dim)
     phi = SphereLevelSet([0.0123, -0.0311, 0.0207][:dim], 1.0)  # off the grid lines
     worst = 0.0
-    for cell in classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT):
+    for cell in classify_cells(mesh, phi, sign_samples(q)).cells_with(Label.CUT):
         lo, hi = mesh.cell_box(mesh.cell_multi(int(cell)))
         rule = cut_cell_quadrature(lo, hi, phi, q)
         if rule.surface_points.size:
@@ -523,7 +524,7 @@ ORACLE_CASES = (
 def test_batched_rules_equal_the_per_cell_recursion(name, q, max_depth):
     # smooth interfaces never subdivide, so only the unions vary the depth
     mesh, phi = oracle_fixture(name)
-    cells = classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT)
+    cells = classify_cells(mesh, phi, sign_samples(q)).cells_with(Label.CUT)
     lo, hi = mesh.cell_box(mesh.cell_multi(cells))
     rules = cut_cell_quadrature(lo, hi, phi, q, max_depth)
     assert isinstance(rules, CutCellQuadrature) and len(rules.fallbacks) == len(cells)
@@ -590,7 +591,7 @@ def test_one_call_reads_the_level_set_half_as_often_as_fixed_scans(monkeypatch, 
     # multiball3d's and disk2d's cut cells; a fixed 20-22 sign scans per
     # bracket read the level set 228, 210 and 45 times
     mesh, phi = oracle_fixture(name)
-    cells = classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT)
+    cells = classify_cells(mesh, phi, sign_samples(q)).cells_with(Label.CUT)
     lo, hi = mesh.cell_box(mesh.cell_multi(cells))
     reads = count_reads(monkeypatch)
     cut_cell_quadrature(lo, hi, phi, q, max_depth)
@@ -600,7 +601,7 @@ def test_one_call_reads_the_level_set_half_as_often_as_fixed_scans(monkeypatch, 
 def cut_boxes(name, q):
     """Corners of the cut cells of an oracle fixture, and its level set."""
     mesh, phi = oracle_fixture(name)
-    cells = classify_cells(mesh, phi, max(q + 1, 3)).cells_with(Label.CUT)
+    cells = classify_cells(mesh, phi, sign_samples(q)).cells_with(Label.CUT)
     return (*mesh.cell_box(mesh.cell_multi(cells)), phi)
 
 
@@ -756,12 +757,13 @@ def test_point_blocks_are_the_per_cell_rules_in_cut_cell_order(name, degree, max
     mesh, phi = oracle_fixture(name)
     ctx = build_context(mesh, phi, Parameters(degree=degree, max_quad_depth=max_depth))
     order, error_order = ctx.params.quad_order, ctx.params.error_quad_order
-    squared_l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))  # builds the error-order block
+    errors = operators._cut_rules(mesh, phi, ctx.cut_cells, error_order, max_depth)  # as squared_l2_error builds them
     lo, hi = mesh.cell_box(mesh.cell_multi(ctx.cut_cells))
     refs = {q: [per_cell_cut_quadrature(lo[j], hi[j], phi, q, max_depth) for j in range(len(lo))]
             for q in (order, error_order)}
     blocks = [(order, "interior", ctx.volume), (order, "surface", ctx.surface),
-              (error_order, "interior", ctx._error_blocks[error_order])]
+              (error_order, "interior", operators.PointBlock(errors.interior_points, errors.interior_weights,
+                                                             errors.interior_box))]
     for q, kind, blk in blocks:
         ref = refs[q]
         expected = {
@@ -800,3 +802,22 @@ def test_cut_rule_views_keep_the_per_cell_fallback_counts():
     counts = np.array([view.fallbacks[0] for view in ctx.cut_rules.values()])
     assert ctx.fallback_count == 25 and isinstance(ctx.fallback_count, int)
     assert counts.sum() == ctx.fallback_count and np.array_equal(counts, direct.fallbacks)
+
+
+def test_classification_samples_signs_as_the_cut_rules_do():
+    # build_context labels cells with sign_samples(quad_order) samples per
+    # axis, as the cut rules test each box, so k = 1 at quad_order 4 has the
+    # labels, faces and rules of k = 3; with k + 2 = 3 samples per axis the
+    # small ball falls between the samples of one of its cells
+    assert [sign_samples(q) for q in (1, 2, 3, 4)] == [3, 3, 4, 5]
+    mesh = box_mesh([-2, -2], [2, 2], [8, 8])
+    phi = BallUnionLevelSet([[-0.6, -0.6], [0.625, 0.625]], [1.0, 0.06])
+    assert classify_cells(mesh, phi, 3).count(Label.CUT) == 16
+    low, high = (build_context(mesh, phi, p) for p in (Parameters(degree=1, quad_order=4), Parameters(degree=3)))
+    assert len(high.cut_cells) == 17
+    assert np.array_equal(low.classification.labels, high.classification.labels)
+    assert np.array_equal(low.cut_cells, high.cut_cells) and np.array_equal(low.faces, high.faces)
+    for blk in ("volume", "surface"):
+        for f in dataclasses.fields(operators.PointBlock):
+            assert np.array_equal(getattr(getattr(low, blk), f.name), getattr(getattr(high, blk), f.name)), blk
+    assert np.array_equal(low.fallbacks, high.fallbacks)

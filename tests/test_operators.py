@@ -252,7 +252,7 @@ def test_dof_vector_of_the_wrong_length_is_rejected(apply):
 def test_vmult_on_a_mesh_with_no_active_cell():
     # the ball lies outside the mesh: no piece, no DoF, an empty result
     ctx = build_context(box_mesh([0.0, 0.0], [1.0, 1.0], [4, 4]), SphereLevelSet([5.0, 5.0], 0.5), Parameters(degree=1))
-    assert ctx.n_dofs == 0 and operators._pieces(ctx) == [] and ctx.scatter_index.size == 0
+    assert ctx.n_dofs == 0 and ctx.pieces == [] and ctx.scatter_index.size == 0
     assert vmult(ctx, np.zeros(0)).shape == apply_ghost_penalty(ctx, np.zeros(0)).shape == (0,)
     assert assemble_rhs(ctx, lambda x: 1.0).shape == (0,)
 
@@ -297,7 +297,7 @@ def test_cached_matrices_equal_their_factored_kernels(cells, degree, rng):
 def test_no_ghost_matrices_without_ghost_penalty():
     ctx = disk_context(2, 8, 2, gamma_ghost=0.0)
     assert len(ctx.face_dofs) and ctx.ghost_matrices == {}
-    assert [name for name, _, _ in operators._pieces(ctx)] == ["interior", "intersected"]
+    assert [name for name, _, _ in ctx.pieces] == ["interior", "intersected"]
 
 
 def test_vmult_runs_no_factored_kernel(rng, monkeypatch):
@@ -315,10 +315,10 @@ def test_vmult_runs_no_factored_kernel(rng, monkeypatch):
 
 
 def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
-    # the cut block, the cut rules and the scatter index are built once by
-    # build_context; vmult and the ghost penalty only read them, and
-    # assemble_rhs, which tabulates its 1D tables chunk by chunk by design,
-    # builds neither a block, a rule nor the scatter index
+    # the cut block, the cut rules, the pieces and the scatter index are
+    # built once by build_context; vmult and the ghost penalty only read
+    # them, and assemble_rhs, which tabulates its 1D tables chunk by chunk
+    # by design, builds neither a block, a rule nor the pieces
     ctx = disk_context(2, 6, 2)
     u = rng.standard_normal(ctx.n_dofs)
     f = lambda x: 1.0 + x[..., 0] * x[..., 1]  # noqa: E731
@@ -328,7 +328,7 @@ def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
         raise AssertionError("an operator action redid set-up work")
 
     monkeypatch.setattr(cutquad, "cut_cell_quadrature", forbidden)
-    for name in ("cut_block", "_scatter_index"):
+    for name in ("cut_block", "_pieces"):
         monkeypatch.setattr(operators, name, forbidden)
     assert np.array_equal(assemble_rhs(ctx, f), expected[2])
     for name in ("tabulate", "_write_tensor_rows", "_reference_coords", "_chunks"):
@@ -461,11 +461,31 @@ def test_cut_cell_apply_matches_dense_blocks(rng):
 
 
 def _without_cut_points(ctx):
-    """ctx with zero weights on its cut-cell volume points (quadrature and
-    error order), so its domain integrals keep only the uncut cells."""
-    zero = lambda blk: dataclasses.replace(blk, weights=np.zeros_like(blk.weights))  # noqa: E731
-    return dataclasses.replace(ctx, volume=zero(ctx.volume),
-                               _error_blocks={q: zero(b) for q, b in ctx._error_blocks.items()})
+    """ctx with zero weights on its cut-cell volume points, so its
+    right-hand side keeps only the uncut cells."""
+    return dataclasses.replace(ctx, volume=dataclasses.replace(ctx.volume, weights=np.zeros_like(ctx.volume.weights)))
+
+
+def _error_rows(ctx):
+    """The rows of the cut cells' volume rules at the error order, as
+    squared_l2_error builds them in its call."""
+    p = ctx.params
+    rules = operators._cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, p.error_quad_order, p.max_quad_depth)
+    return operators.PointBlock(rules.interior_points, rules.interior_weights, rules.interior_box)
+
+
+def _uncut_error(ctx, u, u_exact):
+    """squared_l2_error of the uncut cells alone: the cut rules it builds
+    are given zero weights."""
+    build = operators._cut_rules
+
+    def zero_weights(*args):
+        rules = build(*args)
+        return dataclasses.replace(rules, interior_weights=np.zeros_like(rules.interior_weights))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(operators, "_cut_rules", zero_weights)
+        return squared_l2_error(ctx, u, u_exact)
 
 
 def _spans_two_chunks(blk, nloc):
@@ -501,7 +521,7 @@ def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, chunk_po
     assert _max_rel(_cut_by_cell(ctx, u), _cut_kernel_oracle(ctx, u[ctx.cut_dofs])) <= 1e-14
     # vmult's one scatter of the slots' rows against each piece scattered by its cells' DoFs
     w_ref = np.zeros(ctx.n_dofs)
-    for _, idx, mat in operators._pieces(ctx):
+    for _, idx, mat in ctx.pieces:
         idx, local = (ctx.cut_dofs, _cut_by_cell(ctx, u)) if mat is None else (idx, u[idx] @ mat.T)
         w_ref += np.bincount(idx.ravel(), weights=local.ravel(), minlength=ctx.n_dofs)
     assert _max_rel(vmult(ctx, u), w_ref) <= 1e-14
@@ -516,10 +536,10 @@ def test_point_kernels_match_the_point_first_oracle(dim, cells, degree, chunk_po
 
     u_exact = lambda x: np.cos(x[..., 0]) * x[..., -1]  # noqa: E731
     err2 = squared_l2_error(ctx, u, u_exact)
-    blk = ctx._error_blocks[ctx.params.error_quad_order]
+    blk = _error_rows(ctx)
     up = u[ctx.cut_dofs].reshape((-1,) + (degree + 1,) * dim)[blk.cell]
     diff = point_first_evaluate(up, *point_first_block_tables(ctx, blk)) - u_exact(blk.points)
-    err2_ref = squared_l2_error(_without_cut_points(ctx), u, u_exact) + np.sum(diff * diff * blk.weights)
+    err2_ref = _uncut_error(ctx, u, u_exact) + np.sum(diff * diff * blk.weights)
     assert abs(err2 - err2_ref) <= 1e-14 * err2_ref
 
 
@@ -612,9 +632,8 @@ def test_point_blocks_hold_no_per_point_dof_table():
     # integer array of nloc entries per point, and the context's slot DoFs
     # hold nloc per slot
     ctx = disk_context(3, 5, 2)
-    squared_l2_error(ctx, np.zeros(ctx.n_dofs), lambda x: np.zeros(x.shape[:-1]))  # builds the error block
     nloc = ctx.cut_dofs.shape[1]
-    for blk in [ctx.cut, ctx.volume, ctx.surface, *ctx._error_blocks.values()]:
+    for blk in [ctx.cut, ctx.volume, ctx.surface, _error_rows(ctx)]:
         arrays = [getattr(blk, f.name) for f in dataclasses.fields(blk)]
         ints = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
         n_points = blk.real.sum() if blk is ctx.cut else blk.weights.size
@@ -638,7 +657,7 @@ def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
     tables = lambda blk: tabulate(  # noqa: E731
         ctx.elem, operators._reference_coords(ctx.mesh, ctx.cut_cells, blk.points, blk.cell))
 
-    blk = ctx._error_blocks[ctx.params.error_quad_order]
+    blk = _error_rows(ctx)
     assert _spans_two_chunks(blk, nloc)
     vals, tabs = np.empty(blk.weights.size), tables(blk)
     for sl, _, _ in operators._chunks(blk.cell, nloc):
@@ -647,7 +666,7 @@ def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
             g = np.einsum("...ip,ip->...p", g, tab)
         vals[sl] = g
     diff = vals - u_exact(blk.points)
-    assert squared_l2_error(_without_cut_points(ctx), u, u_exact) + float(np.sum(diff * diff * blk.weights)) == err2
+    assert _uncut_error(ctx, u, u_exact) + float(np.sum(diff * diff * blk.weights)) == err2
 
     # the cut cells' part of the RHS alone: a context without uncut cells
     cut_only = dataclasses.replace(ctx, inside_cells=ctx.inside_cells[:0], inside_dofs=ctx.inside_dofs[:0])
@@ -656,8 +675,8 @@ def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
     tabs = tables(blk)
     for sl, starts, _ in operators._chunks(blk.cell, nloc):
         idx.append(per_point(blk)[:, sl][:, starts])
-        vals.append(operators._segment_sums(operators._tensor_rows(tabs[..., sl], f(blk.points[sl]) * blk.weights[sl]),
-                                            starts))
+        vals.append(np.add.reduceat(operators._tensor_rows(tabs[..., sl], f(blk.points[sl]) * blk.weights[sl]),
+                                    starts, axis=1))
     b_ref = np.bincount(np.concatenate(idx, axis=None), weights=np.concatenate(vals, axis=None), minlength=ctx.n_dofs)
     assert np.array_equal(assemble_rhs(cut_only, f), b_ref)
 
@@ -680,7 +699,7 @@ def test_domain_integrals_tabulate_each_chunk_where_they_read_it(rng, monkeypatc
     u = rng.standard_normal(ctx.n_dofs)
     f = lambda x: 1.0 + x[..., 0]  # noqa: E731
     for run, block in [(lambda: assemble_rhs(ctx, f), lambda: ctx.volume),
-                       (lambda: squared_l2_error(ctx, u, f), lambda: ctx._error_blocks[ctx.params.error_quad_order])]:
+                       (lambda: squared_l2_error(ctx, u, f), lambda: _error_rows(ctx))]:
         calls.clear()
         run()
         blk = block()
@@ -734,7 +753,7 @@ def _vmult_by_pieces(ctx, u):
     """vmult from the matrix pieces and the point-first oracle of the cut
     piece, each scattered by its cells' DoFs."""
     w = np.zeros(ctx.n_dofs)
-    for _, idx, mat in operators._pieces(ctx):
+    for _, idx, mat in ctx.pieces:
         idx = ctx.cut_dofs if mat is None else idx
         local = _cut_kernel_oracle(ctx, u[idx]) if mat is None else u[idx] @ mat.T
         w += np.bincount(idx.ravel(), weights=local.ravel(), minlength=ctx.n_dofs)
@@ -838,7 +857,7 @@ def test_the_cut_piece_is_one_block_with_ceil_n_over_s_slots_per_cell(chunk_poin
     assert np.array_equal(np.bincount(ctx.cut.cell, minlength=len(n_c)), -(-n_c // size))
     assert np.array_equal(np.bincount(ctx.cut.cell, weights=ctx.cut.real.sum(1), minlength=len(n_c)), n_c)
     _assert_slot_layout(ctx.cut)
-    n_matrix = sum(idx.size for _, idx, mat in operators._pieces(ctx) if mat is not None)
+    n_matrix = sum(idx.size for _, idx, mat in ctx.pieces if mat is not None)
     assert ctx.scatter_index.size - n_matrix == nloc * len(ctx.cut.cell) == ctx.slot_dofs.size
 
     bincount, sizes = np.bincount, []
@@ -1046,7 +1065,7 @@ def test_a_context_from_its_constructor_starts_with_zeroed_timers(rng):
     # vmult and reports it as build_context's own contexts do
     built = disk_context(2, 6, 2)
     ctx = OperatorContext(**{f.name: getattr(built, f.name) for f in dataclasses.fields(built)
-                             if f.init and f.name not in ("timers", "_error_blocks")})
+                             if f.init and f.name != "timers"})
     assert ctx.timers == built.timers and ctx.timers["applications"] == 0
     u = rng.standard_normal(ctx.n_dofs)
     assert np.array_equal(vmult(ctx, u), vmult(built, u))

@@ -1,5 +1,7 @@
 """Conjugate gradients, L2 error evaluation, and the manufactured problems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -226,21 +228,40 @@ def test_l2_error_constant_on_sphere():
     assert abs(err - np.sqrt(4.0 * np.pi / 3.0)) <= 1e-5
 
 
-def test_l2_error_caches_the_rows_of_its_error_rules_and_builds_no_rule_again(monkeypatch):
+def _held(ctx, skip=()):
+    """(field, key, object) for every field of ctx but skip, and for each
+    entry of a dict or list field: what a call may not replace or add to."""
+    held = []
+    for f in dataclasses.fields(ctx):
+        if f.name not in skip:
+            value = getattr(ctx, f.name)
+            entries = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+            held += [(f.name, None, value)] + [(f.name, key, entry) for key, entry in entries]
+    return held
+
+
+def _same_objects(before, after):
+    return len(before) == len(after) and all(a[:2] == b[:2] and a[2] is b[2] for a, b in zip(before, after))
+
+
+def test_l2_error_keeps_nothing_on_the_context_and_the_actions_change_only_its_timers():
+    # l2_error builds its error-order rules in the call and drops them;
+    # vmult and assemble_rhs read what build_context stored and touch only
+    # the timers
     ctx = disk_context(2, 6, 2)
     u_h = np.random.default_rng(3).standard_normal(ctx.n_dofs)
-    u_exact = lambda x: np.cos(x[..., 0]) * x[..., 1]
+    u_exact = lambda x: np.cos(x[..., 0]) * x[..., 1]  # noqa: E731
+    before = _held(ctx)
     first = l2_error(ctx, u_h, u_exact)
-    blk = ctx._error_blocks[ctx.params.error_quad_order]
-    n = blk.weights.size  # the rows of the rules alone: no table, nor memory for one
-    assert n and blk.points.shape == (n, 2) and blk.cell.shape == (n,) and blk.normals is None
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("l2_error built a cut rule again")
-
-    monkeypatch.setattr(cutquad, "cut_cell_quadrature", forbidden)
+    assert _same_objects(before, _held(ctx))
     assert l2_error(ctx, u_h, u_exact) == first
-    assert ctx._error_blocks[ctx.params.error_quad_order] is blk
+    assert _same_objects(before, _held(ctx))
+
+    before = _held(ctx, skip=("timers",))
+    vmult(ctx, u_h)
+    assemble_rhs(ctx, u_exact)
+    assert ctx.timers["applications"] == 1
+    assert _same_objects(before, _held(ctx, skip=("timers",)))
 
 
 @pytest.mark.parametrize("degree", [1, 2])
