@@ -395,10 +395,16 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _volume_points(ctx) -> str:
-    """The cut cells' volume points in their rules and in the cut block (not
-    its padding), where a cell of more than (2k+1)^d keeps (2k+1)^d moment-fitted ones."""
-    blk = ctx.cut
-    return f"volume_points rule={ctx.volume.weights.size} block={np.count_nonzero(blk.real & (blk.cross == 0.0))}"
+    """The cut cells' volume points in their rules and in the cut block, where
+    a cell of more than (2k+1)^d keeps (2k+1)^d moment-fitted ones: the
+    block's real rows less 2 per surface point, over d rows per volume point."""
+    rows = np.count_nonzero(ctx.cut.real) - 2 * ctx.surface.weights.size
+    return f"volume_points rule={ctx.volume.weights.size} block={rows // ctx.mesh.dim}"
+
+
+def _cut_rows(ctx) -> str:
+    """The cut block's rows, stored (padding included) and real."""
+    return f"cut_rows stored={ctx.cut.real.size} real={np.count_nonzero(ctx.cut.real)}"
 
 
 def _log(msg: str) -> None:
@@ -467,9 +473,10 @@ def _bench_point_cell(elem, spacing, u_cells, pts_ref, weights):
     """The per-point cut-cell kernel as a call: a cut block of volume points
     only at arbitrary reference points, pts_ref (n_cells, points per cell,
     d), is tabulated here by one cut_block call, as build_context tabulates
-    its one (every cell has S points: one slot each, no padding), and the
-    call gathers by slot and applies cut_apply, a weak Laplacian per cell,
-    as vmult does.  The reference points stand in for the physical ones."""
+    its one (every cell has S rows, d per point: one slot each, no
+    padding), and the call gathers by slot and applies cut_apply, a weak
+    Laplacian per cell, as vmult does.  The reference points stand in for
+    the physical ones."""
     n_cells, n_pts, d = pts_ref.shape
     blk = cut_block(elem, spacing, (pts_ref.reshape(-1, d), weights, np.repeat(np.arange(n_cells), n_pts)))
     return lambda: cut_apply(blk, np.take(u_cells, blk.cell, axis=0))
@@ -546,7 +553,7 @@ def run_multiballs(cfg: RunConfig) -> int:
         write_csv(out / f"breakdown_balls{n_balls}.csv", BREAKDOWN_HEADER, breakdown_report(ctx))
         _log(
             f"multiballs n={n_balls}: n_dofs={ctx.n_dofs} cut_fraction={cut_fraction:.3f} "
-            f"throughput={dofs_per_second:.3e} DoFs/s {_volume_points(ctx)}"
+            f"throughput={dofs_per_second:.3e} DoFs/s {_volume_points(ctx)} {_cut_rows(ctx)}"
         )
     write_csv(out / "multiballs.csv", THROUGHPUT_HEADER, rows)
     _log(f"wrote {out / 'multiballs.csv'}")
@@ -585,7 +592,7 @@ def run_breakdown(cfg: RunConfig) -> int:
     write_stacked_bar_svg(out / "breakdown.svg", rows, f"vmult time breakdown (k={k})")
     for component, seconds, percent in rows:
         _log(f"breakdown {component}: {seconds:.4f} s ({percent:.1f}%)")
-    _log(f"breakdown {_volume_points(ctx)}")
+    _log(f"breakdown {_volume_points(ctx)} {_cut_rows(ctx)}")
     _log(f"wrote {out / 'breakdown.csv'} and {out / 'breakdown.svg'}")
     return 3 if (_fallbacks(ctx, f"breakdown k={k}") and cfg.strict) else 0
 

@@ -20,19 +20,20 @@ them, in this order:
   tensor grid of Gauss nodes (``_moment_fitted``): every volume integrand
   lies in Q_2k, where that rule is exact, so the cell's volume matrix
   changes only in rounding; the right-hand side and the error keep the
-  full rules.  Each point holds the d basis rows its term reads: a volume
-  point the reference derivatives along each axis, a surface point the
-  value phi_i and the Nitsche normal derivative D_i = sum_a (-w n_a / h_a)
-  d_a phi_i, and in 3D a zero row.  The points sit in fixed-size slots of
-  S points: a cell of n_c points fills ceil(n_c / S) slots of its own,
-  the last one padded with exact zeros, and S is the most common n_c (the
-  smallest on a tie), so most cells fill one slot exactly.  The rows are
-  slot-major, (n_slots, d S, nloc), each slot one C-contiguous matrix.
-  One batched matrix-vector product takes each slot's gathered cell
-  coefficients to d numbers y per point; a per-point coupling, t = cross
-  (y_1, y_0), y *= factors, y[:2] += t, scales a volume point's y by
-  w / h_a^2 and turns a surface point's (u, D u) into (penalty w u + D u,
-  u); a second batched product takes y back to one row of nloc
+  full rules.  The block holds basis rows r, each with a factor f, and the
+  cut piece of a slot is R^T diag(f) R.  A volume point gives the d
+  reference derivative rows d_a phi_i with factors w / h_a^2.  A surface
+  point couples its value row phi_i and its Nitsche row D_i = sum_a (-w n_a
+  / h_a) d_a phi_i through the symmetric 2x2 matrix [[penalty w, 1], [1,
+  0]]; the block stores its two eigen-rows instead, so a surface point
+  gives 2 rows, also in 3D, and no row couples to another.  The rows sit
+  in fixed-size slots of S rows: a cell of n_c rows fills ceil(n_c / S)
+  slots of its own, the last one padded with exact zeros, and S is the
+  most common n_c (the smallest on a tie), so most cells fill one slot
+  exactly.  The rows are slot-major, (n_slots, S, nloc), each slot one
+  C-contiguous matrix.  One batched matrix-vector product takes each
+  slot's gathered cell coefficients to one number y per row, y *= factors,
+  and a second batched product takes y back to one row of nloc
   test-function values per slot.  A cell of several slots gives several
   rows, which the scatter sums,
 * "ghost_penalty", one piece per axis: the faces normal to it apply
@@ -52,15 +53,15 @@ and runs its kernel on every call.
 Everything that depends only on the geometry is tabulated once, when the
 context is built: the cut block (``cut_block``), whose basis rows,
 products of the cut points' 1D tables, are tabulated chunk by chunk and
-written to their slots, with the per-point factors and cross weights and
-each slot's cell; the slots' DoFs (``slot_dofs``, the DoF table of the
-cut piece, nloc per slot); the list of pieces (``pieces``); and one
-scatter index over the values of all pieces.  No block holds a per-point
-DoF index.  A ``vmult`` call does
-only the work that depends on u: each piece gathers by its DoF table once
-and writes its values into its slice of one value buffer, in scatter
-order (the GEMMs through ``sumfac.contract_axis``, the cut piece one row
-per slot), and a single ``bincount`` adds the buffer into the result.
+written to their row slots, with the rows' factors and each slot's cell;
+the slots' DoFs (``slot_dofs``, the DoF table of the cut piece, nloc per
+slot); the list of pieces (``pieces``); and one scatter index over the
+values of all pieces.  No block holds a per-point DoF index.  A ``vmult``
+call does only the work that depends on u: each piece gathers by its DoF
+table once and writes its values into its slice of one value buffer, in
+scatter order (the GEMMs through ``sumfac.contract_axis``, the cut piece
+one row per slot), and a single ``bincount`` adds the buffer into the
+result.
 
 Empty pieces are left out, and so are the ghost pieces when gamma_A = 0.
 ``apply_ghost_penalty`` and ``assemble_rhs`` scatter with one ``bincount``
@@ -142,23 +143,22 @@ class PointBlock:
 
 @dataclass
 class CutBlock:
-    """The one operand of cut_apply: every cut cell's volume points and then
-    its surface points in fixed-size slots of S points, with the rows and
-    per-point coupling of both cut terms.  Volume points hold the d
-    reference derivative rows R_a; surface points hold the value row phi_i
-    and the Nitsche row D_i, and in 3D a zero third row.  A cell of n_c
-    points fills ceil(n_c / S) slots of its own, the last one padded with
-    exact zeros in rows, factors and cross.  S is the most common point
-    count of a cell with points (the smallest on a tie), so most cells fill
-    one slot exactly.  A cell has at most (2k+1)^d volume points: those of
-    its rule, or the moment-fitted grid points that replace more.
-    Tabulated once, in this order, by cut_block."""
+    """The one operand of cut_apply, R^T diag(f) R per slot: every cut cell's
+    volume points and then its surface points as rows in fixed-size slots of
+    S rows, each row with its factor.  A volume point gives the d reference
+    derivative rows R_a with factors w / h_a^2; a surface point gives the two
+    eigen-rows of its Nitsche coupling (cut_block).  A cell of n_c rows fills
+    ceil(n_c / S) slots of its own, the last one padded with exact zeros in
+    rows and factors.  S is the most common row count of a cell with points
+    (the smallest on a tie), so most cells fill one slot exactly.  A cell has
+    at most (2k+1)^d volume points: those of its rule, or the moment-fitted
+    grid points that replace more.  Tabulated once, in this order, by
+    cut_block."""
 
-    rows: np.ndarray     # (n_slots, d S, nloc): per slot, row a of its S points at a S .. a S + S - 1
-    factors: np.ndarray  # (n_slots, d, S) w / h_a^2 at volume points; penalty w on a surface value row; else 0
-    cross: np.ndarray    # (n_slots, S) 1 at surface points, 0 at volume points and padding
+    rows: np.ndarray     # (n_slots, S, nloc)
+    factors: np.ndarray  # (n_slots, S), 0 at padding
     cell: np.ndarray     # (n_slots,) the cut cell of each slot (position in the cut-cell list), nondecreasing
-    real: np.ndarray     # (n_slots, S) True at points, False at padding
+    real: np.ndarray     # (n_slots, S) True at rows, False at padding
 
 
 def _zero_timers() -> dict:
@@ -169,7 +169,8 @@ def _zero_timers() -> dict:
 @dataclass
 class OperatorContext:
     """Everything vmult needs, precomputed once per (mesh, level set, k); the
-    fields not passed to the constructor are derived from the others."""
+    fields not passed to the constructor are derived from the others, and
+    each context, a dataclasses.replace copy too, starts its own timers."""
 
     mesh: CartesianMesh
     levelset: object
@@ -192,7 +193,7 @@ class OperatorContext:
     slot_dofs: np.ndarray = field(init=False)        # (n_slots, nloc) DoFs of each cut-block slot's cell
     pieces: list[tuple] = field(init=False)          # (component, DoF table, local matrix) in scatter order
     scatter_index: np.ndarray = field(init=False)    # DoF of each value vmult's pieces produce, in order
-    timers: dict[str, float] = field(default_factory=_zero_timers)
+    timers: dict[str, float] = field(init=False, default_factory=_zero_timers)
 
     def __post_init__(self):
         self.slot_dofs = self.cut_dofs[self.cut.cell]
@@ -255,47 +256,53 @@ def cut_block(elem, spacing, volume: tuple, surface: tuple | None = None, penalt
     """The cut piece's one block from volume points (xi, weights, cell) and,
     if given, surface points (xi, weights, cell, normals), each kind at
     reference coordinates xi (N, d) and grouped by cell: each cell's volume
-    points, moment-fitted to (2k+1)^d grid points where it has more
-    (_moment_fitted), and then its surface points, in slots of S points,
-    with the per-point factors w / h_a^2 of the grad-grad term, penalty w of
-    the Nitsche value term, and cross 1 at the surface points.  The rows are
-    tabulated chunk by chunk from the 1D tables of the chunk's points: the
-    reference derivatives R_a of every point (_write_tensor_rows), and then
-    over the surface points' columns the Nitsche row D = sum_a (-w n_a /
-    h_a) R_a, the value row and zeros; each chunk's (d, nloc, P) rows, at
-    most _POINT_CHUNK values, are then written to their slots."""
+    points, moment-fitted where it has more than (2k+1)^d (_moment_fitted),
+    and then its surface points, as rows in slots of S rows.  A volume point
+    gives its d derivative rows R_a, factors w / h_a^2.  A surface point's
+    value row phi and Nitsche row D = sum_a (-w n_a / h_a) R_a couple by
+    [[p, 1], [1, 0]], p = penalty w, whose eigenvalues lam = sign(p) (|p| +
+    sqrt(p^2 + 4)) / 2 and -1 / lam have no cancellation for any finite p:
+    it gives the rows (lam phi + D) / sqrt(lam^2 + 1) with factor lam and
+    the same for -1 / lam.  The rows are tabulated chunk by chunk from the
+    1D tables of the chunk's points, each chunk's (d, nloc, P), at most
+    _POINT_CHUNK values, written to its row slots."""
     volume = _moment_fitted(elem, *volume)
     parts = [volume + (np.zeros_like(volume[0]),)] + ([] if surface is None else [surface])  # no volume normal
     order = np.argsort(np.concatenate([part[2] for part in parts]), kind="stable")  # volume points stay first
     xi, weights, cell, normals = (np.concatenate(arrays)[order] for arrays in zip(*parts))
     surf = order >= len(volume[2])
-    h = np.asarray(spacing, dtype=float)
-    factors = np.where(surf, 0.0, weights / np.square(h)[:, None])
-    factors[0, surf] = penalty * weights[surf]
-    counts = np.bincount(cell)  # each cell's points, then its slots and each point's slot and place in it
+    d, nloc, h = xi.shape[1], (elem.degree + 1) ** xi.shape[1], np.asarray(spacing, dtype=float)
+    factors = weights[:, None] / np.square(h)  # (N, d): a surface point's first two are its eigenvalues
+    p = penalty * weights[surf]
+    lam = np.copysign(0.5 * (np.abs(p) + np.hypot(p, 2.0)), p)
+    factors[surf, :2] = np.stack([lam, -1.0 / lam], axis=1)
+    mine = np.arange(d) < np.where(surf, 2, d)[:, None]  # (N, d): the rows each point has, in block order
+    row_cell = np.repeat(cell, mine.sum(1))
+    counts = np.bincount(row_cell)  # each cell's rows, then its slots and each row's slot and place in it
     size = 1 + int(np.argmax(np.bincount(counts, minlength=2)[1:]))  # S: most common count but 0, least on a tie
     per_cell = -(-counts // size)
-    rank = np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell]
-    slot, place = (np.cumsum(per_cell) - per_cell)[cell] + rank // size, rank % size
-    d, nloc, n = xi.shape[1], (elem.degree + 1) ** xi.shape[1], per_cell.sum()
-    blk = CutBlock(np.zeros((n, d * size, nloc)), np.zeros((n, d, size)), np.zeros((n, size)),  # padding stays 0
+    rank = np.arange(len(row_cell)) - (np.cumsum(counts) - counts)[row_cell]
+    slot, place = (np.cumsum(per_cell) - per_cell)[row_cell] + rank // size, rank % size
+    n = per_cell.sum()
+    blk = CutBlock(np.zeros((n, size, nloc)), np.zeros((n, size)),  # padding stays 0
                    np.repeat(np.arange(len(counts)), per_cell), np.zeros((n, size), dtype=bool))
-    blk.factors[slot, :, place], blk.cross[slot, place], blk.real[slot, place] = factors.T, surf, True
-    slots = blk.rows.reshape(-1, d, size, nloc)
+    blk.factors[slot, place], blk.real[slot, place] = factors[mine], True
+    end = 0
     for sl, _, _ in _chunks(cell, d * nloc):
         vals, part = tabulate(elem, xi[sl]), np.empty((d, nloc, sl.stop - sl.start))
         for a in range(d):  # R_a, with the derivative table of axis a alive for this call only
             _write_tensor_rows(part[a], [tabulate(elem, xi[sl, a:a + 1], 1)[0] if b == a else vals[b]
                                          for b in range(d)])
-        s = np.flatnonzero(surf[sl])  # surface columns: D summed from zero axis by axis, then phi, then zeros
+        s = np.flatnonzero(surf[sl])  # surface columns: D summed from zero axis by axis, then the two rows
         coefs = -(weights[sl][s, None] * normals[sl][s]) / h
         nitsche = np.zeros((nloc, len(s)))
         for a in range(d):
             nitsche += coefs[:, a] * part[a][:, s]
-        part[1][:, s] = nitsche
-        part[0][:, s] = _tensor_rows(vals[..., s], 1)
-        part[2:, :, s] = 0.0
-        slots[slot[sl], :, place[sl]] = part.transpose(2, 0, 1)
+        phi = _tensor_rows(vals[..., s], 1)
+        for j, ev in enumerate(factors[sl][s, :2].T):
+            part[j][:, s] = (ev * phi + nitsche) / np.hypot(ev, 1.0)
+        start, end = end, end + np.count_nonzero(mine[sl])
+        blk.rows[slot[start:end], place[start:end]] = part.transpose(2, 0, 1)[mine[sl]]
     return blk
 
 
@@ -422,21 +429,18 @@ def _write_tensor_rows(out: np.ndarray, tabs) -> None:
 
 def cut_apply(blk: CutBlock, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The cut piece for the coefficients g (n_slots, nloc) of each slot's
-    cell: one row of nloc values per slot, in out (a new array if None).
-    Each slot's rows take g to y = R g (d, S) in one batched matrix-vector
-    product; y is coupled point by point, t = cross (y_1, y_0), y *= factors,
-    y[:2] += t, and a second batched product takes it back, R^T y.  At a
-    volume point that scales the derivatives by w / h_a^2; at a surface
-    point (rows phi_i, D_i, 0) it turns (u, D u) into (penalty w u + D u,
-    u): the symmetric Nitsche terms.  Padding adds exact zeros, and the rows
-    of a cell's several slots are summed by the caller's scatter."""
-    n, d, size = blk.factors.shape
+    cell: one row of nloc values per slot, in out (a new array if None),
+    R^T diag(f) R g with R the slot's rows and f their factors.  One batched
+    matrix-vector product takes g to y = R g (S per slot), y *= f, and a
+    second batched product takes y back, y^T R: the grad-grad term at the
+    volume rows and the symmetric Nitsche terms at the surface rows, each
+    row on its own.  Padding adds exact zeros, and the rows of a cell's
+    several slots are summed by the caller's scatter."""
+    n, size = blk.factors.shape
     out = np.empty(g.shape) if out is None else out
-    y = np.matmul(blk.rows, g[..., None]).reshape(n, d, size)
-    t = blk.cross[:, None] * y[:, 1::-1]
-    y *= blk.factors
-    y[:, :2] += t
-    np.matmul(y.reshape(n, 1, d * size), blk.rows, out=out[:, None])
+    y = np.matmul(blk.rows, g[..., None]).reshape(n, 1, size)
+    y *= blk.factors[:, None]
+    np.matmul(y, blk.rows, out=out[:, None])
     return out
 
 

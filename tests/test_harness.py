@@ -18,6 +18,7 @@ from mfcutfem.harness import (
     ConfigError,
     RunConfig,
     _bench_point_cell,
+    _cut_rows,
     _params,
     _volume_points,
     build_config,
@@ -282,7 +283,8 @@ def test_kernelbench_point_cell_call_does_no_set_up(monkeypatch):
 
 
 def test_kernelbench_point_cell_block_has_no_padding(monkeypatch):
-    # nloc points in every cell: S = nloc, one full slot per cell
+    # nloc volume points in every cell, d rows each: S = d nloc, one full
+    # slot per cell
     rng = np.random.default_rng(0)
     blocks = []
     monkeypatch.setattr(harness, "cut_block", lambda *args: blocks.append(operators.cut_block(*args)) or blocks[-1])
@@ -291,7 +293,7 @@ def test_kernelbench_point_cell_block_has_no_padding(monkeypatch):
         call = _bench_point_cell(build_reference_element(k), (0.1,) * d, rng.standard_normal((8, nloc)),
                                  rng.random((8, nloc, d)), np.full(8 * nloc, 1e-3 / nloc))
         blk = blocks[-1]
-        assert blk.cross.shape[1] == nloc and blk.real.all() and blk.cell.tolist() == list(range(8))
+        assert blk.factors.shape[1] == d * nloc and blk.real.all() and blk.cell.tolist() == list(range(8))
         assert call().shape == (8, nloc)
 
 
@@ -299,9 +301,11 @@ def test_kernelbench_point_cell_block_has_no_padding(monkeypatch):
 # multi-ball throughput driver
 
 
-@pytest.mark.parametrize("dim, cells, degree, depth, balls, rule, block",
-                         [(2, 48, 2, 8, 0, 1746, 1746), (3, 6, 1, 2, 3, 3140, 1395)], ids=["disk", "three-balls"])
-def test_volume_points_log_counts_the_block_without_its_padding(dim, cells, degree, depth, balls, rule, block):
+@pytest.mark.parametrize("dim, cells, degree, depth, balls, rule, block, stored, real",
+                         [(2, 48, 2, 8, 0, 1746, 1746, 4656, 4404), (3, 6, 1, 2, 3, 3140, 1395, 6464, 5981)],
+                         ids=["disk", "three-balls"])
+def test_volume_points_log_counts_the_block_without_its_padding(dim, cells, degree, depth, balls, rule, block, stored,
+                                                                real):
     # a unit disk at 48^2, k = 2, and a union of three balls at 6^3, k = 1,
     # quadrature depth 2, each shifted by under half a cell; the three balls'
     # crowded cells keep 27 moment-fitted volume points each
@@ -315,6 +319,7 @@ def test_volume_points_log_counts_the_block_without_its_padding(dim, cells, degr
     ctx = build_context(mesh, phi, Parameters(degree=degree, max_quad_depth=depth))
     assert (~ctx.cut.real).any()  # padding the count leaves out
     assert _volume_points(ctx) == f"volume_points rule={rule} block={block}"
+    assert _cut_rows(ctx) == f"cut_rows stored={stored} real={real}"
 
 
 def test_multiballs_csv(tmp_path, capsys):
@@ -341,9 +346,13 @@ def test_multiballs_csv(tmp_path, capsys):
         bheader, brows = read_csv(tmp_path / f"breakdown_balls{n}.csv")
         assert bheader == BREAKDOWN_HEADER
         assert sum(float(r[2]) for r in brows) == pytest.approx(100.0, abs=0.5)
-    # each run logs its cut cells' volume points in the rules and in the cut block
-    counts = re.findall(r"multiballs n=\d+: .* volume_points rule=(\d+) block=(\d+)", capsys.readouterr().err)
+    # each run logs its cut cells' volume points in the rules and in the cut
+    # block, and the block's stored and real rows
+    err = capsys.readouterr().err
+    counts = re.findall(r"multiballs n=\d+: .* volume_points rule=(\d+) block=(\d+)", err)
     assert len(counts) == 2 and all(0 < int(block) <= int(rule) for rule, block in counts)
+    rows = re.findall(r"multiballs n=\d+: .* cut_rows stored=(\d+) real=(\d+)", err)
+    assert len(rows) == 2 and all(0 < int(real) <= int(stored) for stored, real in rows)
 
 
 def test_multiballs_degenerate_domain(tmp_path):
@@ -380,7 +389,8 @@ def test_ball_file_needs_one_ball_count(tmp_path, capsys):
     # breakdown reads the file whatever the (default) ball counts
     capsys.readouterr()
     assert main(["breakdown", "--domain", "balls"] + common) == 0
-    assert re.search(r"breakdown volume_points rule=\d+ block=\d+", capsys.readouterr().err)
+    assert re.search(r"breakdown volume_points rule=\d+ block=\d+ cut_rows stored=\d+ real=\d+",
+                     capsys.readouterr().err)
 
 
 def test_ball_file_is_checked_at_configuration_time(tmp_path, capsys):

@@ -96,11 +96,13 @@ def test_parameter_validation():
 def test_context_structure_disk():
     ctx = disk_context(2, 4, 2)
     assert ctx.n_dofs == ctx.dofmap.n_active
-    # Nitsche's penalty gamma_D / h_min times the weight on each surface point's value row
-    _, factors, cross, _ = _points_of(ctx.cut)
-    surf = cross == 1.0
-    assert_allclose(factors[0, surf], ctx.params.gamma_dirichlet / (2.52 / 4) * ctx.surface.weights, rtol=1e-15)
-    assert not factors[1:, surf].any()
+    # each surface point's two rows carry the eigenvalues of its coupling
+    # [[p, 1], [1, 0]], p = gamma_D / h_min times its weight: their sum is p
+    # and their product -1
+    lam = _rows_of(ctx.cut)[1][_surface_rows(ctx.cut, ctx.surface.cell)].reshape(-1, 2)
+    p = ctx.params.gamma_dirichlet / (2.52 / 4) * ctx.surface.weights
+    assert (np.abs(lam.sum(1) - p) <= 1e-15 * np.abs(lam).max(1)).all()
+    assert_allclose(lam.prod(1), -1.0, rtol=1e-15)
     assert len(ctx.cut_cells) > 0
     assert ctx.fallback_count == 0
     # every cut cell owns one run of volume points, in cut-cell order
@@ -391,43 +393,55 @@ def _add_by_cell(out, blk, vals):
     return out
 
 
-def _points_of(blk):
-    """The cut block's points in block order without the padding, point-last:
-    rows (d, nloc, N), factors (d, N), cross (N,) and cell (N,)."""
-    n, d, size = blk.factors.shape
-    rows = blk.rows.reshape(n, d, size, -1).transpose(1, 3, 0, 2)[..., blk.real]
-    return rows, blk.factors.transpose(1, 0, 2)[:, blk.real], blk.cross[blk.real], np.repeat(blk.cell, blk.real.sum(1))
+def _rows_of(blk):
+    """The cut block's rows in block order without the padding: rows
+    (N, nloc), factors (N,) and cell (N,)."""
+    return blk.rows[blk.real], blk.factors[blk.real], np.repeat(blk.cell, blk.real.sum(1))
+
+
+def _surface_rows(blk, surface_cell):
+    """Which of the rows of _rows_of(blk) are surface rows, given the cells
+    of the surface points: the last two per surface point of each cell."""
+    cells = _rows_of(blk)[2]
+    n_rows = np.bincount(cells)
+    rank = np.arange(len(cells)) - (np.cumsum(n_rows) - n_rows)[cells]
+    return rank >= (n_rows - 2 * np.bincount(surface_cell, minlength=len(n_rows)))[cells]
 
 
 def _spans_slots(blk, n):
-    """Whether some cell's points fill at least n slots."""
+    """Whether some cell's rows fill at least n slots."""
     return np.bincount(blk.cell).max(initial=0) >= n
 
 
 def _assert_slot_layout(blk):
-    """A cut block's slots: each cell's points fill its slots from the front
-    and only its last slot holds padding; S is the most common point count
-    of a cell with points (the smallest on a tie); and padded places hold
-    exact zeros in rows, factors and cross."""
-    n, d, size = blk.factors.shape
+    """A cut block's slots: each cell's rows fill its slots from the front
+    and only its last slot holds padding; S is the most common row count of
+    a cell with rows (the smallest on a tie); and padded places hold exact
+    zeros in rows and factors."""
+    size = blk.factors.shape[1]
     filled = blk.real.sum(1)
     assert np.array_equal(blk.real, np.arange(size) < filled[:, None]) and filled.all()
     assert (np.diff(blk.cell) >= 0).all() and (filled[:-1][np.diff(blk.cell) == 0] == size).all()
     n_c = np.bincount(blk.cell, weights=filled).astype(int)
     assert size == np.argmax(np.bincount(n_c[n_c > 0]))
-    pad = ~blk.real
-    assert not blk.rows.reshape(n, d, size, -1).transpose(0, 2, 1, 3)[pad].any()
-    assert not blk.factors.transpose(0, 2, 1)[pad].any() and not blk.cross[pad].any()
+    assert not blk.rows[~blk.real].any() and not blk.factors[~blk.real].any()
 
 
 def _cut_by_cell(ctx, u, volume=True, surface=True):
     """The cut piece's volume and Nitsche terms for the DoF vector u by cell,
-    (n_cut, nloc), from cut_apply on the cut block with the coupling of the
-    terms left out set to zero; for a u that is zero outside cut cell j's
-    DoFs, row j is that cell's own form."""
-    keep = np.where(ctx.cut.cross == 1.0, surface, volume)
-    blk = dataclasses.replace(ctx.cut, factors=ctx.cut.factors * keep[:, None], cross=ctx.cut.cross * keep)
-    return _add_by_cell(np.zeros(ctx.cut_dofs.shape), blk, cut_apply(blk, np.take(u, ctx.slot_dofs)))
+    (n_cut, nloc), from cut_apply on ctx's cut block or, for one term alone,
+    on a block that cut_block builds from ctx's points of that kind only;
+    for a u that is zero outside cut cell j's DoFs, row j is that cell's own
+    form."""
+    blk = ctx.cut
+    if not (volume and surface):
+        vol, surf, mesh = ctx.volume, ctx.surface, ctx.mesh
+        xi_v, xi_s = (operators._reference_coords(mesh, ctx.cut_cells, b.points, b.cell) for b in (vol, surf))
+        keep = slice(None) if volume else slice(0)
+        blk = cut_block(ctx.elem, mesh.spacing, (xi_v[keep], vol.weights[keep], vol.cell[keep]),
+                        (xi_s, surf.weights, surf.cell, surf.normals) if surface else None,
+                        ctx.params.gamma_dirichlet / min(mesh.spacing))
+    return _add_by_cell(np.zeros(ctx.cut_dofs.shape), blk, cut_apply(blk, u[ctx.cut_dofs[blk.cell]]))
 
 
 def test_cut_cell_apply_matches_dense_blocks(rng):
@@ -563,15 +577,15 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
     tables = point_first_tables(elem, xi)
     ref_vol = point_first_volume(*tables, weights, cell, spacing, u_cells)
     ref_nit = point_first_nitsche(*tables, weights, normals, cell, spacing, penalty, u_cells)
-    # volume points only, surface points only, and both: points per cell 4,
-    # 0, 3, 5, 0 (S = 3, the smallest of three tied counts) or 8, 0, 6, 10
-    # (S = 6), each cell in ceil(n_c / S) slots of its own and none for the
-    # cells without points
-    for blk, size, filled, ref in [(cut_block(elem, spacing, vol), 3, [3, 1, 3, 3, 2], ref_vol),
-                                   (cut_block(elem, spacing, no_vol, surf, penalty), 3, [3, 1, 3, 3, 2], ref_nit),
-                                   (cut_block(elem, spacing, vol, surf, penalty), 6, [6, 2, 6, 6, 4],
+    # volume points only, surface points only (2 rows each, as a 2D volume
+    # point), and both: rows per cell 8, 0, 6, 10, 0 (S = 6, the smallest of
+    # three tied counts) or 16, 0, 12, 20, 0 (S = 12), each cell in
+    # ceil(n_c / S) slots of its own and none for the cells without points
+    for blk, size, filled, ref in [(cut_block(elem, spacing, vol), 6, [6, 2, 6, 6, 4], ref_vol),
+                                   (cut_block(elem, spacing, no_vol, surf, penalty), 6, [6, 2, 6, 6, 4], ref_nit),
+                                   (cut_block(elem, spacing, vol, surf, penalty), 12, [12, 4, 12, 12, 8],
                                     ref_vol + ref_nit)]:
-        assert blk.cross.shape[1] == size and blk.cell.tolist() == [0, 0, 2, 3, 3]
+        assert blk.factors.shape[1] == size and blk.cell.tolist() == [0, 0, 2, 3, 3]
         assert blk.real.sum(1).tolist() == filled
         _assert_slot_layout(blk)
         out = _add_by_cell(np.zeros(u_cells.shape), blk, cut_apply(blk, u_cells[blk.cell]))
@@ -583,11 +597,11 @@ def test_cut_cells_without_points_get_exact_zeros(chunk_points, rng, monkeypatch
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
     # row i at a point is the product over the axes of 1D table entries,
-    # axis 0 fastest in i: in a cut block's volume columns the derivative
-    # table on axis a for row a; in its surface columns values only for the
-    # value row, and the D row is sum_a c_a times the volume row of axis a,
-    # c_a = -w n_a / h_a; _tensor_rows scales the value row by a
-    # coefficient per point
+    # axis 0 fastest in i: a volume point's row a has the derivative table
+    # on axis a; a surface point's two rows are (lam phi + D) / sqrt(lam^2 +
+    # 1) at its factors lam, from the value row phi (values only) and the D
+    # row, sum_a c_a times the volume row of axis a, c_a = -w n_a / h_a;
+    # _tensor_rows scales the value row by a coefficient per point
     elem = build_reference_element(degree)
     xi, weights, cell = rng.random((7, dim)), rng.random(7), np.arange(7)
     normals, spacing = rng.standard_normal((7, dim)), (0.25, 0.5, 0.125)[:dim]
@@ -600,12 +614,12 @@ def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
 
     derivs = np.stack([products(a) for a in range(dim)])
     blk = cut_block(elem, spacing, (xi, weights, cell), (xi, weights, cell, normals), 1.0)
-    rows, _, cross, _ = _points_of(blk)
-    vol, surf = cross == 0.0, cross == 1.0  # each cell's volume point, then its surface point
-    assert _max_rel(rows[..., vol], derivs) <= 1e-15
-    assert _max_rel(rows[0][:, surf], products(None)) <= 1e-15
-    assert _max_rel(rows[1][:, surf], np.einsum("ap,aip->ip", coefs, derivs)) <= 1e-15
-    assert not rows[2:, :, surf].any()
+    rows, factors, _ = _rows_of(blk)
+    surf = _surface_rows(blk, cell)  # each cell's volume point's d rows, then its surface point's two
+    assert _max_rel(rows[~surf].reshape(7, dim, -1).transpose(1, 2, 0), derivs) <= 1e-15
+    lam = factors[surf].reshape(7, 2).T[:, None]
+    eigen_rows = (lam * products(None) + np.einsum("ap,aip->ip", coefs, derivs)) / np.hypot(lam, 1.0)
+    assert _max_rel(rows[surf].reshape(7, 2, -1).transpose(1, 2, 0), eigen_rows) <= 1e-15
     tables = tabulate(elem, xi), tabulate(elem, xi, 1)
     assert _max_rel(operators._tensor_rows(tables[0], coefs[0]), coefs[0] * products(None)) <= 1e-15
 
@@ -632,13 +646,14 @@ def test_point_blocks_hold_no_per_point_dof_table():
     # integer array of nloc entries per point, and the context's slot DoFs
     # hold nloc per slot
     ctx = disk_context(3, 5, 2)
-    nloc = ctx.cut_dofs.shape[1]
+    nloc, n_surf = ctx.cut_dofs.shape[1], ctx.surface.weights.size
+    block_points = (ctx.cut.real.sum() - 2 * n_surf) // 3 + n_surf  # d rows per volume point, 2 per surface point
     for blk in [ctx.cut, ctx.volume, ctx.surface, _error_rows(ctx)]:
         arrays = [getattr(blk, f.name) for f in dataclasses.fields(blk)]
         ints = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
-        n_points = blk.real.sum() if blk is ctx.cut else blk.weights.size
+        n_points = block_points if blk is ctx.cut else blk.weights.size
         assert ints and all(a.size < nloc * n_points for a in ints)
-    assert ctx.slot_dofs.shape == (len(ctx.cut.cell), nloc) and ctx.slot_dofs.size < nloc * ctx.cut.real.sum()
+    assert ctx.slot_dofs.shape == (len(ctx.cut.cell), nloc) and ctx.slot_dofs.size < nloc * block_points
 
 
 def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
@@ -788,11 +803,13 @@ def test_one_cut_block_vmult_matches_the_point_first_and_dense_oracles(case, deg
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
-    # with every point its own cell, S = 1 and cut_apply's rows are the
-    # points' contributions: bitwise R^T (y w / h_a^2) with y = R u at a
-    # volume point and R^T (penalty w u + D u, u, 0) with (u, D u, 0) = R u
-    # at a surface point, taken one point at a time by the same products; and
-    # to rounding as the separate volume and Nitsche passes computed them
+    # with every point its own cell, S = d and each slot is one point's
+    # rows: cut_apply's row is bitwise y^T R with y = f R u, taken by the
+    # same products, where a volume point's rows are its derivative rows R_a
+    # with factors w / h_a^2 and a surface point's are its two eigen-rows
+    # (lam phi + D) / sqrt(lam^2 + 1), lam + lam' = penalty w, lam lam' = -1
+    # (in 3D one padded row); and to rounding as the separate volume and
+    # Nitsche passes computed them
     elem = build_reference_element(degree)
     nloc, n_vol, n_surf = (degree + 1) ** dim, 11, 7
     xi_v, xi_s = rng.random((n_vol, dim)), rng.random((n_surf, dim))
@@ -803,9 +820,9 @@ def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
     blk = cut_block(elem, spacing, (xi_v, w_v, np.arange(n_vol)),
                     (xi_s, w_s, np.arange(n_vol, n_vol + n_surf), normals), penalty)
     u_cells = rng.standard_normal((n_vol + n_surf, nloc))
-    assert blk.cross.shape[1] == 1 and blk.cell.tolist() == list(range(n_vol + n_surf)) and blk.real.all()
+    assert blk.factors.shape[1] == dim and blk.cell.tolist() == list(range(n_vol + n_surf))
+    assert blk.real[:n_vol].all() and (blk.real[n_vol:].sum(1) == 2).all()
     got = cut_apply(blk, u_cells[blk.cell])
-    rows = _points_of(blk)[0]
 
     # the rows of each kind as the two passes tabulated them: the volume
     # points' derivative rows, and the surface points' value row and
@@ -819,18 +836,17 @@ def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
     vals, derivs = derivative_rows(xi_s)
     coefs = (-(w_s[:, None] * normals) / np.asarray(spacing)).T
     surf_rows = np.stack([operators._tensor_rows(vals, 1), np.einsum("ap,aip->ip", coefs, derivs)])
-    assert np.array_equal(rows[..., :n_vol], vol_rows) and np.array_equal(rows[:2, :, n_vol:], surf_rows)
-    assert not rows[2:, :, n_vol:].any() and not _points_of(blk)[1][1:, n_vol:].any()
-
     scale = w_v / np.square(spacing)[:, None]
+    lam = blk.factors[n_vol:, :2].T
+    assert np.array_equal(blk.rows[:n_vol].transpose(1, 2, 0), vol_rows) and np.array_equal(blk.factors[:n_vol].T, scale)
+    assert (np.abs(lam.sum(0) - penalty * w_s) <= 1e-15 * np.abs(lam).max(0)).all()
+    assert np.array_equal(blk.rows[n_vol:, :2].transpose(1, 2, 0),
+                          (lam[:, None] * surf_rows[0] + surf_rows[1]) / np.hypot(lam, 1.0)[:, None])
+
     for p, u_p in enumerate(u_cells):
-        r_p = np.ascontiguousarray(rows[..., p])
-        y = r_p @ u_p
-        if p < n_vol:
-            y *= scale[:, p]
-        else:
-            y[:2] = (penalty * w_s[p - n_vol]) * y[0] + y[1], y[0]
-        assert np.array_equal(got[p], y @ r_p)
+        y = blk.rows[p] @ u_p
+        y *= blk.factors[p]
+        assert np.array_equal(got[p], y @ blk.rows[p])
 
     y = np.einsum("rip,ip->rp", vol_rows, u_cells[:n_vol].T)
     y *= scale
@@ -840,18 +856,50 @@ def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
     assert _max_rel(got.T, np.concatenate([old_vol, old_nitsche], axis=1)) <= 1e-14
 
 
+@pytest.mark.parametrize("penalty", [0.0, -37.0, 1e8])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_the_eigen_rows_sum_to_each_cells_volume_and_nitsche_matrices(dim, degree, penalty, rng):
+    # sum_rows f r r^T over a cell's slots is its volume matrix plus, over
+    # its surface points, p phi phi^T + phi D^T + D phi^T with p = penalty w,
+    # for a zero, a negative and a large penalty and a zero-weight surface
+    # point; the block holds d rows per volume point and 2 per surface point,
+    # no third row in 3D, and exact zeros at padding
+    elem, nloc = build_reference_element(degree), (degree + 1) ** dim
+    cell_v, cell_s = np.repeat([0, 1, 3], [5, 3, 8]), np.repeat([0, 2, 3], [3, 4, 6])
+    xi_v, xi_s = rng.random((len(cell_v), dim)), rng.random((len(cell_s), dim))
+    w_v, w_s = rng.random(len(cell_v)), rng.random(len(cell_s))
+    w_s[4] = 0.0
+    normals = rng.standard_normal((len(cell_s), dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    spacing = (0.25, 0.5, 0.125)[:dim]
+    blk = cut_block(elem, spacing, (xi_v, w_v, cell_v), (xi_s, w_s, cell_s, normals), penalty)
+    assert blk.real.sum() == dim * len(cell_v) + 2 * len(cell_s) and (~blk.real).any()
+    _assert_slot_layout(blk)
+
+    got = np.zeros((4, nloc, nloc))
+    np.add.at(got, blk.cell, np.einsum("nsi,ns,nsj->nij", blk.rows, blk.factors, blk.rows))
+    tables_v, tables_s = point_first_tables(elem, xi_v), point_first_tables(elem, xi_s)
+    ref = np.stack([point_first_volume(*tables_v, w_v, cell_v, spacing, np.tile(e, (4, 1)))
+                    + point_first_nitsche(*tables_s, w_s, normals, cell_s, spacing, penalty, np.tile(e, (4, 1)))
+                    for e in np.eye(nloc)], axis=-1)
+    for j in range(4):
+        assert np.abs(got[j] - ref[j]).max() <= 1e-13 * np.abs(ref[j]).max()
+
+
 @pytest.mark.parametrize("chunk_points", [None, 5], ids=["default-chunks", "5-point-chunks"])
 def test_the_cut_piece_is_one_block_with_ceil_n_over_s_slots_per_cell(chunk_points, rng, monkeypatch):
     # the cut piece's values are nloc per slot of the one cut block: a cell
-    # of n_c points (volume and surface points together) fills ceil(n_c / S)
-    # slots, S the most common n_c, whatever the chunks of its tabulation;
+    # of n_c rows (d per volume point and 2 per surface point) fills
+    # ceil(n_c / S) slots, S the most common n_c, whatever the chunks of its
+    # tabulation;
     # and vmult hands its one bincount a value buffer as long as the
     # scatter index
     if chunk_points is not None:
         monkeypatch.setattr(operators, "_POINT_CHUNK", chunk_points * 27)
     ctx = disk_context(3, 5, 2)
-    nloc, size = ctx.cut_dofs.shape[1], ctx.cut.cross.shape[1]
-    n_c = np.bincount(np.concatenate([ctx.volume.cell, ctx.surface.cell]), minlength=len(ctx.cut_cells))
+    nloc, size = ctx.cut_dofs.shape[1], ctx.cut.factors.shape[1]
+    n_c = np.bincount(np.concatenate([ctx.volume.cell] * 3 + [ctx.surface.cell] * 2), minlength=len(ctx.cut_cells))
     assert not _crowded(ctx).any() and n_c.all()
     assert size == np.argmax(np.bincount(n_c)) and _spans_slots(ctx.cut, 2)
     assert np.array_equal(np.bincount(ctx.cut.cell, minlength=len(n_c)), -(-n_c // size))
@@ -941,15 +989,17 @@ def test_moment_fitted_weights_reproduce_the_rule_on_q2k(dim, degree, chunk_poin
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_vmult_on_crowded_cut_cells_matches_the_dense_oracle(dim, degree, rng):
     # the dense oracle reads every point of the cut rules (ctx.cut_rules);
-    # the cut block holds (2k+1)^d volume points in each crowded cell, and
-    # the points of some cell fill at least 3 slots
+    # the cut block holds d rows for each of the (2k+1)^d volume points in
+    # a crowded cell and 2 per surface point, and the rows of some cell fill
+    # at least 3 slots
     ctx = _crowded_context(dim, degree)
     crowded, cap = _crowded(ctx), (2 * degree + 1) ** dim
     n_vol = np.bincount(ctx.volume.cell, minlength=len(ctx.cut_cells))
     assert crowded.any() and _spans_slots(ctx.cut, 3)
     _assert_slot_layout(ctx.cut)
-    _, _, cross, cells = _points_of(ctx.cut)
-    assert np.array_equal(np.bincount(cells[cross == 0.0], minlength=len(n_vol)), np.where(crowded, cap, n_vol))
+    n_surf = np.bincount(ctx.surface.cell, minlength=len(n_vol))
+    assert np.array_equal(np.bincount(_rows_of(ctx.cut)[2], minlength=len(n_vol)),
+                          dim * np.where(crowded, cap, n_vol) + 2 * n_surf)
     u = rng.standard_normal(ctx.n_dofs)
     au = dense_operator_matrix(ctx) @ u
     assert np.abs(vmult(ctx, u) - au).max() <= 1e-13 * np.abs(au).max()
@@ -974,12 +1024,11 @@ def test_cells_at_or_under_the_cap_keep_their_cut_block_columns_bitwise(make, ha
     if not has_crowded:
         for f in dataclasses.fields(ctx.cut):
             assert np.array_equal(getattr(ctx.cut, f.name), getattr(ref.cut, f.name))
-    # by point, without the padding: S may differ once crowded cells shrink
-    (rows, factors, cross, cells), (rows_ref, factors_ref, cross_ref, cells_ref) = map(_points_of, (ctx.cut, ref.cut))
+    # by row, without the padding: S may differ once crowded cells shrink
+    (rows, factors, cells), (rows_ref, factors_ref, cells_ref) = map(_rows_of, (ctx.cut, ref.cut))
     keep, keep_ref = ~crowded[cells], ~crowded[cells_ref]
-    assert np.array_equal(rows[..., keep], rows_ref[..., keep_ref])
-    assert np.array_equal(factors[:, keep], factors_ref[:, keep_ref])
-    assert np.array_equal(cross[keep], cross_ref[keep_ref]) and np.array_equal(cells[keep], cells_ref[keep_ref])
+    assert np.array_equal(rows[keep], rows_ref[keep_ref])
+    assert np.array_equal(factors[keep], factors_ref[keep_ref]) and np.array_equal(cells[keep], cells_ref[keep_ref])
 
 
 # ---------------------------------------------------------------------------
@@ -1060,12 +1109,21 @@ def test_timers_and_breakdown():
     assert ctx.timers["total"] == 0.0
 
 
+def test_a_replaced_context_counts_its_applications_on_its_own_timers(rng):
+    # timers is no init field: a dataclasses.replace copy starts its own
+    ctx = disk_context(2, 6, 2)
+    copy = dataclasses.replace(ctx, volume=ctx.volume)
+    vmult(copy, rng.standard_normal(ctx.n_dofs))
+    assert copy.timers is not ctx.timers
+    assert copy.timers["applications"] == 1 and ctx.timers["applications"] == 0
+
+
 def test_a_context_from_its_constructor_starts_with_zeroed_timers(rng):
     # a context rebuilt from the init fields of a built one times its first
     # vmult and reports it as build_context's own contexts do
     built = disk_context(2, 6, 2)
     ctx = OperatorContext(**{f.name: getattr(built, f.name) for f in dataclasses.fields(built)
-                             if f.init and f.name != "timers"})
+                             if f.init})
     assert ctx.timers == built.timers and ctx.timers["applications"] == 0
     u = rng.standard_normal(ctx.n_dofs)
     assert np.array_equal(vmult(ctx, u), vmult(built, u))
