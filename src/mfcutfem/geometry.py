@@ -101,6 +101,15 @@ def box_mesh(lo, hi, cells_per_axis) -> CartesianMesh:
 # level sets: phi > 0 inside the domain, vectorized over leading point axes
 
 
+def _points(x, dim: int) -> np.ndarray:
+    """x as float points (..., dim); points of another dimension are a
+    ValueError that names both."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise ValueError(f"a {dim}D level set got points of dimension {x.shape[-1] if x.ndim else 0}")
+    return x
+
+
 class BallUnionLevelSet:
     """phi(x) = max_i (r_i - |x - c_i|); gradient follows the argmax ball."""
 
@@ -123,7 +132,7 @@ class BallUnionLevelSet:
 
     def value(self, x) -> np.ndarray:
         # loop over balls to keep memory at one scalar field per point
-        x = np.asarray(x, dtype=float)
+        x = _points(x, self.centers.shape[1])
         best = self.radii[0] - self._distance(x, 0)
         for i in range(1, len(self.radii)):
             v = self.radii[i] - self._distance(x, i)
@@ -132,7 +141,7 @@ class BallUnionLevelSet:
 
     def gradient(self, x) -> np.ndarray:
         # value's loop, keeping the leading ball and its distance
-        x = np.asarray(x, dtype=float)
+        x = _points(x, self.centers.shape[1])
         dist = self._distance(x, 0)
         best_val, best = self.radii[0] - dist, np.zeros(x.shape[:-1], dtype=np.int64)
         for i in range(1, len(self.radii)):
@@ -158,15 +167,17 @@ class HalfSpaceLevelSet:
     def __init__(self, normal, offset: float):
         self.normal = np.asarray(normal, dtype=float)
         self.offset = float(offset)
+        if self.normal.ndim != 1:
+            raise ValueError(f"normal must be a vector, got shape {self.normal.shape}")
         if not (np.isfinite(self.normal).all() and np.isfinite(self.offset)) or not self.normal.any():
             raise ValueError("normal must be nonzero, and normal and offset finite")
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(x, len(self.normal))
         return self.offset - (x * self.normal).sum(axis=-1)  # per point: no matmul blocking
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(x, len(self.normal))
         return np.broadcast_to(-self.normal, x.shape).copy()
 
 

@@ -15,8 +15,10 @@ column bitwise.
 
 Configuration comes from ``key = value`` lines (``--config FILE``) with
 command-line flags taking precedence.  Exit codes: 0 success, 2 configuration
-error, 3 when ``--strict`` is set and any solve failed to converge or any
-context needed sign-of-center quadrature fallbacks (both logged as warnings).
+error or degenerate set-up (breakdown on a geometry with no active degrees
+of freedom), 3 when ``--strict`` is set and any solve failed to converge or
+any context needed sign-of-center quadrature fallbacks (both logged as
+warnings).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .operators import (
     vmult,
 )
 from .solver import cg_solve, l2_error, manufactured_problem, radial_cosine_problem
-from .sumfac import cell_laplacian_batch
+from .sumfac import cell_laplacian_kernel
 from .tensor1d import build_reference_element
 
 BOX_HALF_WIDTH = 1.26  # the unit ball never touches the box boundary
@@ -105,11 +107,15 @@ class RunConfig:
     interpolate_only: bool = False
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+def _parser(convert, what: str):
+    """A config value parser: convert(text), any ValueError a ConfigError
+    that says what was expected."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"expected {what}, got {text!r}") from exc
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -121,24 +127,11 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {text!r}") from exc
-
-
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {text!r}") from exc
-
-
 _PARSERS = {
-    "tuple[int, ...]": _parse_int_list,
-    "int": _parse_int,
-    "float": _parse_float,
+    "tuple[int, ...]": _parser(lambda text: tuple(int(t) for t in text.split(",") if t.strip()),
+                               "comma-separated integers"),
+    "int": _parser(int, "an integer"),
+    "float": _parser(float, "a number"),
     "str": str,
     "bool": _parse_bool,
 }
@@ -504,11 +497,12 @@ def run_kernelbench(cfg: RunConfig) -> int:
             u_cells = rng.standard_normal((batch, nloc))
             pts_ref = rng.random((batch, nloc, d))
             weights = np.full(batch * nloc, prod(spacing) / nloc)
+            cell = cell_laplacian_kernel(elem, spacing)
             ghost_face = ghost_face_kernel(elem, spacing, 1.0, 0)
             u_patch = rng.standard_normal((batch, (2 * k + 1) * n ** (d - 1)))
 
             kernels = [
-                ("sumfac_cell", lambda: cell_laplacian_batch(elem, spacing, u_cells)),
+                ("sumfac_cell", lambda: cell(u_cells)),
                 ("point_cell", _bench_point_cell(elem, spacing, u_cells, pts_ref, weights)),
                 ("ghost_face", lambda: ghost_face(u_patch)),
             ]

@@ -8,7 +8,7 @@ them, in this order:
 
 * "interior": uncut cells, the Kronecker sum of the 1D stiffness and mass
   matrices, K1 / h_a along one axis and h_b M1 along the others, summed
-  over the axes (``sumfac.cell_laplacian_batch``),
+  over the axes (``sumfac.cell_laplacian_kernel``),
 * "intersected": cut cells integrate the same weak form over their
   precomputed volume rule and add the symmetric Nitsche boundary terms
   -(dn u, v) - (u, dn v) + (gamma_D / h)(u, v) on the embedded surface.  Both
@@ -54,8 +54,8 @@ Everything that depends only on the geometry is tabulated once, when the
 context is built: the cut block (``cut_block``), whose basis rows,
 products of the cut points' 1D tables, are tabulated chunk by chunk and
 written to their row slots, with the rows' factors and each slot's cell;
-the slots' DoFs (``slot_dofs``, the DoF table of the cut piece, nloc per
-slot); the list of pieces (``pieces``); and one scatter index over the
+the list of pieces (``pieces``), whose cut piece's DoF table holds the
+DoFs of each slot's cell, nloc per slot; and one scatter index over the
 values of all pieces.  No block holds a per-point DoF index.  A ``vmult``
 call does only the work that depends on u: each piece gathers by its DoF
 table once and writes its values into its slice of one value buffer, in
@@ -85,14 +85,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from math import prod
 
 import numpy as np
 
 from . import cutquad, geometry, sumfac, tensor1d
 from .geometry import CartesianMesh, Label
-from .sumfac import TensorField, cell_laplacian_batch, kron_batch
+from .sumfac import TensorField, cell_laplacian_kernel, kron_batch
 
 _CELL_CHUNK = 4096
 _POINT_CHUNK = 1 << 16  # values of a (k+1,)*d + (P,) array per point chunk
@@ -190,13 +189,11 @@ class OperatorContext:
     fallbacks: np.ndarray           # (n_cut,) sign-of-center fallbacks of each cut cell's rules
     interior_matrix: np.ndarray     # (nloc, nloc) local matrix of every uncut cell
     ghost_matrices: dict[int, np.ndarray]  # axis -> (patch size,)*2, gamma_A included; empty if gamma_A = 0
-    slot_dofs: np.ndarray = field(init=False)        # (n_slots, nloc) DoFs of each cut-block slot's cell
     pieces: list[tuple] = field(init=False)          # (component, DoF table, local matrix) in scatter order
     scatter_index: np.ndarray = field(init=False)    # DoF of each value vmult's pieces produce, in order
     timers: dict[str, float] = field(init=False, default_factory=_zero_timers)
 
     def __post_init__(self):
-        self.slot_dofs = self.cut_dofs[self.cut.cell]
         self.pieces = _pieces(self)  # none on a mesh with no active cell
         self.scatter_index = np.concatenate([np.empty(0, dtype=np.intp)] + [i for _, i, _ in self.pieces], axis=None)
 
@@ -291,8 +288,7 @@ def cut_block(elem, spacing, volume: tuple, surface: tuple | None = None, penalt
     for sl, _, _ in _chunks(cell, d * nloc):
         vals, part = tabulate(elem, xi[sl]), np.empty((d, nloc, sl.stop - sl.start))
         for a in range(d):  # R_a, with the derivative table of axis a alive for this call only
-            _write_tensor_rows(part[a], [tabulate(elem, xi[sl, a:a + 1], 1)[0] if b == a else vals[b]
-                                         for b in range(d)])
+            _tensor_rows([elem.table(xi[sl, a], 1) if b == a else vals[b] for b in range(d)], 1, out=part[a])
         s = np.flatnonzero(surf[sl])  # surface columns: D summed from zero axis by axis, then the two rows
         coefs = -(weights[sl][s, None] * normals[sl][s]) / h
         nitsche = np.zeros((nloc, len(s)))
@@ -397,7 +393,7 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
         cut=cut_block(elem, mesh.spacing, (vol_xi, vol_w, vol_cell), (surf_xi, surf_w, surf_cell, normals),
                       params.gamma_dirichlet / min(mesh.spacing)),
         fallbacks=rules.fallbacks,
-        interior_matrix=_probe(partial(cell_laplacian_batch, elem, mesh.spacing), (k + 1) ** mesh.dim),
+        interior_matrix=_probe(cell_laplacian_kernel(elem, mesh.spacing), (k + 1) ** mesh.dim),
         ghost_matrices={a: _probe(ghost_face_kernel(elem, mesh.spacing, params.gamma_ghost, a), idx.shape[1])
                         for a, idx in face_dofs.items() if params.gamma_ghost != 0.0},
     )
@@ -408,23 +404,17 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
 # tabulated basis rows
 
 
-def _tensor_rows(tabs, coef) -> np.ndarray:
+def _tensor_rows(tabs, coef, out: np.ndarray | None = None) -> np.ndarray:
     """coef (P,) times the product of the per-axis 1D tables tabs, each
     (k+1, P): the (nloc, P) rows of the tensor basis at each point, tensor
-    axis 0 fastest."""
-    acc = coef
-    for tab in tabs:
-        acc = tab.reshape(tab.shape[:1] + (1,) * (np.ndim(acc) - 1) + tab.shape[1:]) * acc
+    axis 0 fastest.  Given a C-contiguous out (nloc, P), the last axis's
+    product is one multiply into it, with no (nloc, P) temporary."""
+    acc, last = coef, len(tabs) - 1
+    for i, tab in enumerate(tabs):
+        tab = tab.reshape(tab.shape[:1] + (1,) * (np.ndim(acc) - 1) + tab.shape[1:])
+        into = out.reshape(np.broadcast_shapes(tab.shape, np.shape(acc))) if i == last and out is not None else None
+        acc = np.multiply(tab, acc, out=into)
     return acc.reshape(prod(acc.shape[:-1]), acc.shape[-1])
-
-
-def _write_tensor_rows(out: np.ndarray, tabs) -> None:
-    """The tensor rows of the 1D tables tabs (_tensor_rows with coefficient
-    1) written into out (nloc, P) one slice of the slowest axis at a time,
-    with no (nloc, P) temporary."""
-    inner = _tensor_rows(tabs[:-1], 1)
-    for j, tab in enumerate(tabs[-1]):
-        np.multiply(tab, inner, out=out[j * len(inner):(j + 1) * len(inner)])
 
 
 def cut_apply(blk: CutBlock, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -472,7 +462,7 @@ def _pieces(ctx: OperatorContext) -> list[tuple]:
     if len(ctx.inside_cells):
         pieces.append(("interior", ctx.inside_dofs, ctx.interior_matrix))
     if len(ctx.cut_cells):
-        pieces.append(("intersected", ctx.slot_dofs, None))
+        pieces.append(("intersected", ctx.cut_dofs[ctx.cut.cell], None))
     pieces += [("ghost_penalty", ctx.face_dofs[a], ctx.ghost_matrices[a]) for a in sorted(ctx.ghost_matrices)]
     return pieces
 
@@ -536,10 +526,10 @@ def ghost_face_apply(ctx: OperatorContext, axis: int, u_patch: TensorField) -> T
 def _uncut_chunks(ctx: OperatorContext, order: int):
     """The tensor Gauss rule of the given order on the uncut cells in chunks of
     at most _CELL_CHUNK cells: (slice, physical points (C, q, ..., q, d), and
-    the same (q, k+1) basis table and physical weight grid (q,) * d)."""
+    the same (k+1, q) basis table and physical weight grid (q,) * d)."""
     gx, gw = tensor1d.gauss_rule(order)
     d, q, n = ctx.mesh.dim, order, len(ctx.inside_cells)
-    tab = ctx.elem.evaluate(gx)
+    tab = ctx.elem.table(gx)
     wgrid = sumfac.reference_weight_grid(gw, d).reshape((q,) * d) * prod(ctx.mesh.spacing)
     for start in range(0, n, _CELL_CHUNK):
         sl = slice(start, min(start + _CELL_CHUNK, n))
@@ -568,7 +558,7 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
     idx, vals = [np.empty(0, dtype=np.intp)], [np.empty(0)]  # a mesh with no active cell has no value
     for sl, pts, tab, wgrid in _uncut_chunks(ctx, len(ctx.elem.quad_points)):
         idx.append(ctx.inside_dofs[sl])
-        vals.append(kron_batch([tab.T] * ctx.mesh.dim, _values(f, pts) * wgrid))
+        vals.append(kron_batch([tab] * ctx.mesh.dim, _values(f, pts) * wgrid))
     blk = ctx.volume
     for sl, starts, cells, tables in _tabulated_chunks(ctx, blk):
         idx.append(ctx.cut_dofs[cells].T)
@@ -587,7 +577,7 @@ def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     cell_shape = (-1,) + (ctx.elem.degree + 1,) * d
     err2 = 0.0
     for sl, pts, tab, wgrid in _uncut_chunks(ctx, order):
-        t = kron_batch([tab] * d, u_h[ctx.inside_dofs[sl]].reshape(cell_shape))
+        t = kron_batch([tab.T] * d, u_h[ctx.inside_dofs[sl]].reshape(cell_shape))
         diff = t - _values(u_exact, pts)
         err2 += float(np.sum(diff * diff * wgrid))
 

@@ -9,22 +9,22 @@ counts; it is the one sweep every kernel runs.  ``apply_axis`` is that
 sweep on one field with its shapes checked.  ``kron_batch`` composes it over
 all axes of a batch of fields held as numpy grids, realizing the action of
 the Kronecker matrix A_d x ... x A_1 without ever forming it; the batched
-kernels of the operator (``cell_laplacian_batch``, the ghost-penalty faces,
+kernels of the operator (``cell_laplacian_kernel``, the ghost-penalty faces,
 the right-hand side and the error integral on uncut cells) are sweeps of it.
-``cell_laplacian_batch`` is the Kronecker sum of the 1D stiffness and mass
-matrices K1 and M1, built once per element: exact on axis-aligned cells,
-with no quadrature grid.
+``cell_laplacian_kernel`` is the Kronecker sum of the 1D stiffness and mass
+matrices K1 and M1, which it builds once, with their scaled sweeps, when it
+is made, and returns the batched kernel: exact on axis-aligned cells, with
+no quadrature grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from .tensor1d import build_reference_element, mass_matrix_1d, stiffness_matrix_1d
+from .tensor1d import mass_matrix_1d, stiffness_matrix_1d
 
 # running multiply-add counter for the sum-factorization complexity checks
 _madds = 0
@@ -116,39 +116,32 @@ def kron_batch(mats, grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-@lru_cache(maxsize=None)
-def _laplacian_matrices_1d(degree: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """K1 and M1 of ``build_reference_element(degree, q)``, built once per
-    element and read-only, since every caller shares them."""
-    elem = build_reference_element(degree, q)
+def cell_laplacian_kernel(elem, spacing):
+    """The weak Laplacian of batches of uncut axis-aligned cells, (C, nloc)
+    to (C, nloc): w_i = int_K grad(u) . grad(phi_i), each cell mapped from
+    [0,1]^d by per-axis spacings, as the Kronecker sum over the directions a
+    of K1 / h_a along a and h_b M1 along every other axis b.  K1, M1 and the
+    d x d scaled matrices are built here, once, for every call."""
     stiff, mass = stiffness_matrix_1d(elem), mass_matrix_1d(elem)
-    stiff.flags.writeable = mass.flags.writeable = False
-    return stiff, mass
+    d, n = len(spacing), elem.degree + 1
+    sweeps = [[stiff / h if b == a else h * mass for b, h in enumerate(spacing)] for a in range(d)]
 
+    def kernel(u_cells: np.ndarray) -> np.ndarray:
+        grid = u_cells.reshape((len(u_cells),) + (n,) * d)
+        out = np.zeros_like(grid)
+        for mats in sweeps:
+            out += kron_batch(mats, grid)
+        return out.reshape(len(u_cells), -1)
 
-def cell_laplacian_batch(elem, spacing, u_cells: np.ndarray) -> np.ndarray:
-    """Weak Laplacian of a batch of uncut axis-aligned cells, (C, nloc).
-
-    Computes w_i = int_K grad(u) . grad(phi_i) with each cell mapped from
-    [0,1]^d by per-axis spacings, as the Kronecker sum of the 1D matrices:
-    for each direction a, K1 / h_a along a and h_b * M1 along every other
-    axis b, d sweeps of (k+1) x (k+1) matrices per direction.
-    """
-    stiff, mass = _laplacian_matrices_1d(elem.degree, len(elem.quad_points))
-    d, n, c = len(spacing), elem.degree + 1, u_cells.shape[0]
-    grid = u_cells.reshape((c,) + (n,) * d)
-    out = np.zeros_like(grid)
-    for a in range(d):
-        out += kron_batch([stiff / h if b == a else h * mass for b, h in enumerate(spacing)], grid)
-    return out.reshape(c, -1)
+    return kernel
 
 
 def cell_laplacian(elem, spacing, u: TensorField) -> TensorField:
-    """Weak Laplacian of one uncut cell: ``cell_laplacian_batch`` on a batch of one."""
+    """Weak Laplacian of one uncut cell: ``cell_laplacian_kernel`` on a batch of one."""
     d = len(u.extents)
     spacing = np.asarray(spacing, dtype=float)
     if spacing.shape != (d,):
         raise ValueError(f"expected {d} spacings, got {spacing.shape}")
     if any(ext != elem.degree + 1 for ext in u.extents):
         raise ValueError(f"extents {u.extents} do not match degree {elem.degree}")
-    return TensorField(u.extents, cell_laplacian_batch(elem, spacing, u.data[None])[0])
+    return TensorField(u.extents, cell_laplacian_kernel(elem, spacing)(u.data[None])[0])

@@ -52,10 +52,9 @@ def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
 class ReferenceElement1D:
     """Nodal Lagrange basis of degree k on [0, 1] with a Gauss quadrature.
 
-    Values and derivatives of the basis at any points go through ``table``
-    (basis first) or ``evaluate`` (basis last): ``mass_matrix_1d`` and
-    ``stiffness_matrix_1d`` read them at the quadrature points and
-    ``jump_vector`` at the cell endpoints.
+    Values and derivatives of the basis at any points go through ``table``,
+    basis first: ``mass_matrix_1d`` and ``stiffness_matrix_1d`` read it at
+    the quadrature points and ``jump_vector`` at the cell endpoints.
     """
 
     degree: int
@@ -65,13 +64,6 @@ class ReferenceElement1D:
     # monomial coefficients of every basis function and its derivatives;
     # _deriv_coeffs[m][j, i] is the x^j coefficient of phi_i^(m)
     _deriv_coeffs: list[np.ndarray] = field(repr=False)
-
-    def evaluate(self, x, deriv: int = 0) -> np.ndarray:
-        """Values of all basis functions (or a derivative) at points x.
-
-        Returns an array of shape ``x.shape + (k+1,)``.
-        """
-        return np.moveaxis(self.table(x, deriv), 0, -1)
 
     def table(self, x, deriv: int = 0, out: np.ndarray | None = None) -> np.ndarray:
         """Values of all basis functions (or a derivative) at points x, basis
@@ -124,13 +116,13 @@ def build_reference_element(k: int, q: int | None = None, nodes: np.ndarray | No
 
 def mass_matrix_1d(elem: ReferenceElement1D) -> np.ndarray:
     """Reference cell mass matrix M1[i, j] = int_0^1 phi_i phi_j dx."""
-    sv = elem.evaluate(elem.quad_points).T  # (k+1, q)
+    sv = elem.table(elem.quad_points)  # (k+1, q)
     return (sv * elem.quad_weights) @ sv.T
 
 
 def stiffness_matrix_1d(elem: ReferenceElement1D) -> np.ndarray:
     """Reference cell stiffness matrix K1[i, j] = int_0^1 phi_i' phi_j' dx."""
-    sg = elem.evaluate(elem.quad_points, deriv=1).T  # (k+1, q)
+    sg = elem.table(elem.quad_points, deriv=1)  # (k+1, q)
     return (sg * elem.quad_weights) @ sg.T
 
 
@@ -148,7 +140,7 @@ def jump_vector(elem: ReferenceElement1D, m: int) -> np.ndarray:
     right cell; the shared node at x=1 appears once, at index k.
     """
     k = elem.degree
-    left, right = elem.evaluate(1.0, deriv=m), elem.evaluate(0.0, deriv=m)
+    left, right = elem.table(1.0, deriv=m), elem.table(0.0, deriv=m)
     # left cell only, the shared node (phi_k left, phi_0 right), right cell only
     return np.concatenate((-left[:k], [right[0] - left[k]], right[1:]))
 

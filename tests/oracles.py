@@ -273,7 +273,7 @@ def point_first_tables(elem, xi):
     xi (P, d), as (P, d, k+1) tables."""
     tabs = np.empty((2,) + xi.shape + (elem.degree + 1,))  # derivative order 0, 1
     for m, a in np.ndindex(2, xi.shape[1]):
-        tabs[m, :, a] = elem.evaluate(xi[:, a], deriv=m)
+        tabs[m, :, a] = elem.table(xi[:, a], deriv=m).T
     return tabs[0], tabs[1]
 
 

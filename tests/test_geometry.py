@@ -152,6 +152,32 @@ def test_half_space_level_set():
             HalfSpaceLevelSet(normal, offset)
 
 
+@pytest.mark.parametrize("normal", [1.0, [[1.0, 0.0]]])
+def test_half_space_normal_must_be_a_vector(normal):
+    # a scalar normal would broadcast over every axis: x + y < 0.2 in 2D
+    with pytest.raises(ValueError, match="normal must be a vector"):
+        HalfSpaceLevelSet(normal, 0.2)
+
+
+@pytest.mark.parametrize("levelset, own, mesh_dim", [
+    (HalfSpaceLevelSet([1.0], 0.2), 1, 2),
+    (HalfSpaceLevelSet([1.0, 0.0, 0.0], 0.2), 3, 2),
+    (SphereLevelSet([0.0, 0.0, 0.0], 1.0), 3, 2),
+    (SphereLevelSet([0.0, 0.0], 1.0), 2, 3),
+    (BallUnionLevelSet([[0.0, 0.0], [0.5, 0.0]], [0.6, 0.6]), 2, 3),
+], ids=["half1d_on_2d", "half3d_on_2d", "sphere3d_on_2d", "sphere2d_on_3d", "balls2d_on_3d"])
+def test_level_set_of_another_dimension_is_a_value_error(levelset, own, mesh_dim):
+    # no broadcast over the axes, no IndexError and no silent cylinder:
+    # the error names both dimensions, for values, gradients and labels
+    match = f"a {own}D level set got points of dimension {mesh_dim}"
+    x = np.zeros((4, mesh_dim))
+    for read in (levelset.value, levelset.gradient):
+        with pytest.raises(ValueError, match=match):
+            read(x)
+    with pytest.raises(ValueError, match=match):
+        classify_cells(box_mesh([-1.0] * mesh_dim, [1.0] * mesh_dim, [12] * mesh_dim), levelset, 3)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_level_set_values_do_not_depend_on_the_batch(rng, dim):
     # cut quadrature reads one point in blocks of different shapes, and its

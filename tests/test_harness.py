@@ -275,7 +275,7 @@ def test_kernelbench_point_cell_call_does_no_set_up(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the timed call redid set-up work")
 
-    for module, name in [(operators, "tabulate"), (operators, "_write_tensor_rows"), (operators, "cut_block"),
+    for module, name in [(operators, "tabulate"), (operators, "_tensor_rows"), (operators, "cut_block"),
                          (harness, "cut_block")]:
         monkeypatch.setattr(module, name, forbidden)
     got = call()

@@ -59,6 +59,29 @@ def test_one_class_per_level_set_shape():
     assert defined == {(c, m) for c in ("BallUnionLevelSet", "HalfSpaceLevelSet") for m in ("value", "gradient")}
 
 
+def _cached(source: str) -> list[str]:
+    """Functions of a source decorated with functools.lru_cache or
+    functools.cache, bare, called or as an attribute of functools."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{node.lineno} {node.name}")
+    return found
+
+
+def test_no_function_keeps_a_process_wide_cache():
+    # a memoized function is state that every caller in the process shares;
+    # kernels build their 1D matrices when they are made, and keep them
+    for snippet in ("@lru_cache(maxsize=None)\ndef f(k):\n    pass\n", "@functools.cache\ndef f(k):\n    pass\n"):
+        assert _cached(snippet) == ["2 f"]
+    offenders = [f"{p.name}:{where}" for p in sorted(PACKAGE.glob("*.py")) for where in _cached(p.read_text("utf-8"))]
+    assert not offenders, "\n".join(offenders)
+
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -138,7 +161,7 @@ def test_only_operators_knows_the_point_last_tensor_layout():
     # the 1D tables of the cut points and the basis rows built from them are
     # tabulated and read in operators alone; other modules go through
     # build_context, cut_block and the kernels
-    layout = {"tabulate", "_write_tensor_rows", "_tensor_rows"}
+    layout = {"tabulate", "_tensor_rows"}
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

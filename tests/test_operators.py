@@ -26,7 +26,7 @@ from mfcutfem.operators import (
     tabulate,
     vmult,
 )
-from mfcutfem.sumfac import TensorField, cell_laplacian_batch, madd_count, reset_madd_count
+from mfcutfem.sumfac import TensorField, cell_laplacian_kernel, madd_count, reset_madd_count
 from mfcutfem.tensor1d import build_reference_element
 
 from oracles import (
@@ -288,7 +288,7 @@ def test_cached_matrices_equal_their_factored_kernels(cells, degree, rng):
     assert len(set(ctx.mesh.spacing)) == len(set(cells))  # anisotropic meshes differ in h per axis
     u = rng.standard_normal((50, (degree + 1) ** d))
     got = sumfac.contract_axis(ctx.interior_matrix, u, 1)  # as vmult applies it
-    assert _max_rel(got, cell_laplacian_batch(ctx.elem, ctx.mesh.spacing, u)) <= 1e-14
+    assert _max_rel(got, cell_laplacian_kernel(ctx.elem, ctx.mesh.spacing)(u)) <= 1e-14
     assert sorted(ctx.ghost_matrices) == sorted(ctx.face_dofs) == list(range(d))
     for axis, mat in ctx.ghost_matrices.items():
         u = rng.standard_normal((50, ctx.face_dofs[axis].shape[1]))
@@ -311,7 +311,7 @@ def test_vmult_runs_no_factored_kernel(rng, monkeypatch):
         raise AssertionError("vmult ran a factored kernel")
 
     for module in (operators, sumfac):
-        monkeypatch.setattr(module, "cell_laplacian_batch", forbidden)
+        monkeypatch.setattr(module, "cell_laplacian_kernel", forbidden)
         monkeypatch.setattr(module, "kron_batch", forbidden)
     assert np.array_equal(vmult(ctx, u), expected)
 
@@ -333,7 +333,8 @@ def test_operator_actions_do_no_set_up_work(rng, monkeypatch):
     for name in ("cut_block", "_pieces"):
         monkeypatch.setattr(operators, name, forbidden)
     assert np.array_equal(assemble_rhs(ctx, f), expected[2])
-    for name in ("tabulate", "_write_tensor_rows", "_reference_coords", "_chunks"):
+    for name in ("tabulate", "_tensor_rows", "cell_laplacian_kernel", "ghost_face_kernel", "_reference_coords",
+                 "_chunks"):
         monkeypatch.setattr(operators, name, forbidden)
     got = vmult(ctx, u), apply_ghost_penalty(ctx, u)
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
@@ -625,6 +626,23 @@ def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 3])
+def test_tensor_rows_into_out_keep_the_bits_of_a_new_array(dim, degree, rng):
+    # the last axis's product written into out is the product that makes
+    # the new array, operand for operand: the same bits, in out itself
+    elem = build_reference_element(degree)
+    xi = rng.random((11, dim))
+    tabs = [tabulate(elem, xi), tabulate(elem, xi, 1)]
+    for a in range(dim):
+        mixed = [tabs[b == a][b] for b in range(dim)]
+        for coef in (1, rng.standard_normal(11)):
+            expected = operators._tensor_rows(mixed, coef)
+            out = np.full(expected.shape, np.nan)
+            got = operators._tensor_rows(mixed, coef, out=out)
+            assert np.shares_memory(got, out) and np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_tabulate_writes_the_bits_of_polyval_into_one_table(dim, rng):
     # one (d, k+1, P) table written axis by axis by Horner's rule: the bits
     # of npoly.polyval, and no temporary of the table's size
@@ -643,8 +661,8 @@ def test_tabulate_writes_the_bits_of_polyval_into_one_table(dim, rng):
 
 def test_point_blocks_hold_no_per_point_dof_table():
     # the cut kernel gathers by slot and l2_error by cell: no block keeps an
-    # integer array of nloc entries per point, and the context's slot DoFs
-    # hold nloc per slot
+    # integer array of nloc entries per point, and the cut piece's DoF table
+    # holds nloc per slot
     ctx = disk_context(3, 5, 2)
     nloc, n_surf = ctx.cut_dofs.shape[1], ctx.surface.weights.size
     block_points = (ctx.cut.real.sum() - 2 * n_surf) // 3 + n_surf  # d rows per volume point, 2 per surface point
@@ -653,7 +671,8 @@ def test_point_blocks_hold_no_per_point_dof_table():
         ints = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
         n_points = block_points if blk is ctx.cut else blk.weights.size
         assert ints and all(a.size < nloc * n_points for a in ints)
-    assert ctx.slot_dofs.shape == (len(ctx.cut.cell), nloc) and ctx.slot_dofs.size < nloc * block_points
+    (slot_dofs,) = [idx for name, idx, _ in ctx.pieces if name == "intersected"]
+    assert np.array_equal(slot_dofs, ctx.cut_dofs[ctx.cut.cell]) and slot_dofs.size < nloc * block_points
 
 
 def test_domain_integrals_keep_the_bits_of_a_per_point_gather(rng, monkeypatch):
@@ -906,7 +925,8 @@ def test_the_cut_piece_is_one_block_with_ceil_n_over_s_slots_per_cell(chunk_poin
     assert np.array_equal(np.bincount(ctx.cut.cell, weights=ctx.cut.real.sum(1), minlength=len(n_c)), n_c)
     _assert_slot_layout(ctx.cut)
     n_matrix = sum(idx.size for _, idx, mat in ctx.pieces if mat is not None)
-    assert ctx.scatter_index.size - n_matrix == nloc * len(ctx.cut.cell) == ctx.slot_dofs.size
+    (slot_dofs,) = [idx for name, idx, _ in ctx.pieces if name == "intersected"]
+    assert ctx.scatter_index.size - n_matrix == nloc * len(ctx.cut.cell) == slot_dofs.size
 
     bincount, sizes = np.bincount, []
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfcutfem import sumfac
+from mfcutfem import sumfac, tensor1d
 from mfcutfem.sumfac import (
     TensorField,
     apply_axis,
     cell_laplacian,
-    cell_laplacian_batch,
+    cell_laplacian_kernel,
     kron_batch,
     madd_count,
     reference_weight_grid,
@@ -105,27 +105,41 @@ def test_kron_batch_matches_dense(extents, rng):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("k", [1, 2])
-def test_cell_laplacian_batch_counts_every_sweep(d, k, rng):
+def test_cell_laplacian_kernel_counts_every_sweep(d, k, rng):
     # d sweeps of (k+1) x (k+1) matrices per direction, each (k+1)^(d+1)
     # multiply-adds per cell, whatever the element's quadrature order
     n, cells = k + 1, 7
     u = rng.standard_normal((cells, n**d))
     for q in (k + 1, k + 3):
+        kernel = cell_laplacian_kernel(build_reference_element(k, q), (0.3, 0.7, 0.45)[:d])
         reset_madd_count()
-        cell_laplacian_batch(build_reference_element(k, q), (0.3, 0.7, 0.45)[:d], u)
+        kernel(u)
         assert madd_count() == cells * d * d * n ** (d + 1)
 
 
-def test_cell_laplacian_batch_reuses_its_1d_matrices(monkeypatch, rng):
-    # K1 and M1 are built once per element, not once per application
+def test_cell_laplacian_kernel_builds_its_1d_matrices_once(monkeypatch, rng):
+    # K1 is built when the kernel is made, from the element it is given,
+    # and never when the kernel is applied
     elem = build_reference_element(2, 4)
     u = rng.standard_normal((3, 9))
-    first = cell_laplacian_batch(elem, (0.3, 0.7), u)
     builds = []
     build = sumfac.stiffness_matrix_1d
     monkeypatch.setattr(sumfac, "stiffness_matrix_1d", lambda e: builds.append(e) or build(e))
-    assert np.array_equal(cell_laplacian_batch(elem, (0.3, 0.7), u), first)
-    assert not builds
+    kernel = cell_laplacian_kernel(elem, (0.3, 0.7))
+    assert len(builds) == 1 and builds[0] is elem
+    first = kernel(u)
+    assert np.array_equal(kernel(u), first) and len(builds) == 1
+
+
+def test_cell_laplacian_kernel_reads_its_elements_own_basis():
+    # K1 and M1 come from the element given, not from the Gauss-Lobatto
+    # element of its degree: on Gauss nodes the two bases differ
+    elem = build_reference_element(2, nodes=tensor1d.gauss_rule(3)[0])
+    stiff, mass = tensor1d.stiffness_matrix_1d(elem), tensor1d.mass_matrix_1d(elem)
+    u = np.arange(9.0)
+    h = (0.5, 0.25)  # axis 0 fastest: the axis-1 factor is the left Kronecker operand
+    expected = (np.kron(h[1] * mass, stiff / h[0]) + np.kron(stiff / h[1], h[0] * mass)) @ u
+    assert_allclose(cell_laplacian_kernel(elem, h)(u[None])[0], expected, rtol=1e-13, atol=1e-13)
 
 
 def test_reference_weight_grid_layout():
