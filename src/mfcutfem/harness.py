@@ -65,10 +65,9 @@ THROUGHPUT_HEADER = "n_balls,seed,k,n_dofs,cut_fraction,dofs_per_second"
 BREAKDOWN_HEADER = "component,seconds,percent"
 KERNELBENCH_HEADER = "d,k,kernel,microseconds,relative"
 
-_COMMANDS = ("convergence", "kernelbench", "multiballs", "breakdown")
 _DOMAINS = ("disk", "sphere", "balls", "halfspace")
 _DOMAIN_DIMS = {"disk": 2, "sphere": 3}
-_PROBLEMS = ("cosine", "quadratic")
+_PROBLEMS = {"cosine": radial_cosine_problem, "quadratic": manufactured_problem}  # name -> (u_exact, f) of dim
 
 _PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#117a65")
 
@@ -99,7 +98,6 @@ class RunConfig:
     gamma_ghost: float | None = None
     gamma_dirichlet: float | None = None
     quad_order: int | None = None
-    error_quad_order: int | None = None
     max_quad_depth: int | None = None
     out_dir: str = "results"
     repeats: int = 50
@@ -164,7 +162,7 @@ def load_config_file(path) -> dict:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.command not in _COMMANDS:
+    if cfg.command not in _DRIVERS:
         raise ConfigError(f"unknown command {cfg.command!r}")
     if not cfg.degrees:
         raise ConfigError("degrees must not be empty")
@@ -179,7 +177,7 @@ def validate_config(cfg: RunConfig) -> None:
     if _dim(cfg) not in (2, 3):
         raise ConfigError(f"dim must be 2 or 3, got {cfg.dim}")
     if cfg.problem not in _PROBLEMS:
-        raise ConfigError(f"problem must be one of {_PROBLEMS}, got {cfg.problem!r}")
+        raise ConfigError(f"problem must be one of {tuple(_PROBLEMS)}, got {cfg.problem!r}")
     if cfg.command == "convergence" and cfg.domain not in ("disk", "sphere"):
         raise ConfigError("convergence supports only the disk and sphere domains")
     if not 0 < cfg.r0 < np.inf or not np.isfinite(cfg.offset):
@@ -383,7 +381,10 @@ def _fallbacks(ctx, where: str) -> bool:
 
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -416,8 +417,7 @@ def _convergence_mesh(dim: int, level: int):
 def run_convergence(cfg: RunConfig) -> int:
     """Refinement study: coarsest mesh has 6 cells per axis, each level halves h."""
     dim = _dim(cfg)
-    make_problem = radial_cosine_problem if cfg.problem == "cosine" else manufactured_problem
-    u_exact, f = make_problem(dim)
+    u_exact, f = _PROBLEMS[cfg.problem](dim)
     levelset = SphereLevelSet(np.zeros(dim), 1.0)
     out = _out_dir(cfg)
 
@@ -600,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mfcutfem",
         description="Matrix-free cut finite element experiment drivers.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_DRIVERS)
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="key = value configuration file; flags override it")
     for key, conv in _CONVERTERS.items():
@@ -638,7 +638,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-    except ConfigError as exc:
+        return _DRIVERS[cfg.command](cfg)
+    except ConfigError as exc:  # from the configuration or a driver (its output directory)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    return _DRIVERS[cfg.command](cfg)

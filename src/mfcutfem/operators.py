@@ -74,7 +74,7 @@ chunk when they run (``_tabulated_chunks``): each is read once per call,
 so no 1D table outlives its chunk.  The RHS sums f w times the value rows
 by cell segment on the volume rules; the error gathers each point's cell
 coefficients and contracts them one axis at a time on the rules of its
-own order, which it builds in the call: each caller reads the error once
+own order, k+2, built in the call: each caller reads the error once
 per context, so the context keeps no rule of it.  Every basis row of a
 cut point, value or derivative, is one product of 1D table entries per
 axis (``_tensor_rows``).  All batches and reductions run in a fixed
@@ -105,8 +105,7 @@ class Parameters:
     degree: int
     gamma_ghost: float = 0.5
     gamma_dirichlet: float | None = None  # default 30 k (k+1)
-    quad_order: int | None = None         # default k+1; on uncut cells only the RHS rule, at least k+1
-    error_quad_order: int | None = None   # default k+2
+    quad_order: int | None = None         # default k+1; cut rules, sign samples, the RHS's uncut rule (at least k+1)
     max_quad_depth: int = 8
 
     def __post_init__(self):
@@ -115,9 +114,7 @@ class Parameters:
             self.gamma_dirichlet = 30.0 * k * (k + 1)
         if self.quad_order is None:
             self.quad_order = k + 1
-        if self.error_quad_order is None:
-            self.error_quad_order = k + 2
-        for name, least in (("degree", 1), ("quad_order", 1), ("error_quad_order", 1), ("max_quad_depth", 0)):
+        for name, least in (("degree", 1), ("quad_order", 1), ("max_quad_depth", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -219,13 +216,13 @@ def reset_timers(ctx: OperatorContext) -> None:
     ctx.timers = _zero_timers()
 
 
-def tabulate(elem, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
-    """1D basis values (deriv 0) or derivatives (deriv 1) per axis at
-    reference coordinates xi (P, d): the point-last (d, k+1, P) table the
-    point kernels read, one array written axis by axis (elem.table)."""
+def tabulate(elem, xi: np.ndarray) -> np.ndarray:
+    """1D basis values per axis at reference coordinates xi (P, d): the
+    point-last (d, k+1, P) table the point kernels read, one array written
+    axis by axis (elem.table)."""
     out = np.empty((xi.shape[1], elem.degree + 1, len(xi)))
     for a, tab in enumerate(out):
-        elem.table(xi[:, a], deriv, out=tab)
+        elem.table(xi[:, a], out=tab)
     return out
 
 
@@ -357,7 +354,7 @@ def build_context(mesh: CartesianMesh, levelset, params: Parameters) -> Operator
     and tabulate what every vmult reads: the cut block's basis rows, factors
     and slots, the pieces and the scatter index.  Rules stay untabulated."""
     k = params.degree
-    elem = tensor1d.build_reference_element(k, max(params.quad_order, k + 1))
+    elem = tensor1d.build_reference_element(k)
     classification = geometry.classify_cells(mesh, levelset, cutquad.sign_samples(params.quad_order))
     dofmap = geometry.build_dofmap(mesh, k, classification)
     faces = geometry.ghost_faces(classification)
@@ -554,9 +551,10 @@ def _values(fn, pts: np.ndarray) -> np.ndarray:
 
 
 def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
-    """Right-hand side b_i = int_{Omega} f phi_i over interior and cut cells."""
+    """Right-hand side b_i = int_{Omega} f phi_i over interior and cut cells,
+    uncut ones at Gauss order max(quad_order, k+1)."""
     idx, vals = [np.empty(0, dtype=np.intp)], [np.empty(0)]  # a mesh with no active cell has no value
-    for sl, pts, tab, wgrid in _uncut_chunks(ctx, len(ctx.elem.quad_points)):
+    for sl, pts, tab, wgrid in _uncut_chunks(ctx, max(ctx.params.quad_order, ctx.elem.degree + 1)):
         idx.append(ctx.inside_dofs[sl])
         vals.append(kron_batch([tab] * ctx.mesh.dim, _values(f, pts) * wgrid))
     blk = ctx.volume
@@ -568,12 +566,12 @@ def assemble_rhs(ctx: OperatorContext, f) -> np.ndarray:
 
 
 def squared_l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
-    """Integral of (u_h - u_exact)^2 over the physical domain at the error
-    order: the tensor Gauss rule on uncut cells and cut-cell volume rules of
-    that order, built in the call and dropped at its end."""
+    """Integral of (u_h - u_exact)^2 over the physical domain at order k+2,
+    one above the exact order of the basis: the tensor Gauss rule on uncut
+    cells and cut-cell volume rules of that order, built in the call and
+    dropped at its end."""
     u_h = _dof_vector(ctx, u_h)
-    order = ctx.params.error_quad_order
-    d = ctx.mesh.dim
+    d, order = ctx.mesh.dim, ctx.elem.degree + 2
     cell_shape = (-1,) + (ctx.elem.degree + 1,) * d
     err2 = 0.0
     for sl, pts, tab, wgrid in _uncut_chunks(ctx, order):

@@ -112,8 +112,8 @@ def cg_solve(apply, b: np.ndarray, tol_rel: float = 1e-8, max_iter: int | None =
 def l2_error(ctx: OperatorContext, u_h: np.ndarray, u_exact) -> float:
     """sqrt of the integral of (u_h - u_exact)^2 over the physical domain.
 
-    Uncut cells use a tensor Gauss rule of the configured error order; cut
-    cells use interior rules at that order, built in the call.
+    Uncut cells use a tensor Gauss rule of order k+2; cut cells use interior
+    rules at that order, built in the call.
     """
     return float(np.sqrt(squared_l2_error(ctx, u_h, u_exact)))
 

@@ -50,7 +50,9 @@ def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ReferenceElement1D:
-    """Nodal Lagrange basis of degree k on [0, 1] with a Gauss quadrature.
+    """Nodal Lagrange basis of degree k on [0, 1] with its exact (k+1)-point
+    Gauss rule, which integrates a product of two basis functions exactly:
+    M1 and K1 depend only on the degree and the nodes.
 
     Values and derivatives of the basis at any points go through ``table``,
     basis first: ``mass_matrix_1d`` and ``stiffness_matrix_1d`` read it at
@@ -83,24 +85,17 @@ class ReferenceElement1D:
         return out
 
 
-def build_reference_element(k: int, q: int | None = None, nodes: np.ndarray | None = None) -> ReferenceElement1D:
-    """Build the degree-k reference element with a q-point Gauss rule.
-
-    q defaults to k+1, which integrates products of two basis functions
-    exactly; q < k+1 is rejected because every consumer here relies on the
-    mass matrix being exact.  The k+1 support points default to the
-    Gauss-Lobatto points of [0, 1]; other nodes, anywhere on the line, give
-    the Lagrange basis on them.
+def build_reference_element(k: int, *, nodes: np.ndarray | None = None) -> ReferenceElement1D:
+    """Build the degree-k reference element with its exact (k+1)-point Gauss
+    rule.  The k+1 support points default to the Gauss-Lobatto points of
+    [0, 1]; other nodes, anywhere on the line, give the Lagrange basis on
+    them.  An integral of another order takes its own rule (gauss_rule).
     """
     if nodes is None:
         nodes = gauss_lobatto_nodes(k)  # rejects k < 1
     elif len(nodes) != k + 1:
         raise ValueError(f"degree {k} needs {k + 1} nodes, got {len(nodes)}")
-    if q is None:
-        q = k + 1
-    if q < k + 1:
-        raise ValueError(f"quadrature order {q} too low for degree {k}")
-    qx, qw = gauss_rule(q)
+    qx, qw = gauss_rule(k + 1)
 
     # Lagrange basis in monomial form via the inverse Vandermonde matrix:
     # column i of V^-1 holds the coefficients of phi_i.  Fine for the small

@@ -756,7 +756,7 @@ def test_point_blocks_are_the_per_cell_rules_in_cut_cell_order(name, degree, max
     # quadrature order and at the error order
     mesh, phi = oracle_fixture(name)
     ctx = build_context(mesh, phi, Parameters(degree=degree, max_quad_depth=max_depth))
-    order, error_order = ctx.params.quad_order, ctx.params.error_quad_order
+    order, error_order = ctx.params.quad_order, degree + 2
     errors = operators._cut_rules(mesh, phi, ctx.cut_cells, error_order, max_depth)  # as squared_l2_error builds them
     lo, hi = mesh.cell_box(mesh.cell_multi(ctx.cut_cells))
     refs = {q: [per_cell_cut_quadrature(lo[j], hi[j], phi, q, max_depth) for j in range(len(lo))]

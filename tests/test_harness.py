@@ -8,7 +8,7 @@ import pytest
 
 from mfcutfem import harness, operators
 from mfcutfem.geometry import BallUnionLevelSet, SphereLevelSet, box_mesh, generate_balls, save_balls
-from mfcutfem.operators import Parameters, build_context
+from mfcutfem.operators import Parameters, assemble_rhs, build_context
 from mfcutfem.tensor1d import build_reference_element
 from mfcutfem.harness import (
     BREAKDOWN_HEADER,
@@ -150,15 +150,44 @@ def test_main_returns_2_on_config_error(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
-def test_quad_order_mapping():
+def test_quad_order_mapping(monkeypatch):
+    # quad_order sets the cut rules and, at least k+1, the right-hand side's
+    # rule on uncut cells; the element keeps its exact k+1 points
     mesh = box_mesh([-1.26] * 2, [1.26] * 2, [4, 4])
     phi = SphereLevelSet([0.0, 0.0], 1.0)
-    params = _params(RunConfig(command="breakdown", quad_order=2), 3)
-    assert params.quad_order == 2  # cut rules
-    assert len(build_context(mesh, phi, params).elem.quad_points) == 4  # never below k+1 on uncut cells
-    params = _params(RunConfig(command="breakdown", quad_order=6), 3)
-    assert params.quad_order == 6
-    assert len(build_context(mesh, phi, params).elem.quad_points) == 6
+    orders, uncut_chunks = [], operators._uncut_chunks
+    monkeypatch.setattr(operators, "_uncut_chunks", lambda ctx, order: orders.append(order) or uncut_chunks(ctx, order))
+    for q in (2, 6):
+        params = _params(RunConfig(command="breakdown", quad_order=q), 3)
+        assert params.quad_order == q  # cut rules
+        ctx = build_context(mesh, phi, params)
+        assert len(ctx.elem.quad_points) == 4
+        assemble_rhs(ctx, lambda x: 1.0)
+    assert orders == [4, 6]  # never below k+1 on uncut cells
+
+
+def test_the_error_order_is_not_a_setting(tmp_path, capsys):
+    # l2_error integrates at k+2: error_quad_order is an unknown config key
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("error_quad_order = 5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown key 'error_quad_order'"):
+        load_config_file(cfg_file)
+    assert main(["convergence", "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_an_output_directory_that_cannot_be_made_is_a_configuration_error(tmp_path, capsys):
+    # a regular file as the parent of --out-dir: exit 2 with the path and
+    # the OS error, which the ConfigError chains
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "x"
+    argv = ["breakdown", "--degrees", "1", "--refinements", "1", "--repeats", "1", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert f"configuration error: cannot create output directory {out}: " in capsys.readouterr().err
+    with pytest.raises(ConfigError) as info:
+        harness._out_dir(RunConfig(command="breakdown", out_dir=str(out)))
+    assert isinstance(info.value.__cause__, NotADirectoryError)
 
 
 def test_csv_floats_round_trip(tmp_path):

@@ -169,3 +169,30 @@ def test_only_operators_knows_the_point_last_tensor_layout():
         offenders += [f"{path.name} names {name}" for name in sorted(layout & (_named(tree) | imported))
                       if path.name != "operators.py"]
     assert not offenders, "\n".join(offenders)
+
+
+def _attributes_read(source: str, base: str | None = None, outside: str | None = None) -> set[str]:
+    """Attributes a source reads, of the name base only if given, outside the
+    top-level function or class named outside."""
+    tree = ast.parse(source)
+    nodes = [n for n in tree.body if not (isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == outside)]
+    return {
+        n.attr for top in nodes for n in ast.walk(top)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and (base is None or isinstance(n.value, ast.Name) and n.value.id == base)
+    }
+
+
+def test_every_setting_is_read():
+    # a Parameters field is read in operators, outside its own class, and a
+    # RunConfig option that is not one is read as cfg.<name> in the harness,
+    # outside its validation: a setting nothing reads is a setting to drop
+    snippet = "class P:\n    a: int\n    def f(self):\n        return self.a\n\n\ndef g(cfg):\n    return cfg.b, x.c\n"
+    assert _attributes_read(snippet, outside="P") == {"b", "c"}
+    assert _attributes_read(snippet, "cfg", outside="P") == {"b"}
+    params = {f.name for f in fields(Parameters)} - {"degree"}
+    read = _attributes_read((PACKAGE / "operators.py").read_text(encoding="utf-8"), outside="Parameters")
+    assert not params - read, sorted(params - read)
+    options = {f.name for f in fields(RunConfig)} - {"command"} - params
+    read = _attributes_read((PACKAGE / "harness.py").read_text(encoding="utf-8"), "cfg", outside="validate_config")
+    assert not options - read, sorted(options - read)

@@ -63,30 +63,28 @@ def test_parameter_defaults():
     assert p.gamma_dirichlet == 30.0 * 2 * 3
     assert p.gamma_ghost == 0.5
     assert p.quad_order == 3
-    assert p.error_quad_order == 4
 
 
 def test_parameter_overrides_kept():
     p = Parameters(degree=1, gamma_dirichlet=7.0, quad_order=5)
     assert p.gamma_dirichlet == 7.0
     assert p.quad_order == 5
-    assert p.error_quad_order == 3
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
         Parameters(degree=0)
-    for bad in (dict(gamma_ghost=-0.1), dict(quad_order=0), dict(error_quad_order=0), dict(max_quad_depth=-1),
+    for bad in (dict(gamma_ghost=-0.1), dict(quad_order=0), dict(max_quad_depth=-1),
                 dict(gamma_ghost=np.nan), dict(gamma_ghost=np.inf), dict(gamma_dirichlet=np.nan),
                 dict(gamma_dirichlet=-np.inf)):
         with pytest.raises(ValueError):
             Parameters(degree=2, **bad)
     # a non-integer degree, order or depth is rejected by name at construction
-    for bad in (dict(degree=2.5), dict(quad_order=2.5), dict(error_quad_order=3.5), dict(max_quad_depth=1.5)):
+    for bad in (dict(degree=2.5), dict(quad_order=2.5), dict(max_quad_depth=1.5)):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
             Parameters(**{"degree": 2, **bad})
-    p = Parameters(degree=np.int64(2), quad_order=np.int32(4), error_quad_order=np.int64(5), max_quad_depth=np.int8(3))
-    assert (p.degree, p.quad_order, p.error_quad_order, p.max_quad_depth) == (2, 4, 5, 3)
+    p = Parameters(degree=np.int64(2), quad_order=np.int32(4), max_quad_depth=np.int8(3))
+    assert (p.degree, p.quad_order, p.max_quad_depth) == (2, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +274,25 @@ def test_vmult_counts_its_sweeps():
 
 def _max_rel(got, ref):
     return np.abs(np.asarray(got) - ref).max() / np.abs(ref).max()
+
+
+def _derivative_tables(elem, xi):
+    """The (d, k+1, P) first-derivative tables per axis at xi (P, d)."""
+    return np.stack([elem.table(x, 1) for x in xi.T])
+
+
+@pytest.mark.parametrize("dim, cells, degree", [(2, 12, 2), (3, 6, 3), (3, 8, 1)],
+                         ids=["disk_k2", "ball_k3", "coarse_ball_k1"])
+def test_uniform_matrices_do_not_depend_on_the_quadrature_order(dim, cells, degree):
+    # the 1D matrices take the element's exact (k+1)-point rule, so the
+    # cached interior and ghost matrices keep their bits at any quad_order;
+    # at k = 1, quad_order 4 is that of a k = 3 level, so a coarse Q_1 level
+    # built at it has the matrices of a direct Q_1 build
+    default, high = (disk_context(dim, cells, degree, quad_order=q) for q in (degree + 1, degree + 3))
+    assert np.array_equal(default.interior_matrix, high.interior_matrix)
+    assert sorted(default.ghost_matrices) == sorted(high.ghost_matrices) == list(range(dim))
+    for a, mat in default.ghost_matrices.items():
+        assert np.array_equal(mat, high.ghost_matrices[a]), a
 
 
 @pytest.mark.parametrize("cells, degree", [
@@ -482,10 +499,10 @@ def _without_cut_points(ctx):
 
 
 def _error_rows(ctx):
-    """The rows of the cut cells' volume rules at the error order, as
+    """The rows of the cut cells' volume rules at the error order k+2, as
     squared_l2_error builds them in its call."""
-    p = ctx.params
-    rules = operators._cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, p.error_quad_order, p.max_quad_depth)
+    order = ctx.elem.degree + 2
+    rules = operators._cut_rules(ctx.mesh, ctx.levelset, ctx.cut_cells, order, ctx.params.max_quad_depth)
     return operators.PointBlock(rules.interior_points, rules.interior_weights, rules.interior_box)
 
 
@@ -621,8 +638,7 @@ def test_basis_rows_are_products_of_the_point_first_tables(dim, degree, rng):
     lam = factors[surf].reshape(7, 2).T[:, None]
     eigen_rows = (lam * products(None) + np.einsum("ap,aip->ip", coefs, derivs)) / np.hypot(lam, 1.0)
     assert _max_rel(rows[surf].reshape(7, 2, -1).transpose(1, 2, 0), eigen_rows) <= 1e-15
-    tables = tabulate(elem, xi), tabulate(elem, xi, 1)
-    assert _max_rel(operators._tensor_rows(tables[0], coefs[0]), coefs[0] * products(None)) <= 1e-15
+    assert _max_rel(operators._tensor_rows(tabulate(elem, xi), coefs[0]), coefs[0] * products(None)) <= 1e-15
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -632,7 +648,7 @@ def test_tensor_rows_into_out_keep_the_bits_of_a_new_array(dim, degree, rng):
     # the new array, operand for operand: the same bits, in out itself
     elem = build_reference_element(degree)
     xi = rng.random((11, dim))
-    tabs = [tabulate(elem, xi), tabulate(elem, xi, 1)]
+    tabs = [tabulate(elem, xi), _derivative_tables(elem, xi)]
     for a in range(dim):
         mixed = [tabs[b == a][b] for b in range(dim)]
         for coef in (1, rng.standard_normal(11)):
@@ -644,19 +660,18 @@ def test_tensor_rows_into_out_keep_the_bits_of_a_new_array(dim, degree, rng):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_tabulate_writes_the_bits_of_polyval_into_one_table(dim, rng):
-    # one (d, k+1, P) table written axis by axis by Horner's rule: the bits
-    # of npoly.polyval, and no temporary of the table's size
+    # one (d, k+1, P) table of values written axis by axis by Horner's rule:
+    # the bits of npoly.polyval, and no temporary of the table's size
     elem = build_reference_element(3)
     xi = rng.random((20_000, dim))
-    for deriv in (0, 1):
-        tracemalloc.start()
-        try:
-            table = tabulate(elem, xi, deriv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * table.nbytes
-        assert all(np.array_equal(table[a], npoly.polyval(xi[:, a], elem._deriv_coeffs[deriv])) for a in range(dim))
+    tracemalloc.start()
+    try:
+        table = tabulate(elem, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table.nbytes
+    assert all(np.array_equal(table[a], npoly.polyval(xi[:, a], elem._deriv_coeffs[0])) for a in range(dim))
 
 
 def test_point_blocks_hold_no_per_point_dof_table():
@@ -725,9 +740,9 @@ def test_domain_integrals_tabulate_each_chunk_where_they_read_it(rng, monkeypatc
     monkeypatch.setattr(operators, "_POINT_CHUNK", 37 * nloc)
     calls, original = [], operators.tabulate
 
-    def spy(elem, xi, deriv=0):
+    def spy(elem, xi):
         calls.append(xi.copy())
-        return original(elem, xi, deriv)
+        return original(elem, xi)
 
     monkeypatch.setattr(operators, "tabulate", spy)
     u = rng.standard_normal(ctx.n_dofs)
@@ -847,7 +862,7 @@ def test_each_point_contributes_the_bits_of_the_two_passes(dim, degree, rng):
     # points' derivative rows, and the surface points' value row and
     # Nitsche row sum_a (-w n_a / h_a) R_a
     def derivative_rows(xi):
-        vals, grads = tabulate(elem, xi), tabulate(elem, xi, 1)
+        vals, grads = tabulate(elem, xi), _derivative_tables(elem, xi)
         return vals, np.stack([operators._tensor_rows([grads[b] if b == a else v for b, v in enumerate(vals)], 1)
                                for a in range(dim)])
 
